@@ -1,20 +1,20 @@
 """Command line front end.
 
 One subcommand per scenario kind; each takes one or more --config
-files, an output directory, and optional seed and parallelism
-overrides. Exit codes separate the failure classes so batch drivers
-can triage without parsing stderr:
+files, an output directory, and an optional seed override. Exit codes
+separate the failure classes so batch drivers can triage without
+parsing stderr:
 
     0  success
     2  usage or config syntax error (wrong subcommand for the
-       config's kind, argparse errors, malformed config text)
+       config's kind, argparse errors, a config file that cannot be
+       read, malformed config text)
     3  unknown config key
     4  config invariant violation
     5  runtime domain or device error
 """
 
 import argparse
-import concurrent.futures
 import os
 import sys
 from dataclasses import replace
@@ -23,7 +23,7 @@ from . import __version__
 from .constants import CODATA
 from .errors import FluxDsmError, UsageError
 from .materials import BUILTIN_MATERIALS
-from .scenario import SCENARIO_KINDS, load_scenario, run_scenario
+from .scenario import load_scenario, run_scenario
 
 _SUBCOMMANDS = {
     "slab": "slab-profile",
@@ -55,8 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        "output_dir, relative to the working directory)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="run multiple configs in N parallel workers")
     return parser
 
 
@@ -72,23 +70,12 @@ def _print_constants() -> None:
         print(f"{key} = {getattr(CODATA, key)!r}")
 
 
-def _run_one(task) -> int:
-    path, out, seed, own_subdir, kind = task
+def _load(path, kind, seed):
     cfg = load_scenario(path)
     if cfg.kind != kind:
         raise UsageError(f"{path}: config declares kind '{cfg.kind}', "
                          f"not '{kind}'")
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    out_dir = out
-    if out is not None and own_subdir:
-        # keep batched configs from clobbering each other's artifacts
-        stem = os.path.splitext(os.path.basename(path))[0]
-        out_dir = os.path.join(out, stem)
-    written = run_scenario(cfg, out_dir)
-    for artifact in written:
-        print(artifact)
-    return 0
+    return cfg if seed is None else replace(cfg, seed=seed)
 
 
 def main(argv=None) -> int:
@@ -103,19 +90,18 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
-    multi = len(args.config) > 1
     kind = _SUBCOMMANDS[args.command]
-    tasks = [(path, args.out, args.seed, multi, kind)
-             for path in args.config]
     try:
-        if args.jobs > 1 and len(tasks) > 1:
-            with concurrent.futures.ThreadPoolExecutor(
-                    max_workers=args.jobs) as pool:
-                for _ in pool.map(_run_one, tasks):
-                    pass
-        else:
-            for task in tasks:
-                _run_one(task)
+        # every config of a batch is checked before any of them runs
+        cfgs = [_load(path, kind, args.seed) for path in args.config]
+        for path, cfg in zip(args.config, cfgs):
+            out_dir = args.out
+            if out_dir is not None and len(cfgs) > 1:
+                # keep batched configs from clobbering each other's artifacts
+                stem = os.path.splitext(os.path.basename(path))[0]
+                out_dir = os.path.join(out_dir, stem)
+            for artifact in run_scenario(cfg, out_dir):
+                print(artifact)
     except FluxDsmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from .constants import CODATA, PhysicalConstants
 from .errors import DomainError, FluxLossError, PhaseViolationError
 from .materials import Material, critical_flux_density
-from .sectext import ConfigSyntaxError
+from .sectext import ConfigSyntaxError, read_config
 
 LN2 = math.log(2.0)
 
@@ -429,8 +429,7 @@ def parse_schedule(text, path=None):
 
 
 def load_schedule(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_schedule(fh.read(), path=str(path))
+    return parse_schedule(read_config(path), path=str(path))
 
 
 def format_schedule(schedule) -> str:
@@ -442,29 +441,6 @@ def format_schedule(schedule) -> str:
             label = "*" if step.segment is None else str(step.segment)
             lines.append(f"ecoil {label} {'on' if step.on else 'off'}")
     return "\n".join(lines) + "\n"
-
-
-# --- SQUID accumulator ----------------------------------------------
-
-@dataclass(frozen=True)
-class SquidAccumulator:
-    """Integer flux integrator: a storage loop the amplifier dumps its
-    amplified quanta into, one modulator cycle at a time."""
-
-    accumulated_flux: int = 0
-    gain_applied_log: tuple = ()
-
-
-def integrate_cycle(squid: SquidAccumulator,
-                    amplified: int) -> SquidAccumulator:
-    """Add one cycle's amplified quanta to the accumulator. Exact
-    integer arithmetic; the per-cycle contribution is appended to the
-    log so the cycle history stays auditable."""
-    if not isinstance(amplified, (int,)) or isinstance(amplified, bool):
-        raise DomainError("amplified quanta must be an integer")
-    return SquidAccumulator(
-        accumulated_flux=squid.accumulated_flux + amplified,
-        gain_applied_log=squid.gain_applied_log + (amplified,))
 
 
 # --- coupled coils and settling -------------------------------------

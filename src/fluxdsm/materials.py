@@ -6,7 +6,6 @@ mixing them up is a classic unit bug. All temperatures are kelvin, all
 lengths metres, the gap is in joules.
 """
 
-import math
 from dataclasses import dataclass
 
 from .constants import CODATA, PhysicalConstants

@@ -30,8 +30,7 @@ import numpy as np
 from .comparator import ComparatorConfig, make_comparator
 from .constants import CODATA, PhysicalConstants
 from .errors import ConfigError, DomainError, InstabilityError
-from .fluxtrap import (CylinderGeometry, EcoilStep, FieldStep,
-                       default_amplification_schedule,
+from .fluxtrap import (CylinderGeometry, default_amplification_schedule,
                        round_half_even_quanta, run_amplification_sequence,
                        settle_time_device)
 from .noise import NoiseModel, synth_flicker_series
@@ -56,7 +55,6 @@ class ModulatorConfig:
     fs: float = 1.0
     full_scale: Optional[float] = None
     stability_bound: float = 8.0
-    seed: int = 0
     input_noise: Optional[NoiseModel] = None
     tau_cooper: float = 1e-10
     tau_ecoil: float = 3e-10
@@ -90,7 +88,7 @@ class ModulatorConfig:
                 warnings.warn(
                     f"clock period {1.0 / self.fs:.3e} s leaves under half "
                     f"a cycle of margin over the device settle time "
-                    f"{t_settle:.3e} s", stacklevel=2)
+                    f"{t_settle:.3e} s", stacklevel=3)
 
     @property
     def full_scale_field(self) -> float:
@@ -136,8 +134,8 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence,
                   constants: PhysicalConstants = CODATA) -> TraceSet:
     """Run the loop over a normalized input trace u, |u[k]| <= 1
     (u = 1 corresponds to the field cfg.full_scale_field). Deterministic
-    for a fixed config: the only randomness is the seeded noise
-    synthesis, and that is pinned by cfg.seed.
+    for a fixed config: the only randomness is the optional input
+    noise synthesis, and that is pinned by cfg.input_noise.seed.
 
     Raises InstabilityError when any integrator state leaves the
     configured bound; the offending sample index rides on the error.

@@ -160,18 +160,3 @@ def dof_variance_factor(model: NoiseModel) -> float:
     all of them.
     """
     return model.dof_coupled / 3.0
-
-
-def white_series(sigma: float, n: int, seed: int = 0) -> np.ndarray:
-    """Flat-spectrum Gaussian series of rms sigma.
-
-    Hook for the bridge-current noise contribution, whose spectral
-    shape is not modeled beyond its magnitude; callers set sigma from
-    their own calibration and add the series where the current enters.
-    """
-    if sigma < 0:
-        raise DomainError("sigma must be non-negative")
-    if n < 1:
-        raise DomainError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    return sigma * rng.standard_normal(n)

@@ -1,65 +1,53 @@
 """Scenario configs and batch runners.
 
 A scenario file is sectioned key=value text describing one run of one
-pipeline kind. Runners write CSV artifacts plus a plain-text report
-into an output directory. Identical config and seed produce byte
-identical files: floats are serialized with repr (shortest roundtrip),
-rows are ordered deterministically, and no timestamps or absolute
-paths leak into any artifact.
+pipeline kind. Loading checks the parameters and builds the kind's
+typed objects once (the spec); running computes from the spec and only
+then writes CSV artifacts plus a plain-text report into an output
+directory. Identical config and seed produce byte identical files:
+floats are serialized with repr (shortest roundtrip), rows are ordered
+deterministically, and no timestamps or absolute paths leak into any
+artifact.
 """
 
 import math
 import os
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+import warnings
+from dataclasses import dataclass, replace
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 from scipy.signal import welch
 
 from .comparator import make_comparator, quantize
-from .constants import CODATA
 from .electrodynamics import (PROFILE_CSV_HEADER, SlabConfig,
                               normal_slab_profile, solenoid_field,
                               super_slab_profile)
-from .errors import ConfigError, DomainError
-from .fluxtrap import (CylinderGeometry, EcoilStep, FieldStep,
+from .errors import ConfigError, DomainError, UsageError
+from .fluxtrap import (CylinderGeometry, FieldStep,
                        default_amplification_schedule,
-                       doubling_amplification_schedule, format_schedule,
-                       iterate_sequence, load_schedule)
+                       doubling_amplification_schedule, iterate_sequence,
+                       load_schedule)
 from .junctions import JunctionConfig, nis_current, sns_current
-from .materials import BUILTIN_MATERIALS, get_material
+from .materials import get_material
 from .modulator import (ModulatorConfig, dc_tracking_mean,
                         output_power_spectrum, run_modulator, sndr_db,
                         test_tone)
 from .noise import NoiseModel, dof_variance_factor, flicker_psd, \
     lorentzian_psd, synth_flicker_series
-from .sectext import Section, parse_sections
-
-SCENARIO_KINDS = ("slab-profile", "device-sequence", "junction-iv",
-                  "noise-psd", "modulator-run", "comparator-curve")
-
-# section name each kind reads its parameters from
-_KIND_SECTION = {
-    "slab-profile": "slab",
-    "device-sequence": "device",
-    "junction-iv": "junction",
-    "noise-psd": "noise",
-    "modulator-run": "modulator",
-    "comparator-curve": "comparator",
-}
+from .sectext import Section, parse_sections, read_config
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """spec holds the typed objects built at load. The seed stays out of
+    it and is applied at run time, so replace(cfg, seed=s) reseeds."""
+
     kind: str
     seed: int
     output_dir: str
     sections: Dict[str, Section]
-    config_dir: str
-
-    @property
-    def params(self) -> Section:
-        return self.sections[_KIND_SECTION[self.kind]]
+    spec: Any
 
 
 def parse_scenario(text: str, path: Optional[str] = None) -> ScenarioConfig:
@@ -71,13 +59,13 @@ def parse_scenario(text: str, path: Optional[str] = None) -> ScenarioConfig:
     top = sections["scenario"]
     top.reject_unknown({"kind", "seed", "output_dir"})
     kind = top.get_str("kind")
-    if kind not in SCENARIO_KINDS:
+    if kind not in _KINDS:
         raise ConfigError(
             f"unknown scenario kind {kind!r}; expected one of "
             + ", ".join(SCENARIO_KINDS), path=path)
     seed = top.get_int("seed", 0)
     output_dir = top.get_str("output_dir", ".")
-    needed = _KIND_SECTION[kind]
+    needed, build, _ = _KINDS[kind]
     if needed not in sections:
         raise ConfigError(f"scenario kind {kind!r} needs a [{needed}] "
                           f"section", path=path)
@@ -89,16 +77,25 @@ def parse_scenario(text: str, path: Optional[str] = None) -> ScenarioConfig:
             raise ConfigError(
                 f"section [{name}] does not belong to a {kind} scenario",
                 path=path, line=sec.line)
+    sec = sections[needed]
     config_dir = os.path.dirname(os.path.abspath(path)) if path else "."
-    cfg = ScenarioConfig(kind=kind, seed=seed, output_dir=output_dir,
-                         sections=dict(sections), config_dir=config_dir)
-    _VALIDATORS[kind](cfg)
-    return cfg
+    try:
+        spec = build(sec, sections, config_dir)
+    except DomainError as exc:
+        # a constructor's domain check failing on config values is a
+        # config invariant violation, located at the kind's section
+        raise sec.error(str(exc)) from exc
+    return ScenarioConfig(kind=kind, seed=seed, output_dir=output_dir,
+                          sections=sections, spec=spec)
 
 
 def load_scenario(path: str) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read(), path=path)
+    try:
+        text = read_config(path)
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path!r}: "
+                         f"{exc.strerror}") from exc
+    return parse_scenario(text, path=path)
 
 
 def write_csv(path: str, header, rows) -> None:
@@ -118,16 +115,6 @@ def _cell(v) -> str:
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
     return str(v)
-
-
-def _lift_domain(sec: Section, fn, *args, **kwargs):
-    """Run a constructor during config validation; a DomainError there
-    is a config invariant violation, so re-raise it as one with the
-    section's location attached."""
-    try:
-        return fn(*args, **kwargs)
-    except DomainError as exc:
-        raise ConfigError(str(exc), path=sec.path, line=sec.line) from exc
 
 
 def _write_report(path: str, cfg: ScenarioConfig, metrics) -> None:
@@ -150,42 +137,34 @@ def _write_report(path: str, cfg: ScenarioConfig, metrics) -> None:
 _SLAB_KEYS = {"material", "regime", "d", "b0", "omega", "t", "npoints"}
 
 
-def _validate_slab(cfg: "ScenarioConfig") -> None:
-    sec = cfg.sections["slab"]
+def _build_slab(sec: Section, sections, config_dir: str):
     sec.reject_unknown(_SLAB_KEYS)
     regime = sec.get_str("regime")
     if regime not in ("normal", "super"):
-        raise ConfigError("regime must be normal or super",
-                          path=sec.path, line=sec.line)
-    _lift_domain(sec, get_material, sec.get_str("material"))
-    if sec.get_int("npoints", 201) < 3:
-        raise ConfigError("npoints must be at least 3",
-                          path=sec.path, line=sec.line)
-
-
-def _run_slab(cfg: ScenarioConfig, out_dir: str) -> List[str]:
-    sec = cfg.params
+        raise sec.error("regime must be normal or super")
     material = get_material(sec.get_str("material"))
+    npoints = sec.get_int("npoints", 201)
+    if npoints < 3:
+        raise sec.error("npoints must be at least 3")
     slab = SlabConfig(d=sec.get_float("d"), material=material,
                       B0=sec.get_float("b0"),
                       omega=sec.get_float("omega", 0.0),
                       T=sec.get_float("t", 0.0))
-    npoints = sec.get_int("npoints", 201)
-    x = np.linspace(-slab.d, slab.d, npoints)
-    if sec.get_str("regime") == "normal":
+    return slab, regime, np.linspace(-slab.d, slab.d, npoints)
+
+
+def _run_slab(cfg: ScenarioConfig):
+    slab, regime, x = cfg.spec
+    if regime == "normal":
         profile = normal_slab_profile(slab, x)
     else:
         profile = super_slab_profile(slab, x)
-    csv_path = os.path.join(out_dir, "profile.csv")
-    write_csv(csv_path, PROFILE_CSV_HEADER, profile.rows())
-    mid = npoints // 2
-    report = os.path.join(out_dir, "report.txt")
-    _write_report(report, cfg, [
+    mid = x.size // 2
+    return [("profile.csv", PROFILE_CSV_HEADER, profile.rows())], [
         ("center_abs_b", abs(profile.B[mid])),
         ("center_screening", abs(profile.B[mid]) / abs(slab.B0)),
         ("max_abs_j", float(np.max(np.abs(profile.J)))),
-    ])
-    return [csv_path, report]
+    ]
 
 
 # -------------------------------------------------------------- device
@@ -194,67 +173,52 @@ _DEVICE_KEYS = {"radius", "n_segments", "n_eff", "b_in", "schedule",
                 "material", "t"}
 
 
-def _validate_device(cfg: "ScenarioConfig") -> None:
-    sec = cfg.sections["device"]
-    sec.reject_unknown(_DEVICE_KEYS)
-    _lift_domain(sec, CylinderGeometry, radius=sec.get_float("radius"),
-                 n_segments=sec.get_int("n_segments"),
-                 n_eff=sec.get_float("n_eff", 1.0))
-    if sec.has("material"):
-        _lift_domain(sec, get_material, sec.get_str("material"))
-
-
-def _resolve_schedule(name: str, n_segments: int, config_dir: str):
-    if name == "doubling":
-        return doubling_amplification_schedule()
-    if name == "default":
-        return default_amplification_schedule(n_segments)
-    path = os.path.join(config_dir, name)
-    try:
-        return load_schedule(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read schedule file {name!r}: "
-                          f"{exc.strerror}") from exc
-
-
-def _step_fields(step):
-    if isinstance(step, FieldStep):
-        return "field", "*", step.on
-    target = "*" if step.segment is None else str(step.segment)
-    return "ecoil", target, step.on
-
-
-def _run_device(cfg: ScenarioConfig, out_dir: str) -> List[str]:
-    sec = cfg.params
+def _geometry_and_schedule(sec: Section, config_dir: str):
+    """The cylinder of a device section and its coil schedule: a named
+    preset or a schedule file relative to the config's directory."""
     geom = CylinderGeometry(radius=sec.get_float("radius"),
                             n_segments=sec.get_int("n_segments"),
                             n_eff=sec.get_float("n_eff", 1.0))
-    schedule = _resolve_schedule(sec.get_str("schedule", "default"),
-                                 geom.n_segments, cfg.config_dir)
+    name = sec.get_str("schedule", "default")
+    if name == "doubling":
+        return geom, doubling_amplification_schedule()
+    if name == "default":
+        return geom, default_amplification_schedule(geom.n_segments)
+    try:
+        return geom, load_schedule(os.path.join(config_dir, name))
+    except OSError as exc:
+        raise sec.error(f"cannot read schedule file {name!r}: "
+                        f"{exc.strerror}") from exc
+
+
+def _build_device(sec: Section, sections, config_dir: str):
+    sec.reject_unknown(_DEVICE_KEYS)
+    geom, schedule = _geometry_and_schedule(sec, config_dir)
     material = get_material(sec.get_str("material")) \
         if sec.has("material") else None
-    b_in = sec.get_float("b_in")
+    return (geom, schedule, material, sec.get_float("b_in"),
+            sec.get_float("t", 0.0))
+
+
+def _run_device(cfg: ScenarioConfig):
+    geom, schedule, material, b_in, T = cfg.spec
     rows = []
     final_state = None
     for index, step, state in iterate_sequence(
-            geom, b_in, schedule, material=material,
-            T=sec.get_float("t", 0.0)):
-        action, target, on = _step_fields(step)
-        rows.append((index, action, target, "on" if on else "off",
-                     state.phases(), len(state.rings),
-                     state.trapped_flux_total))
+            geom, b_in, schedule, material=material, T=T):
+        field = isinstance(step, FieldStep)
+        target = "*" if field or step.segment is None else str(step.segment)
+        rows.append((index, "field" if field else "ecoil", target,
+                     "on" if step.on else "off", state.phases(),
+                     len(state.rings), state.trapped_flux_total))
         final_state = state
-    csv_path = os.path.join(out_dir, "sequence.csv")
-    write_csv(csv_path, ("step", "action", "target", "switch", "phases",
-                         "n_rings", "trapped_quanta"), rows)
-    report = os.path.join(out_dir, "report.txt")
-    gain = len(final_state.rings)
-    _write_report(report, cfg, [
-        ("gain", gain),
+    header = ("step", "action", "target", "switch", "phases", "n_rings",
+              "trapped_quanta")
+    return [("sequence.csv", header, rows)], [
+        ("gain", len(final_state.rings)),
         ("trapped_quanta_total", final_state.trapped_flux_total),
         ("final_phases", final_state.phases()),
-    ])
-    return [csv_path, report]
+    ]
 
 
 # ------------------------------------------------------------ junction
@@ -264,63 +228,46 @@ _JUNCTION_KEYS = {"mode", "material", "delta", "t", "z", "d", "area",
                   "points", "phi_points"}
 
 
-def _junction_config(sec: Section) -> JunctionConfig:
+def _build_junction(sec: Section, sections, config_dir: str):
+    sec.reject_unknown(_JUNCTION_KEYS)
+    mode = sec.get_str("mode")
+    if mode not in ("nis", "sns"):
+        raise sec.error("mode must be nis or sns")
     if sec.has("material"):
         material = get_material(sec.get_str("material"))
         delta = sec.get_float("delta", material.delta)
     else:
         material = None
         delta = sec.get_float("delta")
-    return JunctionConfig(
+    jc = JunctionConfig(
         delta=delta, T=sec.get_float("t"), d=sec.get_float("d", 0.0),
         Z=sec.get_float("z", 0.0), area=sec.get_float("area", 1e-12),
         prefactor=sec.get_float("prefactor", 1.0), material=material,
         r_sheet=sec.get_float("r_sheet") if sec.has("r_sheet") else None)
-
-
-def _validate_junction(cfg: "ScenarioConfig") -> None:
-    sec = cfg.sections["junction"]
-    sec.reject_unknown(_JUNCTION_KEYS)
-    mode = sec.get_str("mode")
-    if mode not in ("nis", "sns"):
-        raise ConfigError("mode must be nis or sns",
-                          path=sec.path, line=sec.line)
-    _lift_domain(sec, _junction_config, sec)
     if mode == "nis":
-        if sec.get_float("v_start") >= sec.get_float("v_stop"):
-            raise ConfigError("v_start must be below v_stop",
-                              path=sec.path, line=sec.line)
-        if sec.get_int("points", 101) < 2:
-            raise ConfigError("points must be at least 2",
-                              path=sec.path, line=sec.line)
-    else:
-        if sec.get_float("d", 0.0) <= 0:
-            raise ConfigError("sns mode needs a barrier length d > 0",
-                              path=sec.path, line=sec.line)
+        v_start = sec.get_float("v_start")
+        v_stop = sec.get_float("v_stop")
+        if v_start >= v_stop:
+            raise sec.error("v_start must be below v_stop")
+        points = sec.get_int("points", 101)
+        if points < 2:
+            raise sec.error("points must be at least 2")
+        return jc, mode, np.linspace(v_start, v_stop, points), None
+    if jc.d <= 0:
+        raise sec.error("sns mode needs a barrier length d > 0")
+    phis = np.linspace(0.0, 2.0 * math.pi, sec.get_int("phi_points", 181))
+    return jc, mode, phis, sec.get_int("form", 1)
 
 
-def _run_junction(cfg: ScenarioConfig, out_dir: str) -> List[str]:
-    sec = cfg.params
-    jc = _junction_config(sec)
-    mode = sec.get_str("mode")
-    csv_path = os.path.join(out_dir, "iv.csv")
+def _run_junction(cfg: ScenarioConfig):
+    jc, mode, grid, form = cfg.spec
     if mode == "nis":
-        volts = np.linspace(sec.get_float("v_start"),
-                            sec.get_float("v_stop"),
-                            sec.get_int("points", 101))
-        currents = [nis_current(jc, float(v)) for v in volts]
-        write_csv(csv_path, ("v", "i"), zip(volts, currents))
-        metrics = [("i_max", max(currents)), ("mode", "nis")]
-    else:
-        phis = np.linspace(0.0, 2.0 * math.pi,
-                           sec.get_int("phi_points", 181))
-        form = sec.get_int("form", 1)
-        currents = [sns_current(jc, float(p), form=form) for p in phis]
-        write_csv(csv_path, ("phi", "i"), zip(phis, currents))
-        metrics = [("i_critical", max(currents)), ("mode", "sns")]
-    report = os.path.join(out_dir, "report.txt")
-    _write_report(report, cfg, metrics)
-    return [csv_path, report]
+        currents = [nis_current(jc, float(v)) for v in grid]
+        return [("iv.csv", ("v", "i"), zip(grid, currents))], [
+            ("i_max", max(currents)), ("mode", "nis")]
+    currents = [sns_current(jc, float(p), form=form) for p in grid]
+    return [("iv.csv", ("phi", "i"), zip(grid, currents))], [
+        ("i_critical", max(currents)), ("mode", "sns")]
 
 
 # --------------------------------------------------------------- noise
@@ -329,49 +276,42 @@ _NOISE_KEYS = {"r0", "tau1", "tau2", "kprime", "n", "fs", "method",
                "dof_coupled"}
 
 
-def _noise_model(sec: Section, seed: int) -> NoiseModel:
+def _noise_model(sec: Section) -> NoiseModel:
+    """The section's noise band; runners set its seed from cfg.seed."""
     return NoiseModel(R0=sec.get_float("r0", 1.0),
                       tau1=sec.get_float("tau1"),
                       tau2=sec.get_float("tau2"),
                       kprime=sec.get_float("kprime", 1.0),
-                      seed=seed,
                       dof_coupled=sec.get_int("dof_coupled", 1))
 
 
-def _validate_noise(cfg: "ScenarioConfig") -> None:
-    sec = cfg.sections["noise"]
+def _build_noise(sec: Section, sections, config_dir: str):
     sec.reject_unknown(_NOISE_KEYS)
-    _lift_domain(sec, _noise_model, sec, 0)
+    model = _noise_model(sec)
     method = sec.get_str("method", "telegraph")
     if method not in ("telegraph", "spectral"):
-        raise ConfigError("method must be telegraph or spectral",
-                          path=sec.path, line=sec.line)
+        raise sec.error("method must be telegraph or spectral")
+    return model, sec.get_int("n", 65536), sec.get_float("fs", 1.0), method
 
 
-def _run_noise(cfg: ScenarioConfig, out_dir: str) -> List[str]:
-    sec = cfg.params
-    model = _noise_model(sec, cfg.seed)
-    n = sec.get_int("n", 65536)
-    fs = sec.get_float("fs", 1.0)
-    series = synth_flicker_series(model, n, fs,
-                                  method=sec.get_str("method", "telegraph"))
-    series_path = os.path.join(out_dir, "series.csv")
-    write_csv(series_path, ("k", "value"), enumerate(series.tolist()))
+def _run_noise(cfg: ScenarioConfig):
+    model, n, fs, method = cfg.spec
+    model = replace(model, seed=cfg.seed)
+    series = synth_flicker_series(model, n, fs, method=method)
     freqs, measured = welch(series, fs=fs, nperseg=min(n // 8, 65536),
                             detrend="constant")
     omega = 2.0 * math.pi * freqs
     model_col = flicker_psd(model, omega)
     lorentz_col = lorentzian_psd(model, omega)
-    psd_path = os.path.join(out_dir, "psd.csv")
-    write_csv(psd_path, ("freq", "s_measured", "s_flicker", "s_lorentzian"),
-              zip(freqs.tolist(), measured.tolist(),
-                  model_col.tolist(), lorentz_col.tolist()))
-    report = os.path.join(out_dir, "report.txt")
-    _write_report(report, cfg, [
+    return [
+        ("series.csv", ("k", "value"), enumerate(series.tolist())),
+        ("psd.csv", ("freq", "s_measured", "s_flicker", "s_lorentzian"),
+         zip(freqs.tolist(), measured.tolist(),
+             model_col.tolist(), lorentz_col.tolist())),
+    ], [
         ("series_variance", float(np.var(series))),
         ("dof_variance_factor", dof_variance_factor(model)),
-    ])
-    return [series_path, psd_path, report]
+    ]
 
 
 # ----------------------------------------------------------- modulator
@@ -389,12 +329,25 @@ def _float_list(sec: Section, key: str, default: str) -> tuple:
     try:
         return tuple(float(part) for part in raw.split(","))
     except ValueError:
-        raise ConfigError(f"{key} must be a comma separated float list",
-                          path=sec.path, line=sec.line) from None
+        raise sec.error(
+            f"{key} must be a comma separated float list") from None
 
 
-def _modulator_config(cfg: ScenarioConfig) -> ModulatorConfig:
-    sec = cfg.params
+def _build_modulator(sec: Section, sections, config_dir: str):
+    """Spec: the loop config, the input trace, and the DC level or the
+    tone's cycle count (the other is None)."""
+    sec.reject_unknown(_MOD_KEYS)
+    n = sec.get_int("n", 16384)
+    if n < 16 or n & (n - 1):
+        raise sec.error("n must be a power of two, at least 16")
+    if sec.has("dc") and sec.has("tone_cycles"):
+        raise sec.error("dc and tone_cycles are mutually exclusive")
+    if sec.has("dc") and abs(sec.get_float("dc")) > 1.0:
+        raise sec.error("dc level must lie in [-1, 1]")
+    backend = sec.get_str("backend", "ideal")
+    if backend != "flux-device" and "device" in sections:
+        raise sections["device"].error(
+            "[device] section only applies to the flux-device backend")
     comp = make_comparator(side=sec.get_float("side", 200e-6),
                            i_bias=sec.get_float("i_bias", 9.371e-3))
     full_scale = None
@@ -406,28 +359,21 @@ def _modulator_config(cfg: ScenarioConfig) -> ModulatorConfig:
                                     sec.get_float("input_coil_imax"))
     geometry = None
     schedule = None
-    backend = sec.get_str("backend", "ideal")
     if backend == "flux-device":
-        dev = cfg.sections.get("device")
+        dev = sections.get("device")
         if dev is None:
-            raise ConfigError("flux-device backend needs a [device] "
-                              "section", path=sec.path, line=sec.line)
+            raise sec.error("flux-device backend needs a [device] section")
         dev.reject_unknown({"radius", "n_segments", "n_eff", "schedule"})
-        geometry = CylinderGeometry(radius=dev.get_float("radius"),
-                                    n_segments=dev.get_int("n_segments"),
-                                    n_eff=dev.get_float("n_eff", 1.0))
-        schedule = _resolve_schedule(dev.get_str("schedule", "default"),
-                                     geometry.n_segments, cfg.config_dir)
+        geometry, schedule = _geometry_and_schedule(dev, config_dir)
     input_noise = None
-    noise_sec = cfg.sections.get("input-noise")
+    noise_sec = sections.get("input-noise")
     if noise_sec is not None:
         noise_sec.reject_unknown(_INPUT_NOISE_KEYS)
-        input_noise = _noise_model(noise_sec, cfg.seed)
+        input_noise = _noise_model(noise_sec)
     order = sec.get_int("order", 2)
     if order != 2 and not (sec.has("a") and sec.has("c")):
-        raise ConfigError("orders other than 2 need explicit a and c lists",
-                          path=sec.path, line=sec.line)
-    return ModulatorConfig(
+        raise sec.error("orders other than 2 need explicit a and c lists")
+    mc = ModulatorConfig(
         order=order, osr=sec.get_int("osr", 128),
         a=_float_list(sec, "a", "2,4"),
         c=_float_list(sec, "c", "0.5,0.5"),
@@ -435,48 +381,27 @@ def _modulator_config(cfg: ScenarioConfig) -> ModulatorConfig:
         schedule=schedule, fs=sec.get_float("fs", 1.0),
         full_scale=full_scale,
         stability_bound=sec.get_float("stability_bound", 8.0),
-        seed=cfg.seed, input_noise=input_noise)
-
-
-def _validate_modulator(cfg: "ScenarioConfig") -> None:
-    sec = cfg.sections["modulator"]
-    sec.reject_unknown(_MOD_KEYS)
-    n = sec.get_int("n", 16384)
-    if n < 16 or n & (n - 1):
-        raise ConfigError("n must be a power of two, at least 16",
-                          path=sec.path, line=sec.line)
-    if sec.has("dc") and sec.has("tone_cycles"):
-        raise ConfigError("dc and tone_cycles are mutually exclusive",
-                          path=sec.path, line=sec.line)
-    if sec.has("dc") and abs(sec.get_float("dc")) > 1.0:
-        raise ConfigError("dc level must lie in [-1, 1]",
-                          path=sec.path, line=sec.line)
-    if sec.get_str("backend", "ideal") != "flux-device" \
-            and "device" in cfg.sections:
-        raise ConfigError("[device] section only applies to the "
-                          "flux-device backend", path=sec.path,
-                          line=cfg.sections["device"].line)
-    _lift_domain(sec, _modulator_config, cfg)
-
-
-def _run_modulator(cfg: ScenarioConfig, out_dir: str) -> List[str]:
-    sec = cfg.params
-    mc = _modulator_config(cfg)
-    n = sec.get_int("n", 16384)
+        input_noise=input_noise)
     if sec.has("dc"):
-        u = np.full(n, sec.get_float("dc"))
-        tone_cycles = None
-    else:
-        tone_cycles = sec.get_int("tone_cycles", 257)
-        amp = 10.0 ** (sec.get_float("amplitude_dbfs", -1.0) / 20.0)
-        u = test_tone(n, tone_cycles, amp)
+        dc = sec.get_float("dc")
+        return mc, np.full(n, dc), dc, None
+    tone_cycles = sec.get_int("tone_cycles", 257)
+    if not 0 < tone_cycles <= n // (2 * mc.osr):
+        raise sec.error("tone_cycles must lie in the band 1 to n / (2 osr)")
+    amp = 10.0 ** (sec.get_float("amplitude_dbfs", -1.0) / 20.0)
+    return mc, test_tone(n, tone_cycles, amp), None, tone_cycles
+
+
+def _run_modulator(cfg: ScenarioConfig):
+    mc, u, dc, tone_cycles = cfg.spec
+    if mc.input_noise is not None:
+        # checked at load; reseeding must not repeat the settle warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            mc = replace(mc, input_noise=replace(mc.input_noise,
+                                                 seed=cfg.seed))
     trace = run_modulator(mc, u)
-    codes_path = os.path.join(out_dir, "codes.csv")
-    write_csv(codes_path, ("k", "code"), enumerate(trace.codes.tolist()))
     freqs, power = output_power_spectrum(trace)
-    spec_path = os.path.join(out_dir, "spectrum.csv")
-    write_csv(spec_path, ("freq", "power"),
-              zip(freqs.tolist(), power.tolist()))
     metrics = [("saturation_count", trace.saturation_count),
                ("stable", True)]
     if trace.device_gain is not None:
@@ -486,11 +411,10 @@ def _run_modulator(cfg: ScenarioConfig, out_dir: str) -> List[str]:
     else:
         mean = dc_tracking_mean(trace)
         metrics.append(("dc_mean", mean))
-        metrics.append(("tracking_error",
-                        abs(mean - sec.get_float("dc"))))
-    report = os.path.join(out_dir, "report.txt")
-    _write_report(report, cfg, metrics)
-    return [codes_path, spec_path, report]
+        metrics.append(("tracking_error", abs(mean - dc)))
+    return [("codes.csv", ("k", "code"), enumerate(trace.codes.tolist())),
+            ("spectrum.csv", ("freq", "power"),
+             zip(freqs.tolist(), power.tolist()))], metrics
 
 
 # ---------------------------------------------------------- comparator
@@ -498,62 +422,59 @@ def _run_modulator(cfg: ScenarioConfig, out_dir: str) -> List[str]:
 _COMP_KEYS = {"side", "i_bias", "b_start", "b_stop", "points"}
 
 
-def _validate_comparator(cfg: "ScenarioConfig") -> None:
-    sec = cfg.sections["comparator"]
+def _build_comparator(sec: Section, sections, config_dir: str):
     sec.reject_unknown(_COMP_KEYS)
-    _lift_domain(sec, make_comparator,
-                 side=sec.get_float("side", 200e-6),
-                 i_bias=sec.get_float("i_bias", 9.371e-3))
-    if sec.get_int("points", 513) < 2:
-        raise ConfigError("points must be at least 2",
-                          path=sec.path, line=sec.line)
-
-
-def _run_comparator(cfg: ScenarioConfig, out_dir: str) -> List[str]:
-    sec = cfg.params
     comp = make_comparator(side=sec.get_float("side", 200e-6),
                            i_bias=sec.get_float("i_bias", 9.371e-3))
-    b_start = sec.get_float("b_start", -1.2 * comp.b_max)
-    b_stop = sec.get_float("b_stop", 1.2 * comp.b_max)
-    fields = np.linspace(b_start, b_stop, sec.get_int("points", 513))
+    points = sec.get_int("points", 513)
+    if points < 2:
+        raise sec.error("points must be at least 2")
+    return comp, np.linspace(sec.get_float("b_start", -1.2 * comp.b_max),
+                             sec.get_float("b_stop", 1.2 * comp.b_max),
+                             points)
+
+
+def _run_comparator(cfg: ScenarioConfig):
+    comp, fields = cfg.spec
     rows = []
     for b in fields:
         r = quantize(comp, float(b))
         rows.append((float(b), r.code, r.saturated, r.i_diff_half))
-    csv_path = os.path.join(out_dir, "curve.csv")
-    write_csv(csv_path, ("b", "code", "saturated", "i_diff_half"), rows)
-    report = os.path.join(out_dir, "report.txt")
-    _write_report(report, cfg, [
+    return [("curve.csv", ("b", "code", "saturated", "i_diff_half"), rows)], [
         ("n_levels", comp.n_levels),
         ("half_range", comp.half_range),
         ("b_lsb", comp.b_lsb),
         ("b_max", comp.b_max),
-    ])
-    return [csv_path, report]
+    ]
 
 
-_VALIDATORS = {
-    "slab-profile": _validate_slab,
-    "device-sequence": _validate_device,
-    "junction-iv": _validate_junction,
-    "noise-psd": _validate_noise,
-    "modulator-run": _validate_modulator,
-    "comparator-curve": _validate_comparator,
+# kind -> (section, builder, runner). A builder checks the section and
+# returns the spec; a runner computes from cfg.spec and returns its CSV
+# tables (file name, header, rows) and its report metrics.
+_KINDS = {
+    "slab-profile": ("slab", _build_slab, _run_slab),
+    "device-sequence": ("device", _build_device, _run_device),
+    "junction-iv": ("junction", _build_junction, _run_junction),
+    "noise-psd": ("noise", _build_noise, _run_noise),
+    "modulator-run": ("modulator", _build_modulator, _run_modulator),
+    "comparator-curve": ("comparator", _build_comparator, _run_comparator),
 }
 
-_RUNNERS = {
-    "slab-profile": _run_slab,
-    "device-sequence": _run_device,
-    "junction-iv": _run_junction,
-    "noise-psd": _run_noise,
-    "modulator-run": _run_modulator,
-    "comparator-curve": _run_comparator,
-}
+SCENARIO_KINDS = tuple(_KINDS)
 
 
 def run_scenario(cfg: ScenarioConfig,
                  out_dir: Optional[str] = None) -> List[str]:
-    """Execute a parsed scenario; returns the artifact paths written."""
+    """Execute a loaded scenario; returns the artifact paths written.
+    Nothing is written, not even the directory, unless the run
+    computes to the end."""
+    tables, metrics = _KINDS[cfg.kind][2](cfg)
     target = out_dir if out_dir is not None else cfg.output_dir
     os.makedirs(target, exist_ok=True)
-    return _RUNNERS[cfg.kind](cfg, target)
+    written = []
+    for name, header, rows in tables:
+        written.append(os.path.join(target, name))
+        write_csv(written[-1], header, rows)
+    written.append(os.path.join(target, "report.txt"))
+    _write_report(written[-1], cfg, metrics)
+    return written

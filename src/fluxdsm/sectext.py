@@ -48,59 +48,34 @@ class Section:
     def has(self, key):
         return self._find(key) is not None
 
-    def get_str(self, key, default=None):
+    def error(self, message):
+        """A ConfigError anchored at this section's header line."""
+        return ConfigError(message, line=self.line, path=self.path)
+
+    def _get(self, key, default, convert, expects):
+        """The key's value through convert; default when the key is
+        absent, which is an error when default is None."""
         e = self._find(key)
         if e is None:
             if default is None:
-                raise ConfigError(
-                    f"section [{self.name}] is missing required key '{key}'",
-                    line=self.line, path=self.path)
+                raise self.error(
+                    f"section [{self.name}] is missing required key '{key}'")
             return default
-        return e.value
+        try:
+            return convert(e.value)
+        except ValueError:
+            raise ConfigError(
+                f"key '{key}' expects {expects}, got '{e.value}'",
+                line=e.line, path=self.path) from None
+
+    def get_str(self, key, default=None):
+        return self._get(key, default, str, "text")
 
     def get_float(self, key, default=None):
-        e = self._find(key)
-        if e is None:
-            if default is None:
-                raise ConfigError(
-                    f"section [{self.name}] is missing required key '{key}'",
-                    line=self.line, path=self.path)
-            return default
-        try:
-            return float(e.value)
-        except ValueError:
-            raise ConfigError(f"key '{key}' expects a number, got '{e.value}'",
-                              line=e.line, path=self.path) from None
+        return self._get(key, default, float, "a number")
 
     def get_int(self, key, default=None):
-        e = self._find(key)
-        if e is None:
-            if default is None:
-                raise ConfigError(
-                    f"section [{self.name}] is missing required key '{key}'",
-                    line=self.line, path=self.path)
-            return default
-        try:
-            return int(e.value, 0)
-        except ValueError:
-            raise ConfigError(f"key '{key}' expects an integer, got '{e.value}'",
-                              line=e.line, path=self.path) from None
-
-    def get_bool(self, key, default=None):
-        e = self._find(key)
-        if e is None:
-            if default is None:
-                raise ConfigError(
-                    f"section [{self.name}] is missing required key '{key}'",
-                    line=self.line, path=self.path)
-            return default
-        low = e.value.lower()
-        if low in ("true", "on", "yes", "1"):
-            return True
-        if low in ("false", "off", "no", "0"):
-            return False
-        raise ConfigError(f"key '{key}' expects a boolean, got '{e.value}'",
-                          line=e.line, path=self.path)
+        return self._get(key, default, lambda v: int(v, 0), "an integer")
 
     def reject_unknown(self, allowed):
         """Raise UnknownKeyError for any key not in allowed."""
@@ -111,7 +86,7 @@ class Section:
                     line=e.line, path=self.path)
 
 
-def parse_sections(text, path=None, allow_duplicate_sections=False):
+def parse_sections(text, path=None):
     """Parse config text into an ordered list of Section objects."""
     sections = []
     seen = {}
@@ -127,11 +102,11 @@ def parse_sections(text, path=None, allow_duplicate_sections=False):
                     f"malformed section header '{raw.strip()}'",
                     line=lineno, path=path)
             name = m.group(1)
-            if not allow_duplicate_sections and name in seen:
+            if name in seen:
                 raise ConfigSyntaxError(
                     f"duplicate section [{name}] (first defined on line "
                     f"{seen[name]})", line=lineno, path=path)
-            seen.setdefault(name, lineno)
+            seen[name] = lineno
             current = Section(name=name, line=lineno, path=path)
             sections.append(current)
             continue
@@ -157,7 +132,20 @@ def parse_sections(text, path=None, allow_duplicate_sections=False):
     return sections
 
 
-def load_sections(path, allow_duplicate_sections=False):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_sections(fh.read(), path=str(path),
-                              allow_duplicate_sections=allow_duplicate_sections)
+def read_config(path):
+    """Text of a UTF-8 config or schedule file. Bytes that are not
+    UTF-8 are a syntax error on the line they sit on; OSError from
+    opening the file passes through."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigSyntaxError(
+            f"invalid UTF-8 byte 0x{raw[exc.start]:02x}",
+            line=raw.count(b"\n", 0, exc.start) + 1,
+            path=str(path)) from None
+
+
+def load_sections(path):
+    return parse_sections(read_config(path), path=str(path))

@@ -19,14 +19,12 @@ from fluxdsm.fluxtrap import (
     FieldStep,
     FluxTrapState,
     Ring,
-    SquidAccumulator,
     all_normal_state,
     amplified_quanta,
     coupled_coil_delta_lambda,
     default_amplification_schedule,
     doubling_amplification_schedule,
     format_schedule,
-    integrate_cycle,
     iterate_sequence,
     load_schedule,
     parse_schedule,
@@ -358,20 +356,6 @@ def test_load_schedule(tmp_path):
     p = tmp_path / "walk.sched"
     p.write_text(format_schedule(doubling_amplification_schedule()))
     assert load_schedule(p) == doubling_amplification_schedule()
-
-
-def test_squid_accumulator():
-    squid = SquidAccumulator()
-    squid = integrate_cycle(squid, 122)
-    squid = integrate_cycle(squid, -61)
-    assert squid.accumulated_flux == 61
-    assert squid.gain_applied_log == (122, -61)
-
-
-@pytest.mark.parametrize("bad", [1.5, True, "2"])
-def test_integrate_cycle_rejects_non_integers(bad):
-    with pytest.raises(DomainError, match="integer"):
-        integrate_cycle(SquidAccumulator(), bad)
 
 
 def test_coupled_coil_worked_example():

@@ -58,8 +58,10 @@ def test_full_scale_field_default_and_override():
 def test_settle_warning_threshold():
     # 8-segment schedule with default time constants settles in 6.2 ns;
     # the warning should trip once the clock leaves under half a period
-    with pytest.warns(UserWarning, match="settle"):
+    with pytest.warns(UserWarning, match="settle") as record:
         ModulatorConfig(backend="flux-device", geometry=GEOM8, fs=1e8)
+    # the warning names the line that built the config
+    assert [w.filename for w in record] == [__file__]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ModulatorConfig(backend="flux-device", geometry=GEOM8, fs=5e7)

@@ -14,7 +14,6 @@ from fluxdsm.noise import (
     flicker_psd,
     lorentzian_psd,
     synth_flicker_series,
-    white_series,
 )
 
 MODEL = NoiseModel(R0=1.0, tau1=2.0, tau2=2e4, kprime=1.0, seed=42)
@@ -128,18 +127,3 @@ def test_spectral_method_smoke():
 def test_dof_variance_factor(dof, factor):
     m = NoiseModel(R0=1.0, tau1=2.0, tau2=2e4, kprime=1.0, dof_coupled=dof)
     assert dof_variance_factor(m) == pytest.approx(factor, rel=1e-15)
-
-
-def test_white_series():
-    x = white_series(2.0, 65536, seed=3)
-    assert x.std() == pytest.approx(2.0, rel=0.05)
-    assert np.array_equal(x, white_series(2.0, 65536, seed=3))
-    assert not np.array_equal(x, white_series(2.0, 65536, seed=4))
-    assert np.all(white_series(0.0, 16) == 0.0)
-
-
-def test_white_series_validation():
-    with pytest.raises(DomainError):
-        white_series(-1.0, 16)
-    with pytest.raises(DomainError):
-        white_series(1.0, 0)

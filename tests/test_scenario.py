@@ -1,6 +1,7 @@
 """Scenario parsing, artifact generation, and the CLI's exit codes."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -92,7 +93,7 @@ def test_parse_minimal_scenarios():
         assert cfg.kind == kind
         assert cfg.seed == 0
         assert cfg.output_dir == "."
-        assert cfg.params.name == body.split("]")[0][1:]
+        assert body.split("]")[0][1:] in cfg.sections
     assert len(SCENARIO_KINDS) == 6
 
 
@@ -134,6 +135,8 @@ def test_parse_unknown_top_level_key():
      "npoints must be at least 3"),
     ("slab-profile", SLAB_BODY.replace("material = lead", "material = iron"),
      "unknown material"),
+    ("slab-profile", SLAB_BODY.replace("d = 2e-4", "d = 0"),
+     "half-thickness"),
     ("device-sequence", DEVICE_BODY.replace("radius = 0.02", "radius = 0"),
      "radius must be positive"),
     ("junction-iv", NIS_BODY.replace("mode = nis", "mode = sis"),
@@ -160,6 +163,8 @@ def test_parse_unknown_top_level_key():
      "needs a \\[device\\] section"),
     ("modulator-run", MOD_DC_BODY + "order = 3\n",
      "explicit a and c lists"),
+    ("modulator-run", MOD_DC_BODY.replace("dc = 0.25", "tone_cycles = 9"),
+     "tone_cycles must lie in the band"),
     ("modulator-run", MOD_DC_BODY + "a = two,four\n",
      "comma separated float list"),
     ("comparator-curve", COMP_BODY.replace("points = 7", "points = 1"),
@@ -274,6 +279,25 @@ def test_run_modulator_device_backend(tmp_path):
     assert "device_gain = 2" in (tmp_path / "report.txt").read_text()
 
 
+@pytest.mark.parametrize("extra", [
+    "",
+    "\n[input-noise]\ntau1 = 2\ntau2 = 2e4\nkprime = 1e-9\n",
+])
+def test_fast_clock_device_config_warns_once(tmp_path, extra):
+    # input noise synthesis needs at least 4096 samples
+    body = (MOD_DC_BODY.replace("n = 1024", "n = 4096")
+            + "backend = flux-device\nfs = 1e9\n\n[device]\n"
+            "radius = 0.02\nn_segments = 4\nn_eff = 4\nschedule = doubling\n"
+            + extra)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cfg = parse_scenario(_scenario("modulator-run", body))
+        run_scenario(cfg, str(tmp_path))
+    settle = [w for w in caught if "settle time" in str(w.message)]
+    assert len(settle) == 1
+    assert settle[0].filename.endswith(os.path.join("fluxdsm", "scenario.py"))
+
+
 def test_run_comparator_curve(tmp_path):
     cfg = parse_scenario(_scenario("comparator-curve", COMP_BODY))
     run_scenario(cfg, str(tmp_path))
@@ -366,6 +390,48 @@ def test_cli_runtime_flux_loss_exit_5(tmp_path, capsys):
     assert "step 4" in err
 
 
+def test_cli_missing_config_file_exit_2(tmp_path, capsys):
+    missing = str(tmp_path / "absent.cfg")
+    assert main(["comparator", "--config", missing]) == 2
+    assert "cannot read config file" in capsys.readouterr().err
+
+
+def test_cli_config_not_utf8_exit_2(tmp_path, capsys):
+    p = tmp_path / "latin1.cfg"
+    p.write_bytes(_scenario("comparator-curve", COMP_BODY).encode()
+                  + b"# caf\xe9\n")
+    assert main(["comparator", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "latin1.cfg:7:" in err and "UTF-8" in err
+
+
+def test_cli_schedule_not_utf8_exit_2(tmp_path, capsys):
+    (tmp_path / "latin1.sched").write_bytes(b"ecoil * on\n\xff\n")
+    cfg_path = _write(tmp_path, "dev.cfg", _scenario(
+        "device-sequence",
+        DEVICE_BODY.replace("schedule = doubling", "schedule = latin1.sched")))
+    assert main(["device", "--config", cfg_path,
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "latin1.sched:2:" in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize("kind,sub,good,bad", [
+    ("device-sequence", "device", DEVICE_BODY,
+     DEVICE_BODY.replace("schedule = doubling", "schedule = nowhere.sched")),
+    ("slab-profile", "slab", SLAB_BODY, SLAB_BODY.replace("d = 2e-4", "d = 0")),
+])
+def test_cli_load_rejection_writes_nothing(tmp_path, capsys, kind, sub, good,
+                                           bad):
+    # the batch loads both configs before it runs the good one
+    ok_path = _write(tmp_path, "ok.cfg", _scenario(kind, good))
+    bad_path = _write(tmp_path, "bad.cfg", _scenario(kind, bad))
+    out = tmp_path / "out"
+    assert main([sub, "--config", ok_path, "--config", bad_path,
+                 "--out", str(out)]) == 4
+    assert not out.exists()
+
+
 def test_cli_missing_schedule_file_exit_4(tmp_path, capsys):
     cfg_path = _write(tmp_path, "lost.cfg", _scenario(
         "device-sequence",
@@ -398,13 +464,13 @@ def test_cli_seed_override(tmp_path, capsys):
     assert a != (tmp_path / "s2" / "series.csv").read_bytes()
 
 
-def test_cli_batch_jobs_use_subdirs(tmp_path, capsys):
+def test_cli_batch_uses_subdirs(tmp_path, capsys):
     c1 = _write(tmp_path, "one.cfg", _scenario("comparator-curve", COMP_BODY))
     c2 = _write(tmp_path, "two.cfg", _scenario(
         "comparator-curve", COMP_BODY.replace("points = 7", "points = 9")))
     out = tmp_path / "batch"
     code = main(["comparator", "--config", c1, "--config", c2,
-                 "--jobs", "2", "--out", str(out)])
+                 "--out", str(out)])
     assert code == 0
     assert (out / "one" / "curve.csv").exists()
     assert (out / "two" / "curve.csv").exists()

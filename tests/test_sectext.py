@@ -25,7 +25,7 @@ def test_parse_and_coerce():
     a = secs["alpha"]
     assert a.get_float("x") == 1.5
     assert a.get_str("name") == "lead"
-    assert a.get_bool("flag") is True
+    assert a.get_str("flag") == "on"
     assert secs["beta"].get_int("count") == 16
 
 
@@ -51,14 +51,6 @@ def test_bad_number_names_key_and_line():
         sec.get_float("q")
 
 
-def test_bool_values():
-    secs = _by_name("[s]\na = yes\nb = 0\nc = maybe\n")["s"]
-    assert secs.get_bool("a") is True
-    assert secs.get_bool("b") is False
-    with pytest.raises(ConfigError, match="expects a boolean"):
-        secs.get_bool("c")
-
-
 @pytest.mark.parametrize("text,fragment,line", [
     ("[bad header\nx = 1\n", "malformed section header", 1),
     ("x = 1\n", "before any", 1),
@@ -72,12 +64,6 @@ def test_syntax_errors(text, fragment, line):
         parse_sections(text)
     assert err.value.line == line
     assert err.value.exit_code == 2
-
-
-def test_duplicate_sections_opt_in():
-    secs = parse_sections("[s]\nx = 1\n[s]\ny = 2\n",
-                          allow_duplicate_sections=True)
-    assert [s.name for s in secs] == ["s", "s"]
 
 
 def test_reject_unknown():

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CODATA, PhysicalConstants
+from .constants import CODATA
 from .electrodynamics import square_loop_current_for_field
 from .errors import DomainError
 
@@ -34,8 +34,7 @@ class ComparatorConfig:
         return self.n_levels // 2
 
 
-def make_comparator(side: float, i_bias: float,
-                    constants: PhysicalConstants = CODATA) -> ComparatorConfig:
+def make_comparator(side: float, i_bias: float) -> ComparatorConfig:
     """Size the comparator for a square loop of given side and bias.
 
         B_LSB = phi0 / L^2          (one quantum over the loop)
@@ -50,10 +49,10 @@ def make_comparator(side: float, i_bias: float,
         raise DomainError("loop side must be positive")
     if i_bias <= 0:
         raise DomainError("bias current must be positive")
-    b_lsb = constants.phi0 / side**2
-    b_max = math.sqrt(2.0) * constants.mu0 * i_bias / (math.pi * side)
-    n_levels = int(round(2.0 * math.sqrt(2.0) * constants.mu0 * constants.e
-                         * side * i_bias / (math.pi * constants.h)))
+    b_lsb = CODATA.phi0 / side**2
+    b_max = math.sqrt(2.0) * CODATA.mu0 * i_bias / (math.pi * side)
+    n_levels = int(round(2.0 * math.sqrt(2.0) * CODATA.mu0 * CODATA.e
+                         * side * i_bias / (math.pi * CODATA.h)))
     if n_levels < 1:
         raise DomainError(
             "bias current too small: comparator resolves no levels")
@@ -69,8 +68,7 @@ class QuantizeResult:
     i_diff_half: float
 
 
-def quantize(cfg: ComparatorConfig, b_lf: float,
-             constants: PhysicalConstants = CODATA) -> QuantizeResult:
+def quantize(cfg: ComparatorConfig, b_lf: float) -> QuantizeResult:
     """Quantize a field sample to a mid-tread code.
 
     code = clamp(round_half_even(B_LF / B_LSB), -half_range, +half_range)
@@ -85,7 +83,7 @@ def quantize(cfg: ComparatorConfig, b_lf: float,
     code = min(max(raw, -hr), hr)
     return QuantizeResult(
         code=code, saturated=saturated, b_quantized=code * cfg.b_lsb,
-        i_diff_half=square_loop_current_for_field(cfg.side, b_lf, constants))
+        i_diff_half=square_loop_current_for_field(cfg.side, b_lf))
 
 
 def quantize_codes(cfg: ComparatorConfig, b_lf) -> np.ndarray:

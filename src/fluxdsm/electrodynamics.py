@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cholesky_banded, cho_solve_banded
 
-from .constants import CODATA, PhysicalConstants
-from .errors import DomainError, PhaseViolationError
-from .materials import Material, critical_flux_density
+from .constants import CODATA
+from .errors import DomainError
+from .materials import Material, check_superconducting
 
 
 @dataclass(frozen=True)
@@ -67,15 +67,14 @@ def _check_grid(x, d):
     return x
 
 
-def skin_depth(omega: float, sigma: float, mu: float = CODATA.mu0) -> float:
-    """Normal-metal skin depth sqrt(2/(omega*mu*sigma)) in metres."""
-    if omega <= 0 or sigma <= 0 or mu <= 0:
-        raise DomainError("skin depth needs omega, sigma, mu > 0")
-    return math.sqrt(2.0 / (omega * mu * sigma))
+def skin_depth(omega: float, sigma: float) -> float:
+    """Normal-metal skin depth sqrt(2/(omega*mu0*sigma)) in metres."""
+    if omega <= 0 or sigma <= 0:
+        raise DomainError("skin depth needs omega, sigma > 0")
+    return math.sqrt(2.0 / (omega * CODATA.mu0 * sigma))
 
 
-def normal_slab_profile(cfg: SlabConfig, x,
-                        constants: PhysicalConstants = CODATA) -> FieldProfile:
+def normal_slab_profile(cfg: SlabConfig, x) -> FieldProfile:
     """Field and circulating current in a normal slab under an AC field.
 
     Evaluates the flux-diffusion steady state
@@ -100,7 +99,7 @@ def normal_slab_profile(cfg: SlabConfig, x,
     """
     x = _check_grid(x, cfg.d)
     sigma = cfg.material.sigma_n
-    mu = constants.mu0
+    mu = CODATA.mu0
     if cfg.omega == 0.0:
         return FieldProfile(x=x, B=np.full_like(x, cfg.B0, dtype=complex),
                             J=np.zeros_like(x, dtype=complex))
@@ -111,8 +110,7 @@ def normal_slab_profile(cfg: SlabConfig, x,
     return FieldProfile(x=x, B=b, J=j)
 
 
-def super_slab_profile(cfg: SlabConfig, x,
-                       constants: PhysicalConstants = CODATA) -> FieldProfile:
+def super_slab_profile(cfg: SlabConfig, x) -> FieldProfile:
     """Meissner screening profile of a superconducting slab.
 
     Evaluates the London steady state with effective penetration depth
@@ -131,21 +129,16 @@ def super_slab_profile(cfg: SlabConfig, x,
         cfg.material at cfg.T (the slab would not be superconducting).
     """
     x = _check_grid(x, cfg.d)
-    bc = critical_flux_density(cfg.material, cfg.T, constants=constants)
-    if abs(cfg.B0) >= bc:
-        raise PhaseViolationError(
-            f"|B0| = {abs(cfg.B0):.4g} T is not below the critical flux "
-            f"density {bc:.4g} T of {cfg.material.name} at T = {cfg.T} K")
+    check_superconducting(cfg.material, cfg.T, cfg.B0, "B0")
     lam_big = cfg.material.london_coefficient
-    lam_eff = math.sqrt(lam_big / constants.mu0)
+    lam_eff = math.sqrt(lam_big / CODATA.mu0)
     b = cfg.B0 * np.cosh(x / lam_eff) / np.cosh(cfg.d / lam_eff)
-    j = (cfg.B0 / math.sqrt(constants.mu0 * lam_big)
+    j = (cfg.B0 / math.sqrt(CODATA.mu0 * lam_big)
          * np.sinh(x / lam_eff) / np.sinh(cfg.d / lam_eff))
     return FieldProfile(x=x, B=b, J=j)
 
 
-def two_fluid_wavenumber(material: Material, omega: float,
-                         constants: PhysicalConstants = CODATA) -> complex:
+def two_fluid_wavenumber(material: Material, omega: float) -> complex:
     """Complex spatial decay wavenumber of the two-fluid slab equation.
 
         kappa^2 = (1 + j omega (mu sigma lambda^2 + tau_s))
@@ -162,67 +155,59 @@ def two_fluid_wavenumber(material: Material, omega: float,
     lam = material.lambda_l
     sigma = material.sigma_n
     tau_s = material.tau_s
-    mu = constants.mu0
+    mu = CODATA.mu0
     num = 1.0 + 1j * omega * (mu * sigma * lam**2 + tau_s)
     den = lam**2 * (1.0 + 1j * omega * tau_s)
     return complex(np.sqrt(num / den))
 
 
-def solenoid_field(turns_per_length: float, current: float,
-                   mu: float = CODATA.mu0) -> float:
-    """Interior field of a long solenoid, B = mu * n * I (T)."""
+def solenoid_field(turns_per_length: float, current: float) -> float:
+    """Interior field of a long solenoid, B = mu0 * n * I (T)."""
     if turns_per_length < 0:
         raise DomainError("turns per length must be non-negative")
-    if mu <= 0:
-        raise DomainError("permeability must be positive")
-    return mu * turns_per_length * current
+    return CODATA.mu0 * turns_per_length * current
 
 
-def square_loop_center_field(side: float, i_diff_half: float,
-                             constants: PhysicalConstants = CODATA) -> float:
+def square_loop_center_field(side: float, i_diff_half: float) -> float:
     """Center field of a square loop of side L carrying the comparator
     half-difference current, B = 2*sqrt(2)*mu0*I / (pi*L)."""
     if side <= 0:
         raise DomainError("loop side must be positive")
-    return 2.0 * math.sqrt(2.0) * constants.mu0 * i_diff_half / (math.pi * side)
+    return 2.0 * math.sqrt(2.0) * CODATA.mu0 * i_diff_half / (math.pi * side)
 
 
-def square_loop_current_for_field(side: float, b_center: float,
-                                  constants: PhysicalConstants = CODATA) -> float:
+def square_loop_current_for_field(side: float, b_center: float) -> float:
     """Half-difference current that puts b_center at the middle of a
     square loop, I = pi*L*B / (2*sqrt(2)*mu0). Inverse of
     square_loop_center_field."""
     if side <= 0:
         raise DomainError("loop side must be positive")
-    return math.pi * side * b_center / (2.0 * math.sqrt(2.0) * constants.mu0)
+    return math.pi * side * b_center / (2.0 * math.sqrt(2.0) * CODATA.mu0)
 
 
-def circular_loop_center_field(radius: float, current: float,
-                               constants: PhysicalConstants = CODATA) -> float:
+def circular_loop_center_field(radius: float, current: float) -> float:
     """Center field of a circular loop, B = mu0 * I / (2 R)."""
     if radius <= 0:
         raise DomainError("loop radius must be positive")
-    return constants.mu0 * current / (2.0 * radius)
+    return CODATA.mu0 * current / (2.0 * radius)
 
 
-def circular_loop_current_for_field(radius: float, b_center: float,
-                                    constants: PhysicalConstants = CODATA) -> float:
+def circular_loop_current_for_field(radius: float, b_center: float) -> float:
     """Loop current that produces b_center at the middle of a circular
     loop, I = 2 R B / mu0."""
     if radius <= 0:
         raise DomainError("loop radius must be positive")
-    return 2.0 * radius * b_center / constants.mu0
+    return 2.0 * radius * b_center / CODATA.mu0
 
 
 def crank_nicolson_diffusion(d: float, sigma: float, omega: float,
                              b0: float = 1.0, npoints: int = 2001,
-                             periods: int = 20, steps_per_period: int = 1024,
-                             mu: float = CODATA.mu0):
+                             periods: int = 20, steps_per_period: int = 1024):
     """Time-domain oracle for the normal-slab profile.
 
     Solves the flux diffusion equation
 
-        mu * sigma * dB/dt = d^2B/dx^2
+        mu0 * sigma * dB/dt = d^2B/dx^2
 
     on [-d, d] with Dirichlet boundaries B(+-d, t) = b0*cos(omega*t)
     and B(x, 0) = 0, using Crank-Nicolson stepping. After the
@@ -250,7 +235,7 @@ def crank_nicolson_diffusion(d: float, sigma: float, omega: float,
     dx = x[1] - x[0]
     period = 2.0 * math.pi / omega
     dt = period / steps_per_period
-    r = dt / (mu * sigma * dx * dx)
+    r = dt / (CODATA.mu0 * sigma * dx * dx)
 
     n_in = npoints - 2
     # A = I - (r/2) T, symmetric positive definite; factor once.

@@ -18,7 +18,7 @@ class UsageError(FluxDsmError):
 
 
 class ConfigError(FluxDsmError):
-    """A scenario or materials file failed validation.
+    """A scenario config or schedule file failed validation.
 
     Carries the offending line number when the problem is tied to a
     specific line of a config file (syntax errors, unknown keys, bad

@@ -18,9 +18,9 @@ schematic numbering.
 import math
 from dataclasses import dataclass, field, replace
 
-from .constants import CODATA, PhysicalConstants
-from .errors import DomainError, FluxLossError, PhaseViolationError
-from .materials import Material, critical_flux_density
+from .constants import CODATA
+from .errors import DomainError, FluxLossError
+from .materials import Material, check_superconducting
 from .sectext import ConfigSyntaxError, read_config
 
 LN2 = math.log(2.0)
@@ -135,16 +135,14 @@ def round_half_even_quanta(flux_ratio: float) -> int:
     return int(round(flux_ratio))
 
 
-def ring_current(quanta: int, geometry: CylinderGeometry,
-                 constants: PhysicalConstants = CODATA) -> float:
+def ring_current(quanta: int, geometry: CylinderGeometry) -> float:
     """Supercurrent supporting `quanta` flux quanta through the bore:
     I = B_trapped / (mu0 * n_eff) with B_trapped = quanta*phi0/area."""
-    b_trapped = quanta * constants.phi0 / geometry.area
-    return b_trapped / (constants.mu0 * geometry.n_eff)
+    b_trapped = quanta * CODATA.phi0 / geometry.area
+    return b_trapped / (CODATA.mu0 * geometry.n_eff)
 
 
 def trap_flux(geometry: CylinderGeometry, b_ext: float,
-              constants: PhysicalConstants = CODATA,
               material: Material | None = None,
               T: float = 0.0) -> FluxTrapState:
     """Cool the whole cylinder through Tc in a field, then remove it.
@@ -157,14 +155,10 @@ def trap_flux(geometry: CylinderGeometry, b_ext: float,
     density at temperature T or PhaseViolationError is raised.
     """
     if material is not None:
-        bc = critical_flux_density(material, T, constants=constants)
-        if abs(b_ext) >= bc:
-            raise PhaseViolationError(
-                f"|B_ext| = {abs(b_ext):.4g} T is not below the critical "
-                f"flux density {bc:.4g} T of {material.name} at T = {T} K")
-    quanta = round_half_even_quanta(b_ext * geometry.area / constants.phi0)
+        check_superconducting(material, T, b_ext, "B_ext")
+    quanta = round_half_even_quanta(b_ext * geometry.area / CODATA.phi0)
     ring = Ring(span=frozenset(geometry.segments),
-                current=ring_current(quanta, geometry, constants),
+                current=ring_current(quanta, geometry),
                 quanta=quanta)
     return FluxTrapState(geometry=geometry, energized=frozenset(),
                          rings=(ring,))
@@ -285,7 +279,6 @@ def default_amplification_schedule(n_segments: int):
 
 
 def iterate_sequence(geometry: CylinderGeometry, b_in: float, schedule,
-                     constants: PhysicalConstants = CODATA,
                      material: Material | None = None, T: float = 0.0):
     """Execute an amplification schedule step by step.
 
@@ -301,16 +294,12 @@ def iterate_sequence(geometry: CylinderGeometry, b_in: float, schedule,
     the field instead and trap nothing.
     """
     if material is not None:
-        bc = critical_flux_density(material, T, constants=constants)
-        if abs(b_in) >= bc:
-            raise PhaseViolationError(
-                f"|B_in| = {abs(b_in):.4g} T is not below the critical "
-                f"flux density {bc:.4g} T of {material.name} at T = {T} K")
+        check_superconducting(material, T, b_in, "B_in")
     state = FluxTrapState(geometry=geometry)
     field_on = False
     armed = set()
     quanta_each = round_half_even_quanta(
-        b_in * geometry.area / constants.phi0)
+        b_in * geometry.area / CODATA.phi0)
     for index, step in enumerate(schedule):
         if isinstance(step, FieldStep):
             if step.on and not field_on:
@@ -319,7 +308,7 @@ def iterate_sequence(geometry: CylinderGeometry, b_in: float, schedule,
             elif not step.on and field_on:
                 field_on = False
                 state = _trap_armed(state, armed, quanta_each,
-                                    geometry, constants, step=index)
+                                    geometry, step=index)
                 armed.clear()
         elif isinstance(step, EcoilStep):
             targets = ([step.segment] if step.segment is not None
@@ -339,7 +328,7 @@ def iterate_sequence(geometry: CylinderGeometry, b_in: float, schedule,
         yield index, step, state
 
 
-def _trap_armed(state, armed, quanta_each, geometry, constants, step):
+def _trap_armed(state, armed, quanta_each, geometry, step):
     """Turn contiguous runs of armed superconducting segments into rings."""
     live = sorted(s for s in armed if s not in state.energized)
     if not live:
@@ -361,15 +350,13 @@ def _trap_armed(state, armed, quanta_each, geometry, constants, step):
             raise FluxLossError(
                 "trap would overlap an existing ring", step=step)
         rings.append(Ring(span=span,
-                          current=ring_current(quanta_each, geometry,
-                                               constants),
+                          current=ring_current(quanta_each, geometry),
                           quanta=quanta_each))
     return replace(state, rings=tuple(rings))
 
 
 def run_amplification_sequence(geometry: CylinderGeometry, b_in: float,
                                schedule,
-                               constants: PhysicalConstants = CODATA,
                                material: Material | None = None,
                                T: float = 0.0):
     """Run a schedule to completion.
@@ -381,16 +368,16 @@ def run_amplification_sequence(geometry: CylinderGeometry, b_in: float,
     """
     state = FluxTrapState(geometry=geometry)
     for _, _, state in iterate_sequence(geometry, b_in, schedule,
-                                        constants, material, T):
+                                        material, T):
         pass
     return state, len(state.rings)
 
 
-def amplified_quanta(geometry: CylinderGeometry, b_in: float, gain: int,
-                     constants: PhysicalConstants = CODATA) -> int:
+def amplified_quanta(geometry: CylinderGeometry, b_in: float,
+                     gain: int) -> int:
     """Flux quanta delivered per cycle: gain * round_half_even(B*A/phi0)."""
     return gain * round_half_even_quanta(
-        b_in * geometry.area / constants.phi0)
+        b_in * geometry.area / CODATA.phi0)
 
 
 # --- schedule text format -------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import quad, IntegrationWarning
 from scipy.special import expit
 
-from .constants import CODATA, PhysicalConstants
+from .constants import CODATA
 from .errors import DomainError, QuadratureError
 from .materials import Material
 
@@ -266,19 +266,17 @@ def andreev_outcome(incident_species: str, incident_side: str, eps: float,
         channels=tuple(channels))
 
 
-def n_coherence_length(v_fermi: float, T: float,
-                       constants: PhysicalConstants = CODATA) -> float:
+def n_coherence_length(v_fermi: float, T: float) -> float:
     """Decay length of pair correlations in the normal bridge,
     xi_N = hbar * vF / (2 pi kB T)."""
     if v_fermi <= 0:
         raise DomainError("Fermi velocity must be positive")
     if T <= 0:
         raise DomainError("temperature must be positive")
-    return constants.hbar * v_fermi / (2.0 * math.pi * constants.kB * T)
+    return CODATA.hbar * v_fermi / (2.0 * math.pi * CODATA.kB * T)
 
 
-def sns_prefactor(cfg: JunctionConfig, form: int = 1,
-                  constants: PhysicalConstants = CODATA) -> float:
+def sns_prefactor(cfg: JunctionConfig, form: int = 1) -> float:
     """Critical-current prefactor of the proximity junction.
 
     Three algebraic forms circulate for the same quantity; they are
@@ -295,20 +293,19 @@ def sns_prefactor(cfg: JunctionConfig, form: int = 1,
         raise DomainError("sns prefactor needs a positive bridge length d")
     m = cfg.material
     if form == 1:
-        return (2.0 * constants.e * cfg.area * m.vF * m.kF**2
+        return (2.0 * CODATA.e * cfg.area * m.vF * m.kF**2
                 / (math.pi**2 * cfg.d))
     if form == 2:
-        return 4.0 * constants.hbar * m.N0 * m.vF**2 * constants.e * cfg.area / cfg.d
+        return 4.0 * CODATA.hbar * m.N0 * m.vF**2 * CODATA.e * cfg.area / cfg.d
     if form == 3:
         if cfg.r_sheet is None or cfg.r_sheet <= 0:
             raise DomainError("form 3 needs a positive cfg.r_sheet")
-        return (16.0 * constants.hbar * m.vF
-                / (2.0 * constants.e * cfg.d * cfg.r_sheet))
+        return (16.0 * CODATA.hbar * m.vF
+                / (2.0 * CODATA.e * cfg.d * cfg.r_sheet))
     raise DomainError(f"unknown prefactor form {form}")
 
 
-def sns_current(cfg: JunctionConfig, phi, form: int = 1,
-                constants: PhysicalConstants = CODATA):
+def sns_current(cfg: JunctionConfig, phi, form: int = 1):
     """Supercurrent through a long proximity bridge:
 
         I = P * exp(-d / xi_N) * sin(phi)
@@ -318,8 +315,8 @@ def sns_current(cfg: JunctionConfig, phi, form: int = 1,
     """
     if cfg.T <= 0:
         raise DomainError("sns current needs T > 0 for xi_N")
-    p = sns_prefactor(cfg, form, constants)
-    xi_n = n_coherence_length(cfg.material.vF, cfg.T, constants)
+    p = sns_prefactor(cfg, form)
+    xi_n = n_coherence_length(cfg.material.vF, cfg.T)
     return p * math.exp(-cfg.d / xi_n) * np.sin(phi)
 
 
@@ -328,8 +325,7 @@ def _fermi(x, kT):
     return expit(-x / kT)
 
 
-def nis_current(cfg: JunctionConfig, voltage, rtol: float = 1e-9,
-                constants: PhysicalConstants = CODATA):
+def nis_current(cfg: JunctionConfig, voltage, rtol: float = 1e-9):
     """NIS junction current by quadrature of the interface kernel:
 
         I(V) = prefactor * Integral (1 + A(eps) - B(eps))
@@ -350,7 +346,7 @@ def nis_current(cfg: JunctionConfig, voltage, rtol: float = 1e-9,
     # Work in gap units so the integrand is order one regardless of the
     # joule scale of delta; the delta factor is restored at the end.
     delta = cfg.delta
-    kt = constants.kB * cfg.T / delta
+    kt = CODATA.kB * cfg.T / delta
     z = cfg.Z
 
     def kernel(s):
@@ -361,7 +357,7 @@ def nis_current(cfg: JunctionConfig, voltage, rtol: float = 1e-9,
     volts = np.atleast_1d(np.asarray(voltage, dtype=float))
     out = np.empty_like(volts)
     for i, v in enumerate(volts):
-        ev = constants.e * v / delta
+        ev = CODATA.e * v / delta
         lo = min(-30.0 * kt, ev - 30.0 * kt, -1.5)
         hi = max(30.0 * kt, ev + 30.0 * kt, 1.5)
         breakpoints = sorted(p for p in (-1.0, 1.0, ev) if lo < p < hi)
@@ -385,8 +381,7 @@ def nis_current(cfg: JunctionConfig, voltage, rtol: float = 1e-9,
     return out
 
 
-def nis_current_lowT(cfg: JunctionConfig, voltage,
-                     constants: PhysicalConstants = CODATA):
+def nis_current_lowT(cfg: JunctionConfig, voltage):
     """Zero-temperature tunneling limit of the NIS current:
 
         I(V) = prefactor / (1 + Z^2) * sqrt((eV)^2 - delta^2)
@@ -397,7 +392,7 @@ def nis_current_lowT(cfg: JunctionConfig, voltage,
     """
     scalar = np.isscalar(voltage)
     volts = np.atleast_1d(np.asarray(voltage, dtype=float))
-    ev = constants.e * volts
+    ev = CODATA.e * volts
     out = np.zeros_like(volts)
     above = ev > cfg.delta
     out[above] = (cfg.prefactor / (1.0 + cfg.Z**2)

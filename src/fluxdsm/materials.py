@@ -8,9 +8,8 @@ lengths metres, the gap is in joules.
 
 from dataclasses import dataclass
 
-from .constants import CODATA, PhysicalConstants
-from .errors import ConfigError, DomainError
-from .sectext import load_sections
+from .constants import CODATA
+from .errors import DomainError, PhaseViolationError
 
 TYPE_I = "type-I"
 TYPE_II = "type-II"
@@ -74,8 +73,7 @@ class Material:
         return CODATA.mu0 * self.lambda_l**2
 
 
-def critical_field(material: Material, T: float, which: str = "auto",
-                   constants: PhysicalConstants = CODATA) -> float:
+def critical_field(material: Material, T: float, which: str = "auto") -> float:
     """Critical field H_c(T) = H_c(0) * (1 - (T/Tc)^2) in A/m.
 
     which selects the zero-temperature anchor: 'thermodynamic' (type-I
@@ -104,10 +102,21 @@ def critical_field(material: Material, T: float, which: str = "auto",
     return h0 * (1.0 - (T / material.Tc) ** 2)
 
 
-def critical_flux_density(material: Material, T: float, which: str = "auto",
-                          constants: PhysicalConstants = CODATA) -> float:
+def critical_flux_density(material: Material, T: float,
+                          which: str = "auto") -> float:
     """mu0 * H_c(T) in tesla, for comparisons against applied B fields."""
-    return constants.mu0 * critical_field(material, T, which, constants)
+    return CODATA.mu0 * critical_field(material, T, which)
+
+
+def check_superconducting(material: Material, T: float, b: float,
+                          label: str) -> None:
+    """Raise PhaseViolationError unless the field b (T), named label in
+    the message, is below the critical flux density of material at T."""
+    bc = critical_flux_density(material, T)
+    if abs(b) >= bc:
+        raise PhaseViolationError(
+            f"|{label}| = {abs(b):.4g} T is not below the critical flux "
+            f"density {bc:.4g} T of {material.name} at T = {T} K")
 
 
 # Sourced placeholder parameters. Round literature numbers; the solver
@@ -128,59 +137,12 @@ BUILTIN_MATERIALS = {
         N0=9.8e46, sigma_n=6.9e6, tau_s=1e-12),
 }
 
-_COMMON_KEYS = {"kind", "tc", "lambda_l", "delta", "vf", "kf", "n0",
-                "sigma_n", "tau_s"}
-_TYPE_I_KEYS = _COMMON_KEYS | {"hc0"}
-_TYPE_II_KEYS = _COMMON_KEYS | {"hc1_0", "hc2_0"}
 
-
-def load_materials(path) -> dict:
-    """Load a materials catalog from a sectioned key=value file.
-
-    One section per material; the section name is the material name.
-    Type-I sections need hc0, type-II sections need hc1_0 and hc2_0.
-    Returns a dict name -> Material.
-    """
-    catalog = {}
-    for sec in load_sections(path):
-        kind = sec.get_str("kind")
-        if kind not in (TYPE_I, TYPE_II):
-            raise ConfigError(
-                f"kind must be '{TYPE_I}' or '{TYPE_II}', got '{kind}'",
-                line=sec.line, path=sec.path)
-        allowed = _TYPE_I_KEYS if kind == TYPE_I else _TYPE_II_KEYS
-        sec.reject_unknown(allowed)
-        fields = dict(
-            name=sec.name, kind=kind,
-            Tc=sec.get_float("tc"),
-            lambda_l=sec.get_float("lambda_l"),
-            delta=sec.get_float("delta"),
-            vF=sec.get_float("vf"),
-            kF=sec.get_float("kf"),
-            N0=sec.get_float("n0"),
-            sigma_n=sec.get_float("sigma_n"),
-            tau_s=sec.get_float("tau_s"),
-        )
-        if kind == TYPE_I:
-            fields["Hc0"] = sec.get_float("hc0")
-        else:
-            fields["Hc1_0"] = sec.get_float("hc1_0")
-            fields["Hc2_0"] = sec.get_float("hc2_0")
-        try:
-            catalog[sec.name] = Material(**fields)
-        except DomainError as exc:
-            raise ConfigError(str(exc), line=sec.line, path=sec.path) from exc
-    if not catalog:
-        raise ConfigError("materials file defines no materials", path=str(path))
-    return catalog
-
-
-def get_material(name: str, catalog: dict | None = None) -> Material:
-    """Look up a material by name in catalog (default: built-ins)."""
-    table = BUILTIN_MATERIALS if catalog is None else catalog
+def get_material(name: str) -> Material:
+    """Look up a built-in material by name."""
     try:
-        return table[name]
+        return BUILTIN_MATERIALS[name]
     except KeyError:
-        known = ", ".join(sorted(table))
+        known = ", ".join(sorted(BUILTIN_MATERIALS))
         raise DomainError(
             f"unknown material '{name}' (known: {known})") from None

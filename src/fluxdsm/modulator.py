@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .comparator import ComparatorConfig, make_comparator
-from .constants import CODATA, PhysicalConstants
+from .constants import CODATA
 from .errors import ConfigError, DomainError, InstabilityError
 from .fluxtrap import (CylinderGeometry, default_amplification_schedule,
                        round_half_even_quanta, run_amplification_sequence,
@@ -130,8 +130,7 @@ def test_tone(n: int, cycles: int, amplitude: float) -> np.ndarray:
     return amplitude * np.sin(2.0 * math.pi * cycles * k / n)
 
 
-def run_modulator(cfg: ModulatorConfig, u: Sequence,
-                  constants: PhysicalConstants = CODATA) -> TraceSet:
+def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
     """Run the loop over a normalized input trace u, |u[k]| <= 1
     (u = 1 corresponds to the field cfg.full_scale_field). Deterministic
     for a fixed config: the only randomness is the optional input
@@ -166,8 +165,8 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence,
             schedule = default_amplification_schedule(geom.n_segments)
         # gain is set by the schedule topology alone; one reference run
         _, device_gain = run_amplification_sequence(
-            geom, comp.b_lsb, schedule, constants=constants)
-        quanta_per_unit = fsf * geom.area / constants.phi0
+            geom, comp.b_lsb, schedule)
+        quanta_per_unit = fsf * geom.area / CODATA.phi0
 
     order = cfg.order
     a = cfg.a

@@ -95,6 +95,23 @@ def _telegraph(rng, n, flip_prob, amplitude):
     return amplitude * (1.0 - 2.0 * parity)
 
 
+def check_synthesis_limits(model: NoiseModel, n: int, fs: float) -> float:
+    """Check that synth_flicker_series can draw n samples of the band at
+    sample rate fs: n >= 4096, fs*tau2 > 10 so the slowest process is
+    resolved, and a band at least one decade wide. Returns the band's
+    width in decades."""
+    if n < 4096:
+        raise DomainError("need n >= 4096 samples")
+    if fs <= 0:
+        raise DomainError("sample rate must be positive")
+    if fs * model.tau2 <= 10:
+        raise DomainError("fs * tau2 must exceed 10")
+    decades = math.log10(model.tau2 / model.tau1)
+    if decades < 1.0:
+        raise DomainError("flicker band must span at least one decade")
+    return decades
+
+
 def synth_flicker_series(model: NoiseModel, n: int, fs: float,
                          method: str = "telegraph") -> np.ndarray:
     """Synthesize a time series whose PSD follows the flicker band.
@@ -109,19 +126,9 @@ def synth_flicker_series(model: NoiseModel, n: int, fs: float,
     white Gaussian noise by sqrt(S) in the frequency domain instead.
 
     The series is deterministic for a given (model.seed, n, fs, method).
-
-    Requires n >= 4096 samples, fs*tau2 > 10 so the slowest process is
-    resolved, and a band at least one decade wide.
+    The limits on n, fs and the band are those of check_synthesis_limits.
     """
-    if n < 4096:
-        raise DomainError("need n >= 4096 samples")
-    if fs <= 0:
-        raise DomainError("sample rate must be positive")
-    if fs * model.tau2 <= 10:
-        raise DomainError("fs * tau2 must exceed 10")
-    decades = math.log10(model.tau2 / model.tau1)
-    if decades < 1.0:
-        raise DomainError("flicker band must span at least one decade")
+    decades = check_synthesis_limits(model, n, fs)
     rng = np.random.default_rng(model.seed)
     if method == "telegraph":
         m = math.ceil(20.0 * decades)

@@ -33,8 +33,8 @@ from .materials import get_material
 from .modulator import (ModulatorConfig, dc_tracking_mean,
                         output_power_spectrum, run_modulator, sndr_db,
                         test_tone)
-from .noise import NoiseModel, dof_variance_factor, flicker_psd, \
-    lorentzian_psd, synth_flicker_series
+from .noise import NoiseModel, check_synthesis_limits, dof_variance_factor, \
+    flicker_psd, lorentzian_psd, synth_flicker_series
 from .sectext import Section, parse_sections, read_config
 
 
@@ -81,9 +81,11 @@ def parse_scenario(text: str, path: Optional[str] = None) -> ScenarioConfig:
     config_dir = os.path.dirname(os.path.abspath(path)) if path else "."
     try:
         spec = build(sec, sections, config_dir)
-    except DomainError as exc:
-        # a constructor's domain check failing on config values is a
-        # config invariant violation, located at the kind's section
+    except (DomainError, ConfigError) as exc:
+        # a constructor's check failing on config values names no line;
+        # it is a config invariant violation at the kind's section
+        if getattr(exc, "line", None) is not None:
+            raise
         raise sec.error(str(exc)) from exc
     return ScenarioConfig(kind=kind, seed=seed, output_dir=output_dir,
                           sections=sections, spec=spec)
@@ -255,7 +257,10 @@ def _build_junction(sec: Section, sections, config_dir: str):
         return jc, mode, np.linspace(v_start, v_stop, points), None
     if jc.d <= 0:
         raise sec.error("sns mode needs a barrier length d > 0")
-    phis = np.linspace(0.0, 2.0 * math.pi, sec.get_int("phi_points", 181))
+    phi_points = sec.get_int("phi_points", 181)
+    if phi_points < 2:
+        raise sec.error("phi_points must be at least 2")
+    phis = np.linspace(0.0, 2.0 * math.pi, phi_points)
     return jc, mode, phis, sec.get_int("form", 1)
 
 
@@ -291,7 +296,10 @@ def _build_noise(sec: Section, sections, config_dir: str):
     method = sec.get_str("method", "telegraph")
     if method not in ("telegraph", "spectral"):
         raise sec.error("method must be telegraph or spectral")
-    return model, sec.get_int("n", 65536), sec.get_float("fs", 1.0), method
+    n = sec.get_int("n", 65536)
+    fs = sec.get_float("fs", 1.0)
+    check_synthesis_limits(model, n, fs)
+    return model, n, fs, method
 
 
 def _run_noise(cfg: ScenarioConfig):
@@ -382,6 +390,8 @@ def _build_modulator(sec: Section, sections, config_dir: str):
         full_scale=full_scale,
         stability_bound=sec.get_float("stability_bound", 8.0),
         input_noise=input_noise)
+    if input_noise is not None:
+        check_synthesis_limits(input_noise, n, mc.fs)
     if sec.has("dc"):
         dc = sec.get_float("dc")
         return mc, np.full(n, dc), dc, None

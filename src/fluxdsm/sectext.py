@@ -146,6 +146,3 @@ def read_config(path):
             line=raw.count(b"\n", 0, exc.start) + 1,
             path=str(path)) from None
 
-
-def load_sections(path):
-    return parse_sections(read_config(path), path=str(path))

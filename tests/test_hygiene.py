@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is used in it."""
+"""Source hygiene: every name a module imports is used in it, and the
+physics reads the fixed constants instead of taking them as arguments."""
 
 import ast
 import pathlib
@@ -35,3 +36,27 @@ def _unused_imports(tree):
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def _constant_overrides(tree):
+    """Functions with a `constants` parameter or a default reading CODATA."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        defaults = args.defaults + [d for d in args.kw_defaults if d]
+        if any(a.arg == "constants" for a in params) or any(
+                isinstance(n, ast.Name) and n.id == "CODATA"
+                for d in defaults for n in ast.walk(d)):
+            found.append((node.lineno, node.name))
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "constants.py"],
+    ids=lambda p: p.name)
+def test_no_constants_override(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _constant_overrides(tree) == []

@@ -1,4 +1,4 @@
-"""Material records, the parabolic critical-field law, and catalog files."""
+"""Material records and the parabolic critical-field law."""
 
 import math
 
@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fluxdsm.constants import CODATA
-from fluxdsm.errors import ConfigError, DomainError
+from fluxdsm.errors import DomainError
 from fluxdsm.materials import (
     BUILTIN_MATERIALS,
     Material,
     critical_field,
     critical_flux_density,
     get_material,
-    load_materials,
 )
 
 
@@ -117,56 +116,3 @@ def test_type_ii_field_ordering():
     with pytest.raises(DomainError, match="needs Hc1_0 and Hc2_0"):
         Material(**_material_kwargs(kind="type-II", Hc0=0.0, Hc1_0=2.0))
 
-
-GOOD_CATALOG = """\
-[tin]
-kind = type-I
-tc = 3.72
-hc0 = 2.4e4
-lambda_l = 3.4e-8
-delta = 9.2e-23
-vf = 1.9e6
-kf = 1.6e10
-n0 = 1.2e47
-sigma_n = 8.7e6
-tau_s = 1e-12
-"""
-
-
-def test_load_materials_roundtrip(tmp_path):
-    p = tmp_path / "mats.cfg"
-    p.write_text(GOOD_CATALOG)
-    catalog = load_materials(p)
-    assert set(catalog) == {"tin"}
-    tin = get_material("tin", catalog)
-    assert tin.kind == "type-I"
-    assert tin.Tc == 3.72
-    assert critical_field(tin, 0.0) == 2.4e4
-
-
-def test_load_materials_rejects_unknown_key(tmp_path):
-    p = tmp_path / "mats.cfg"
-    p.write_text(GOOD_CATALOG + "color = grey\n")
-    with pytest.raises(ConfigError, match="unknown key 'color'"):
-        load_materials(p)
-
-
-def test_load_materials_rejects_bad_kind(tmp_path):
-    p = tmp_path / "mats.cfg"
-    p.write_text("[tin]\nkind = type-III\n")
-    with pytest.raises(ConfigError, match="kind must be"):
-        load_materials(p)
-
-
-def test_load_materials_lifts_domain_errors(tmp_path):
-    p = tmp_path / "mats.cfg"
-    p.write_text(GOOD_CATALOG.replace("tc = 3.72", "tc = -1"))
-    with pytest.raises(ConfigError, match="Tc must be positive"):
-        load_materials(p)
-
-
-def test_load_materials_empty_file(tmp_path):
-    p = tmp_path / "mats.cfg"
-    p.write_text("")
-    with pytest.raises(ConfigError, match="defines no materials"):
-        load_materials(p)

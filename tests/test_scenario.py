@@ -73,6 +73,13 @@ COMP_BODY = """[comparator]
 points = 7
 """
 
+INPUT_NOISE_BODY = """
+[input-noise]
+tau1 = 2
+tau2 = 2e4
+kprime = 1e-9
+"""
+
 
 def _write(tmp_path, name, text):
     p = tmp_path / name
@@ -147,6 +154,10 @@ def test_parse_unknown_top_level_key():
      "points must be at least 2"),
     ("junction-iv", SNS_BODY.replace("d = 1e-7\n", ""),
      "needs a barrier length"),
+    ("junction-iv", SNS_BODY.replace("phi_points = 9", "phi_points = 0"),
+     "phi_points must be at least 2"),
+    ("junction-iv", SNS_BODY.replace("phi_points = 9", "phi_points = -1"),
+     "phi_points must be at least 2"),
     ("noise-psd", NOISE_BODY.replace("tau2 = 2e4", "tau2 = 1"),
      "tau1 < tau2"),
     ("noise-psd", NOISE_BODY + "method = wavelet\n",
@@ -185,6 +196,14 @@ def test_validator_errors_carry_line_numbers(tmp_path):
     with pytest.raises(ConfigError, match="bad.cfg:") as err:
         load_scenario(path)
     assert err.value.line is not None
+
+
+def test_modulator_config_errors_carry_location(tmp_path):
+    path = _write(tmp_path, "mod.cfg", _scenario(
+        "modulator-run", MOD_DC_BODY + "osr = 4\n"))
+    with pytest.raises(ConfigError, match=r"mod\.cfg:5: osr must be") as err:
+        load_scenario(path)
+    assert err.value.exit_code == 4
 
 
 # --------------------------------------------------------------- runs
@@ -279,10 +298,7 @@ def test_run_modulator_device_backend(tmp_path):
     assert "device_gain = 2" in (tmp_path / "report.txt").read_text()
 
 
-@pytest.mark.parametrize("extra", [
-    "",
-    "\n[input-noise]\ntau1 = 2\ntau2 = 2e4\nkprime = 1e-9\n",
-])
+@pytest.mark.parametrize("extra", ["", INPUT_NOISE_BODY])
 def test_fast_clock_device_config_warns_once(tmp_path, extra):
     # input noise synthesis needs at least 4096 samples
     body = (MOD_DC_BODY.replace("n = 1024", "n = 4096")
@@ -420,6 +436,11 @@ def test_cli_schedule_not_utf8_exit_2(tmp_path, capsys):
     ("device-sequence", "device", DEVICE_BODY,
      DEVICE_BODY.replace("schedule = doubling", "schedule = nowhere.sched")),
     ("slab-profile", "slab", SLAB_BODY, SLAB_BODY.replace("d = 2e-4", "d = 0")),
+    ("noise-psd", "noise", NOISE_BODY,
+     NOISE_BODY.replace("n = 8192", "n = 1000")),
+    ("modulator-run", "modulator",
+     MOD_DC_BODY.replace("n = 1024", "n = 4096") + INPUT_NOISE_BODY,
+     MOD_DC_BODY + INPUT_NOISE_BODY),
 ])
 def test_cli_load_rejection_writes_nothing(tmp_path, capsys, kind, sub, good,
                                            bad):

@@ -1,7 +1,7 @@
 import pytest
 
 from fluxdsm.errors import ConfigError, ConfigSyntaxError, UnknownKeyError
-from fluxdsm.sectext import load_sections, parse_sections
+from fluxdsm.sectext import parse_sections
 
 GOOD = """\
 # leading comment
@@ -74,9 +74,8 @@ def test_reject_unknown():
     assert err.value.exit_code == 3
 
 
-def test_path_prefixes_messages(tmp_path):
-    p = tmp_path / "cfg.txt"
-    p.write_text("[s]\nq = x\n")
-    sec = {s.name: s for s in load_sections(str(p))}["s"]
+def test_path_prefixes_messages():
+    sec = {s.name: s
+           for s in parse_sections("[s]\nq = x\n", path="cfg.txt")}["s"]
     with pytest.raises(ConfigError, match=r"cfg\.txt:2:"):
         sec.get_int("q")

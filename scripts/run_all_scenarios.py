@@ -23,10 +23,12 @@ def main() -> int:
         return 1
     t0 = time.perf_counter()
     for path in configs:
+        start = time.perf_counter()
         cfg = load_scenario(str(path))
         out_dir = pathlib.Path(args.out) / path.stem
         written = run_scenario(cfg, str(out_dir))
-        print(f"{path.name}: {len(written)} artifacts -> {out_dir}")
+        print(f"{path.name}: {len(written)} artifacts in "
+              f"{time.perf_counter() - start:.2f} s -> {out_dir}", flush=True)
     print(f"total {time.perf_counter() - t0:.1f} s")
     return 0
 

@@ -28,7 +28,8 @@ from .fluxtrap import (CylinderGeometry, FieldStep,
                        default_amplification_schedule,
                        doubling_amplification_schedule, iterate_sequence,
                        load_schedule)
-from .junctions import JunctionConfig, nis_current, sns_current
+from .junctions import (JunctionConfig, check_nis, n_coherence_length,
+                        nis_current, sns_current, sns_prefactor)
 from .materials import get_material
 from .modulator import (ModulatorConfig, dc_tracking_mean,
                         output_power_spectrum, run_modulator, sndr_db,
@@ -247,6 +248,7 @@ def _build_junction(sec: Section, sections, config_dir: str):
         prefactor=sec.get_float("prefactor", 1.0), material=material,
         r_sheet=sec.get_float("r_sheet") if sec.has("r_sheet") else None)
     if mode == "nis":
+        check_nis(jc)
         v_start = sec.get_float("v_start")
         v_stop = sec.get_float("v_stop")
         if v_start >= v_stop:
@@ -261,7 +263,11 @@ def _build_junction(sec: Section, sections, config_dir: str):
     if phi_points < 2:
         raise sec.error("phi_points must be at least 2")
     phis = np.linspace(0.0, 2.0 * math.pi, phi_points)
-    return jc, mode, phis, sec.get_int("form", 1)
+    form = sec.get_int("form", 1)
+    # sns_current's own checks, run at load: material, d, form, r_sheet, T
+    sns_prefactor(jc, form)
+    n_coherence_length(jc.material.vF, jc.T)
+    return jc, mode, phis, form
 
 
 def _run_junction(cfg: ScenarioConfig):
@@ -350,6 +356,8 @@ def _build_modulator(sec: Section, sections, config_dir: str):
         raise sec.error("n must be a power of two, at least 16")
     if sec.has("dc") and sec.has("tone_cycles"):
         raise sec.error("dc and tone_cycles are mutually exclusive")
+    if not (sec.has("dc") or sec.has("tone_cycles")):
+        raise sec.error("modulator needs dc or tone_cycles")
     if sec.has("dc") and abs(sec.get_float("dc")) > 1.0:
         raise sec.error("dc level must lie in [-1, 1]")
     backend = sec.get_str("backend", "ideal")
@@ -395,7 +403,7 @@ def _build_modulator(sec: Section, sections, config_dir: str):
     if sec.has("dc"):
         dc = sec.get_float("dc")
         return mc, np.full(n, dc), dc, None
-    tone_cycles = sec.get_int("tone_cycles", 257)
+    tone_cycles = sec.get_int("tone_cycles")
     if not 0 < tone_cycles <= n // (2 * mc.osr):
         raise sec.error("tone_cycles must lie in the band 1 to n / (2 osr)")
     amp = 10.0 ** (sec.get_float("amplitude_dbfs", -1.0) / 20.0)

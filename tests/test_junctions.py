@@ -1,19 +1,25 @@
 """Quasiparticle algebra, interface scattering, and junction currents."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.integrate import IntegrationWarning, quad
+from scipy.special import expit
 
 from fluxdsm.constants import CODATA
-from fluxdsm.errors import DomainError
+from fluxdsm.errors import DomainError, QuadratureError
 from fluxdsm.junctions import (
     ELECTRON,
     HOLE,
     NORMAL_SIDE,
     SUPER_SIDE,
     JunctionConfig,
+    _btk_kernel,
+    _fermi,
     andreev_outcome,
     btk_probabilities,
     coherence_factors,
@@ -118,6 +124,24 @@ def test_btk_above_gap_kernel_identity(eps, z):
     eta = math.sqrt(eps**2 - 1.0) / eps
     assert 1.0 + a - b == pytest.approx(
         2.0 / (1.0 + eta * (1.0 + 2.0 * z * z)), rel=1e-12)
+
+
+@given(e=st.one_of(st.sampled_from([0.0, 1.0]),
+                   st.floats(min_value=0.0, max_value=10.0)),
+       z=st.floats(min_value=0.0, max_value=20.0))
+def test_btk_kernel_matches_probabilities(e, z):
+    a, b, _, _ = btk_probabilities(e, 1.0, z)
+    assert _btk_kernel(e, z) == pytest.approx(1.0 + a - b, rel=0, abs=1e-12)
+
+
+def test_fermi_matches_expit():
+    kt = 0.02
+    for x in np.linspace(-14.0, 14.0, 4001).tolist():  # |x/kt| <= 700
+        assert math.isclose(_fermi(x, kt), float(expit(-x / kt)),
+                            rel_tol=1e-15, abs_tol=0.0)
+    for y in (800.0, 1e4, 1e300):
+        for x in (y * kt, -y * kt):
+            assert _fermi(x, kt) == float(expit(-x / kt))
 
 
 def test_btk_validation():
@@ -269,3 +293,59 @@ def test_nis_lowT_form():
     assert nis_current_lowT(cfg, v) == pytest.approx(expected, rel=1e-12)
     arr = nis_current_lowT(cfg, np.array([0.0, v]))
     assert arr[0] == 0.0 and arr[1] > 0.0
+
+
+def _nis_reference(cfg, v, rtol=1e-9):
+    """The NIS integral over btk_probabilities and expit, with the
+    interval, breakpoints and tolerances of nis_current."""
+    delta = cfg.delta
+    kt = CODATA.kB * cfg.T / delta
+    ev = CODATA.e * v / delta
+    lo = min(-30.0 * kt, ev - 30.0 * kt, -1.5)
+    hi = max(30.0 * kt, ev + 30.0 * kt, 1.5)
+    breakpoints = sorted(p for p in (-1.0, 1.0, ev) if lo < p < hi)
+
+    def integrand(s):
+        a, b, _, _ = btk_probabilities(abs(s), 1.0, cfg.Z)
+        return (1.0 + a - b) * (expit(-(s - ev) / kt) - expit(-s / kt))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        val, _ = quad(integrand, lo, hi, points=breakpoints, limit=400,
+                      epsabs=0.0, epsrel=rtol)
+    return cfg.prefactor * delta * val
+
+
+def test_nis_matches_probability_integrand():
+    # the shipped junction_nis_lead parameters: kT = delta/50, Z = 10
+    cfg = JunctionConfig(delta=LEAD.delta, T=0.3128, d=0.0, Z=10.0)
+    volts = [s * LEAD.delta / CODATA.e for s in (0.0, 0.5, 1.0, 2.0, 3.0)]
+    ref = np.array([_nis_reference(cfg, v) for v in volts])
+    dev = np.abs(nis_current(cfg, np.array(volts)) - ref)
+    assert np.max(dev) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_nis_quadrature_error(monkeypatch):
+    cfg = _nis_cfg()
+    v = 2.0 * LEAD.delta / CODATA.e
+    kt = CODATA.kB * cfg.T / cfg.delta
+    rtol = 1e-9
+    bound = 1e3 * rtol * max(0.5, kt)
+    seen = {}
+    abserr = 2.0 * bound
+
+    def fake_quad(f, a, b, **kwargs):
+        seen.update(kwargs)
+        return 0.5, abserr
+
+    monkeypatch.setattr("fluxdsm.junctions.quad", fake_quad)
+    with pytest.raises(QuadratureError, match=re.escape(f"V = {v}")) as err:
+        nis_current(cfg, v, rtol=rtol)
+    assert err.value.diagnostics == {"estimate": 0.5, "abserr": abserr}
+    assert err.value.exit_code == 5
+    ev = CODATA.e * v / cfg.delta
+    assert seen == {"points": [-1.0, 1.0, ev], "limit": 400, "epsabs": 0.0,
+                    "epsrel": rtol}
+    # an error estimate inside the bound passes the estimate through
+    abserr = 0.5 * bound
+    assert nis_current(cfg, v, rtol=rtol) == cfg.prefactor * cfg.delta * 0.5

@@ -81,6 +81,24 @@ kprime = 1e-9
 """
 
 
+# (good body, body rejected at load, message): checks the junction
+# functions make at run time, which load makes too
+JUNCTION_LOAD_REJECTIONS = [
+    (NIS_BODY, NIS_BODY.replace("t = 0.3128", "t = 0"), "needs T > 0"),
+    (NIS_BODY, NIS_BODY + "delta = 0\n", "needs a positive gap"),
+    (SNS_BODY, SNS_BODY.replace("t = 4.2", "t = 0"),
+     "temperature must be positive"),
+    (SNS_BODY, SNS_BODY + "form = 4\n", "unknown prefactor form 4"),
+    (SNS_BODY, SNS_BODY + "form = 3\n", "form 3 needs a positive"),
+    (SNS_BODY, SNS_BODY + "form = 3\nr_sheet = 0\n",
+     "form 3 needs a positive"),
+    (SNS_BODY, SNS_BODY.replace("material = lead", "delta = 2e-22"),
+     "needs cfg.material"),
+]
+
+MOD_NO_INPUT_BODY = MOD_DC_BODY.replace("dc = 0.25\n", "")
+
+
 def _write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
@@ -178,11 +196,12 @@ def test_parse_unknown_top_level_key():
      "tone_cycles must lie in the band"),
     ("modulator-run", MOD_DC_BODY + "a = two,four\n",
      "comma separated float list"),
+    ("modulator-run", MOD_NO_INPUT_BODY, "needs dc or tone_cycles"),
     ("comparator-curve", COMP_BODY.replace("points = 7", "points = 1"),
      "points must be at least 2"),
     ("comparator-curve", COMP_BODY + "i_bias = -1\n",
      "bias current must be positive"),
-])
+] + [("junction-iv", bad, msg) for _, bad, msg in JUNCTION_LOAD_REJECTIONS])
 def test_validator_rejections(kind, body, msg):
     with pytest.raises(ConfigError, match=msg) as err:
         parse_scenario(_scenario(kind, body))
@@ -441,7 +460,9 @@ def test_cli_schedule_not_utf8_exit_2(tmp_path, capsys):
     ("modulator-run", "modulator",
      MOD_DC_BODY.replace("n = 1024", "n = 4096") + INPUT_NOISE_BODY,
      MOD_DC_BODY + INPUT_NOISE_BODY),
-])
+    ("modulator-run", "modulator", MOD_DC_BODY, MOD_NO_INPUT_BODY),
+] + [("junction-iv", "junction", good, bad)
+     for good, bad, _ in JUNCTION_LOAD_REJECTIONS])
 def test_cli_load_rejection_writes_nothing(tmp_path, capsys, kind, sub, good,
                                            bad):
     # the batch loads both configs before it runs the good one

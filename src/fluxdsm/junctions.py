@@ -287,7 +287,7 @@ def sns_prefactor(cfg: JunctionConfig, form: int = 1) -> float:
         form 3:           16 hbar vF / (2 e d R_SH)
     """
     if cfg.material is None:
-        raise DomainError("sns prefactor needs cfg.material for vF/kF/N0")
+        raise DomainError("SNS prefactor needs a material (for vF, kF, N0)")
     if cfg.d <= 0:
         raise DomainError("sns prefactor needs a positive bridge length d")
     m = cfg.material
@@ -298,7 +298,7 @@ def sns_prefactor(cfg: JunctionConfig, form: int = 1) -> float:
         return 4.0 * CODATA.hbar * m.N0 * m.vF**2 * CODATA.e * cfg.area / cfg.d
     if form == 3:
         if cfg.r_sheet is None or cfg.r_sheet <= 0:
-            raise DomainError("form 3 needs a positive cfg.r_sheet")
+            raise DomainError("form 3 needs a positive r_sheet")
         return (16.0 * CODATA.hbar * m.vF
                 / (2.0 * CODATA.e * cfg.d * cfg.r_sheet))
     raise DomainError(f"unknown prefactor form {form}")
@@ -343,10 +343,9 @@ def _fermi(x, kt):
 def check_nis(cfg: JunctionConfig) -> None:
     """Raise DomainError unless nis_current can sweep cfg."""
     if cfg.T <= 0:
-        raise DomainError("nis_current needs T > 0; use nis_current_lowT "
-                          "for the zero-temperature law")
+        raise DomainError("NIS current needs T > 0")
     if cfg.delta <= 0:
-        raise DomainError("nis_current needs a positive gap")
+        raise DomainError("NIS current needs a positive gap delta")
 
 
 def nis_current(cfg: JunctionConfig, voltage, rtol: float = 1e-9):

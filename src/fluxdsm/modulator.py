@@ -31,8 +31,7 @@ from .comparator import ComparatorConfig, make_comparator
 from .constants import CODATA
 from .errors import ConfigError, DomainError, InstabilityError
 from .fluxtrap import (CylinderGeometry, default_amplification_schedule,
-                       round_half_even_quanta, run_amplification_sequence,
-                       settle_time_device)
+                       run_amplification_sequence, settle_time_device)
 from .noise import NoiseModel, synth_flicker_series
 
 BACKENDS = ("ideal", "flux-device")
@@ -100,7 +99,9 @@ class ModulatorConfig:
 
 @dataclass(frozen=True)
 class TraceSet:
-    """One modulator run: stimulus, codes, and internal state history."""
+    """One modulator run: stimulus, codes, and internal state history.
+    state_peak holds the peak |x_i| of each integrator over the run, the
+    headroom left against config.stability_bound."""
 
     config: ModulatorConfig
     u: np.ndarray
@@ -108,6 +109,7 @@ class TraceSet:
     states: np.ndarray
     saturation_count: int
     device_gain: Optional[int] = None
+    state_peak: tuple = ()
 
     @property
     def v_field(self) -> np.ndarray:
@@ -138,6 +140,15 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
 
     Raises InstabilityError when any integrator state leaves the
     configured bound; the offending sample index rides on the error.
+
+    The loop is one plain-Python core for every order and both
+    backends. Per sample it computes each stage, checks it against the
+    bound, stores it and adds it to y in one pass; the input is read and
+    codes and states are written through memoryviews, so no numpy scalar
+    is made per sample. Every float operation keeps its operands and
+    their order (x1 + c1 err, acc (c1 / gain) / quanta, xi + ci x_{i-1},
+    then y summed from stage 1 up), so codes and states are bit-identical
+    to the difference equations above evaluated in that order.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size == 0:
@@ -169,34 +180,51 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
         quanta_per_unit = fsf * geom.area / CODATA.phi0
 
     order = cfg.order
-    a = cfg.a
-    c = cfg.c
+    device = device_gain is not None
+    c0, a0 = cfg.c[0], cfg.a[0]
+    c0_gain = c0 / device_gain if device else 0.0
+    # (i, c_i, a_i) of the stages after the first
+    stages = tuple(zip(range(1, order), cfg.c[1:], cfg.a[1:]))
     bound = cfg.stability_bound
-    x = [0.0] * order
-    acc = 0
-    prev_err = 0.0
+    neg_bound = -bound
     codes = np.empty(n, dtype=np.int64)
     states = np.empty((n, order), dtype=float)
+    # memoryviews read and write the arrays as plain Python floats and
+    # ints, with no numpy scalar per access; states is written flat,
+    # row by row
+    u_view = memoryview(u_n)
+    code_view = memoryview(codes)
+    state_view = memoryview(states.reshape(-1))
+    x = [0.0] * order
+    x0 = 0.0
+    acc = 0
+    err = 0.0
+    j = 0
     saturations = 0
 
     for k in range(n):
-        if cfg.backend == "flux-device":
-            acc += device_gain * round_half_even_quanta(
-                prev_err * quanta_per_unit)
-            x[0] = acc * (c[0] / device_gain) / quanta_per_unit
+        if device:
+            # round() of a float is the ties-to-even int of
+            # fluxtrap.round_half_even_quanta
+            acc += device_gain * round(err * quanta_per_unit)
+            x0 = acc * c0_gain / quanta_per_unit
         else:
-            x[0] = x[0] + c[0] * prev_err
-        for i in range(1, order):
-            x[i] = x[i] + c[i] * x[i - 1]
-        y = 0.0
-        for i in range(order):
-            xi = x[i]
-            if not -bound <= xi <= bound:
-                raise InstabilityError(
-                    f"integrator {i + 1} left [-{bound}, {bound}] "
-                    f"at sample {k}", sample=k)
-            y += a[i] * xi
-            states[k, i] = xi
+            x0 = x0 + c0 * err
+        if not neg_bound <= x0 <= bound:
+            raise _left_bound(1, bound, k)
+        state_view[j] = x0
+        j += 1
+        y = a0 * x0
+        prev = x0
+        for i, ci, ai in stages:
+            xi = x[i] + ci * prev
+            if not neg_bound <= xi <= bound:
+                raise _left_bound(i + 1, bound, k)
+            x[i] = xi
+            state_view[j] = xi
+            j += 1
+            y += ai * xi
+            prev = xi
         raw = round(y / lsb_n)
         if raw > hr:
             raw = hr
@@ -204,11 +232,18 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
         elif raw < -hr:
             raw = -hr
             saturations += 1
-        codes[k] = raw
-        prev_err = u_n[k] - raw * lsb_n
+        code_view[k] = raw
+        err = u_view[k] - raw * lsb_n
 
     return TraceSet(config=cfg, u=u, codes=codes, states=states,
-                    saturation_count=saturations, device_gain=device_gain)
+                    saturation_count=saturations, device_gain=device_gain,
+                    state_peak=tuple(np.max(np.abs(states), axis=0).tolist()))
+
+
+def _left_bound(stage: int, bound: float, k: int) -> InstabilityError:
+    return InstabilityError(
+        f"integrator {stage} left [-{bound}, {bound}] at sample {k}",
+        sample=k)
 
 
 def _hann_periodic(n: int) -> np.ndarray:

@@ -226,16 +226,22 @@ def _run_device(cfg: ScenarioConfig):
 
 # ------------------------------------------------------------ junction
 
-_JUNCTION_KEYS = {"mode", "material", "delta", "t", "z", "d", "area",
-                  "prefactor", "form", "r_sheet", "v_start", "v_stop",
-                  "points", "phi_points"}
+_JUNCTION_KEYS = {"mode", "material", "delta", "t"}
+# keys that only one mode reads
+_JUNCTION_MODE_KEYS = {
+    "nis": {"z", "prefactor", "v_start", "v_stop", "points"},
+    "sns": {"d", "area", "form", "r_sheet", "phi_points"},
+}
 
 
 def _build_junction(sec: Section, sections, config_dir: str):
-    sec.reject_unknown(_JUNCTION_KEYS)
+    sec.reject_unknown(_JUNCTION_KEYS.union(*_JUNCTION_MODE_KEYS.values()))
     mode = sec.get_str("mode")
-    if mode not in ("nis", "sns"):
+    if mode not in _JUNCTION_MODE_KEYS:
         raise sec.error("mode must be nis or sns")
+    for key in sec.keys():
+        if key not in _JUNCTION_KEYS and key not in _JUNCTION_MODE_KEYS[mode]:
+            raise sec.error(f"key '{key}' does not apply to {mode} mode")
     if sec.has("material"):
         material = get_material(sec.get_str("material"))
         delta = sec.get_float("delta", material.delta)
@@ -430,6 +436,9 @@ def _run_modulator(cfg: ScenarioConfig):
         mean = dc_tracking_mean(trace)
         metrics.append(("dc_mean", mean))
         metrics.append(("tracking_error", abs(mean - dc)))
+    # headroom of each integrator against stability_bound
+    metrics += [(f"state_peak_{i}", peak)
+                for i, peak in enumerate(trace.state_peak, start=1)]
     return [("codes.csv", ("k", "code"), enumerate(trace.codes.tolist())),
             ("spectrum.csv", ("freq", "power"),
              zip(freqs.tolist(), power.tolist()))], metrics

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fluxdsm.comparator import make_comparator
+from fluxdsm.constants import CODATA
 from fluxdsm.errors import ConfigError, DomainError, InstabilityError
-from fluxdsm.fluxtrap import CylinderGeometry
+from fluxdsm.fluxtrap import CylinderGeometry, round_half_even_quanta
 from fluxdsm.modulator import (
     ModulatorConfig,
     dc_tracking_mean,
@@ -22,7 +23,7 @@ from fluxdsm.modulator import (
     theoretical_sqnr,
 )
 from fluxdsm.modulator import test_tone as make_tone
-from fluxdsm.noise import NoiseModel
+from fluxdsm.noise import NoiseModel, synth_flicker_series
 
 GEOM8 = CylinderGeometry(radius=0.02, n_segments=8, n_eff=4)
 
@@ -121,6 +122,95 @@ def test_matches_handwritten_recursion():
     np.testing.assert_allclose(trace.states[:, 0], np.cumsum(
         np.concatenate([[0.0], c1 * (u[:-1] - trace.codes[:-1] * lsb_n)])),
         rtol=1e-9, atol=1e-15)
+
+
+# (a, c) per order; orders 3 and 4 are not tuned for the default bound
+LOOP_COEFFS = {
+    1: ((1.0,), (1.0,)),
+    2: ((2.0, 4.0), (0.5, 0.5)),
+    3: ((1.0, 0.5, 0.1), (0.4, 0.4, 0.3)),
+    4: ((0.8, 0.4, 0.1, 0.02), (0.3, 0.3, 0.3, 0.3)),
+}
+
+
+def _loop_oracle(cfg, u, gain=None):
+    """The difference equations of the module docstring written out per
+    stage, with the flux-device integrator when gain is given: returns
+    codes, states and the saturation count."""
+    lsb_n = cfg.comparator.b_lsb / cfg.full_scale_field
+    hr = cfg.comparator.half_range
+    if cfg.input_noise is not None:
+        u = u + synth_flicker_series(cfg.input_noise, u.size, cfg.fs)
+    if gain is not None:
+        quanta = cfg.full_scale_field * cfg.geometry.area / CODATA.phi0
+    a, c = cfg.a, cfg.c
+    x = [0.0] * cfg.order
+    acc = 0
+    err = 0.0
+    codes, states, saturations = [], [], 0
+    for k in range(u.size):
+        if gain is None:
+            x[0] = x[0] + c[0] * err
+        else:
+            acc += gain * round_half_even_quanta(err * quanta)
+            x[0] = acc * (c[0] / gain) / quanta
+        for i in range(1, cfg.order):
+            x[i] = x[i] + c[i] * x[i - 1]
+        y = 0.0
+        for i in range(cfg.order):
+            y += a[i] * x[i]
+        raw = round(y / lsb_n)
+        code = min(max(raw, -hr), hr)
+        saturations += code != raw
+        codes.append(code)
+        states.append(list(x))
+        err = float(u[k]) - code * lsb_n
+    return (np.array(codes, dtype=np.int64), np.array(states, dtype=float),
+            saturations)
+
+
+@pytest.mark.parametrize("noisy", [False, True],
+                         ids=["no-noise", "input-noise"])
+@pytest.mark.parametrize("backend", ["ideal", "flux-device"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_loop_matches_difference_equations_exactly(order, backend, noisy):
+    a, c = LOOP_COEFFS[order]
+    device = backend == "flux-device"
+    noise = NoiseModel(R0=1.0, tau1=2.0, tau2=2e4, kprime=1e-6, seed=3)
+    cfg = ModulatorConfig(order=order, a=a, c=c, backend=backend,
+                          geometry=GEOM8 if device else None,
+                          stability_bound=50.0,
+                          input_noise=noise if noisy else None)
+    # a DC step ahead of the tone saturates the quantizer of orders 2-4
+    # while the loop settles
+    u = make_tone(4096, 5, 0.5)
+    u[:8] = 0.9
+    trace = run_modulator(cfg, u)
+    gain = GEOM8.n_segments // 2 if device else None
+    assert trace.device_gain == gain
+    codes, states, saturations = _loop_oracle(cfg, u, gain)
+    assert trace.codes.dtype == np.int64 and trace.codes.shape == (4096,)
+    assert trace.states.dtype == np.float64
+    assert trace.states.shape == (4096, order)
+    assert trace.codes.tobytes() == codes.tobytes()
+    assert trace.states.tobytes() == states.tobytes()
+    assert trace.saturation_count == saturations
+    assert (saturations > 0) == (order > 1)
+    assert trace.state_peak == tuple(np.max(np.abs(states), axis=0))
+
+
+def test_instability_in_second_integrator_reports_sample():
+    # a DC step drives x2 past the bound while x1 stays inside it
+    u = np.full(64, 0.9)
+    bound = 1.0
+    _, states, _ = _loop_oracle(ModulatorConfig(), u)
+    first = int(np.argmax(np.any(np.abs(states) > bound, axis=1)))
+    assert abs(states[first, 0]) <= bound < abs(states[first, 1])
+    with pytest.raises(InstabilityError,
+                       match=rf"integrator 2 left \[-1\.0, 1\.0\] at "
+                             rf"sample {first}$") as err:
+        run_modulator(ModulatorConfig(stability_bound=bound), u)
+    assert err.value.sample == first == 7
 
 
 def test_zero_input_is_silent():

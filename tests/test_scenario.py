@@ -1,6 +1,7 @@
 """Scenario parsing, artifact generation, and the CLI's exit codes."""
 
 import os
+import re
 import warnings
 
 import numpy as np
@@ -93,8 +94,14 @@ JUNCTION_LOAD_REJECTIONS = [
     (SNS_BODY, SNS_BODY + "form = 3\nr_sheet = 0\n",
      "form 3 needs a positive"),
     (SNS_BODY, SNS_BODY.replace("material = lead", "delta = 2e-22"),
-     "needs cfg.material"),
+     "SNS prefactor needs a material"),
+    # keys of the other mode
+    (NIS_BODY, NIS_BODY + "form = 4\nphi_points = 0\n",
+     "key 'form' does not apply to nis mode"),
+    (SNS_BODY, SNS_BODY + "v_start = 9\nv_stop = 1\npoints = -3\n",
+     "key 'v_start' does not apply to sns mode"),
 ]
+JUNCTION_LOAD_MESSAGES = {bad: msg for _, bad, msg in JUNCTION_LOAD_REJECTIONS}
 
 MOD_NO_INPUT_BODY = MOD_DC_BODY.replace("dc = 0.25\n", "")
 
@@ -296,6 +303,11 @@ def test_run_modulator_dc(tmp_path):
     assert "dc_mean = " in report
     assert "tracking_error = " in report
     assert "stable = 1" in report
+    # per-integrator peak |x_i|, the last lines of the report
+    tail = report.splitlines()[-2:]
+    assert [line.split(" = ")[0] for line in tail] == ["state_peak_1",
+                                                       "state_peak_2"]
+    assert all(0.0 < float(line.split(" = ")[1]) <= 8.0 for line in tail)
     codes = (tmp_path / "codes.csv").read_text().splitlines()
     assert codes[0] == "k,code" and len(codes) == 1025
     spec = (tmp_path / "spectrum.csv").read_text().splitlines()
@@ -472,6 +484,11 @@ def test_cli_load_rejection_writes_nothing(tmp_path, capsys, kind, sub, good,
     assert main([sub, "--config", ok_path, "--config", bad_path,
                  "--out", str(out)]) == 4
     assert not out.exists()
+    if bad in JUNCTION_LOAD_MESSAGES:
+        # the message names what the config sets, at the section's line
+        err = capsys.readouterr().err
+        assert re.search(JUNCTION_LOAD_MESSAGES[bad], err)
+        assert "bad.cfg:5:" in err
 
 
 def test_cli_missing_schedule_file_exit_4(tmp_path, capsys):

@@ -153,7 +153,8 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size == 0:
         raise DomainError("input trace must be a nonempty 1-d array")
-    if np.max(np.abs(u)) > 1.0:
+    if not np.all(np.abs(u) <= 1.0):
+        # written so that nan fails it too
         raise DomainError("input must stay within [-1, 1] of full scale")
     n = u.size
     fsf = cfg.full_scale_field

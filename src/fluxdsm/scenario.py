@@ -14,6 +14,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, replace
+from itertools import islice, starmap
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -36,7 +37,7 @@ from .modulator import (ModulatorConfig, dc_tracking_mean,
                         test_tone)
 from .noise import NoiseModel, check_synthesis_limits, dof_variance_factor, \
     flicker_psd, lorentzian_psd, synth_flicker_series
-from .sectext import Section, parse_sections, read_config
+from .sectext import Section, finite_float, parse_sections, read_config
 
 
 @dataclass(frozen=True)
@@ -101,15 +102,32 @@ def load_scenario(path: str) -> ScenarioConfig:
     return parse_scenario(text, path=path)
 
 
+# rows per write: bounds the text held in memory on long tables
+CSV_CHUNK_ROWS = 1 << 14
+
+
 def write_csv(path: str, header, rows) -> None:
-    """CSV with '.' decimals, '\\n' endings, one header row. Floats are
-    serialized with repr so equal values are equal bytes."""
+    """CSV with '.' decimals, '\\n' endings, one header row, then rows
+    from any iterable (read once). A column's format is fixed by its
+    first row: an int, numpy integer or bool value makes it a column
+    of decimal integers (bools as 1/0), anything else is written with
+    format's default, which is repr for Python and float64 floats, so
+    equal values are equal bytes, and str for text. Rows are written
+    in chunks of CSV_CHUNK_ROWS."""
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+        first = next(rows, None)
+        if first is None:
+            return
+        fmt = (",".join("{:d}" if isinstance(v, (int, np.integer)) else "{}"
+                        for v in first) + "\n").format
+        fh.write(fmt(*first))
+        while chunk := "".join(starmap(fmt, islice(rows, CSV_CHUNK_ROWS))):
+            fh.write(chunk)
 
 
+# serves report.txt values; CSV columns get their format in write_csv
 def _cell(v) -> str:
     if isinstance(v, bool):
         return "1" if v else "0"
@@ -347,7 +365,7 @@ _INPUT_NOISE_KEYS = {"r0", "tau1", "tau2", "kprime", "dof_coupled"}
 def _float_list(sec: Section, key: str, default: str) -> tuple:
     raw = sec.get_str(key, default)
     try:
-        return tuple(float(part) for part in raw.split(","))
+        return tuple(finite_float(part) for part in raw.split(","))
     except ValueError:
         raise sec.error(
             f"{key} must be a comma separated float list") from None
@@ -412,7 +430,10 @@ def _build_modulator(sec: Section, sections, config_dir: str):
     tone_cycles = sec.get_int("tone_cycles")
     if not 0 < tone_cycles <= n // (2 * mc.osr):
         raise sec.error("tone_cycles must lie in the band 1 to n / (2 osr)")
-    amp = 10.0 ** (sec.get_float("amplitude_dbfs", -1.0) / 20.0)
+    amplitude_dbfs = sec.get_float("amplitude_dbfs", -1.0)
+    if amplitude_dbfs > 0:
+        raise sec.error("amplitude_dbfs must be at most 0 (full scale)")
+    amp = 10.0 ** (amplitude_dbfs / 20.0)
     return mc, test_tone(n, tone_cycles, amp), None, tone_cycles
 
 

@@ -13,6 +13,7 @@ identifiers. Every entry must live inside a section. Errors carry the
 unknown keys.
 """
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -20,6 +21,15 @@ from .errors import ConfigSyntaxError, UnknownKeyError, ConfigError
 
 _SECTION_RE = re.compile(r"^\[([a-z0-9_-]+)\]$")
 _KEY_RE = re.compile(r"^[a-z0-9_.-]+$")
+
+
+def finite_float(text):
+    """float(text), with nan and inf in every spelling float() takes
+    raising ValueError like any other non-number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 @dataclass
@@ -72,7 +82,7 @@ class Section:
         return self._get(key, default, str, "text")
 
     def get_float(self, key, default=None):
-        return self._get(key, default, float, "a number")
+        return self._get(key, default, finite_float, "a number")
 
     def get_int(self, key, default=None):
         return self._get(key, default, lambda v: int(v, 0), "an integer")

@@ -96,6 +96,14 @@ def test_run_modulator_input_validation():
         run_modulator(cfg, np.array([0.0, 1.2]))
 
 
+@pytest.mark.parametrize("backend,geometry", [("ideal", None),
+                                             ("flux-device", GEOM8)])
+def test_run_modulator_rejects_nan_input(backend, geometry):
+    cfg = ModulatorConfig(backend=backend, geometry=geometry)
+    with pytest.raises(DomainError, match="within \\[-1, 1\\]"):
+        run_modulator(cfg, np.array([0.0, np.nan, 0.5]))
+
+
 def test_matches_handwritten_recursion():
     # direct transcription of the difference equations, kept independent
     # of the implementation loop

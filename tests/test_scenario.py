@@ -1,5 +1,6 @@
 """Scenario parsing, artifact generation, and the CLI's exit codes."""
 
+import math
 import os
 import re
 import warnings
@@ -10,7 +11,9 @@ import pytest
 from fluxdsm.cli import main
 from fluxdsm.errors import ConfigError, FluxLossError, UnknownKeyError
 from fluxdsm.scenario import (
+    CSV_CHUNK_ROWS,
     SCENARIO_KINDS,
+    _cell,
     load_scenario,
     parse_scenario,
     run_scenario,
@@ -104,6 +107,13 @@ JUNCTION_LOAD_REJECTIONS = [
 JUNCTION_LOAD_MESSAGES = {bad: msg for _, bad, msg in JUNCTION_LOAD_REJECTIONS}
 
 MOD_NO_INPUT_BODY = MOD_DC_BODY.replace("dc = 0.25\n", "")
+MOD_DEVICE_DC_BODY = MOD_DC_BODY + """backend = flux-device
+
+[device]
+radius = 0.02
+n_segments = 4
+"""
+MOD_TONE_BODY = MOD_DC_BODY.replace("dc = 0.25", "tone_cycles = 3")
 
 
 def _write(tmp_path, name, text):
@@ -204,6 +214,19 @@ def test_parse_unknown_top_level_key():
     ("modulator-run", MOD_DC_BODY + "a = two,four\n",
      "comma separated float list"),
     ("modulator-run", MOD_NO_INPUT_BODY, "needs dc or tone_cycles"),
+    ("modulator-run", MOD_TONE_BODY + "amplitude_dbfs = 3\n",
+     "amplitude_dbfs must be at most 0"),
+    ("modulator-run", MOD_DC_BODY + "a = 2,nan\n",
+     "comma separated float list"),
+    # non-finite numbers, in any spelling float() takes
+    ("slab-profile", SLAB_BODY.replace("d = 2e-4", "d = nan"),
+     "'d' expects a number, got 'nan'"),
+    ("modulator-run", MOD_DEVICE_DC_BODY.replace("dc = 0.25", "dc = nan"),
+     "'dc' expects a number, got 'nan'"),
+    ("junction-iv", NIS_BODY.replace("t = 0.3128", "t = inf"),
+     "'t' expects a number, got 'inf'"),
+    ("modulator-run", MOD_TONE_BODY + "amplitude_dbfs = -Infinity\n",
+     "'amplitude_dbfs' expects a number"),
     ("comparator-curve", COMP_BODY.replace("points = 7", "points = 1"),
      "points must be at least 2"),
     ("comparator-curve", COMP_BODY + "i_bias = -1\n",
@@ -365,6 +388,37 @@ def test_csv_bytes_are_lf_only(tmp_path):
     assert raw == b"a,b\n1,2.5\n1,-0.0\n"
 
 
+def _row_writer_bytes(header, rows):
+    """The oracle: one _cell per value, one line per row."""
+    lines = [",".join(header)] + [",".join(_cell(v) for v in row)
+                                  for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+_ODD_FLOATS = [0.1, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5]
+_MIXED_ROWS = [
+    # int, numpy int (one bool among them), text, float, float64
+    (k, True if k == 4 else np.int64(-k), f"s{k}", x, np.float64(x))
+    for k, x in enumerate(_ODD_FLOATS)
+]
+
+
+@pytest.mark.parametrize("rows", [
+    _MIXED_ROWS,
+    [(True, 0.5), (False, -1), (1, math.nan)],  # bool-led int column
+    [],
+    [(k, k * 0.1) for k in range(CSV_CHUNK_ROWS + 3)],
+], ids=["mixed", "bools", "empty", "chunk-boundary"])
+def test_write_csv_matches_row_writer(tmp_path, rows):
+    header = tuple(f"c{i}" for i in range(len(rows[0]) if rows else 2))
+    path = tmp_path / "t.csv"
+    write_csv(str(path), header, rows)
+    assert path.read_bytes() == _row_writer_bytes(header, rows)
+    # a one-shot generator, as an instrumented caller passes, gives the same
+    write_csv(str(path), header, (row for row in rows))
+    assert path.read_bytes() == _row_writer_bytes(header, rows)
+
+
 def test_runs_are_byte_identical(tmp_path):
     cfg = parse_scenario(_scenario("noise-psd", NOISE_BODY, seed=9))
     run_scenario(cfg, str(tmp_path / "a"))
@@ -473,6 +527,14 @@ def test_cli_schedule_not_utf8_exit_2(tmp_path, capsys):
      MOD_DC_BODY.replace("n = 1024", "n = 4096") + INPUT_NOISE_BODY,
      MOD_DC_BODY + INPUT_NOISE_BODY),
     ("modulator-run", "modulator", MOD_DC_BODY, MOD_NO_INPUT_BODY),
+    ("modulator-run", "modulator", MOD_TONE_BODY,
+     MOD_TONE_BODY + "amplitude_dbfs = 3\n"),
+    ("slab-profile", "slab", SLAB_BODY,
+     SLAB_BODY.replace("d = 2e-4", "d = nan")),
+    ("modulator-run", "modulator", MOD_DEVICE_DC_BODY,
+     MOD_DEVICE_DC_BODY.replace("dc = 0.25", "dc = nan")),
+    ("junction-iv", "junction", NIS_BODY,
+     NIS_BODY.replace("t = 0.3128", "t = inf")),
 ] + [("junction-iv", "junction", good, bad)
      for good, bad, _ in JUNCTION_LOAD_REJECTIONS])
 def test_cli_load_rejection_writes_nothing(tmp_path, capsys, kind, sub, good,
@@ -489,6 +551,33 @@ def test_cli_load_rejection_writes_nothing(tmp_path, capsys, kind, sub, good,
         err = capsys.readouterr().err
         assert re.search(JUNCTION_LOAD_MESSAGES[bad], err)
         assert "bad.cfg:5:" in err
+
+
+@pytest.mark.parametrize("kind,sub,body,where", [
+    # a non-finite number is named at its key's line
+    ("slab-profile", "slab", SLAB_BODY.replace("d = 2e-4", "d = nan"),
+     "bad.cfg:8: key 'd' expects a number, got 'nan'"),
+    ("modulator-run", "modulator",
+     MOD_DEVICE_DC_BODY.replace("dc = 0.25", "dc = nan"),
+     "bad.cfg:7: key 'dc' expects a number, got 'nan'"),
+    ("junction-iv", "junction", NIS_BODY.replace("t = 0.3128", "t = inf"),
+     "bad.cfg:8: key 't' expects a number, got 'inf'"),
+    # an input level above full scale is named at its section's line
+    ("modulator-run", "modulator", MOD_TONE_BODY + "amplitude_dbfs = 3\n",
+     "bad.cfg:5: amplitude_dbfs must be at most 0"),
+])
+def test_cli_load_rejection_names_location(tmp_path, capsys, kind, sub, body,
+                                           where):
+    cfg_path = _write(tmp_path, "bad.cfg", _scenario(kind, body))
+    assert main([sub, "--config", cfg_path,
+                 "--out", str(tmp_path / "out")]) == 4
+    assert where in capsys.readouterr().err
+
+
+def test_full_scale_tone_loads():
+    cfg = parse_scenario(_scenario("modulator-run",
+                                   MOD_TONE_BODY + "amplitude_dbfs = 0\n"))
+    assert np.max(np.abs(cfg.spec[1])) == pytest.approx(1.0)
 
 
 def test_cli_missing_schedule_file_exit_4(tmp_path, capsys):

@@ -51,6 +51,16 @@ def test_bad_number_names_key_and_line():
         sec.get_float("q")
 
 
+@pytest.mark.parametrize("value", ["nan", "NaN", "-nan", "inf", "-inf",
+                                   "+INF", "Infinity", "-infinity", "1e999"])
+def test_non_finite_number_names_key_and_line(value):
+    sec = _by_name(f"[s]\nok = 1\nq = {value}\n")["s"]
+    with pytest.raises(ConfigError, match="'q' expects a number") as err:
+        sec.get_float("q")
+    assert err.value.line == 3
+    assert err.value.exit_code == 4
+
+
 @pytest.mark.parametrize("text,fragment,line", [
     ("[bad header\nx = 1\n", "malformed section header", 1),
     ("x = 1\n", "before any", 1),

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CODATA
-from .electrodynamics import square_loop_current_for_field
 from .errors import DomainError
 
 
@@ -45,9 +44,10 @@ def make_comparator(side: float, i_bias: float) -> ComparatorConfig:
     sizing L = 200 um, I = 9.371 mA lands at 513 levels (the raw ratio
     is 512.7, i.e. the quoted 512 within one count).
     """
-    if side <= 0:
+    # written as `not v > 0` so that nan fails the checks too
+    if not side > 0:
         raise DomainError("loop side must be positive")
-    if i_bias <= 0:
+    if not i_bias > 0:
         raise DomainError("bias current must be positive")
     b_lsb = CODATA.phi0 / side**2
     b_max = math.sqrt(2.0) * CODATA.mu0 * i_bias / (math.pi * side)
@@ -60,39 +60,21 @@ def make_comparator(side: float, i_bias: float) -> ComparatorConfig:
                             b_max=b_max, n_levels=n_levels)
 
 
-@dataclass(frozen=True)
-class QuantizeResult:
-    code: int
-    saturated: bool
-    b_quantized: float
-    i_diff_half: float
+def quantize(cfg: ComparatorConfig, b_lf):
+    """Quantize field samples (T), a scalar or an array, to mid-tread
+    codes:
 
+        code = clamp(round_half_even(B_LF / B_LSB), -half_range, +half_range)
 
-def quantize(cfg: ComparatorConfig, b_lf: float) -> QuantizeResult:
-    """Quantize a field sample to a mid-tread code.
-
-    code = clamp(round_half_even(B_LF / B_LSB), -half_range, +half_range)
-
-    Saturation is flagged, never wrapped. The result also reports the
-    differential half-current |I1 - I2|/2 which the input field implies
-    in the pickup loop, for current-domain diagnostics.
+    Returns (codes, saturated): int64 codes and a bool mask, with the
+    shape of b_lf. Saturation is flagged, never wrapped. A nan sample,
+    which has no code, is a domain error.
     """
-    raw = int(round(b_lf / cfg.b_lsb))
+    raw = np.round(np.asarray(b_lf, dtype=float) / cfg.b_lsb)
+    if np.isnan(raw).any():
+        raise DomainError("field samples must not be nan")
     hr = cfg.half_range
-    saturated = raw > hr or raw < -hr
-    code = min(max(raw, -hr), hr)
-    return QuantizeResult(
-        code=code, saturated=saturated, b_quantized=code * cfg.b_lsb,
-        i_diff_half=square_loop_current_for_field(cfg.side, b_lf))
-
-
-def quantize_codes(cfg: ComparatorConfig, b_lf) -> np.ndarray:
-    """Vectorized code path of quantize (no saturation flags): half-even
-    rounding then clamping, for transfer curves and batch work."""
-    b = np.asarray(b_lf, dtype=float)
-    raw = np.round(b / cfg.b_lsb)
-    hr = cfg.half_range
-    return np.clip(raw, -hr, hr).astype(int)
+    return np.clip(raw, -hr, hr).astype(np.int64), np.abs(raw) > hr
 
 
 def dac_feedback(cfg: ComparatorConfig, code: int) -> float:

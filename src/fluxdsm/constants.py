@@ -50,6 +50,6 @@ class PhysicalConstants:
 CODATA = PhysicalConstants()
 
 
-def flux_quantum(constants: PhysicalConstants = CODATA) -> float:
+def flux_quantum() -> float:
     """Flux quantum h/(2e) in Wb (equivalently T m^2)."""
-    return constants.phi0
+    return CODATA.phi0

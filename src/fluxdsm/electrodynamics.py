@@ -178,8 +178,8 @@ def square_loop_center_field(side: float, i_diff_half: float) -> float:
 
 def square_loop_current_for_field(side: float, b_center: float) -> float:
     """Half-difference current that puts b_center at the middle of a
-    square loop, I = pi*L*B / (2*sqrt(2)*mu0). Inverse of
-    square_loop_center_field."""
+    square loop, I = pi*L*B / (2*sqrt(2)*mu0), elementwise for an array
+    of fields. Inverse of square_loop_center_field."""
     if side <= 0:
         raise DomainError("loop side must be positive")
     return math.pi * side * b_center / (2.0 * math.sqrt(2.0) * CODATA.mu0)

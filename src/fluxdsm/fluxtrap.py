@@ -37,11 +37,12 @@ class CylinderGeometry:
     n_eff: float
 
     def __post_init__(self):
-        if self.radius <= 0:
+        # written as `not v > 0` so that nan fails the checks too
+        if not self.radius > 0:
             raise DomainError("radius must be positive")
         if self.n_segments < 1:
             raise DomainError("need at least one segment")
-        if self.n_eff <= 0:
+        if not self.n_eff > 0:
             raise DomainError("n_eff must be positive")
 
     @property
@@ -73,15 +74,6 @@ class Ring:
         if not _contiguous(self.span):
             raise DomainError("ring span must be contiguous")
 
-    @property
-    def width(self) -> int:
-        return len(self.span)
-
-    def current_density(self, segment_height: float) -> float:
-        """Sheet current per unit height (A/m); halves when the span
-        doubles, since the total current is conserved."""
-        return self.current / (self.width * segment_height)
-
 
 def _contiguous(span) -> bool:
     return max(span) - min(span) + 1 == len(span)
@@ -109,10 +101,6 @@ class FluxTrapState:
             raise DomainError(
                 f"segment {segment} outside 1..{self.geometry.n_segments}")
 
-    def is_superconducting(self, segment) -> bool:
-        self._check_segment(segment)
-        return segment not in self.energized
-
     @property
     def trapped_flux_total(self) -> int:
         """Total trapped flux in exact quanta."""
@@ -122,12 +110,6 @@ class FluxTrapState:
         """Segment phases as a string, 'S' superconducting, 'N' normal."""
         return "".join(
             "N" if s in self.energized else "S" for s in self.geometry.segments)
-
-
-def all_normal_state(geometry: CylinderGeometry) -> FluxTrapState:
-    """Device with every coil energized and no trapped flux."""
-    return FluxTrapState(geometry=geometry,
-                         energized=frozenset(geometry.segments))
 
 
 def round_half_even_quanta(flux_ratio: float) -> int:
@@ -373,13 +355,6 @@ def run_amplification_sequence(geometry: CylinderGeometry, b_in: float,
     return state, len(state.rings)
 
 
-def amplified_quanta(geometry: CylinderGeometry, b_in: float,
-                     gain: int) -> int:
-    """Flux quanta delivered per cycle: gain * round_half_even(B*A/phi0)."""
-    return gain * round_half_even_quanta(
-        b_in * geometry.area / CODATA.phi0)
-
-
 # --- schedule text format -------------------------------------------
 
 def parse_schedule(text, path=None):
@@ -417,17 +392,6 @@ def parse_schedule(text, path=None):
 
 def load_schedule(path):
     return parse_schedule(read_config(path), path=str(path))
-
-
-def format_schedule(schedule) -> str:
-    lines = []
-    for step in schedule:
-        if isinstance(step, FieldStep):
-            lines.append(f"field {'on' if step.on else 'off'}")
-        else:
-            label = "*" if step.segment is None else str(step.segment)
-            lines.append(f"ecoil {label} {'on' if step.on else 'off'}")
-    return "\n".join(lines) + "\n"
 
 
 # --- coupled coils and settling -------------------------------------

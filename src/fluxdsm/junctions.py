@@ -38,7 +38,6 @@ class JunctionConfig:
         current; carries the ampere scale of the quadrature result
     material : supplies vF, kF, N0 for the SNS prefactor forms
     r_sheet : contact resistance R_SH (ohm) for SNS prefactor form 3
-    ef : Fermi energy (J), informational
     """
 
     delta: float
@@ -49,7 +48,6 @@ class JunctionConfig:
     prefactor: float = 1.0
     material: Material | None = None
     r_sheet: float | None = None
-    ef: float = 0.0
 
     def __post_init__(self):
         if self.delta < 0:

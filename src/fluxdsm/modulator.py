@@ -35,6 +35,10 @@ from .fluxtrap import (CylinderGeometry, default_amplification_schedule,
 from .noise import NoiseModel, synth_flicker_series
 
 BACKENDS = ("ideal", "flux-device")
+# device settle-time constants (s): Cooper-pair formation and one E-coil
+# step, for the settle-time warning of a flux-device config
+TAU_COOPER = 1e-10
+TAU_ECOIL = 3e-10
 
 
 def _default_comparator() -> ComparatorConfig:
@@ -55,8 +59,6 @@ class ModulatorConfig:
     full_scale: Optional[float] = None
     stability_bound: float = 8.0
     input_noise: Optional[NoiseModel] = None
-    tau_cooper: float = 1e-10
-    tau_ecoil: float = 3e-10
 
     def __post_init__(self):
         if not isinstance(self.order, int) or not 1 <= self.order <= 4:
@@ -65,24 +67,23 @@ class ModulatorConfig:
             raise ConfigError("osr must be an integer >= 8")
         if len(self.a) != self.order or len(self.c) != self.order:
             raise ConfigError("a and c must each have one entry per stage")
-        if any(v <= 0 for v in self.a) or any(v <= 0 for v in self.c):
+        # written as `not v > 0` so that nan fails the checks too
+        if not all(v > 0 for v in (*self.a, *self.c)):
             raise ConfigError("feedforward and integrator gains must be > 0")
         if self.backend not in BACKENDS:
             raise ConfigError(f"backend must be one of {BACKENDS}")
         if self.backend == "flux-device" and self.geometry is None:
             raise ConfigError("flux-device backend needs a cylinder geometry")
-        if self.fs <= 0:
+        if not self.fs > 0:
             raise ConfigError("sample rate must be positive")
-        if self.full_scale is not None and self.full_scale <= 0:
+        if self.full_scale is not None and not self.full_scale > 0:
             raise ConfigError("full_scale must be positive")
-        if self.stability_bound <= 0:
+        if not self.stability_bound > 0:
             raise ConfigError("stability bound must be positive")
-        if self.tau_cooper <= 0 or self.tau_ecoil <= 0:
-            raise ConfigError("settle time constants must be positive")
         if self.backend == "flux-device":
             # one clock period must leave room for the device to settle
             t_settle = settle_time_device(
-                self.tau_cooper, self.geometry.n_segments, self.tau_ecoil)
+                TAU_COOPER, self.geometry.n_segments, TAU_ECOIL)
             if self.fs * t_settle > 0.5:
                 warnings.warn(
                     f"clock period {1.0 / self.fs:.3e} s leaves under half "
@@ -110,11 +111,6 @@ class TraceSet:
     saturation_count: int
     device_gain: Optional[int] = None
     state_peak: tuple = ()
-
-    @property
-    def v_field(self) -> np.ndarray:
-        """Feedback DAC output per sample (T)."""
-        return self.codes * self.config.comparator.b_lsb
 
 
 def test_tone(n: int, cycles: int, amplitude: float) -> np.ndarray:
@@ -226,6 +222,8 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
             j += 1
             y += ai * xi
             prev = xi
+        # comparator.quantize at the normalized LSB, inlined: a call
+        # per sample would cost more than the rest of the step
         raw = round(y / lsb_n)
         if raw > hr:
             raw = hr
@@ -301,19 +299,6 @@ def sndr_db(trace: TraceSet, signal_cycles: int, guard: int = 3) -> float:
     """SNDR of a modulator run's code stream."""
     return sndr_from_series(trace.codes.astype(float), trace.config.osr,
                             signal_cycles, guard)
-
-
-def in_band_noise_power(trace: TraceSet, osr: int, signal_cycles: int,
-                        guard: int = 3) -> float:
-    """Noise-plus-distortion power inside the band fs/(2 osr), with the
-    tone window and DC bins excluded. Used for noise-shaping checks."""
-    n = trace.codes.size
-    _, power = output_power_spectrum(trace)
-    band_edge = n // (2 * osr)
-    k0 = int(signal_cycles)
-    lo, hi = k0 - guard, k0 + guard
-    bins = [k for k in range(3, band_edge + 1) if not lo <= k <= hi]
-    return float(np.sum(power[bins]))
 
 
 def theoretical_sqnr(order: int, osr: int, bits: float) -> float:

@@ -23,6 +23,7 @@ from scipy.signal import welch
 from .comparator import make_comparator, quantize
 from .electrodynamics import (PROFILE_CSV_HEADER, SlabConfig,
                               normal_slab_profile, solenoid_field,
+                              square_loop_current_for_field,
                               super_slab_profile)
 from .errors import ConfigError, DomainError, UsageError
 from .fluxtrap import (CylinderGeometry, FieldStep,
@@ -484,10 +485,10 @@ def _build_comparator(sec: Section, sections, config_dir: str):
 
 def _run_comparator(cfg: ScenarioConfig):
     comp, fields = cfg.spec
-    rows = []
-    for b in fields:
-        r = quantize(comp, float(b))
-        rows.append((float(b), r.code, r.saturated, r.i_diff_half))
+    codes, saturated = quantize(comp, fields)
+    i_diff_half = square_loop_current_for_field(comp.side, fields)
+    rows = zip(fields.tolist(), codes.tolist(), saturated.tolist(),
+               i_diff_half.tolist())
     return [("curve.csv", ("b", "code", "saturated", "i_diff_half"), rows)], [
         ("n_levels", comp.n_levels),
         ("half_range", comp.half_range),

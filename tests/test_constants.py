@@ -28,11 +28,10 @@ def test_constants_frozen():
         CODATA.h = 1.0
 
 
-def test_custom_constants_flow_through():
+def test_phi0_derived_from_custom_constants():
     custom = PhysicalConstants(h=2.0 * CODATA.h, e=CODATA.e,
                                mu0=CODATA.mu0, kB=CODATA.kB)
-    assert flux_quantum(custom) == pytest.approx(2.0 * flux_quantum(),
-                                                 rel=1e-15)
+    assert custom.phi0 == pytest.approx(2.0 * flux_quantum(), rel=1e-15)
 
 
 @pytest.mark.parametrize("field", ["h", "e", "mu0", "kB"])

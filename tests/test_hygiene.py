@@ -3,6 +3,7 @@ physics reads the fixed constants instead of taking them as arguments."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -54,9 +55,49 @@ def _constant_overrides(tree):
     return found
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in MODULES if p.name != "constants.py"],
-    ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_constants_override(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _constant_overrides(tree) == []
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_names():
+    """Identifiers that appear inside backticks in README.md."""
+    text = README.read_text(encoding="utf-8")
+    return {name for span in re.findall(r"`([^`\n]+)`", text)
+            for name in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+def _referenced_names():
+    """Names read by some module of the package, apart from the
+    re-exports of __init__.py."""
+    names = set()
+    for path in MODULES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def _public_definitions(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def test_public_names_used_or_documented():
+    referenced = _referenced_names()
+    documented = _readme_names()
+    orphans = [f"{path.stem}.{name}" for path in MODULES
+               for name in _public_definitions(path)
+               if name not in referenced and name not in documented]
+    assert orphans == []

@@ -1,5 +1,6 @@
 """Loop recursion, spectral analysis, and the device-backend contract."""
 
+import dataclasses
 import math
 import warnings
 
@@ -7,14 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fluxdsm.comparator import make_comparator
+from fluxdsm.comparator import make_comparator, quantize
 from fluxdsm.constants import CODATA
 from fluxdsm.errors import ConfigError, DomainError, InstabilityError
 from fluxdsm.fluxtrap import CylinderGeometry, round_half_even_quanta
 from fluxdsm.modulator import (
     ModulatorConfig,
     dc_tracking_mean,
-    in_band_noise_power,
     output_power_spectrum,
     power_spectrum,
     run_modulator,
@@ -39,7 +39,12 @@ GEOM8 = CylinderGeometry(radius=0.02, n_segments=8, n_eff=4)
     (dict(fs=0.0), "sample rate"),
     (dict(full_scale=-1.0), "full_scale"),
     (dict(stability_bound=0.0), "stability bound"),
-    (dict(tau_cooper=0.0), "settle time constants"),
+    # nan fails every positivity check
+    (dict(a=(math.nan, 4.0)), "gains must be > 0"),
+    (dict(c=(0.5, math.nan)), "gains must be > 0"),
+    (dict(fs=math.nan), "sample rate"),
+    (dict(full_scale=math.nan), "full_scale"),
+    (dict(stability_bound=math.nan), "stability bound"),
 ])
 def test_config_validation(kwargs, msg):
     with pytest.raises(ConfigError, match=msg):
@@ -207,6 +212,31 @@ def test_loop_matches_difference_equations_exactly(order, backend, noisy):
     assert trace.state_peak == tuple(np.max(np.abs(states), axis=0))
 
 
+@pytest.mark.parametrize("backend", ["ideal", "flux-device"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_loop_quantizer_matches_comparator_quantize(order, backend):
+    # the loop inlines the comparator's round-and-clamp; rebuilt from the
+    # stored states, its input y must quantize to the same codes through
+    # comparator.quantize at the loop's normalized LSB
+    a, c = LOOP_COEFFS[order]
+    device = backend == "flux-device"
+    cfg = ModulatorConfig(order=order, a=a, c=c, backend=backend,
+                          geometry=GEOM8 if device else None,
+                          stability_bound=50.0)
+    u = make_tone(4096, 5, 0.5)
+    u[:8] = 0.9
+    trace = run_modulator(cfg, u)
+    y = cfg.a[0] * trace.states[:, 0]
+    for i in range(1, order):
+        y = y + cfg.a[i] * trace.states[:, i]
+    comp = cfg.comparator
+    lsb_n = comp.b_lsb / cfg.full_scale_field
+    codes, saturated = quantize(dataclasses.replace(comp, b_lsb=lsb_n), y)
+    assert trace.codes.tobytes() == codes.tobytes()
+    assert trace.saturation_count == int(saturated.sum())
+    assert (trace.saturation_count > 0) == (order > 1)
+
+
 def test_instability_in_second_integrator_reports_sample():
     # a DC step drives x2 past the bound while x1 stays inside it
     u = np.full(64, 0.9)
@@ -254,7 +284,10 @@ def test_instability_reports_sample_index():
 
 def test_noise_shaping_doubles_with_osr():
     trace = run_modulator(ModulatorConfig(), make_tone(2**14, 3, 0.5))
-    powers = [in_band_noise_power(trace, osr, 3)
+    _, power = output_power_spectrum(trace)
+    # noise-plus-distortion power in band: bins above the +-3 bin window
+    # around the tone at bin 3, up to the band edge n / (2 osr)
+    powers = [float(np.sum(power[7:2**14 // (2 * osr) + 1]))
               for osr in (16, 32, 64, 128)]
     assert powers == pytest.approx(
         [95.9447459529159, 2.60982461494367,
@@ -306,13 +339,6 @@ def test_deterministic_with_input_noise():
     other = ModulatorConfig(input_noise=NoiseModel(
         R0=1.0, tau1=2.0, tau2=2e4, kprime=1e-8, seed=6))
     assert a.tobytes() != run_modulator(other, u).codes.tobytes()
-
-
-def test_v_field_property():
-    trace = run_modulator(ModulatorConfig(), make_tone(512, 3, 0.5))
-    np.testing.assert_allclose(
-        trace.v_field, trace.codes * trace.config.comparator.b_lsb,
-        rtol=1e-15)
 
 
 def test_power_spectrum_bin_count():

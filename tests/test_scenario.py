@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from fluxdsm.cli import main
+from fluxdsm.comparator import make_comparator
+from fluxdsm.electrodynamics import square_loop_current_for_field
 from fluxdsm.errors import ConfigError, FluxLossError, UnknownKeyError
 from fluxdsm.scenario import (
     CSV_CHUNK_ROWS,
@@ -378,6 +380,33 @@ def test_run_comparator_curve(tmp_path):
     report = (tmp_path / "report.txt").read_text()
     assert "n_levels = 513" in report
     assert "half_range = 256" in report
+
+
+def test_comparator_curve_matches_scalar_writer(tmp_path):
+    # +-300.5 LSB over 602 points: saturates at both ends, and 253 of
+    # the points are exact half-LSB ties
+    comp = make_comparator(200e-6, 9.371e-3)
+    b_stop = 1.5534601786570246e-05
+    b_start, points = -b_stop, 602
+    body = (f"[comparator]\nb_start = {b_start!r}\nb_stop = {b_stop!r}\n"
+            f"points = {points}\n")
+    run_scenario(parse_scenario(_scenario("comparator-curve", body)),
+                 str(tmp_path))
+    hr = comp.half_range
+    lines = ["b,code,saturated,i_diff_half"]
+    ties = saturated = 0
+    for b in np.linspace(b_start, b_stop, points).tolist():
+        ratio = b / comp.b_lsb
+        raw = int(round(ratio))
+        code = min(max(raw, -hr), hr)
+        ties += abs(ratio - math.floor(ratio)) == 0.5
+        saturated += code != raw
+        i_diff_half = square_loop_current_for_field(comp.side, b)
+        lines.append(f"{b!r},{code},{1 if code != raw else 0},"
+                     f"{i_diff_half!r}")
+    assert ties == 253 and saturated > 0
+    assert (tmp_path / "curve.csv").read_bytes() == \
+        ("\n".join(lines) + "\n").encode()
 
 
 def test_csv_bytes_are_lf_only(tmp_path):

@@ -1,9 +1,9 @@
 """Command line front end.
 
-One subcommand per scenario kind; each takes one or more --config
-files, an output directory, and an optional seed override. Exit codes
-separate the failure classes so batch drivers can triage without
-parsing stderr:
+One subcommand per scenario kind, named after the kind's config
+section; each takes one or more --config files, an output directory,
+and an optional seed override. Exit codes separate the failure classes
+so batch drivers can triage without parsing stderr:
 
     0  success
     2  usage or config syntax error (wrong subcommand for the
@@ -23,16 +23,7 @@ from . import __version__
 from .constants import CODATA
 from .errors import FluxDsmError, UsageError
 from .materials import BUILTIN_MATERIALS
-from .scenario import load_scenario, run_scenario
-
-_SUBCOMMANDS = {
-    "slab": "slab-profile",
-    "device": "device-sequence",
-    "junction": "junction-iv",
-    "noise": "noise-psd",
-    "modulator": "modulator-run",
-    "comparator": "comparator-curve",
-}
+from .scenario import KIND_SECTIONS, load_scenario, run_scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,8 +36,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--print-constants", action="store_true",
                         help="print the physical constants in use and exit")
     sub = parser.add_subparsers(dest="command")
-    for name, kind in _SUBCOMMANDS.items():
+    for kind, name in KIND_SECTIONS.items():
         p = sub.add_parser(name, help=f"run {kind} scenarios")
+        p.set_defaults(kind=kind)
         p.add_argument("--config", action="append", required=True,
                        metavar="PATH", help="scenario config file "
                        "(repeat to batch several)")
@@ -90,10 +82,9 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
-    kind = _SUBCOMMANDS[args.command]
     try:
         # every config of a batch is checked before any of them runs
-        cfgs = [_load(path, kind, args.seed) for path in args.config]
+        cfgs = [_load(path, args.kind, args.seed) for path in args.config]
         for path, cfg in zip(args.config, cfgs):
             out_dir = args.out
             if out_dir is not None and len(cfgs) > 1:

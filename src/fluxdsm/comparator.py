@@ -16,6 +16,10 @@ import numpy as np
 from .constants import CODATA
 from .errors import DomainError
 
+# the reference sizing: a 200 um loop at 9.371 mA resolves 513 levels
+REFERENCE_SIDE = 200e-6
+REFERENCE_I_BIAS = 9.371e-3
+
 
 @dataclass(frozen=True)
 class ComparatorConfig:
@@ -40,9 +44,9 @@ def make_comparator(side: float, i_bias: float) -> ComparatorConfig:
         B_max = sqrt(2) mu0 I / (pi L)
         N_lev = round(2 sqrt(2) mu0 e L I / (pi h))
 
-    N_lev equals round(B_max / B_LSB) by construction. The canonical
-    sizing L = 200 um, I = 9.371 mA lands at 513 levels (the raw ratio
-    is 512.7, i.e. the quoted 512 within one count).
+    N_lev equals round(B_max / B_LSB) by construction. The reference
+    sizing L = REFERENCE_SIDE, I = REFERENCE_I_BIAS lands at 513 levels
+    (the raw ratio is 512.7, i.e. the quoted 512 within one count).
     """
     # written as `not v > 0` so that nan fails the checks too
     if not side > 0:

@@ -38,7 +38,8 @@ class PhysicalConstants:
     phi0: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        if self.h <= 0 or self.e <= 0 or self.mu0 <= 0 or self.kB <= 0:
+        # written as `not v > 0` so that nan fails the check too
+        if not (self.h > 0 and self.e > 0 and self.mu0 > 0 and self.kB > 0):
             raise DomainError("physical constants must be positive")
         import math
 

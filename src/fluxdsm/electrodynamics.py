@@ -34,11 +34,12 @@ class SlabConfig:
     T: float = 0.0
 
     def __post_init__(self):
-        if self.d <= 0:
+        # written as `not v > 0` so that nan fails the checks too
+        if not self.d > 0:
             raise DomainError("slab half-thickness d must be positive")
-        if self.omega < 0:
+        if not self.omega >= 0:
             raise DomainError("omega must be non-negative")
-        if self.T < 0:
+        if not self.T >= 0:
             raise DomainError("temperature must be non-negative")
 
 

@@ -146,7 +146,7 @@ def trap_flux(geometry: CylinderGeometry, b_ext: float,
                          rings=(ring,))
 
 
-def _contract_rings(rings, segment, step=None):
+def _contract_rings(rings, segment):
     """Remove a newly normal segment from every ring that spans it."""
     out = []
     for ring in rings:
@@ -157,16 +157,16 @@ def _contract_rings(rings, segment, step=None):
         if not new_span:
             raise FluxLossError(
                 f"energizing coil {segment} leaves ring with no "
-                "superconducting segment to carry its current", step=step)
+                "superconducting segment to carry its current")
         if not _contiguous(new_span):
             raise FluxLossError(
                 f"energizing coil {segment} would split a ring spanning "
-                f"{sorted(ring.span)}", step=step)
+                f"{sorted(ring.span)}")
         out.append(replace(ring, span=frozenset(new_span)))
     return tuple(out)
 
 
-def _spread_rings(rings, segment, step=None):
+def _spread_rings(rings, segment):
     """Widen rings adjacent to a newly superconducting segment into it."""
     adjacent = [i for i, r in enumerate(rings)
                 if (segment - 1) in r.span or (segment + 1) in r.span]
@@ -174,7 +174,7 @@ def _spread_rings(rings, segment, step=None):
         raise FluxLossError(
             f"de-energizing coil {segment} would merge rings "
             f"{sorted(rings[adjacent[0]].span)} and "
-            f"{sorted(rings[adjacent[1]].span)}", step=step)
+            f"{sorted(rings[adjacent[1]].span)}")
     if not adjacent:
         return tuple(rings)
     out = list(rings)
@@ -433,7 +433,7 @@ def settle_time_classical(n_bits: int, tau: float) -> float:
     t = tau * (N + 1) * ln 2."""
     if not isinstance(n_bits, int) or n_bits < 1:
         raise DomainError("n_bits must be a positive integer")
-    if tau <= 0:
+    if not tau > 0:
         raise DomainError("tau must be positive")
     return tau * (n_bits + 1) * LN2
 
@@ -447,7 +447,7 @@ def settle_time_device(tau_cooper: float, n_amp: int,
     the per-step E-coil switching time; a gain sequence over n_amp
     segments needs 2*n_amp + 1 coil steps.
     """
-    if tau_cooper <= 0 or tau_ecoil <= 0:
+    if not (tau_cooper > 0 and tau_ecoil > 0):
         raise DomainError("time constants must be positive")
     if not isinstance(n_amp, int) or n_amp < 0:
         raise DomainError("n_amp must be a non-negative integer")

@@ -50,15 +50,16 @@ class JunctionConfig:
     r_sheet: float | None = None
 
     def __post_init__(self):
-        if self.delta < 0:
+        # written as `not v >= 0` so that nan fails the checks too
+        if not self.delta >= 0:
             raise DomainError("gap must be non-negative")
-        if self.T < 0:
+        if not self.T >= 0:
             raise DomainError("temperature must be non-negative")
-        if self.d < 0:
+        if not self.d >= 0:
             raise DomainError("junction thickness must be non-negative")
-        if self.Z < 0:
+        if not self.Z >= 0:
             raise DomainError("barrier strength Z must be non-negative")
-        if self.area <= 0:
+        if not self.area > 0:
             raise DomainError("junction area must be positive")
 
 
@@ -266,9 +267,9 @@ def andreev_outcome(incident_species: str, incident_side: str, eps: float,
 def n_coherence_length(v_fermi: float, T: float) -> float:
     """Decay length of pair correlations in the normal bridge,
     xi_N = hbar * vF / (2 pi kB T)."""
-    if v_fermi <= 0:
+    if not v_fermi > 0:
         raise DomainError("Fermi velocity must be positive")
-    if T <= 0:
+    if not T > 0:
         raise DomainError("temperature must be positive")
     return CODATA.hbar * v_fermi / (2.0 * math.pi * CODATA.kB * T)
 

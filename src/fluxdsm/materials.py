@@ -46,23 +46,24 @@ class Material:
     def __post_init__(self):
         if self.kind not in (TYPE_I, TYPE_II):
             raise DomainError(f"unknown material kind '{self.kind}'")
-        if self.Tc <= 0:
+        # written as `not v > 0` so that nan fails the checks too
+        if not self.Tc > 0:
             raise DomainError("Tc must be positive")
-        if self.lambda_l <= 0:
+        if not self.lambda_l > 0:
             raise DomainError("lambda_l must be positive")
-        if self.delta < 0:
+        if not self.delta >= 0:
             raise DomainError("delta must be non-negative")
-        if self.vF <= 0:
+        if not self.vF > 0:
             raise DomainError("vF must be positive")
-        if self.sigma_n <= 0:
+        if not self.sigma_n > 0:
             raise DomainError("sigma_n must be positive")
-        if self.tau_s < 0:
+        if not self.tau_s >= 0:
             raise DomainError("tau_s must be non-negative")
         if self.kind == TYPE_I:
-            if self.Hc0 <= 0:
+            if not self.Hc0 > 0:
                 raise DomainError("type-I material needs Hc0 > 0")
         else:
-            if self.Hc1_0 <= 0 or self.Hc2_0 <= 0:
+            if not (self.Hc1_0 > 0 and self.Hc2_0 > 0):
                 raise DomainError("type-II material needs Hc1_0 and Hc2_0 > 0")
             if not self.Hc1_0 < self.Hc2_0:
                 raise DomainError("type-II material needs Hc1_0 < Hc2_0")

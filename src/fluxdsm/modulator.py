@@ -27,7 +27,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .comparator import ComparatorConfig, make_comparator
+from .comparator import (REFERENCE_I_BIAS, REFERENCE_SIDE, ComparatorConfig,
+                         make_comparator)
 from .constants import CODATA
 from .errors import ConfigError, DomainError, InstabilityError
 from .fluxtrap import (CylinderGeometry, default_amplification_schedule,
@@ -42,7 +43,7 @@ TAU_ECOIL = 3e-10
 
 
 def _default_comparator() -> ComparatorConfig:
-    return make_comparator(side=200e-6, i_bias=9.371e-3)
+    return make_comparator(side=REFERENCE_SIDE, i_bias=REFERENCE_I_BIAS)
 
 
 @dataclass(frozen=True)

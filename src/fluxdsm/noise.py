@@ -40,13 +40,14 @@ class NoiseModel:
     dof_coupled: int = 1
 
     def __post_init__(self):
-        if self.R0 < 0:
+        # written as `not v >= 0` so that nan fails the checks too
+        if not self.R0 >= 0:
             raise DomainError("R0 must be non-negative")
-        if self.tau1 <= 0 or self.tau2 <= 0:
+        if not (self.tau1 > 0 and self.tau2 > 0):
             raise DomainError("relaxation times must be positive")
         if not self.tau1 < self.tau2:
             raise DomainError("need tau1 < tau2")
-        if self.kprime < 0:
+        if not self.kprime >= 0:
             raise DomainError("kprime must be non-negative")
         if self.dof_coupled not in (1, 2, 3):
             raise DomainError("dof_coupled must be 1, 2 or 3")

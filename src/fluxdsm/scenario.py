@@ -20,7 +20,8 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 from scipy.signal import welch
 
-from .comparator import make_comparator, quantize
+from .comparator import (REFERENCE_I_BIAS, REFERENCE_SIDE, make_comparator,
+                         quantize)
 from .electrodynamics import (PROFILE_CSV_HEADER, SlabConfig,
                               normal_slab_profile, solenoid_field,
                               square_loop_current_for_field,
@@ -54,13 +55,13 @@ class ScenarioConfig:
 
 
 def parse_scenario(text: str, path: Optional[str] = None) -> ScenarioConfig:
-    """Parse and fully validate a scenario config. Unknown sections and
-    keys are rejected with line-anchored messages."""
+    """Parse and fully validate a scenario config. Unknown sections, and
+    keys that the kind's builder did not read, are rejected with
+    line-anchored messages."""
     sections = {sec.name: sec for sec in parse_sections(text, path=path)}
     if "scenario" not in sections:
         raise ConfigError("missing [scenario] section", path=path)
     top = sections["scenario"]
-    top.reject_unknown({"kind", "seed", "output_dir"})
     kind = top.get_str("kind")
     if kind not in _KINDS:
         raise ConfigError(
@@ -90,6 +91,9 @@ def parse_scenario(text: str, path: Optional[str] = None) -> ScenarioConfig:
         if getattr(exc, "line", None) is not None:
             raise
         raise sec.error(str(exc)) from exc
+    # a key is known when the builder read it for the choices it made
+    for section in sections.values():
+        section.reject_unread()
     return ScenarioConfig(kind=kind, seed=seed, output_dir=output_dir,
                           sections=sections, spec=spec)
 
@@ -145,9 +149,8 @@ def _write_report(path: str, cfg: ScenarioConfig, metrics) -> None:
     for name in sorted(cfg.sections):
         if name == "scenario":
             continue
-        sec = cfg.sections[name]
-        for key in sec.keys():
-            lines.append(f"{name}.{key} = {sec.get_str(key)}")
+        lines += [f"{name}.{e.key} = {e.value}"
+                  for e in cfg.sections[name].entries]
     for key, value in metrics:
         lines.append(f"{key} = {_cell(value)}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -156,11 +159,7 @@ def _write_report(path: str, cfg: ScenarioConfig, metrics) -> None:
 
 # ---------------------------------------------------------------- slab
 
-_SLAB_KEYS = {"material", "regime", "d", "b0", "omega", "t", "npoints"}
-
-
 def _build_slab(sec: Section, sections, config_dir: str):
-    sec.reject_unknown(_SLAB_KEYS)
     regime = sec.get_str("regime")
     if regime not in ("normal", "super"):
         raise sec.error("regime must be normal or super")
@@ -191,10 +190,6 @@ def _run_slab(cfg: ScenarioConfig):
 
 # -------------------------------------------------------------- device
 
-_DEVICE_KEYS = {"radius", "n_segments", "n_eff", "b_in", "schedule",
-                "material", "t"}
-
-
 def _geometry_and_schedule(sec: Section, config_dir: str):
     """The cylinder of a device section and its coil schedule: a named
     preset or a schedule file relative to the config's directory."""
@@ -214,7 +209,6 @@ def _geometry_and_schedule(sec: Section, config_dir: str):
 
 
 def _build_device(sec: Section, sections, config_dir: str):
-    sec.reject_unknown(_DEVICE_KEYS)
     geom, schedule = _geometry_and_schedule(sec, config_dir)
     material = get_material(sec.get_str("material")) \
         if sec.has("material") else None
@@ -245,34 +239,24 @@ def _run_device(cfg: ScenarioConfig):
 
 # ------------------------------------------------------------ junction
 
-_JUNCTION_KEYS = {"mode", "material", "delta", "t"}
-# keys that only one mode reads
-_JUNCTION_MODE_KEYS = {
-    "nis": {"z", "prefactor", "v_start", "v_stop", "points"},
-    "sns": {"d", "area", "form", "r_sheet", "phi_points"},
-}
-
-
 def _build_junction(sec: Section, sections, config_dir: str):
-    sec.reject_unknown(_JUNCTION_KEYS.union(*_JUNCTION_MODE_KEYS.values()))
+    """Each mode reads its own keys, so a key of the other mode is left
+    unread and rejected."""
     mode = sec.get_str("mode")
-    if mode not in _JUNCTION_MODE_KEYS:
+    if mode not in ("nis", "sns"):
         raise sec.error("mode must be nis or sns")
-    for key in sec.keys():
-        if key not in _JUNCTION_KEYS and key not in _JUNCTION_MODE_KEYS[mode]:
-            raise sec.error(f"key '{key}' does not apply to {mode} mode")
     if sec.has("material"):
         material = get_material(sec.get_str("material"))
         delta = sec.get_float("delta", material.delta)
     else:
         material = None
         delta = sec.get_float("delta")
-    jc = JunctionConfig(
-        delta=delta, T=sec.get_float("t"), d=sec.get_float("d", 0.0),
-        Z=sec.get_float("z", 0.0), area=sec.get_float("area", 1e-12),
-        prefactor=sec.get_float("prefactor", 1.0), material=material,
-        r_sheet=sec.get_float("r_sheet") if sec.has("r_sheet") else None)
+    T = sec.get_float("t")
     if mode == "nis":
+        jc = JunctionConfig(delta=delta, T=T, d=0.0,
+                            Z=sec.get_float("z", 0.0),
+                            prefactor=sec.get_float("prefactor", 1.0),
+                            material=material)
         check_nis(jc)
         v_start = sec.get_float("v_start")
         v_stop = sec.get_float("v_stop")
@@ -282,6 +266,10 @@ def _build_junction(sec: Section, sections, config_dir: str):
         if points < 2:
             raise sec.error("points must be at least 2")
         return jc, mode, np.linspace(v_start, v_stop, points), None
+    jc = JunctionConfig(
+        delta=delta, T=T, d=sec.get_float("d", 0.0),
+        area=sec.get_float("area", 1e-12), material=material,
+        r_sheet=sec.get_float("r_sheet") if sec.has("r_sheet") else None)
     if jc.d <= 0:
         raise sec.error("sns mode needs a barrier length d > 0")
     phi_points = sec.get_int("phi_points", 181)
@@ -308,10 +296,6 @@ def _run_junction(cfg: ScenarioConfig):
 
 # --------------------------------------------------------------- noise
 
-_NOISE_KEYS = {"r0", "tau1", "tau2", "kprime", "n", "fs", "method",
-               "dof_coupled"}
-
-
 def _noise_model(sec: Section) -> NoiseModel:
     """The section's noise band; runners set its seed from cfg.seed."""
     return NoiseModel(R0=sec.get_float("r0", 1.0),
@@ -322,7 +306,6 @@ def _noise_model(sec: Section) -> NoiseModel:
 
 
 def _build_noise(sec: Section, sections, config_dir: str):
-    sec.reject_unknown(_NOISE_KEYS)
     model = _noise_model(sec)
     method = sec.get_str("method", "telegraph")
     if method not in ("telegraph", "spectral"):
@@ -355,14 +338,6 @@ def _run_noise(cfg: ScenarioConfig):
 
 # ----------------------------------------------------------- modulator
 
-_MOD_KEYS = {"order", "osr", "a", "c", "backend", "n", "tone_cycles",
-             "amplitude_dbfs", "dc", "side", "i_bias", "full_scale",
-             "input_coil_n", "input_coil_imax", "fs", "schedule",
-             "stability_bound"}
-
-_INPUT_NOISE_KEYS = {"r0", "tau1", "tau2", "kprime", "dof_coupled"}
-
-
 def _float_list(sec: Section, key: str, default: str) -> tuple:
     raw = sec.get_str(key, default)
     try:
@@ -372,10 +347,15 @@ def _float_list(sec: Section, key: str, default: str) -> tuple:
             f"{key} must be a comma separated float list") from None
 
 
+def _comparator(sec: Section):
+    """The section's comparator, at the reference sizing by default."""
+    return make_comparator(side=sec.get_float("side", REFERENCE_SIDE),
+                           i_bias=sec.get_float("i_bias", REFERENCE_I_BIAS))
+
+
 def _build_modulator(sec: Section, sections, config_dir: str):
     """Spec: the loop config, the input trace, and the DC level or the
     tone's cycle count (the other is None)."""
-    sec.reject_unknown(_MOD_KEYS)
     n = sec.get_int("n", 16384)
     if n < 16 or n & (n - 1):
         raise sec.error("n must be a power of two, at least 16")
@@ -389,8 +369,7 @@ def _build_modulator(sec: Section, sections, config_dir: str):
     if backend != "flux-device" and "device" in sections:
         raise sections["device"].error(
             "[device] section only applies to the flux-device backend")
-    comp = make_comparator(side=sec.get_float("side", 200e-6),
-                           i_bias=sec.get_float("i_bias", 9.371e-3))
+    comp = _comparator(sec)
     full_scale = None
     if sec.has("full_scale"):
         full_scale = sec.get_float("full_scale")
@@ -404,12 +383,10 @@ def _build_modulator(sec: Section, sections, config_dir: str):
         dev = sections.get("device")
         if dev is None:
             raise sec.error("flux-device backend needs a [device] section")
-        dev.reject_unknown({"radius", "n_segments", "n_eff", "schedule"})
         geometry, schedule = _geometry_and_schedule(dev, config_dir)
     input_noise = None
     noise_sec = sections.get("input-noise")
     if noise_sec is not None:
-        noise_sec.reject_unknown(_INPUT_NOISE_KEYS)
         input_noise = _noise_model(noise_sec)
     order = sec.get_int("order", 2)
     if order != 2 and not (sec.has("a") and sec.has("c")):
@@ -468,13 +445,8 @@ def _run_modulator(cfg: ScenarioConfig):
 
 # ---------------------------------------------------------- comparator
 
-_COMP_KEYS = {"side", "i_bias", "b_start", "b_stop", "points"}
-
-
 def _build_comparator(sec: Section, sections, config_dir: str):
-    sec.reject_unknown(_COMP_KEYS)
-    comp = make_comparator(side=sec.get_float("side", 200e-6),
-                           i_bias=sec.get_float("i_bias", 9.371e-3))
+    comp = _comparator(sec)
     points = sec.get_int("points", 513)
     if points < 2:
         raise sec.error("points must be at least 2")
@@ -510,6 +482,8 @@ _KINDS = {
 }
 
 SCENARIO_KINDS = tuple(_KINDS)
+# kind -> its section, which also names its CLI subcommand
+KIND_SECTIONS = {kind: entry[0] for kind, entry in _KINDS.items()}
 
 
 def run_scenario(cfg: ScenarioConfig,

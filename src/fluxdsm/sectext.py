@@ -37,6 +37,8 @@ class Entry:
     key: str
     value: str
     line: int
+    # set once a get_* call has returned the value
+    read: bool = False
 
 
 @dataclass
@@ -72,11 +74,13 @@ class Section:
                     f"section [{self.name}] is missing required key '{key}'")
             return default
         try:
-            return convert(e.value)
+            value = convert(e.value)
         except ValueError:
             raise ConfigError(
                 f"key '{key}' expects {expects}, got '{e.value}'",
                 line=e.line, path=self.path) from None
+        e.read = True
+        return value
 
     def get_str(self, key, default=None):
         return self._get(key, default, str, "text")
@@ -87,10 +91,11 @@ class Section:
     def get_int(self, key, default=None):
         return self._get(key, default, lambda v: int(v, 0), "an integer")
 
-    def reject_unknown(self, allowed):
-        """Raise UnknownKeyError for any key not in allowed."""
+    def reject_unread(self):
+        """Raise UnknownKeyError at the first entry that no get_* call
+        has returned; has() alone does not count as a read."""
         for e in self.entries:
-            if e.key not in allowed:
+            if not e.read:
                 raise UnknownKeyError(
                     f"unknown key '{e.key}' in section [{self.name}]",
                     line=e.line, path=self.path)

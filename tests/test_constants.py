@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -34,10 +35,11 @@ def test_phi0_derived_from_custom_constants():
     assert custom.phi0 == pytest.approx(2.0 * flux_quantum(), rel=1e-15)
 
 
+@pytest.mark.parametrize("bad", [0.0, math.nan])
 @pytest.mark.parametrize("field", ["h", "e", "mu0", "kB"])
-def test_nonpositive_rejected(field):
+def test_nonpositive_rejected(field, bad):
     values = {"h": CODATA.h, "e": CODATA.e, "mu0": CODATA.mu0,
               "kB": CODATA.kB}
-    values[field] = 0.0
+    values[field] = bad
     with pytest.raises(DomainError):
         PhysicalConstants(**values)

@@ -53,6 +53,12 @@ def test_slab_config_validation():
         SlabConfig(d=1e-3, material=m, B0=1.0, omega=-1.0)
     with pytest.raises(DomainError, match="temperature"):
         SlabConfig(d=1e-3, material=m, B0=1.0, omega=0.0, T=-0.5)
+    with pytest.raises(DomainError, match="half-thickness"):
+        SlabConfig(d=math.nan, material=m, B0=1.0, omega=1e3)
+    with pytest.raises(DomainError, match="omega"):
+        SlabConfig(d=1e-3, material=m, B0=1.0, omega=math.nan)
+    with pytest.raises(DomainError, match="temperature"):
+        SlabConfig(d=1e-3, material=m, B0=1.0, omega=0.0, T=math.nan)
 
 
 def test_grid_outside_slab_rejected():

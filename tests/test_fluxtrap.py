@@ -405,3 +405,9 @@ def test_settle_time_validation():
         settle_time_device(0.0, 32, 3e-10)
     with pytest.raises(DomainError):
         settle_time_device(1e-10, -1, 3e-10)
+    with pytest.raises(DomainError, match="tau"):
+        settle_time_classical(4, math.nan)
+    with pytest.raises(DomainError, match="time constants"):
+        settle_time_device(math.nan, 4, 3e-10)
+    with pytest.raises(DomainError, match="time constants"):
+        settle_time_device(1e-10, 4, math.nan)

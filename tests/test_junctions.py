@@ -46,6 +46,16 @@ def test_junction_config_validation():
         JunctionConfig(delta=1.0, T=1.0, d=0.0, Z=-1.0)
     with pytest.raises(DomainError, match="area"):
         JunctionConfig(delta=1.0, T=1.0, d=0.0, area=0.0)
+    with pytest.raises(DomainError, match="gap"):
+        JunctionConfig(delta=math.nan, T=1.0, d=0.0)
+    with pytest.raises(DomainError, match="temperature"):
+        JunctionConfig(delta=1.0, T=math.nan, d=0.0)
+    with pytest.raises(DomainError, match="thickness"):
+        JunctionConfig(delta=1.0, T=1.0, d=math.nan)
+    with pytest.raises(DomainError, match="barrier"):
+        JunctionConfig(delta=1.0, T=1.0, d=0.0, Z=math.nan)
+    with pytest.raises(DomainError, match="area"):
+        JunctionConfig(delta=1.0, T=1.0, d=0.0, area=math.nan)
     # zero thickness is a legal tunnel junction
     JunctionConfig(delta=1.0, T=1.0, d=0.0)
 
@@ -198,6 +208,10 @@ def test_n_coherence_length_frozen():
         n_coherence_length(0.0, 4.2)
     with pytest.raises(DomainError):
         n_coherence_length(LEAD.vF, 0.0)
+    with pytest.raises(DomainError, match="Fermi velocity"):
+        n_coherence_length(math.nan, 4.2)
+    with pytest.raises(DomainError, match="temperature"):
+        n_coherence_length(LEAD.vF, math.nan)
 
 
 def _sns_cfg(d=1e-7, r_sheet=10.0):

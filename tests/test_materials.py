@@ -102,6 +102,13 @@ def _material_kwargs(**overrides):
     dict(vF=0.0),
     dict(sigma_n=0.0),
     dict(tau_s=-1e-12),
+    dict(Tc=math.nan),
+    dict(lambda_l=math.nan),
+    dict(delta=math.nan),
+    dict(vF=math.nan),
+    dict(sigma_n=math.nan),
+    dict(tau_s=math.nan),
+    dict(Hc0=math.nan),
     dict(Hc0=0.0),
 ])
 def test_material_validation(bad):
@@ -115,4 +122,7 @@ def test_type_ii_field_ordering():
         Material(**kwargs)
     with pytest.raises(DomainError, match="needs Hc1_0 and Hc2_0"):
         Material(**_material_kwargs(kind="type-II", Hc0=0.0, Hc1_0=2.0))
+    with pytest.raises(DomainError, match="needs Hc1_0 and Hc2_0"):
+        Material(**_material_kwargs(kind="type-II", Hc0=0.0, Hc1_0=1.0,
+                                    Hc2_0=math.nan))
 

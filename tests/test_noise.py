@@ -28,6 +28,10 @@ MODEL = NoiseModel(R0=1.0, tau1=2.0, tau2=2e4, kprime=1.0, seed=42)
     dict(kprime=-1.0),
     dict(dof_coupled=0),
     dict(dof_coupled=4),
+    dict(R0=math.nan),
+    dict(tau1=math.nan),
+    dict(tau2=math.nan),
+    dict(kprime=math.nan),
 ])
 def test_noise_model_validation(bad):
     kwargs = dict(R0=1.0, tau1=2.0, tau2=2e4, kprime=1.0)

@@ -100,11 +100,6 @@ JUNCTION_LOAD_REJECTIONS = [
      "form 3 needs a positive"),
     (SNS_BODY, SNS_BODY.replace("material = lead", "delta = 2e-22"),
      "SNS prefactor needs a material"),
-    # keys of the other mode
-    (NIS_BODY, NIS_BODY + "form = 4\nphi_points = 0\n",
-     "key 'form' does not apply to nis mode"),
-    (SNS_BODY, SNS_BODY + "v_start = 9\nv_stop = 1\npoints = -3\n",
-     "key 'v_start' does not apply to sns mode"),
 ]
 JUNCTION_LOAD_MESSAGES = {bad: msg for _, bad, msg in JUNCTION_LOAD_REJECTIONS}
 
@@ -116,6 +111,29 @@ radius = 0.02
 n_segments = 4
 """
 MOD_TONE_BODY = MOD_DC_BODY.replace("dc = 0.25", "tone_cycles = 3")
+
+# (kind, subcommand, good body, body with a key the builder does not
+# read, "line: key" of that key); the bodies start on line 5
+UNREAD_KEY_REJECTIONS = [
+    # keys of the other junction mode
+    ("junction-iv", "junction", NIS_BODY,
+     NIS_BODY + "form = 4\nphi_points = 0\n", "13: unknown key 'form'"),
+    ("junction-iv", "junction", SNS_BODY,
+     SNS_BODY + "v_start = 9\nv_stop = 1\npoints = -3\n",
+     "11: unknown key 'v_start'"),
+    # modulator keys that no code read for the choices the section makes
+    ("modulator-run", "modulator", MOD_DC_BODY,
+     MOD_DC_BODY + "schedule = doubling\n", "8: unknown key 'schedule'"),
+    ("modulator-run", "modulator", MOD_DC_BODY,
+     MOD_DC_BODY + "amplitude_dbfs = -40\n",
+     "8: unknown key 'amplitude_dbfs'"),
+    ("modulator-run", "modulator", MOD_DC_BODY,
+     MOD_DC_BODY + "full_scale = 1e-6\ninput_coil_n = 1e4\n"
+     "input_coil_imax = 1e-3\n", "9: unknown key 'input_coil_n'"),
+    ("modulator-run", "modulator", MOD_DC_BODY,
+     MOD_DC_BODY + "input_coil_imax = 1e-3\n",
+     "8: unknown key 'input_coil_imax'"),
+]
 
 
 def _write(tmp_path, name, text):
@@ -168,6 +186,15 @@ def test_parse_unknown_top_level_key():
     with pytest.raises(UnknownKeyError, match="unknown key 'color'") as err:
         parse_scenario(text)
     assert err.value.exit_code == 3
+
+
+def test_bad_value_reported_before_unread_key():
+    text = _scenario("comparator-curve",
+                     COMP_BODY.replace("points = 7", "points = 1")
+                     + "sides = 4\n")
+    with pytest.raises(ConfigError, match="points must be at least 2") as err:
+        parse_scenario(text)
+    assert err.value.exit_code == 4
 
 
 # ---------------------------------------------------------- validators
@@ -580,6 +607,22 @@ def test_cli_load_rejection_writes_nothing(tmp_path, capsys, kind, sub, good,
         err = capsys.readouterr().err
         assert re.search(JUNCTION_LOAD_MESSAGES[bad], err)
         assert "bad.cfg:5:" in err
+
+
+@pytest.mark.parametrize("kind,sub,good,bad,where", UNREAD_KEY_REJECTIONS,
+                         ids=["nis-form", "sns-v_start", "schedule",
+                              "amplitude_dbfs-with-dc",
+                              "input_coil-with-full_scale",
+                              "input_coil_imax-alone"])
+def test_cli_unread_key_exit_3(tmp_path, capsys, kind, sub, good, bad,
+                               where):
+    ok_path = _write(tmp_path, "ok.cfg", _scenario(kind, good))
+    bad_path = _write(tmp_path, "bad.cfg", _scenario(kind, bad))
+    out = tmp_path / "out"
+    assert main([sub, "--config", ok_path, "--config", bad_path,
+                 "--out", str(out)]) == 3
+    assert not out.exists()
+    assert f"bad.cfg:{where}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind,sub,body,where", [

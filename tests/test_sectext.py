@@ -76,12 +76,16 @@ def test_syntax_errors(text, fragment, line):
     assert err.value.exit_code == 2
 
 
-def test_reject_unknown():
+def test_reject_unread():
     sec = _by_name("[s]\ngood = 1\nbad = 2\n")["s"]
+    assert sec.get_int("good") == 1
+    assert sec.has("bad")  # has() is not a read
     with pytest.raises(UnknownKeyError, match="unknown key 'bad'") as err:
-        sec.reject_unknown({"good"})
+        sec.reject_unread()
     assert err.value.line == 3
     assert err.value.exit_code == 3
+    sec.get_str("bad")
+    sec.reject_unread()
 
 
 def test_path_prefixes_messages():

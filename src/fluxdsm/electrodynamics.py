@@ -70,7 +70,8 @@ def _check_grid(x, d):
 
 def skin_depth(omega: float, sigma: float) -> float:
     """Normal-metal skin depth sqrt(2/(omega*mu0*sigma)) in metres."""
-    if omega <= 0 or sigma <= 0:
+    # `not x > 0` here and below, so that nan fails the checks too
+    if not (omega > 0 and sigma > 0):
         raise DomainError("skin depth needs omega, sigma > 0")
     return math.sqrt(2.0 / (omega * CODATA.mu0 * sigma))
 
@@ -172,7 +173,7 @@ def solenoid_field(turns_per_length: float, current: float) -> float:
 def square_loop_center_field(side: float, i_diff_half: float) -> float:
     """Center field of a square loop of side L carrying the comparator
     half-difference current, B = 2*sqrt(2)*mu0*I / (pi*L)."""
-    if side <= 0:
+    if not side > 0:
         raise DomainError("loop side must be positive")
     return 2.0 * math.sqrt(2.0) * CODATA.mu0 * i_diff_half / (math.pi * side)
 
@@ -181,14 +182,14 @@ def square_loop_current_for_field(side: float, b_center: float) -> float:
     """Half-difference current that puts b_center at the middle of a
     square loop, I = pi*L*B / (2*sqrt(2)*mu0), elementwise for an array
     of fields. Inverse of square_loop_center_field."""
-    if side <= 0:
+    if not side > 0:
         raise DomainError("loop side must be positive")
     return math.pi * side * b_center / (2.0 * math.sqrt(2.0) * CODATA.mu0)
 
 
 def circular_loop_center_field(radius: float, current: float) -> float:
     """Center field of a circular loop, B = mu0 * I / (2 R)."""
-    if radius <= 0:
+    if not radius > 0:
         raise DomainError("loop radius must be positive")
     return CODATA.mu0 * current / (2.0 * radius)
 
@@ -196,7 +197,7 @@ def circular_loop_center_field(radius: float, current: float) -> float:
 def circular_loop_current_for_field(radius: float, b_center: float) -> float:
     """Loop current that produces b_center at the middle of a circular
     loop, I = 2 R B / mu0."""
-    if radius <= 0:
+    if not radius > 0:
         raise DomainError("loop radius must be positive")
     return 2.0 * radius * b_center / CODATA.mu0
 
@@ -230,7 +231,7 @@ def crank_nicolson_diffusion(d: float, sigma: float, omega: float,
     the defaults resolve a slab a few skin depths thick to better than
     1e-3 relative.
     """
-    if d <= 0 or sigma <= 0 or omega <= 0 or npoints < 5:
+    if not (d > 0 and sigma > 0 and omega > 0) or npoints < 5:
         raise DomainError("need d, sigma, omega > 0 and npoints >= 5")
     x = np.linspace(-d, d, npoints)
     dx = x[1] - x[0]

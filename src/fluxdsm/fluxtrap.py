@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from .constants import CODATA
 from .errors import DomainError, FluxLossError
 from .materials import Material, check_superconducting
-from .sectext import ConfigSyntaxError, read_config
+from .sectext import ConfigSyntaxError, content_lines, read_config
 
 LN2 = math.log(2.0)
 
@@ -112,38 +112,11 @@ class FluxTrapState:
             "N" if s in self.energized else "S" for s in self.geometry.segments)
 
 
-def round_half_even_quanta(flux_ratio: float) -> int:
-    """Round a flux ratio B*A/phi0 to integer quanta, ties to even."""
-    return int(round(flux_ratio))
-
-
 def ring_current(quanta: int, geometry: CylinderGeometry) -> float:
     """Supercurrent supporting `quanta` flux quanta through the bore:
     I = B_trapped / (mu0 * n_eff) with B_trapped = quanta*phi0/area."""
     b_trapped = quanta * CODATA.phi0 / geometry.area
     return b_trapped / (CODATA.mu0 * geometry.n_eff)
-
-
-def trap_flux(geometry: CylinderGeometry, b_ext: float,
-              material: Material | None = None,
-              T: float = 0.0) -> FluxTrapState:
-    """Cool the whole cylinder through Tc in a field, then remove it.
-
-    All segments end superconducting and a single ring spanning the
-    full stack carries the current that supports the quantized flux:
-    quanta = round_half_even(b_ext * area / phi0).
-
-    When a material is given, b_ext must stay below its critical flux
-    density at temperature T or PhaseViolationError is raised.
-    """
-    if material is not None:
-        check_superconducting(material, T, b_ext, "B_ext")
-    quanta = round_half_even_quanta(b_ext * geometry.area / CODATA.phi0)
-    ring = Ring(span=frozenset(geometry.segments),
-                current=ring_current(quanta, geometry),
-                quanta=quanta)
-    return FluxTrapState(geometry=geometry, energized=frozenset(),
-                         rings=(ring,))
 
 
 def _contract_rings(rings, segment):
@@ -271,7 +244,7 @@ def iterate_sequence(geometry: CylinderGeometry, b_in: float, schedule,
     Trapping semantics: a segment pins flux only if it went
     superconducting while the input field was on; when the field is
     switched off, every contiguous run of such segments becomes one
-    ring holding round_half_even(b_in * area / phi0) quanta. Segments
+    ring holding round(b_in * area / phi0) quanta, ties to even. Segments
     that were already superconducting before the field came up screen
     the field instead and trap nothing.
     """
@@ -280,8 +253,7 @@ def iterate_sequence(geometry: CylinderGeometry, b_in: float, schedule,
     state = FluxTrapState(geometry=geometry)
     field_on = False
     armed = set()
-    quanta_each = round_half_even_quanta(
-        b_in * geometry.area / CODATA.phi0)
+    quanta_each = round(b_in * geometry.area / CODATA.phi0)
     for index, step in enumerate(schedule):
         if isinstance(step, FieldStep):
             if step.on and not field_on:
@@ -345,7 +317,7 @@ def run_amplification_sequence(geometry: CylinderGeometry, b_in: float,
 
     Returns (final_state, gain) where gain is the number of independent
     rings left circulating. The amplified flux available to the readout
-    is gain * round_half_even(b_in * area / phi0) quanta; with every
+    is gain * round(b_in * area / phi0) quanta; with every
     ring trapping the same input field those two bookkeepings agree.
     """
     state = FluxTrapState(geometry=geometry)
@@ -355,16 +327,35 @@ def run_amplification_sequence(geometry: CylinderGeometry, b_in: float,
     return state, len(state.rings)
 
 
+# field cooling: the whole cylinder goes through Tc in the field
+_FIELD_COOLING = (EcoilStep(None, True), FieldStep(True),
+                  EcoilStep(None, False), FieldStep(False))
+
+
+def trap_flux(geometry: CylinderGeometry, b_ext: float,
+              material: Material | None = None,
+              T: float = 0.0) -> FluxTrapState:
+    """Cool the whole cylinder through Tc in a field, then remove it.
+
+    All segments end superconducting and a single ring spanning the
+    full stack carries the current that supports the quantized flux:
+    quanta = round(b_ext * area / phi0), ties to even. This is the
+    schedule _FIELD_COOLING run by run_amplification_sequence.
+
+    When a material is given, b_ext must stay below its critical flux
+    density at temperature T or PhaseViolationError is raised.
+    """
+    return run_amplification_sequence(geometry, b_ext, _FIELD_COOLING,
+                                      material, T)[0]
+
+
 # --- schedule text format -------------------------------------------
 
 def parse_schedule(text, path=None):
     """Parse the schedule text format: one step per line,
     'ecoil <label|*> on|off' or 'field on|off'; '#' comments allowed."""
     steps = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         parts = line.split()
         if parts[0] == "field" and len(parts) == 2 and parts[1] in ("on", "off"):
             steps.append(FieldStep(parts[1] == "on"))

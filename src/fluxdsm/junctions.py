@@ -89,9 +89,10 @@ def coherence_factors(eps, delta):
     """
     scalar = np.isscalar(eps)
     eps = np.atleast_1d(np.asarray(eps, dtype=float))
-    if np.any(eps <= 0):
+    # written as `not x > 0` so that nan fails the checks too
+    if not np.all(eps > 0):
         raise DomainError("quasiparticle energy must be positive")
-    if delta < 0:
+    if not delta >= 0:
         raise DomainError("gap must be non-negative")
     ratio = np.empty_like(eps, dtype=complex)
     above = eps >= delta
@@ -147,9 +148,10 @@ def btk_probabilities(eps, delta, Z):
     """
     scalar = np.isscalar(eps)
     eps = np.atleast_1d(np.asarray(eps, dtype=float))
-    if np.any(eps < 0):
+    # written as `not x >= 0` so that nan fails the checks too
+    if not np.all(eps >= 0):
         raise DomainError("energy must be non-negative")
-    if Z < 0:
+    if not Z >= 0:
         raise DomainError("barrier strength Z must be non-negative")
     a = np.empty_like(eps)
     b = np.empty_like(eps)

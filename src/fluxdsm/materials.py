@@ -82,7 +82,8 @@ def critical_field(material: Material, T: float, which: str = "auto") -> float:
     'thermodynamic' for type-I and 'lower' for type-II. Above Tc the
     material is normal and the critical field is 0 by convention.
     """
-    if T < 0:
+    # written as `not T >= 0` so that nan fails the check too
+    if not T >= 0:
         raise DomainError("temperature must be non-negative")
     if which == "auto":
         which = "thermodynamic" if material.kind == TYPE_I else "lower"
@@ -103,10 +104,10 @@ def critical_field(material: Material, T: float, which: str = "auto") -> float:
     return h0 * (1.0 - (T / material.Tc) ** 2)
 
 
-def critical_flux_density(material: Material, T: float,
-                          which: str = "auto") -> float:
-    """mu0 * H_c(T) in tesla, for comparisons against applied B fields."""
-    return CODATA.mu0 * critical_field(material, T, which)
+def critical_flux_density(material: Material, T: float) -> float:
+    """mu0 * H_c(T) in tesla of the 'auto' anchor, for comparisons
+    against applied B fields."""
+    return CODATA.mu0 * critical_field(material, T)
 
 
 def check_superconducting(material: Material, T: float, b: float,

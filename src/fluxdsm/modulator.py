@@ -40,6 +40,8 @@ BACKENDS = ("ideal", "flux-device")
 # step, for the settle-time warning of a flux-device config
 TAU_COOPER = 1e-10
 TAU_ECOIL = 3e-10
+# bins on each side of the tone bin that count as signal power in SNDR
+SIGNAL_GUARD_BINS = 3
 
 
 def _default_comparator() -> ComparatorConfig:
@@ -202,8 +204,8 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
 
     for k in range(n):
         if device:
-            # round() of a float is the ties-to-even int of
-            # fluxtrap.round_half_even_quanta
+            # round() of a float is the ties-to-even int, as in
+            # fluxtrap's trapping
             acc += device_gain * round(err * quanta_per_unit)
             x0 = acc * c0_gain / quanta_per_unit
         else:
@@ -268,11 +270,11 @@ def output_power_spectrum(trace: TraceSet):
     return power_spectrum(trace.codes.astype(float), trace.config.fs)
 
 
-def sndr_from_series(x, osr: int, signal_cycles: int,
-                     guard: int = 3) -> float:
+def sndr_from_series(x, osr: int, signal_cycles: int) -> float:
     """In-band signal to noise-and-distortion ratio of a series, in dB.
 
-    Signal power is the +-guard bins around the tone bin; noise is
+    Signal power is the +-SIGNAL_GUARD_BINS bins around the tone bin;
+    noise is
     everything else inside the band edge n/(2 osr), skipping the first
     three bins where the window parks any DC content.
     """
@@ -283,8 +285,8 @@ def sndr_from_series(x, osr: int, signal_cycles: int,
     band_edge = n // (2 * osr)
     if not 0 < k0 <= band_edge:
         raise ConfigError("signal bin outside the modulator band")
-    lo = max(k0 - guard, 0)
-    hi = min(k0 + guard, len(power) - 1)
+    lo = max(k0 - SIGNAL_GUARD_BINS, 0)
+    hi = min(k0 + SIGNAL_GUARD_BINS, len(power) - 1)
     p_sig = float(np.sum(power[lo:hi + 1]))
     noise_bins = [k for k in range(3, band_edge + 1) if not lo <= k <= hi]
     p_noise = float(np.sum(power[noise_bins]))
@@ -296,10 +298,10 @@ def sndr_from_series(x, osr: int, signal_cycles: int,
     return 10.0 * math.log10(p_sig / p_noise)
 
 
-def sndr_db(trace: TraceSet, signal_cycles: int, guard: int = 3) -> float:
+def sndr_db(trace: TraceSet, signal_cycles: int) -> float:
     """SNDR of a modulator run's code stream."""
     return sndr_from_series(trace.codes.astype(float), trace.config.osr,
-                            signal_cycles, guard)
+                            signal_cycles)
 
 
 def theoretical_sqnr(order: int, osr: int, bits: float) -> float:
@@ -320,13 +322,8 @@ def theoretical_sqnr(order: int, osr: int, bits: float) -> float:
             + (two_l + 1) * 10.0 * math.log10(osr))
 
 
-def dc_tracking_mean(trace: TraceSet, discard: Optional[int] = None) -> float:
+def dc_tracking_mean(trace: TraceSet) -> float:
     """Mean decoded output over the trace tail, in normalized units.
-    Discards the first quarter by default to let the loop settle."""
-    n = trace.codes.size
-    if discard is None:
-        discard = n // 4
-    if not 0 <= discard < n:
-        raise DomainError("discard must leave at least one sample")
+    The first quarter is dropped to let the loop settle."""
     lsb_n = trace.config.comparator.b_lsb / trace.config.full_scale_field
-    return float(np.mean(trace.codes[discard:])) * lsb_n
+    return float(np.mean(trace.codes[trace.codes.size // 4:])) * lsb_n

@@ -103,9 +103,10 @@ def check_synthesis_limits(model: NoiseModel, n: int, fs: float) -> float:
     width in decades."""
     if n < 4096:
         raise DomainError("need n >= 4096 samples")
-    if fs <= 0:
+    # written as `not x > 0` so that nan fails the checks too
+    if not fs > 0:
         raise DomainError("sample rate must be positive")
-    if fs * model.tau2 <= 10:
+    if not fs * model.tau2 > 10:
         raise DomainError("fs * tau2 must exceed 10")
     decades = math.log10(model.tau2 / model.tau1)
     if decades < 1.0:

@@ -27,7 +27,7 @@ from .electrodynamics import (PROFILE_CSV_HEADER, SlabConfig,
                               square_loop_current_for_field,
                               super_slab_profile)
 from .errors import ConfigError, DomainError, UsageError
-from .fluxtrap import (CylinderGeometry, FieldStep,
+from .fluxtrap import (CylinderGeometry, EcoilStep, FieldStep,
                        default_amplification_schedule,
                        doubling_amplification_schedule, iterate_sequence,
                        load_schedule)
@@ -55,8 +55,8 @@ class ScenarioConfig:
 
 
 def parse_scenario(text: str, path: Optional[str] = None) -> ScenarioConfig:
-    """Parse and fully validate a scenario config. Unknown sections, and
-    keys that the kind's builder did not read, are rejected with
+    """Parse and fully validate a scenario config. Sections and keys
+    that the kind's builder did not read are rejected with
     line-anchored messages."""
     sections = {sec.name: sec for sec in parse_sections(text, path=path)}
     if "scenario" not in sections:
@@ -73,14 +73,6 @@ def parse_scenario(text: str, path: Optional[str] = None) -> ScenarioConfig:
     if needed not in sections:
         raise ConfigError(f"scenario kind {kind!r} needs a [{needed}] "
                           f"section", path=path)
-    allowed_sections = {"scenario", needed}
-    if kind == "modulator-run":
-        allowed_sections |= {"input-noise", "device"}
-    for name, sec in sections.items():
-        if name not in allowed_sections:
-            raise ConfigError(
-                f"section [{name}] does not belong to a {kind} scenario",
-                path=path, line=sec.line)
     sec = sections[needed]
     config_dir = os.path.dirname(os.path.abspath(path)) if path else "."
     try:
@@ -91,7 +83,14 @@ def parse_scenario(text: str, path: Optional[str] = None) -> ScenarioConfig:
         if getattr(exc, "line", None) is not None:
             raise
         raise sec.error(str(exc)) from exc
-    # a key is known when the builder read it for the choices it made
+    # a section, and a key, belongs when the builder read it for the
+    # choices it made
+    for name, section in sections.items():
+        if name not in ("scenario", needed) and not any(
+                e.read for e in section.entries):
+            raise ConfigError(
+                f"section [{name}] does not belong to a {kind} scenario",
+                path=path, line=section.line)
     for section in sections.values():
         section.reject_unread()
     return ScenarioConfig(kind=kind, seed=seed, output_dir=output_dir,
@@ -198,14 +197,22 @@ def _geometry_and_schedule(sec: Section, config_dir: str):
                             n_eff=sec.get_float("n_eff", 1.0))
     name = sec.get_str("schedule", "default")
     if name == "doubling":
-        return geom, doubling_amplification_schedule()
-    if name == "default":
-        return geom, default_amplification_schedule(geom.n_segments)
-    try:
-        return geom, load_schedule(os.path.join(config_dir, name))
-    except OSError as exc:
-        raise sec.error(f"cannot read schedule file {name!r}: "
-                        f"{exc.strerror}") from exc
+        schedule = doubling_amplification_schedule()
+    elif name == "default":
+        schedule = default_amplification_schedule(geom.n_segments)
+    else:
+        try:
+            schedule = load_schedule(os.path.join(config_dir, name))
+        except OSError as exc:
+            raise sec.error(f"cannot read schedule file {name!r}: "
+                            f"{exc.strerror}") from exc
+    for index, step in enumerate(schedule):
+        if isinstance(step, EcoilStep) and step.segment is not None \
+                and step.segment > geom.n_segments:
+            raise sec.error(
+                f"schedule {name!r} step {index} switches coil "
+                f"{step.segment}, outside 1..{geom.n_segments}")
+    return geom, schedule
 
 
 def _build_device(sec: Section, sections, config_dir: str):
@@ -241,18 +248,17 @@ def _run_device(cfg: ScenarioConfig):
 
 def _build_junction(sec: Section, sections, config_dir: str):
     """Each mode reads its own keys, so a key of the other mode is left
-    unread and rejected."""
+    unread and rejected. Only nis reads delta; sns takes the
+    material's gap."""
     mode = sec.get_str("mode")
     if mode not in ("nis", "sns"):
         raise sec.error("mode must be nis or sns")
-    if sec.has("material"):
-        material = get_material(sec.get_str("material"))
-        delta = sec.get_float("delta", material.delta)
-    else:
-        material = None
-        delta = sec.get_float("delta")
+    material = get_material(sec.get_str("material")) \
+        if sec.has("material") else None
     T = sec.get_float("t")
     if mode == "nis":
+        delta = sec.get_float(
+            "delta", material.delta if material is not None else None)
         jc = JunctionConfig(delta=delta, T=T, d=0.0,
                             Z=sec.get_float("z", 0.0),
                             prefactor=sec.get_float("prefactor", 1.0),
@@ -266,8 +272,10 @@ def _build_junction(sec: Section, sections, config_dir: str):
         if points < 2:
             raise sec.error("points must be at least 2")
         return jc, mode, np.linspace(v_start, v_stop, points), None
+    # without a material, sns_prefactor below names the missing one
     jc = JunctionConfig(
-        delta=delta, T=T, d=sec.get_float("d", 0.0),
+        delta=material.delta if material is not None else 0.0,
+        T=T, d=sec.get_float("d", 0.0),
         area=sec.get_float("area", 1e-12), material=material,
         r_sheet=sec.get_float("r_sheet") if sec.has("r_sheet") else None)
     if jc.d <= 0:
@@ -366,9 +374,6 @@ def _build_modulator(sec: Section, sections, config_dir: str):
     if sec.has("dc") and abs(sec.get_float("dc")) > 1.0:
         raise sec.error("dc level must lie in [-1, 1]")
     backend = sec.get_str("backend", "ideal")
-    if backend != "flux-device" and "device" in sections:
-        raise sections["device"].error(
-            "[device] section only applies to the flux-device backend")
     comp = _comparator(sec)
     full_scale = None
     if sec.has("full_scale"):

@@ -4,9 +4,11 @@ The format is deliberately tiny:
 
     # comment
     [section]
-    key = value
+    key = value   # comment
 
-Blank lines and '#' comments are ignored. Keys are lowercase
+'#' starts a comment that runs to the end of the line, and blank
+lines are ignored; content_lines applies that rule to config and
+schedule files alike. Keys are lowercase
 identifiers. Every entry must live inside a section. Errors carry the
 1-based line number they were found on so the CLI can print
 "file:line: message" and callers can distinguish syntax problems from
@@ -101,20 +103,27 @@ class Section:
                     line=e.line, path=self.path)
 
 
+def content_lines(text):
+    """(line number, content) of each line of text that holds more
+    than a comment: '#' starts a comment that runs to the end of the
+    line, and surrounding whitespace is dropped. Numbers are 1-based."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_sections(text, path=None):
     """Parse config text into an ordered list of Section objects."""
     sections = []
     seen = {}
     current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(text):
         if line.startswith("["):
             m = _SECTION_RE.match(line)
             if m is None:
                 raise ConfigSyntaxError(
-                    f"malformed section header '{raw.strip()}'",
+                    f"malformed section header '{line}'",
                     line=lineno, path=path)
             name = m.group(1)
             if name in seen:
@@ -127,7 +136,7 @@ def parse_sections(text, path=None):
             continue
         if "=" not in line:
             raise ConfigSyntaxError(
-                f"expected 'key = value', got '{raw.strip()}'",
+                f"expected 'key = value', got '{line}'",
                 line=lineno, path=path)
         if current is None:
             raise ConfigSyntaxError(

@@ -43,6 +43,8 @@ def test_skin_depth_rejects_nonpositive():
         skin_depth(0.0, 5.8e7)
     with pytest.raises(DomainError):
         skin_depth(1e3, -1.0)
+    with pytest.raises(DomainError):
+        skin_depth(math.nan, 5.8e7)
 
 
 def test_slab_config_validation():
@@ -107,6 +109,8 @@ def test_crank_nicolson_rejects_bad_args():
         crank_nicolson_diffusion(1e-3, 5.8e7, 0.0)
     with pytest.raises(DomainError):
         crank_nicolson_diffusion(1e-3, 5.8e7, 1e3, npoints=3)
+    with pytest.raises(DomainError):
+        crank_nicolson_diffusion(math.nan, 5.8e7, 1e3)
 
 
 def test_super_slab_center_screening():
@@ -210,12 +214,10 @@ def test_circular_loop_frozen_current():
         2.07e-15, rel=1e-12)
 
 
-def test_loop_helpers_reject_nonpositive_size():
+@pytest.mark.parametrize("fn", [
+    square_loop_center_field, square_loop_current_for_field,
+    circular_loop_center_field, circular_loop_current_for_field])
+@pytest.mark.parametrize("size", [0.0, -1e-6, math.nan])
+def test_loop_helpers_reject_nonpositive_size(fn, size):
     with pytest.raises(DomainError):
-        square_loop_center_field(0.0, 1.0)
-    with pytest.raises(DomainError):
-        square_loop_current_for_field(-1e-6, 1.0)
-    with pytest.raises(DomainError):
-        circular_loop_center_field(0.0, 1.0)
-    with pytest.raises(DomainError):
-        circular_loop_current_for_field(-1.0, 1.0)
+        fn(size, 1.0)

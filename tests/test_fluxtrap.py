@@ -26,7 +26,6 @@ from fluxdsm.fluxtrap import (
     load_schedule,
     parse_schedule,
     ring_current,
-    round_half_even_quanta,
     run_amplification_sequence,
     set_ecoil,
     settle_time_classical,
@@ -63,12 +62,34 @@ def test_ring_validation():
         Ring(span=frozenset({1, 3}), current=0.0, quanta=0)
 
 
+def _exact_ratio_case(ratio):
+    """A 4-segment geometry and a field b whose flux ratio
+    b * area / phi0 is exactly ratio. Some products skip the ratio for
+    every b, so the radius is stepped too, one float at a time. (No
+    quotient by phi0 rounds to 3.5 or -3.5, so those are not tested.)"""
+    radius = 0.02
+    for _ in range(64):
+        geometry = CylinderGeometry(radius=radius, n_segments=4, n_eff=4)
+        b = ratio * CODATA.phi0 / geometry.area
+        for _ in range(8):
+            got = b * geometry.area / CODATA.phi0
+            if got == ratio:
+                return geometry, b
+            b = math.nextafter(b, math.inf if got < ratio else -math.inf)
+        radius = math.nextafter(radius, 1.0)
+    raise AssertionError(f"no field gives the flux ratio {ratio} exactly")
+
+
 @pytest.mark.parametrize("ratio,quanta", [
-    (0.4, 0), (0.5, 0), (0.6, 1), (1.5, 2), (2.5, 2), (3.5, 4),
-    (-0.5, 0), (-1.5, -2), (61.0, 61),
+    (0.5, 0), (1.5, 2), (2.5, 2), (4.5, 4), (5.5, 6), (60.5, 60),
+    (61.5, 62), (-0.5, 0), (-1.5, -2), (-2.5, -2), (-5.5, -6),
 ])
-def test_round_half_even(ratio, quanta):
-    assert round_half_even_quanta(ratio) == quanta
+def test_trap_flux_rounds_half_to_even(ratio, quanta):
+    geometry, b = _exact_ratio_case(ratio)
+    assert b * geometry.area / CODATA.phi0 == ratio
+    state = trap_flux(geometry, b)
+    assert state.trapped_flux_total == quanta
+    assert state.rings[0].current == ring_current(quanta, geometry)
 
 
 def test_ring_current_formula():

@@ -87,6 +87,10 @@ def test_coherence_array_and_validation():
         coherence_factors(0.0, 1.0)
     with pytest.raises(DomainError, match="gap"):
         coherence_factors(1.0, -1.0)
+    with pytest.raises(DomainError, match="energy"):
+        coherence_factors(np.array([2.0, math.nan]), 1.0)
+    with pytest.raises(DomainError, match="gap"):
+        coherence_factors(1.0, math.nan)
 
 
 def test_dirty_spectrum_gap_edge():
@@ -159,6 +163,10 @@ def test_btk_validation():
         btk_probabilities(-0.1, 1.0, 0.0)
     with pytest.raises(DomainError):
         btk_probabilities(0.5, 1.0, -1.0)
+    with pytest.raises(DomainError, match="energy"):
+        btk_probabilities(math.nan, 1.0, 0.0)
+    with pytest.raises(DomainError, match="barrier"):
+        btk_probabilities(1.5, 1.0, math.nan)
 
 
 def test_andreev_normal_side_sub_gap():

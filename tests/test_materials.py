@@ -42,10 +42,11 @@ def test_critical_field_parabolic_law():
     assert critical_field(lead, lead.Tc * 2) == 0.0
 
 
-def test_critical_field_negative_temperature():
+@pytest.mark.parametrize("T", [-0.1, math.nan])
+def test_critical_field_negative_temperature(T):
     lead = get_material("lead")
     with pytest.raises(DomainError, match="non-negative"):
-        critical_field(lead, -0.1)
+        critical_field(lead, T)
 
 
 def test_critical_field_selectors_type_ii():

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from fluxdsm.comparator import make_comparator, quantize
 from fluxdsm.constants import CODATA
 from fluxdsm.errors import ConfigError, DomainError, InstabilityError
-from fluxdsm.fluxtrap import CylinderGeometry, round_half_even_quanta
+from fluxdsm.fluxtrap import CylinderGeometry
 from fluxdsm.modulator import (
     ModulatorConfig,
     dc_tracking_mean,
@@ -165,7 +165,7 @@ def _loop_oracle(cfg, u, gain=None):
         if gain is None:
             x[0] = x[0] + c[0] * err
         else:
-            acc += gain * round_half_even_quanta(err * quanta)
+            acc += gain * round(err * quanta)
             x[0] = acc * (c[0] / gain) / quanta
         for i in range(1, cfg.order):
             x[i] = x[i] + c[i] * x[i - 1]
@@ -417,13 +417,13 @@ def test_theoretical_sqnr_validation():
         theoretical_sqnr(2, 128, 0.0)
 
 
-def test_dc_tracking_mean_discard_validation():
-    trace = run_modulator(ModulatorConfig(), np.zeros(64))
-    assert dc_tracking_mean(trace, discard=0) == 0.0
-    with pytest.raises(DomainError):
-        dc_tracking_mean(trace, discard=64)
-    with pytest.raises(DomainError):
-        dc_tracking_mean(trace, discard=-1)
+@pytest.mark.parametrize("n", [1, 3, 4, 64])
+def test_dc_tracking_mean_drops_first_quarter(n):
+    cfg = ModulatorConfig()
+    trace = run_modulator(cfg, np.full(n, 0.5))
+    lsb_n = cfg.comparator.b_lsb / cfg.full_scale_field
+    assert dc_tracking_mean(trace) == float(
+        np.mean(trace.codes[n // 4:])) * lsb_n
 
 
 def test_custom_comparator_changes_lsb():

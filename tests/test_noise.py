@@ -77,6 +77,7 @@ def test_flicker_rejects_negative_omega():
 @pytest.mark.parametrize("kwargs,msg", [
     (dict(n=1024, fs=1.0), "n >= 4096"),
     (dict(n=8192, fs=0.0), "sample rate"),
+    (dict(n=8192, fs=math.nan), "sample rate"),
     (dict(n=8192, fs=1e-4), "fs \\* tau2"),
     (dict(n=8192, fs=1.0, method="wavelet"), "unknown synthesis method"),
 ])

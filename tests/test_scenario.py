@@ -121,6 +121,9 @@ UNREAD_KEY_REJECTIONS = [
     ("junction-iv", "junction", SNS_BODY,
      SNS_BODY + "v_start = 9\nv_stop = 1\npoints = -3\n",
      "11: unknown key 'v_start'"),
+    # sns takes the material's gap
+    ("junction-iv", "junction", SNS_BODY, SNS_BODY + "delta = 5\n",
+     "11: unknown key 'delta'"),
     # modulator keys that no code read for the choices the section makes
     ("modulator-run", "modulator", MOD_DC_BODY,
      MOD_DC_BODY + "schedule = doubling\n", "8: unknown key 'schedule'"),
@@ -233,9 +236,17 @@ def test_bad_value_reported_before_unread_key():
     ("modulator-run", MOD_DC_BODY.replace("dc = 0.25", "dc = 1.5"),
      "dc level must lie"),
     ("modulator-run", MOD_DC_BODY + "\n[device]\nradius = 0.02\n"
-     "n_segments = 4\n", "only applies to the"),
+     "n_segments = 4\n",
+     "section \\[device\\] does not belong to a modulator-run scenario"),
     ("modulator-run", MOD_DC_BODY + "backend = flux-device\n",
      "needs a \\[device\\] section"),
+    # a schedule that switches a coil the cylinder does not have
+    ("device-sequence", DEVICE_BODY.replace("n_segments = 4", "n_segments = 2"),
+     "schedule 'doubling' step 3 switches coil 4, outside 1..2"),
+    ("modulator-run", MOD_DEVICE_DC_BODY.replace("n_segments = 4",
+                                                 "n_segments = 2")
+     + "schedule = doubling\n",
+     "schedule 'doubling' step 3 switches coil 4, outside 1..2"),
     ("modulator-run", MOD_DC_BODY + "order = 3\n",
      "explicit a and c lists"),
     ("modulator-run", MOD_DC_BODY.replace("dc = 0.25", "tone_cycles = 9"),
@@ -610,7 +621,8 @@ def test_cli_load_rejection_writes_nothing(tmp_path, capsys, kind, sub, good,
 
 
 @pytest.mark.parametrize("kind,sub,good,bad,where", UNREAD_KEY_REJECTIONS,
-                         ids=["nis-form", "sns-v_start", "schedule",
+                         ids=["nis-form", "sns-v_start", "sns-delta",
+                              "schedule",
                               "amplitude_dbfs-with-dc",
                               "input_coil-with-full_scale",
                               "input_coil_imax-alone"])
@@ -637,6 +649,11 @@ def test_cli_unread_key_exit_3(tmp_path, capsys, kind, sub, good, bad,
     # an input level above full scale is named at its section's line
     ("modulator-run", "modulator", MOD_TONE_BODY + "amplitude_dbfs = 3\n",
      "bad.cfg:5: amplitude_dbfs must be at most 0"),
+    # so is a section the builder did not read
+    ("modulator-run", "modulator",
+     MOD_DC_BODY + "\n[device]\nradius = 0.02\nn_segments = 4\n",
+     "bad.cfg:9: section [device] does not belong to a modulator-run "
+     "scenario"),
 ])
 def test_cli_load_rejection_names_location(tmp_path, capsys, kind, sub, body,
                                            where):
@@ -650,6 +667,47 @@ def test_full_scale_tone_loads():
     cfg = parse_scenario(_scenario("modulator-run",
                                    MOD_TONE_BODY + "amplitude_dbfs = 0\n"))
     assert np.max(np.abs(cfg.spec[1])) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("kind,sub,body,where", [
+    ("device-sequence", "device",
+     DEVICE_BODY.replace("n_segments = 4", "n_segments = 8").replace(
+         "schedule = doubling", "schedule = far.sched"),
+     "bad.cfg:5: schedule 'far.sched' step 1 switches coil 9, "
+     "outside 1..8"),
+    ("modulator-run", "modulator",
+     MOD_DEVICE_DC_BODY.replace("n_segments = 4", "n_segments = 2")
+     + "schedule = doubling\n",
+     "bad.cfg:10: schedule 'doubling' step 3 switches coil 4, "
+     "outside 1..2"),
+])
+def test_cli_schedule_outside_cylinder_exit_4(tmp_path, capsys, kind, sub,
+                                              body, where):
+    _write(tmp_path, "far.sched", "ecoil * on\necoil 9 off\n")
+    cfg_path = _write(tmp_path, "bad.cfg", _scenario(kind, body))
+    out = tmp_path / "out"
+    assert main([sub, "--config", cfg_path, "--out", str(out)]) == 4
+    assert not out.exists()
+    assert where in capsys.readouterr().err
+
+
+def test_trailing_comments_change_nothing(tmp_path):
+    plain = _scenario("comparator-curve", COMP_BODY + "side = 200e-6\n")
+    plain = plain.replace("seed = 0\n", "seed = 0\noutput_dir = outc\n")
+    commented = "".join(line + "  # results go here\n" if line else "\n"
+                        for line in plain.splitlines())
+    outs = []
+    for name, text in (("plain", plain), ("commented", commented)):
+        cfg = parse_scenario(text)
+        assert cfg.output_dir == "outc"
+        assert [(e.key, e.value, e.line)
+                for e in cfg.sections["comparator"].entries] == [
+            ("points", "7", 7), ("side", "200e-6", 8)]
+        outs.append(tmp_path / name)
+        run_scenario(cfg, str(outs[-1]))
+    for artifact in ("curve.csv", "report.txt"):
+        assert (outs[0] / artifact).read_bytes() == \
+            (outs[1] / artifact).read_bytes()
 
 
 def test_cli_missing_schedule_file_exit_4(tmp_path, capsys):

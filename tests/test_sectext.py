@@ -1,7 +1,7 @@
 import pytest
 
 from fluxdsm.errors import ConfigError, ConfigSyntaxError, UnknownKeyError
-from fluxdsm.sectext import parse_sections
+from fluxdsm.sectext import content_lines, parse_sections
 
 GOOD = """\
 # leading comment
@@ -93,3 +93,12 @@ def test_path_prefixes_messages():
            for s in parse_sections("[s]\nq = x\n", path="cfg.txt")}["s"]
     with pytest.raises(ConfigError, match=r"cfg\.txt:2:"):
         sec.get_int("q")
+
+
+def test_trailing_comments_are_dropped():
+    text = "[s]  # header\nx = 1 # one\n   # whole line\n\ny=2#two\n"
+    assert list(content_lines(text)) == [(1, "[s]"), (2, "x = 1"),
+                                         (5, "y=2")]
+    sec = _by_name(text)["s"]
+    assert [(e.key, e.value, e.line) for e in sec.entries] == [
+        ("x", "1", 2), ("y", "2", 5)]

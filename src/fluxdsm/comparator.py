@@ -53,10 +53,22 @@ def make_comparator(side: float, i_bias: float) -> ComparatorConfig:
         raise DomainError("loop side must be positive")
     if not i_bias > 0:
         raise DomainError("bias current must be positive")
+    # side**2 raises OverflowError past the float range, and a zero
+    # area cannot be divided by
+    if not 0.0 < side * side < math.inf:
+        raise DomainError(
+            f"loop side {side!r} m puts the loop area outside the float range")
     b_lsb = CODATA.phi0 / side**2
     b_max = math.sqrt(2.0) * CODATA.mu0 * i_bias / (math.pi * side)
-    n_levels = int(round(2.0 * math.sqrt(2.0) * CODATA.mu0 * CODATA.e
-                         * side * i_bias / (math.pi * CODATA.h)))
+    levels = (2.0 * math.sqrt(2.0) * CODATA.mu0 * CODATA.e
+              * side * i_bias / (math.pi * CODATA.h))
+    # codes are int64 and each level must be an exact float integer
+    if not (b_lsb < math.inf and b_max < math.inf and levels < 2.0**53):
+        raise DomainError(
+            f"side {side!r} m at i_bias {i_bias!r} A gives {levels:.3g} "
+            f"levels of {b_lsb:.3g} T; the fields must be finite and the "
+            "levels under 2**53")
+    n_levels = int(round(levels))
     if n_levels < 1:
         raise DomainError(
             "bias current too small: comparator resolves no levels")

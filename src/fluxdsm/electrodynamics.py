@@ -51,13 +51,6 @@ class FieldProfile:
     B: np.ndarray
     J: np.ndarray
 
-    def rows(self):
-        for xi, bi, ji in zip(self.x, self.B, self.J):
-            yield (xi, bi.real, bi.imag, ji.real, ji.imag)
-
-
-PROFILE_CSV_HEADER = ("x", "re_b", "im_b", "re_j", "im_j")
-
 
 def _check_grid(x, d):
     x = np.asarray(x, dtype=float)
@@ -152,7 +145,8 @@ def two_fluid_wavenumber(material: Material, omega: float) -> complex:
     (pure Meissner screening); lambda -> inf gives sqrt(j omega mu
     sigma) (normal-metal diffusion).
     """
-    if omega < 0:
+    # written as `not x >= 0` so that nan fails the check too
+    if not omega >= 0:
         raise DomainError("omega must be non-negative")
     lam = material.lambda_l
     sigma = material.sigma_n
@@ -165,7 +159,8 @@ def two_fluid_wavenumber(material: Material, omega: float) -> complex:
 
 def solenoid_field(turns_per_length: float, current: float) -> float:
     """Interior field of a long solenoid, B = mu0 * n * I (T)."""
-    if turns_per_length < 0:
+    # written as `not x >= 0` so that nan fails the check too
+    if not turns_per_length >= 0:
         raise DomainError("turns per length must be non-negative")
     return CODATA.mu0 * turns_per_length * current
 

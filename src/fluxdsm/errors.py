@@ -84,14 +84,13 @@ class FluxLossError(FluxDsmError):
 
 
 class InstabilityError(FluxDsmError):
-    """A modulator state grew past its configured bound."""
+    """A modulator state grew past its configured bound. The message
+    names the offending sample, and .sample carries its index."""
 
     exit_code = 5
 
     def __init__(self, message, sample=None):
         self.sample = sample
-        if sample is not None:
-            message = f"sample {sample}: {message}"
         super().__init__(message)
 
 

@@ -44,6 +44,12 @@ class CylinderGeometry:
             raise DomainError("need at least one segment")
         if not self.n_eff > 0:
             raise DomainError("n_eff must be positive")
+        # radius**2 raises OverflowError past the float range, and a
+        # zero area cannot be divided by
+        if not 0.0 < math.pi * self.radius * self.radius < math.inf:
+            raise DomainError(
+                f"radius {self.radius!r} m puts the bore area outside the "
+                "float range")
 
     @property
     def area(self) -> float:
@@ -250,10 +256,15 @@ def iterate_sequence(geometry: CylinderGeometry, b_in: float, schedule,
     """
     if material is not None:
         check_superconducting(material, T, b_in, "B_in")
+    quanta = b_in * geometry.area / CODATA.phi0
+    if not math.isfinite(quanta):
+        raise DomainError(
+            f"B_in = {b_in!r} T over the bore is {quanta} flux quanta, "
+            "outside the float range")
     state = FluxTrapState(geometry=geometry)
     field_on = False
     armed = set()
-    quanta_each = round(b_in * geometry.area / CODATA.phi0)
+    quanta_each = round(quanta)
     for index, step in enumerate(schedule):
         if isinstance(step, FieldStep):
             if step.on and not field_on:
@@ -284,7 +295,7 @@ def iterate_sequence(geometry: CylinderGeometry, b_in: float, schedule,
 
 def _trap_armed(state, armed, quanta_each, geometry, step):
     """Turn contiguous runs of armed superconducting segments into rings."""
-    live = sorted(s for s in armed if s not in state.energized)
+    live = sorted(armed)
     if not live:
         return state
     covered = set().union(*(r.span for r in state.rings)) if state.rings else set()

@@ -85,10 +85,10 @@ def coherence_factors(eps, delta):
 
     Returns
     -------
-    (U, V) : complex ndarrays (or complex scalars for scalar input).
+    (U, V) : complex arrays of the shape of eps (numpy complex scalars
+    for a scalar eps).
     """
-    scalar = np.isscalar(eps)
-    eps = np.atleast_1d(np.asarray(eps, dtype=float))
+    eps = np.asarray(eps, dtype=float)
     # written as `not x > 0` so that nan fails the checks too
     if not np.all(eps > 0):
         raise DomainError("quasiparticle energy must be positive")
@@ -101,9 +101,7 @@ def coherence_factors(eps, delta):
     ratio[below] = 1j * np.sqrt(delta**2 - eps[below] ** 2) / eps[below]
     u = np.sqrt((1.0 + ratio) / 2.0)
     v = np.sqrt((1.0 - ratio) / 2.0)
-    if scalar:
-        return complex(u[0]), complex(v[0])
-    return u, v
+    return u[()], v[()]
 
 
 def dirty_spectrum(xi, delta):
@@ -119,20 +117,18 @@ def dirty_spectrum(xi, delta):
     theorem this form embodies. At xi = delta = 0 the weights are the
     symmetric 1/2, 1/2.
 
-    Returns (eps, u2, v2).
+    Returns (eps, u2, v2), each of the shape of xi.
     """
-    scalar = np.isscalar(xi)
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if delta < 0:
+    xi = np.asarray(xi, dtype=float)
+    # written as `not x >= 0` so that nan fails the check too
+    if not delta >= 0:
         raise DomainError("gap must be non-negative")
     eps = np.hypot(xi, delta)
     with np.errstate(invalid="ignore"):
         ratio = np.where(eps > 0, xi / np.where(eps > 0, eps, 1.0), 0.0)
     u2 = 0.5 * (1.0 + ratio)
     v2 = 0.5 * (1.0 - ratio)
-    if scalar:
-        return float(eps[0]), float(u2[0]), float(v2[0])
-    return eps, u2, v2
+    return eps[()], u2[()], v2[()]
 
 
 def btk_probabilities(eps, delta, Z):
@@ -145,9 +141,9 @@ def btk_probabilities(eps, delta, Z):
         A = delta^2 / (eps^2 + (delta^2 - eps^2)(1 + 2 Z^2)^2)
 
     so at Z = 0 every sub-gap electron Andreev-retroreflects (A = 1).
+    Each probability has the shape of eps.
     """
-    scalar = np.isscalar(eps)
-    eps = np.atleast_1d(np.asarray(eps, dtype=float))
+    eps = np.asarray(eps, dtype=float)
     # written as `not x >= 0` so that nan fails the checks too
     if not np.all(eps >= 0):
         raise DomainError("energy must be non-negative")
@@ -175,9 +171,7 @@ def btk_probabilities(eps, delta, Z):
         b[sup] = eta**2 * Z**2 * (1 + Z**2) / gamma**2
         c[sup] = u2 * eta * (1 + Z**2) / gamma**2
         dd[sup] = v2 * eta * Z**2 / gamma**2
-    if scalar:
-        return float(a[0]), float(b[0]), float(c[0]), float(dd[0])
-    return a, b, c, dd
+    return a[()], b[()], c[()], dd[()]
 
 
 @dataclass(frozen=True)
@@ -298,7 +292,8 @@ def sns_prefactor(cfg: JunctionConfig, form: int = 1) -> float:
     if form == 2:
         return 4.0 * CODATA.hbar * m.N0 * m.vF**2 * CODATA.e * cfg.area / cfg.d
     if form == 3:
-        if cfg.r_sheet is None or cfg.r_sheet <= 0:
+        # written as `not x > 0` so that nan fails the check too
+        if cfg.r_sheet is None or not cfg.r_sheet > 0:
             raise DomainError("form 3 needs a positive r_sheet")
         return (16.0 * CODATA.hbar * m.vF
                 / (2.0 * CODATA.e * cfg.d * cfg.r_sheet))
@@ -349,7 +344,12 @@ def check_nis(cfg: JunctionConfig) -> None:
         raise DomainError("NIS current needs a positive gap delta")
 
 
-def nis_current(cfg: JunctionConfig, voltage, rtol: float = 1e-9):
+# relative accuracy asked of each NIS quadrature; an error estimate
+# past 1e3 times this (of the larger of |I| and kT) is a QuadratureError
+NIS_RTOL = 1e-9
+
+
+def nis_current(cfg: JunctionConfig, voltage):
     """NIS junction current by quadrature of the interface kernel:
 
         I(V) = prefactor * Integral (1 + A(eps) - B(eps))
@@ -368,9 +368,10 @@ def nis_current(cfg: JunctionConfig, voltage, rtol: float = 1e-9):
     contract is unchanged: each voltage is its own adaptive quadrature,
     checked against its own error bound.
 
-    voltage may be a scalar or array (volts). Raises QuadratureError if
-    the integrator cannot reach the requested relative accuracy at a
-    voltage; its diagnostics carry the estimate and its abserr.
+    voltage (volts) may have any shape; the currents (amperes) have its
+    shape. Raises QuadratureError if the integrator cannot reach
+    NIS_RTOL at a voltage; its diagnostics carry the estimate and its
+    abserr.
     """
     check_nis(cfg)
     # Work in gap units so the integrand is order one regardless of the
@@ -379,10 +380,10 @@ def nis_current(cfg: JunctionConfig, voltage, rtol: float = 1e-9):
     kt = CODATA.kB * cfg.T / delta
     z = cfg.Z
 
-    scalar = np.isscalar(voltage)
-    volts = np.atleast_1d(np.asarray(voltage, dtype=float))
+    volts = np.asarray(voltage, dtype=float)
     out = np.empty_like(volts)
-    for i, v in enumerate(volts):
+    for i in np.ndindex(volts.shape):
+        v = volts[i]
         ev = CODATA.e * float(v) / delta
         lo = min(-30.0 * kt, ev - 30.0 * kt, -1.5)
         hi = max(30.0 * kt, ev + 30.0 * kt, 1.5)
@@ -396,16 +397,14 @@ def nis_current(cfg: JunctionConfig, voltage, rtol: float = 1e-9):
             # the estimated-error check below is the convergence contract
             warnings.simplefilter("ignore", IntegrationWarning)
             val, err = quad(integrand, lo, hi, points=breakpoints,
-                            limit=400, epsabs=0.0, epsrel=rtol)
+                            limit=400, epsabs=0.0, epsrel=NIS_RTOL)
         scale = max(abs(val), kt)
-        if err > 1e3 * rtol * scale:
+        if err > 1e3 * NIS_RTOL * scale:
             raise QuadratureError(
                 f"NIS quadrature did not converge at V = {v}",
                 diagnostics={"estimate": val, "abserr": err})
         out[i] = cfg.prefactor * delta * val
-    if scalar:
-        return float(out[0])
-    return out
+    return out[()]
 
 
 def nis_current_lowT(cfg: JunctionConfig, voltage):
@@ -415,15 +414,13 @@ def nis_current_lowT(cfg: JunctionConfig, voltage):
                for eV > delta, else 0.
 
     Shares the prefactor lump with nis_current; in the tunneling
-    regime (Z >> 1, kT << delta) the two agree.
+    regime (Z >> 1, kT << delta) the two agree. The currents have the
+    shape of voltage.
     """
-    scalar = np.isscalar(voltage)
-    volts = np.atleast_1d(np.asarray(voltage, dtype=float))
+    volts = np.asarray(voltage, dtype=float)
     ev = CODATA.e * volts
     out = np.zeros_like(volts)
     above = ev > cfg.delta
     out[above] = (cfg.prefactor / (1.0 + cfg.Z**2)
                   * np.sqrt(ev[above] ** 2 - cfg.delta**2))
-    if scalar:
-        return float(out[0])
-    return out
+    return out[()]

@@ -115,7 +115,8 @@ def check_superconducting(material: Material, T: float, b: float,
     """Raise PhaseViolationError unless the field b (T), named label in
     the message, is below the critical flux density of material at T."""
     bc = critical_flux_density(material, T)
-    if abs(b) >= bc:
+    # written as `not x < bc` so that nan fails the check too
+    if not abs(b) < bc:
         raise PhaseViolationError(
             f"|{label}| = {abs(b):.4g} T is not below the critical flux "
             f"density {bc:.4g} T of {material.name} at T = {T} K")

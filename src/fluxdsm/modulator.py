@@ -83,7 +83,21 @@ class ModulatorConfig:
             raise ConfigError("full_scale must be positive")
         if not self.stability_bound > 0:
             raise ConfigError("stability bound must be positive")
+        # the loop rounds y, up to sum(a) * stability_bound, to LSBs, and
+        # the device integrator rounds the loop error to whole quanta;
+        # both counts must be finite floats
+        if not (sum(self.a) * self.stability_bound * self.full_scale_field
+                / self.comparator.b_lsb < math.inf):
+            raise DomainError(
+                f"full scale {self.full_scale_field!r} T and stability bound "
+                f"{self.stability_bound!r} put the loop sum past the float "
+                "range in comparator LSBs")
         if self.backend == "flux-device":
+            if not 0.0 < self.quanta_per_unit < math.inf:
+                raise DomainError(
+                    f"full scale {self.full_scale_field!r} T is "
+                    f"{self.quanta_per_unit!r} flux quanta over the bore, "
+                    "not a positive finite count")
             # one clock period must leave room for the device to settle
             t_settle = settle_time_device(
                 TAU_COOPER, self.geometry.n_segments, TAU_ECOIL)
@@ -100,6 +114,12 @@ class ModulatorConfig:
             return self.full_scale
         return self.comparator.half_range * self.comparator.b_lsb
 
+    @property
+    def quanta_per_unit(self) -> float:
+        """Flux quanta that one full-scale unit traps over the bore of
+        the flux-device geometry."""
+        return self.full_scale_field * self.geometry.area / CODATA.phi0
+
 
 @dataclass(frozen=True)
 class TraceSet:
@@ -108,7 +128,6 @@ class TraceSet:
     headroom left against config.stability_bound."""
 
     config: ModulatorConfig
-    u: np.ndarray
     codes: np.ndarray
     states: np.ndarray
     saturation_count: int
@@ -177,7 +196,7 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
         # gain is set by the schedule topology alone; one reference run
         _, device_gain = run_amplification_sequence(
             geom, comp.b_lsb, schedule)
-        quanta_per_unit = fsf * geom.area / CODATA.phi0
+        quanta_per_unit = cfg.quanta_per_unit
 
     order = cfg.order
     device = device_gain is not None
@@ -237,7 +256,7 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
         code_view[k] = raw
         err = u_view[k] - raw * lsb_n
 
-    return TraceSet(config=cfg, u=u, codes=codes, states=states,
+    return TraceSet(config=cfg, codes=codes, states=states,
                     saturation_count=saturations, device_gain=device_gain,
                     state_peak=tuple(np.max(np.abs(states), axis=0).tolist()))
 
@@ -312,9 +331,10 @@ def theoretical_sqnr(order: int, osr: int, bits: float) -> float:
     """
     if not isinstance(order, int) or not 1 <= order <= 4:
         raise DomainError("order must be an integer in 1..4")
-    if osr < 2:
+    # written as `not x >= 2` and `not x > 0` so that nan fails them too
+    if not osr >= 2:
         raise DomainError("osr must be >= 2")
-    if bits <= 0:
+    if not bits > 0:
         raise DomainError("bits must be positive")
     two_l = 2 * order
     return (6.02 * bits + 1.76

@@ -56,11 +56,12 @@ class NoiseModel:
 def lorentzian_psd(model: NoiseModel, omega):
     """Single relaxation process: S(omega) = 4 R0 tau1 / (1 + (tau1 omega)^2).
 
-    The total one-sided power integrates back to R0. omega may be an
-    array; omega >= 0.
+    The total one-sided power integrates back to R0. omega >= 0 may
+    have any shape; S has its shape.
     """
     omega = np.asarray(omega, dtype=float)
-    if np.any(omega < 0):
+    # written as `not x >= 0` so that nan fails the check too
+    if not np.all(omega >= 0):
         raise DomainError("omega must be non-negative")
     tau = model.tau1
     return 4.0 * model.R0 * tau / (1.0 + (tau * omega) ** 2)
@@ -72,11 +73,11 @@ def flicker_psd(model: NoiseModel, omega):
     S(omega) = (k'/omega)(arctan(omega tau2) - arctan(omega tau1)),
     which runs flat below 1/tau2, falls as 1/omega in the band, and as
     1/omega^2 above 1/tau1. The omega -> 0 limit k'(tau2 - tau1) is
-    used at omega = 0.
+    used at omega = 0. omega >= 0 may have any shape; S has its shape.
     """
-    scalar = np.isscalar(omega)
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    if np.any(omega < 0):
+    omega = np.asarray(omega, dtype=float)
+    # written as `not x >= 0` so that nan fails the check too
+    if not np.all(omega >= 0):
         raise DomainError("omega must be non-negative")
     out = np.empty_like(omega)
     zero = omega == 0
@@ -84,9 +85,7 @@ def flicker_psd(model: NoiseModel, omega):
     w = omega[~zero]
     out[~zero] = (model.kprime / w) * (np.arctan(w * model.tau2)
                                        - np.arctan(w * model.tau1))
-    if scalar:
-        return float(out[0])
-    return out
+    return out[()]
 
 
 def _telegraph(rng, n, flip_prob, amplitude):

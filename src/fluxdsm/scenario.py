@@ -22,9 +22,8 @@ from scipy.signal import welch
 
 from .comparator import (REFERENCE_I_BIAS, REFERENCE_SIDE, make_comparator,
                          quantize)
-from .electrodynamics import (PROFILE_CSV_HEADER, SlabConfig,
-                              normal_slab_profile, solenoid_field,
-                              square_loop_current_for_field,
+from .electrodynamics import (SlabConfig, normal_slab_profile,
+                              solenoid_field, square_loop_current_for_field,
                               super_slab_profile)
 from .errors import ConfigError, DomainError, UsageError
 from .fluxtrap import (CylinderGeometry, EcoilStep, FieldStep,
@@ -180,7 +179,9 @@ def _run_slab(cfg: ScenarioConfig):
     else:
         profile = super_slab_profile(slab, x)
     mid = x.size // 2
-    return [("profile.csv", PROFILE_CSV_HEADER, profile.rows())], [
+    rows = zip(x.tolist(), profile.B.real.tolist(), profile.B.imag.tolist(),
+               profile.J.real.tolist(), profile.J.imag.tolist())
+    return [("profile.csv", ("x", "re_b", "im_b", "re_j", "im_j"), rows)], [
         ("center_abs_b", abs(profile.B[mid])),
         ("center_screening", abs(profile.B[mid]) / abs(slab.B0)),
         ("max_abs_j", float(np.max(np.abs(profile.J)))),
@@ -294,12 +295,14 @@ def _build_junction(sec: Section, sections, config_dir: str):
 def _run_junction(cfg: ScenarioConfig):
     jc, mode, grid, form = cfg.spec
     if mode == "nis":
-        currents = [nis_current(jc, float(v)) for v in grid]
-        return [("iv.csv", ("v", "i"), zip(grid, currents))], [
-            ("i_max", max(currents)), ("mode", "nis")]
-    currents = [sns_current(jc, float(p), form=form) for p in grid]
-    return [("iv.csv", ("phi", "i"), zip(grid, currents))], [
-        ("i_critical", max(currents)), ("mode", "sns")]
+        currents = nis_current(jc, grid)
+        return [("iv.csv", ("v", "i"),
+                 zip(grid.tolist(), currents.tolist()))], [
+            ("i_max", currents.max()), ("mode", "nis")]
+    currents = sns_current(jc, grid, form=form)
+    return [("iv.csv", ("phi", "i"),
+             zip(grid.tolist(), currents.tolist()))], [
+        ("i_critical", currents.max()), ("mode", "sns")]
 
 
 # --------------------------------------------------------------- noise

@@ -50,9 +50,6 @@ class Section:
     entries: list = field(default_factory=list)
     path: str | None = None
 
-    def keys(self):
-        return [e.key for e in self.entries]
-
     def _find(self, key):
         for e in self.entries:
             if e.key == key:
@@ -148,7 +145,7 @@ def parse_sections(text, path=None):
         if not _KEY_RE.match(key):
             raise ConfigSyntaxError(f"invalid key '{key}'",
                                     line=lineno, path=path)
-        if key in current.keys():
+        if current.has(key):
             raise ConfigSyntaxError(
                 f"duplicate key '{key}' in section [{current.name}]",
                 line=lineno, path=path)

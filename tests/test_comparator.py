@@ -43,6 +43,12 @@ def test_level_count_scales_with_bias():
     (200e-6, -1.0, "bias"),
     (200e-6, math.nan, "bias"),
     (200e-6, 1e-9, "no levels"),
+    # side**2 underflows to 0 or overflows
+    (1e-300, 9.371e-3, "float range"),
+    (1e200, 9.371e-3, "float range"),
+    # more levels than exact float integers (or int64 codes) hold
+    (200e-6, 1e300, "2\\*\\*53"),
+    (200e-6, 1e308, "2\\*\\*53"),
 ])
 def test_make_comparator_validation(side, i_bias, msg):
     with pytest.raises(DomainError, match=msg):

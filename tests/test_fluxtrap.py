@@ -48,6 +48,10 @@ def test_geometry_validation():
         CylinderGeometry(radius=0.02, n_segments=4, n_eff=0.0)
     with pytest.raises(DomainError, match="n_eff"):
         CylinderGeometry(radius=0.02, n_segments=4, n_eff=math.nan)
+    # radius**2 would overflow; a zero area cannot be divided by
+    for radius in (1e200, 1e-200):
+        with pytest.raises(DomainError, match="float range"):
+            CylinderGeometry(radius=radius, n_segments=4, n_eff=4)
 
 
 def test_geometry_area_and_segments():
@@ -114,6 +118,8 @@ def test_trap_flux_respects_critical_field():
     lead = get_material("lead")
     with pytest.raises(PhaseViolationError):
         trap_flux(GEOM4, 0.1, material=lead, T=4.2)
+    with pytest.raises(PhaseViolationError):
+        trap_flux(GEOM4, math.nan, material=lead, T=4.2)
     # well below Bc is fine
     state = trap_flux(GEOM4, 1e-10, material=lead, T=4.2)
     assert state.trapped_flux_total == 61

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in it, and the
-physics reads the fixed constants instead of taking them as arguments."""
+"""Source hygiene: every name a module imports is used in it, the
+physics reads the fixed constants instead of taking them as arguments,
+and numpy alone decides what a scalar input returns."""
 
 import ast
 import pathlib
@@ -59,6 +60,18 @@ def _constant_overrides(tree):
 def test_no_constants_override(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _constant_overrides(tree) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_hand_made_scalar_unwrapping(path):
+    """numpy decides what a scalar input returns: functions take
+    np.asarray(x) and return out[()], never np.isscalar or
+    np.atleast_1d with an unwrap of their own."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert names & {"isscalar", "atleast_1d"} == set()
 
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"

@@ -17,6 +17,7 @@ from fluxdsm.junctions import (
     HOLE,
     NORMAL_SIDE,
     SUPER_SIDE,
+    NIS_RTOL,
     JunctionConfig,
     _btk_kernel,
     _fermi,
@@ -101,6 +102,12 @@ def test_dirty_spectrum_gap_edge():
 def test_dirty_spectrum_gapless_origin():
     eps, u2, v2 = dirty_spectrum(0.0, 0.0)
     assert eps == 0.0 and u2 == 0.5 and v2 == 0.5
+
+
+@pytest.mark.parametrize("delta", [-1.0, math.nan])
+def test_dirty_spectrum_rejects_bad_gap(delta):
+    with pytest.raises(DomainError, match="gap"):
+        dirty_spectrum(0.5, delta)
 
 
 @given(xi=st.floats(min_value=-10.0, max_value=10.0),
@@ -244,6 +251,8 @@ def test_sns_prefactor_validation():
         sns_prefactor(_sns_cfg(d=0.0))
     with pytest.raises(DomainError, match="r_sheet"):
         sns_prefactor(_sns_cfg(r_sheet=None), 3)
+    with pytest.raises(DomainError, match="r_sheet"):
+        sns_prefactor(_sns_cfg(r_sheet=math.nan), 3)
     with pytest.raises(DomainError, match="unknown prefactor form"):
         sns_prefactor(_sns_cfg(), 4)
 
@@ -317,7 +326,7 @@ def test_nis_lowT_form():
     assert arr[0] == 0.0 and arr[1] > 0.0
 
 
-def _nis_reference(cfg, v, rtol=1e-9):
+def _nis_reference(cfg, v, rtol=NIS_RTOL):
     """The NIS integral over btk_probabilities and expit, with the
     interval, breakpoints and tolerances of nis_current."""
     delta = cfg.delta
@@ -351,8 +360,7 @@ def test_nis_quadrature_error(monkeypatch):
     cfg = _nis_cfg()
     v = 2.0 * LEAD.delta / CODATA.e
     kt = CODATA.kB * cfg.T / cfg.delta
-    rtol = 1e-9
-    bound = 1e3 * rtol * max(0.5, kt)
+    bound = 1e3 * NIS_RTOL * max(0.5, kt)
     seen = {}
     abserr = 2.0 * bound
 
@@ -362,12 +370,12 @@ def test_nis_quadrature_error(monkeypatch):
 
     monkeypatch.setattr("fluxdsm.junctions.quad", fake_quad)
     with pytest.raises(QuadratureError, match=re.escape(f"V = {v}")) as err:
-        nis_current(cfg, v, rtol=rtol)
+        nis_current(cfg, v)
     assert err.value.diagnostics == {"estimate": 0.5, "abserr": abserr}
     assert err.value.exit_code == 5
     ev = CODATA.e * v / cfg.delta
     assert seen == {"points": [-1.0, 1.0, ev], "limit": 400, "epsabs": 0.0,
-                    "epsrel": rtol}
+                    "epsrel": NIS_RTOL}
     # an error estimate inside the bound passes the estimate through
     abserr = 0.5 * bound
-    assert nis_current(cfg, v, rtol=rtol) == cfg.prefactor * cfg.delta * 0.5
+    assert nis_current(cfg, v) == cfg.prefactor * cfg.delta * 0.5

@@ -51,6 +51,31 @@ def test_config_validation(kwargs, msg):
         ModulatorConfig(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs,msg", [
+    # the loop sum in comparator LSBs overflows
+    (dict(full_scale=1e308), "past the float range"),
+    (dict(stability_bound=1e306), "past the float range"),
+    # one full-scale unit over a wide bore overflows the quanta count
+    (dict(full_scale=1e285, backend="flux-device",
+          geometry=CylinderGeometry(radius=1e10, n_segments=4, n_eff=4)),
+     "flux quanta"),
+    # or underflows it to zero, which the integrator divides by
+    (dict(full_scale=1e-300, backend="flux-device",
+          geometry=CylinderGeometry(radius=1e-100, n_segments=4, n_eff=4)),
+     "0.0 flux quanta"),
+])
+def test_config_rejects_counts_past_the_float_range(kwargs, msg):
+    with pytest.raises(DomainError, match=msg):
+        ModulatorConfig(**kwargs)
+
+
+def test_theoretical_sqnr_validation():
+    for args in ((0, 128, 9), (2, 1, 9), (2, 128, 0.0), (2, math.nan, 9),
+                 (2, 128, math.nan)):
+        with pytest.raises(DomainError):
+            theoretical_sqnr(*args)
+
+
 def test_full_scale_field_default_and_override():
     cfg = ModulatorConfig()
     assert cfg.full_scale_field == pytest.approx(1.3234136630156349e-05,
@@ -244,10 +269,9 @@ def test_instability_in_second_integrator_reports_sample():
     _, states, _ = _loop_oracle(ModulatorConfig(), u)
     first = int(np.argmax(np.any(np.abs(states) > bound, axis=1)))
     assert abs(states[first, 0]) <= bound < abs(states[first, 1])
-    with pytest.raises(InstabilityError,
-                       match=rf"integrator 2 left \[-1\.0, 1\.0\] at "
-                             rf"sample {first}$") as err:
+    with pytest.raises(InstabilityError) as err:
         run_modulator(ModulatorConfig(stability_bound=bound), u)
+    assert str(err.value) == f"integrator 2 left [-1.0, 1.0] at sample {first}"
     assert err.value.sample == first == 7
 
 

@@ -52,6 +52,8 @@ def test_lorentzian_total_power_is_r0():
 def test_lorentzian_rejects_negative_omega():
     with pytest.raises(DomainError):
         lorentzian_psd(MODEL, -1.0)
+    with pytest.raises(DomainError):
+        lorentzian_psd(MODEL, math.nan)
 
 
 def test_flicker_zero_frequency_limit():
@@ -72,6 +74,8 @@ def test_flicker_midband_inverse_omega():
 def test_flicker_rejects_negative_omega():
     with pytest.raises(DomainError):
         flicker_psd(MODEL, np.array([1.0, -2.0]))
+    with pytest.raises(DomainError):
+        flicker_psd(MODEL, np.array([1.0, math.nan]))
 
 
 @pytest.mark.parametrize("kwargs,msg", [

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fluxdsm import scenario
 from fluxdsm.cli import main
 from fluxdsm.comparator import make_comparator
 from fluxdsm.electrodynamics import square_loop_current_for_field
@@ -340,6 +341,25 @@ def test_run_junction_nis(tmp_path):
     assert "i_max = " in (tmp_path / "report.txt").read_text()
 
 
+@pytest.mark.parametrize("body,name,points", [
+    (NIS_BODY, "nis_current", 5),
+    (SNS_BODY, "sns_current", 9),
+], ids=["nis", "sns"])
+def test_junction_runner_makes_one_call_per_curve(tmp_path, monkeypatch,
+                                                  body, name, points):
+    grids = []
+    real = getattr(scenario, name)
+
+    def counted(jc, grid, **kwargs):
+        grids.append(grid)
+        return real(jc, grid, **kwargs)
+
+    monkeypatch.setattr(scenario, name, counted)
+    run_scenario(parse_scenario(_scenario("junction-iv", body)),
+                 str(tmp_path))
+    assert len(grids) == 1 and np.shape(grids[0]) == (points,)
+
+
 def test_run_junction_sns(tmp_path):
     cfg = parse_scenario(_scenario("junction-iv", SNS_BODY))
     run_scenario(cfg, str(tmp_path))
@@ -660,6 +680,39 @@ def test_cli_load_rejection_names_location(tmp_path, capsys, kind, sub, body,
     cfg_path = _write(tmp_path, "bad.cfg", _scenario(kind, body))
     assert main([sub, "--config", cfg_path,
                  "--out", str(tmp_path / "out")]) == 4
+    assert where in capsys.readouterr().err
+
+
+# finite config values whose arithmetic would leave the float range:
+# (kind, subcommand, body, exit code, message). What load builds is
+# rejected at its section's line (exit 4), the rest by the run (exit 5).
+FLOAT_RANGE_REJECTIONS = [
+    ("comparator-curve", "comparator", COMP_BODY + "side = 1e-300\n", 4,
+     "bad.cfg:5: loop side 1e-300 m puts the loop area outside"),
+    ("device-sequence", "device",
+     DEVICE_BODY.replace("radius = 0.02", "radius = 1e200"), 4,
+     "bad.cfg:5: radius 1e+200 m puts the bore area outside"),
+    ("device-sequence", "device",
+     DEVICE_BODY.replace("b_in = 1e-10", "b_in = 1e300"), 5,
+     "B_in = 1e+300 T over the bore is inf flux quanta"),
+    ("modulator-run", "modulator",
+     MOD_DEVICE_DC_BODY.replace("dc = 0.25", "dc = 0.25\nfull_scale = 1e300"),
+     4, "bad.cfg:5: full scale 1e+300 T"),
+    ("modulator-run", "modulator", MOD_DC_BODY + "full_scale = 1e308\n", 4,
+     "bad.cfg:5: full scale 1e+308 T"),
+]
+
+
+@pytest.mark.parametrize("kind,sub,body,code,where", FLOAT_RANGE_REJECTIONS,
+                         ids=["comparator-side", "device-radius",
+                              "device-b_in", "device-full_scale",
+                              "ideal-full_scale"])
+def test_cli_float_range_rejection(tmp_path, capsys, kind, sub, body, code,
+                                   where):
+    cfg_path = _write(tmp_path, "bad.cfg", _scenario(kind, body))
+    out = tmp_path / "out"
+    assert main([sub, "--config", cfg_path, "--out", str(out)]) == code
+    assert not out.exists()
     assert where in capsys.readouterr().err
 
 

@@ -26,7 +26,6 @@ class ComparatorConfig:
     """Derived comparator parameters; build via make_comparator."""
 
     side: float
-    i_bias: float
     b_lsb: float
     b_max: float
     n_levels: int
@@ -72,8 +71,8 @@ def make_comparator(side: float, i_bias: float) -> ComparatorConfig:
     if n_levels < 1:
         raise DomainError(
             "bias current too small: comparator resolves no levels")
-    return ComparatorConfig(side=side, i_bias=i_bias, b_lsb=b_lsb,
-                            b_max=b_max, n_levels=n_levels)
+    return ComparatorConfig(side=side, b_lsb=b_lsb, b_max=b_max,
+                            n_levels=n_levels)
 
 
 def quantize(cfg: ComparatorConfig, b_lf):

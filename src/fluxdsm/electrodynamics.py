@@ -47,7 +47,6 @@ class SlabConfig:
 class FieldProfile:
     """Phasor field/current profile sampled on a grid inside the slab."""
 
-    x: np.ndarray
     B: np.ndarray
     J: np.ndarray
 
@@ -96,13 +95,13 @@ def normal_slab_profile(cfg: SlabConfig, x) -> FieldProfile:
     sigma = cfg.material.sigma_n
     mu = CODATA.mu0
     if cfg.omega == 0.0:
-        return FieldProfile(x=x, B=np.full_like(x, cfg.B0, dtype=complex),
+        return FieldProfile(B=np.full_like(x, cfg.B0, dtype=complex),
                             J=np.zeros_like(x, dtype=complex))
     k = (1 + 1j) * math.sqrt(cfg.omega * mu * sigma / 2.0)
     b = cfg.B0 * np.cosh(k * x) / np.cosh(k * cfg.d)
     j_amp = math.sqrt(cfg.omega * sigma / (2.0 * mu)) * cfg.B0 * (1 + 1j)
     j = j_amp * np.sinh(k * x) / np.sinh(k * cfg.d)
-    return FieldProfile(x=x, B=b, J=j)
+    return FieldProfile(B=b, J=j)
 
 
 def super_slab_profile(cfg: SlabConfig, x) -> FieldProfile:
@@ -130,7 +129,7 @@ def super_slab_profile(cfg: SlabConfig, x) -> FieldProfile:
     b = cfg.B0 * np.cosh(x / lam_eff) / np.cosh(cfg.d / lam_eff)
     j = (cfg.B0 / math.sqrt(CODATA.mu0 * lam_big)
          * np.sinh(x / lam_eff) / np.sinh(cfg.d / lam_eff))
-    return FieldProfile(x=x, B=b, J=j)
+    return FieldProfile(B=b, J=j)
 
 
 def two_fluid_wavenumber(material: Material, omega: float) -> complex:

@@ -56,14 +56,10 @@ class UnknownKeyError(ConfigError):
 class DomainError(FluxDsmError, ValueError):
     """An argument is outside the physical or numeric domain of an operation."""
 
-    exit_code = 5
-
 
 class PhaseViolationError(DomainError):
     """An operation assumed the superconducting phase but the field or
     temperature puts the material in the normal phase (or vice versa)."""
-
-    exit_code = 5
 
 
 class FluxLossError(FluxDsmError):
@@ -73,8 +69,6 @@ class FluxLossError(FluxDsmError):
     with another ring; all three would silently break exact flux
     bookkeeping, so the schedule is rejected instead.
     """
-
-    exit_code = 5
 
     def __init__(self, message, step=None):
         self.step = step
@@ -87,8 +81,6 @@ class InstabilityError(FluxDsmError):
     """A modulator state grew past its configured bound. The message
     names the offending sample, and .sample carries its index."""
 
-    exit_code = 5
-
     def __init__(self, message, sample=None):
         self.sample = sample
         super().__init__(message)
@@ -96,8 +88,6 @@ class InstabilityError(FluxDsmError):
 
 class QuadratureError(FluxDsmError):
     """Numerical integration failed to converge to the requested accuracy."""
-
-    exit_code = 5
 
     def __init__(self, message, diagnostics=None):
         self.diagnostics = diagnostics or {}

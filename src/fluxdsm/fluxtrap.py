@@ -17,6 +17,7 @@ schematic numbering.
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 
 from .constants import CODATA
 from .errors import DomainError, FluxLossError
@@ -66,12 +67,11 @@ class Ring:
     """One circulating supercurrent band.
 
     span is the set of contiguous segment labels the current occupies,
-    current the total circulating current (A, sign follows the quanta),
-    quanta the signed number of flux quanta the ring supports.
+    quanta the signed number of flux quanta the ring supports; the
+    current that carries them is ring_current(quanta, geometry).
     """
 
     span: frozenset
-    current: float
     quanta: int
 
     def __post_init__(self):
@@ -125,28 +125,38 @@ def ring_current(quanta: int, geometry: CylinderGeometry) -> float:
     return b_trapped / (CODATA.mu0 * geometry.n_eff)
 
 
-def _contract_rings(rings, segment):
-    """Remove a newly normal segment from every ring that spans it."""
-    out = []
-    for ring in rings:
-        if segment not in ring.span:
-            out.append(ring)
-            continue
-        new_span = ring.span - {segment}
-        if not new_span:
-            raise FluxLossError(
-                f"energizing coil {segment} leaves ring with no "
-                "superconducting segment to carry its current")
-        if not _contiguous(new_span):
-            raise FluxLossError(
-                f"energizing coil {segment} would split a ring spanning "
-                f"{sorted(ring.span)}")
-        out.append(replace(ring, span=frozenset(new_span)))
-    return tuple(out)
+def set_ecoil(state: FluxTrapState, segment: int,
+              energized: bool) -> FluxTrapState:
+    """Energize or de-energize one E-coil, maintaining ring spans.
 
-
-def _spread_rings(rings, segment):
-    """Widen rings adjacent to a newly superconducting segment into it."""
+    Energizing drives the segment normal: the ring spanning it
+    contracts to the remainder of its span with its quanta unchanged.
+    De-energizing makes the segment superconducting: the one ring
+    sitting right next to it spreads into it, again with unchanged
+    quanta (the current density drops as the span widens). Steps that
+    would empty, split or merge rings raise FluxLossError. Re-applying
+    the current coil state returns the same state.
+    """
+    state._check_segment(segment)
+    if energized == (segment in state.energized):
+        return state
+    rings = list(state.rings)
+    if energized:
+        for i, ring in enumerate(rings):
+            if segment not in ring.span:
+                continue
+            span = ring.span - {segment}
+            if not span:
+                raise FluxLossError(
+                    f"energizing coil {segment} leaves ring with no "
+                    "superconducting segment to carry its current")
+            if not _contiguous(span):
+                raise FluxLossError(
+                    f"energizing coil {segment} would split a ring spanning "
+                    f"{sorted(ring.span)}")
+            rings[i] = replace(ring, span=frozenset(span))
+        return replace(state, energized=frozenset(state.energized | {segment}),
+                       rings=tuple(rings))
     adjacent = [i for i, r in enumerate(rings)
                 if (segment - 1) in r.span or (segment + 1) in r.span]
     if len(adjacent) > 1:
@@ -154,38 +164,11 @@ def _spread_rings(rings, segment):
             f"de-energizing coil {segment} would merge rings "
             f"{sorted(rings[adjacent[0]].span)} and "
             f"{sorted(rings[adjacent[1]].span)}")
-    if not adjacent:
-        return tuple(rings)
-    out = list(rings)
-    ring = out[adjacent[0]]
-    out[adjacent[0]] = replace(ring, span=frozenset(ring.span | {segment}))
-    return tuple(out)
-
-
-def set_ecoil(state: FluxTrapState, segment: int,
-              energized: bool) -> FluxTrapState:
-    """Energize or de-energize one E-coil, maintaining ring spans.
-
-    Energizing drives the segment normal: any ring spanning it
-    contracts to the remainder of its span with its current unchanged.
-    De-energizing makes the segment superconducting: a ring sitting
-    right next to it spreads into it, again with unchanged current (the
-    current density drops as the span widens). Steps that would empty,
-    split or merge rings raise FluxLossError. Re-applying the current
-    coil state is a no-op.
-    """
-    state._check_segment(segment)
-    if energized:
-        if segment in state.energized:
-            return state
-        rings = _contract_rings(state.rings, segment)
-        return replace(state, energized=frozenset(state.energized | {segment}),
-                       rings=rings)
-    if segment not in state.energized:
-        return state
-    rings = _spread_rings(state.rings, segment)
+    for i in adjacent:
+        ring = rings[i]
+        rings[i] = replace(ring, span=frozenset(ring.span | {segment}))
     return replace(state, energized=frozenset(state.energized - {segment}),
-                   rings=rings)
+                   rings=tuple(rings))
 
 
 # --- coil schedules -------------------------------------------------
@@ -272,8 +255,7 @@ def iterate_sequence(geometry: CylinderGeometry, b_in: float, schedule,
                 armed.clear()
             elif not step.on and field_on:
                 field_on = False
-                state = _trap_armed(state, armed, quanta_each,
-                                    geometry, step=index)
+                state = _trap_armed(state, armed, quanta_each, step=index)
                 armed.clear()
         elif isinstance(step, EcoilStep):
             targets = ([step.segment] if step.segment is not None
@@ -293,30 +275,17 @@ def iterate_sequence(geometry: CylinderGeometry, b_in: float, schedule,
         yield index, step, state
 
 
-def _trap_armed(state, armed, quanta_each, geometry, step):
+def _trap_armed(state, armed, quanta_each, step):
     """Turn contiguous runs of armed superconducting segments into rings."""
-    live = sorted(armed)
-    if not live:
-        return state
-    covered = set().union(*(r.span for r in state.rings)) if state.rings else set()
-    runs = []
-    run = [live[0]]
-    for seg in live[1:]:
-        if seg == run[-1] + 1:
-            run.append(seg)
-        else:
-            runs.append(run)
-            run = [seg]
-    runs.append(run)
+    covered = set().union(*(r.span for r in state.rings))
     rings = list(state.rings)
-    for run in runs:
-        span = frozenset(run)
+    # consecutive labels share label - position, so each run is a group
+    for _, run in groupby(enumerate(sorted(armed)), lambda p: p[1] - p[0]):
+        span = frozenset(seg for _, seg in run)
         if span & covered:
             raise FluxLossError(
                 "trap would overlap an existing ring", step=step)
-        rings.append(Ring(span=span,
-                          current=ring_current(quanta_each, geometry),
-                          quanta=quanta_each))
+        rings.append(Ring(span=span, quanta=quanta_each))
     return replace(state, rings=tuple(rings))
 
 

@@ -185,11 +185,6 @@ class Channel:
 
 @dataclass(frozen=True)
 class ScatterOutcome:
-    incident_species: str
-    incident_side: str
-    eps: float
-    delta: float
-    Z: float
     regime: str      # "sub-gap" or "above-gap"
     channels: tuple
 
@@ -228,36 +223,28 @@ def andreev_outcome(incident_species: str, incident_side: str, eps: float,
             "superconducting side")
     a, b, c, d = btk_probabilities(eps, delta, Z)
     other = HOLE if incident_species == ELECTRON else ELECTRON
-    channels = []
+    # outgoing species of the andreev, specular, transmitted and
+    # branch-crossed channels; quasiparticles in the superconductor
+    # are electron-like or hole-like
     if incident_side == NORMAL_SIDE:
-        channels.append(Channel("reflected", other, "andreev", a))
-        channels.append(Channel("reflected", incident_species, "specular", b))
-        if sub_gap:
-            # The Andreev event moves a pair into the condensate; same
-            # event as branch A, listed with zero extra probability
-            # budget so the channel sum stays 1.
-            channels.append(Channel("transmitted", "cooper-pair",
-                                    "pair-transfer", 0.0))
-        else:
-            like = "electron-like" if incident_species == ELECTRON else "hole-like"
-            crossed = "hole-like" if incident_species == ELECTRON else "electron-like"
-            channels.append(Channel("transmitted", like, "transmitted", c))
-            channels.append(Channel("transmitted", crossed, "branch-crossed", d))
+        species = (other, incident_species, incident_species + "-like",
+                   other + "-like")
     else:
-        like = incident_species          # electron-like or hole-like QP
-        crossed_species = other
-        channels.append(Channel("reflected", other + "-like", "andreev", a))
-        channels.append(Channel("reflected", incident_species + "-like",
-                                "specular", b))
-        channels.append(Channel("transmitted", incident_species,
-                                "transmitted", c))
-        channels.append(Channel("transmitted", crossed_species,
-                                "branch-crossed", d))
-    return ScatterOutcome(
-        incident_species=incident_species, incident_side=incident_side,
-        eps=eps, delta=delta, Z=Z,
-        regime="sub-gap" if sub_gap else "above-gap",
-        channels=tuple(channels))
+        species = (other + "-like", incident_species + "-like",
+                   incident_species, other)
+    channels = [Channel("reflected", species[0], "andreev", a),
+                Channel("reflected", species[1], "specular", b)]
+    if sub_gap:
+        # The Andreev event moves a pair into the condensate; same
+        # event as branch A, listed with zero extra probability
+        # budget so the channel sum stays 1.
+        channels.append(Channel("transmitted", "cooper-pair",
+                                "pair-transfer", 0.0))
+    else:
+        channels += [Channel("transmitted", species[2], "transmitted", c),
+                     Channel("transmitted", species[3], "branch-crossed", d)]
+    return ScatterOutcome(regime="sub-gap" if sub_gap else "above-gap",
+                          channels=tuple(channels))
 
 
 def n_coherence_length(v_fermi: float, T: float) -> float:

@@ -498,8 +498,15 @@ def run_scenario(cfg: ScenarioConfig,
                  out_dir: Optional[str] = None) -> List[str]:
     """Execute a loaded scenario; returns the artifact paths written.
     Nothing is written, not even the directory, unless the run
-    computes to the end."""
-    tables, metrics = _KINDS[cfg.kind][2](cfg)
+    computes to the end. numpy arithmetic that leaves the float range
+    (overflow, an invalid operation, a division by zero) stops the run
+    with a DomainError instead of writing inf or nan."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            tables, metrics = _KINDS[cfg.kind][2](cfg)
+    except FloatingPointError as exc:
+        raise DomainError(
+            f"{cfg.kind} run left the float range: {exc}") from None
     target = out_dir if out_dir is not None else cfg.output_dir
     os.makedirs(target, exist_ok=True)
     written = []

@@ -61,9 +61,9 @@ def test_geometry_area_and_segments():
 
 def test_ring_validation():
     with pytest.raises(DomainError, match="non-empty"):
-        Ring(span=frozenset(), current=0.0, quanta=0)
+        Ring(span=frozenset(), quanta=0)
     with pytest.raises(DomainError, match="contiguous"):
-        Ring(span=frozenset({1, 3}), current=0.0, quanta=0)
+        Ring(span=frozenset({1, 3}), quanta=0)
 
 
 def _exact_ratio_case(ratio):
@@ -93,7 +93,7 @@ def test_trap_flux_rounds_half_to_even(ratio, quanta):
     assert b * geometry.area / CODATA.phi0 == ratio
     state = trap_flux(geometry, b)
     assert state.trapped_flux_total == quanta
-    assert state.rings[0].current == ring_current(quanta, geometry)
+    assert state.rings[0].quanta == quanta
 
 
 def test_ring_current_formula():
@@ -126,7 +126,7 @@ def test_trap_flux_respects_critical_field():
 
 
 def test_state_rejects_ring_over_normal_segment():
-    ring = Ring(span=frozenset({2}), current=1.0, quanta=1)
+    ring = Ring(span=frozenset({2}), quanta=1)
     with pytest.raises(DomainError, match="overlaps normal"):
         FluxTrapState(geometry=GEOM4, energized=frozenset({2}), rings=(ring,))
 
@@ -153,7 +153,7 @@ def test_set_ecoil_contracts_ring_at_endpoint():
     state = trap_flux(GEOM4, 1e-10)
     after = set_ecoil(state, 4, True)
     assert after.rings[0].span == frozenset({1, 2, 3})
-    assert after.rings[0].current == state.rings[0].current
+    assert after.rings[0].quanta == state.rings[0].quanta
     assert after.trapped_flux_total == 61
 
 
@@ -178,8 +178,8 @@ def test_set_ecoil_spreads_into_neighbour():
 
 
 def test_set_ecoil_merge_raises():
-    r1 = Ring(span=frozenset({1}), current=1.0, quanta=1)
-    r2 = Ring(span=frozenset({3}), current=1.0, quanta=1)
+    r1 = Ring(span=frozenset({1}), quanta=1)
+    r2 = Ring(span=frozenset({3}), quanta=1)
     state = FluxTrapState(geometry=GEOM4, energized=frozenset({2, 4}),
                           rings=(r1, r2))
     with pytest.raises(FluxLossError, match="merge"):
@@ -187,7 +187,7 @@ def test_set_ecoil_merge_raises():
 
 
 def test_set_ecoil_far_segment_leaves_rings_alone():
-    r1 = Ring(span=frozenset({1}), current=1.0, quanta=1)
+    r1 = Ring(span=frozenset({1}), quanta=1)
     state = FluxTrapState(geometry=GEOM4, energized=frozenset({2, 3, 4}),
                           rings=(r1,))
     after = set_ecoil(state, 4, False)

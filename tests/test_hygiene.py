@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in it, the
 physics reads the fixed constants instead of taking them as arguments,
-and numpy alone decides what a scalar input returns."""
+numpy alone decides what a scalar input returns, and every dataclass
+field is read somewhere."""
 
 import ast
 import pathlib
@@ -11,6 +12,7 @@ import pytest
 import fluxdsm
 
 MODULES = sorted(pathlib.Path(fluxdsm.__file__).parent.glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _unused_imports(tree):
@@ -74,7 +76,7 @@ def test_no_hand_made_scalar_unwrapping(path):
     assert names & {"isscalar", "atleast_1d"} == set()
 
 
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+README = ROOT / "README.md"
 
 
 def _readme_names():
@@ -114,3 +116,41 @@ def test_public_names_used_or_documented():
                for name in _public_definitions(path)
                if name not in referenced and name not in documented]
     assert orphans == []
+
+
+def _is_dataclass(decorator):
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return isinstance(decorator, ast.Name) and decorator.id == "dataclass"
+
+
+def _dataclass_fields(path):
+    """(qualified name, field) for each field of the module's dataclasses."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [(f"{path.stem}.{node.name}.{stmt.target.id}", stmt.target.id)
+            for node in tree.body if isinstance(node, ast.ClassDef)
+            and any(_is_dataclass(d) for d in node.decorator_list)
+            for stmt in node.body if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)]
+
+
+def _attributes_read():
+    """Attribute names loaded anywhere in the package, tests, scripts
+    or benchmark."""
+    names = set()
+    for folder in ("src/fluxdsm", "tests", "scripts", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"),
+                             filename=str(path))
+            names |= {node.attr for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)
+                      and isinstance(node.ctx, ast.Load)}
+    return names
+
+
+def test_dataclass_fields_are_read():
+    read = _attributes_read()
+    unread = [qualified for path in MODULES
+              for qualified, name in _dataclass_fields(path)
+              if name not in read]
+    assert unread == []

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fluxdsm import scenario
+from fluxdsm import errors, scenario
 from fluxdsm.cli import main
 from fluxdsm.comparator import make_comparator
 from fluxdsm.electrodynamics import square_loop_current_for_field
@@ -573,9 +573,17 @@ def test_cli_runtime_flux_loss_exit_5(tmp_path, capsys):
                             f"schedule = {os.path.basename(sched)}")))
     code = main(["device", "--config", cfg_path, "--out",
                  str(tmp_path / "out")])
-    assert code == 5
+    assert code == FluxLossError.exit_code == 5
     err = capsys.readouterr().err
     assert "step 4" in err
+    # every error class keeps the code of its row in the README's table
+    assert {name: cls.exit_code for name, cls in vars(errors).items()
+            if isinstance(cls, type)
+            and issubclass(cls, errors.FluxDsmError)} == {
+        "FluxDsmError": 5, "UsageError": 2, "ConfigError": 4,
+        "ConfigSyntaxError": 2, "UnknownKeyError": 3, "DomainError": 5,
+        "PhaseViolationError": 5, "FluxLossError": 5, "InstabilityError": 5,
+        "QuadratureError": 5}
 
 
 def test_cli_missing_config_file_exit_2(tmp_path, capsys):
@@ -700,20 +708,41 @@ FLOAT_RANGE_REJECTIONS = [
      4, "bad.cfg:5: full scale 1e+300 T"),
     ("modulator-run", "modulator", MOD_DC_BODY + "full_scale = 1e308\n", 4,
      "bad.cfg:5: full scale 1e+308 T"),
+    # values that load, but whose run arithmetic leaves the float range
+    ("slab-profile", "slab", SLAB_BODY.replace("d = 2e-4", "d = 1e300"), 5,
+     "error: slab-profile run left the float range"),
+    ("slab-profile", "slab", SLAB_BODY.replace("b0 = 1e-6", "b0 = 1e300"), 5,
+     "error: slab-profile run left the float range"),
+    ("slab-profile", "slab",
+     SLAB_BODY.replace("omega = 1e5", "omega = 1e300"), 5,
+     "error: slab-profile run left the float range"),
+    ("slab-profile", "slab", SLAB_BODY.replace(
+        "regime = normal", "regime = super").replace("d = 2e-4", "d = 1e300"),
+     5, "error: slab-profile run left the float range"),
+    ("junction-iv", "junction", SNS_BODY + "area = 1e300\n", 5,
+     "error: junction-iv run left the float range"),
+    ("comparator-curve", "comparator", COMP_BODY + "b_stop = 1e308\n", 5,
+     "error: comparator-curve run left the float range"),
 ]
 
 
 @pytest.mark.parametrize("kind,sub,body,code,where", FLOAT_RANGE_REJECTIONS,
                          ids=["comparator-side", "device-radius",
                               "device-b_in", "device-full_scale",
-                              "ideal-full_scale"])
+                              "ideal-full_scale", "slab-d", "slab-b0",
+                              "slab-omega", "super-slab-d", "sns-area",
+                              "comparator-b_stop"])
 def test_cli_float_range_rejection(tmp_path, capsys, kind, sub, body, code,
                                    where):
     cfg_path = _write(tmp_path, "bad.cfg", _scenario(kind, body))
     out = tmp_path / "out"
-    assert main([sub, "--config", cfg_path, "--out", str(out)]) == code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([sub, "--config", cfg_path, "--out", str(out)]) == code
     assert not out.exists()
-    assert where in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert where in err and "RuntimeWarning" not in err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_full_scale_tone_loads():

@@ -1,14 +1,13 @@
 """Command line front end.
 
-One subcommand per scenario kind, named after the kind's config
-section; each takes one or more --config files, an output directory,
-and an optional seed override. Exit codes separate the failure classes
-so batch drivers can triage without parsing stderr:
+Runs the scenario configs that --config names, in one batch whose
+configs may differ in kind: each config's `kind` picks its runner.
+Exit codes separate the failure classes so batch drivers can triage
+without parsing stderr:
 
     0  success
-    2  usage or config syntax error (wrong subcommand for the
-       config's kind, argparse errors, a config file that cannot be
-       read, malformed config text)
+    2  usage or config syntax error (argparse errors, no --config, a
+       config file that cannot be read, malformed config text)
     3  unknown config key
     4  config invariant violation
     5  runtime domain or device error
@@ -21,9 +20,9 @@ from dataclasses import replace
 
 from . import __version__
 from .constants import CODATA
-from .errors import FluxDsmError, UsageError
+from .errors import FluxDsmError
 from .materials import BUILTIN_MATERIALS
-from .scenario import KIND_SECTIONS, load_scenario, run_scenario
+from .scenario import load_scenario, run_scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -35,18 +34,14 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="print the built-in material table and exit")
     parser.add_argument("--print-constants", action="store_true",
                         help="print the physical constants in use and exit")
-    sub = parser.add_subparsers(dest="command")
-    for kind, name in KIND_SECTIONS.items():
-        p = sub.add_parser(name, help=f"run {kind} scenarios")
-        p.set_defaults(kind=kind)
-        p.add_argument("--config", action="append", required=True,
-                       metavar="PATH", help="scenario config file "
-                       "(repeat to batch several)")
-        p.add_argument("--out", default=None, metavar="DIR",
-                       help="output directory (default: config's "
-                       "output_dir, relative to the working directory)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
+    parser.add_argument("--config", action="extend", nargs="+",
+                        metavar="PATH", help="scenario config files; "
+                        "their kinds may differ (repeatable)")
+    parser.add_argument("--out", default=None, metavar="DIR",
+                        help="output directory (default: config's "
+                        "output_dir, relative to the working directory)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the config seed")
     return parser
 
 
@@ -62,14 +57,6 @@ def _print_constants() -> None:
         print(f"{key} = {getattr(CODATA, key)!r}")
 
 
-def _load(path, kind, seed):
-    cfg = load_scenario(path)
-    if cfg.kind != kind:
-        raise UsageError(f"{path}: config declares kind '{cfg.kind}', "
-                         f"not '{kind}'")
-    return cfg if seed is None else replace(cfg, seed=seed)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -79,13 +66,15 @@ def main(argv=None) -> int:
     if args.print_constants:
         _print_constants()
         return 0
-    if args.command is None:
+    if not args.config:
         parser.print_usage(sys.stderr)
         return 2
     try:
         # every config of a batch is checked before any of them runs
-        cfgs = [_load(path, args.kind, args.seed) for path in args.config]
+        cfgs = [load_scenario(path) for path in args.config]
         for path, cfg in zip(args.config, cfgs):
+            if args.seed is not None:
+                cfg = replace(cfg, seed=args.seed)
             out_dir = args.out
             if out_dir is not None and len(cfgs) > 1:
                 # keep batched configs from clobbering each other's artifacts

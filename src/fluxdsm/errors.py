@@ -12,7 +12,7 @@ class FluxDsmError(Exception):
 
 
 class UsageError(FluxDsmError):
-    """The command line and the config disagree about what to run."""
+    """The command line names a config file that cannot be read."""
 
     exit_code = 2
 

@@ -50,7 +50,9 @@ def _default_comparator() -> ComparatorConfig:
 
 @dataclass(frozen=True)
 class ModulatorConfig:
-    order: int = 2
+    """The loop order is len(a), one feedforward gain a_i and one
+    integrator gain c_i per integrator."""
+
     osr: int = 128
     a: tuple = (2.0, 4.0)
     c: tuple = (0.5, 0.5)
@@ -64,12 +66,12 @@ class ModulatorConfig:
     input_noise: Optional[NoiseModel] = None
 
     def __post_init__(self):
-        if not isinstance(self.order, int) or not 1 <= self.order <= 4:
-            raise ConfigError("order must be an integer in 1..4")
         if not isinstance(self.osr, int) or self.osr < 8:
             raise ConfigError("osr must be an integer >= 8")
-        if len(self.a) != self.order or len(self.c) != self.order:
+        if len(self.a) != len(self.c):
             raise ConfigError("a and c must each have one entry per stage")
+        if not 1 <= len(self.a) <= 4:
+            raise ConfigError("order (the length of a and c) must be in 1..4")
         # written as `not v > 0` so that nan fails the checks too
         if not all(v > 0 for v in (*self.a, *self.c)):
             raise ConfigError("feedforward and integrator gains must be > 0")
@@ -77,6 +79,9 @@ class ModulatorConfig:
             raise ConfigError(f"backend must be one of {BACKENDS}")
         if self.backend == "flux-device" and self.geometry is None:
             raise ConfigError("flux-device backend needs a cylinder geometry")
+        if self.backend == "ideal" and not (self.geometry is None
+                                            and self.schedule is None):
+            raise ConfigError("ideal backend takes no geometry or schedule")
         if not self.fs > 0:
             raise ConfigError("sample rate must be positive")
         if self.full_scale is not None and not self.full_scale > 0:
@@ -198,7 +203,7 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
             geom, comp.b_lsb, schedule)
         quanta_per_unit = cfg.quanta_per_unit
 
-    order = cfg.order
+    order = len(cfg.a)
     device = device_gain is not None
     c0, a0 = cfg.c[0], cfg.a[0]
     c0_gain = c0 / device_gain if device else 0.0

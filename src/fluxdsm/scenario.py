@@ -396,11 +396,8 @@ def _build_modulator(sec: Section, sections, config_dir: str):
     noise_sec = sections.get("input-noise")
     if noise_sec is not None:
         input_noise = _noise_model(noise_sec)
-    order = sec.get_int("order", 2)
-    if order != 2 and not (sec.has("a") and sec.has("c")):
-        raise sec.error("orders other than 2 need explicit a and c lists")
     mc = ModulatorConfig(
-        order=order, osr=sec.get_int("osr", 128),
+        osr=sec.get_int("osr", 128),
         a=_float_list(sec, "a", "2,4"),
         c=_float_list(sec, "c", "0.5,0.5"),
         comparator=comp, backend=backend, geometry=geometry,
@@ -490,8 +487,6 @@ _KINDS = {
 }
 
 SCENARIO_KINDS = tuple(_KINDS)
-# kind -> its section, which also names its CLI subcommand
-KIND_SECTIONS = {kind: entry[0] for kind, entry in _KINDS.items()}
 
 
 def run_scenario(cfg: ScenarioConfig,

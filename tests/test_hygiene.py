@@ -1,15 +1,17 @@
 """Source hygiene: every name a module imports is used in it, the
 physics reads the fixed constants instead of taking them as arguments,
-numpy alone decides what a scalar input returns, and every dataclass
-field is read somewhere."""
+numpy alone decides what a scalar input returns, every dataclass
+field is read somewhere, and README's command lines parse."""
 
 import ast
 import pathlib
 import re
+import shlex
 
 import pytest
 
 import fluxdsm
+from fluxdsm.cli import _build_parser
 
 MODULES = sorted(pathlib.Path(fluxdsm.__file__).parent.glob("*.py"))
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -116,6 +118,25 @@ def test_public_names_used_or_documented():
                for name in _public_definitions(path)
                if name not in referenced and name not in documented]
     assert orphans == []
+
+
+def _readme_commands():
+    """The arguments of every `fluxdsm ...` line in README's sh blocks."""
+    text = README.read_text(encoding="utf-8")
+    return [shlex.split(line)[1:]
+            for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S)
+            for line in block.splitlines() if line.startswith("fluxdsm ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert commands
+    parser = _build_parser()
+    for argv in commands:
+        # argparse exits on an option the command line no longer takes
+        args = parser.parse_args(argv)
+        for pattern in args.config or ():
+            assert sorted(ROOT.glob(pattern)), f"{pattern} names no file"
 
 
 def _is_dataclass(decorator):

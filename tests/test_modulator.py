@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 from fluxdsm.comparator import make_comparator, quantize
 from fluxdsm.constants import CODATA
 from fluxdsm.errors import ConfigError, DomainError, InstabilityError
-from fluxdsm.fluxtrap import CylinderGeometry
+from fluxdsm.fluxtrap import (CylinderGeometry,
+                              default_amplification_schedule,
+                              doubling_amplification_schedule)
 from fluxdsm.modulator import (
     ModulatorConfig,
     dc_tracking_mean,
@@ -29,13 +31,20 @@ GEOM8 = CylinderGeometry(radius=0.02, n_segments=8, n_eff=4)
 
 
 @pytest.mark.parametrize("kwargs,msg", [
-    (dict(order=0), "order must be"),
-    (dict(order=5), "order must be"),
+    (dict(a=(), c=()), "order .* must be in 1..4"),
+    (dict(a=(1.0,) * 5, c=(0.5,) * 5), "order .* must be in 1..4"),
     (dict(osr=4), "osr must be"),
     (dict(a=(1.0,)), "one entry per stage"),
     (dict(a=(1.0, -2.0)), "gains must be > 0"),
     (dict(backend="analog"), "backend must be"),
     (dict(backend="flux-device"), "needs a cylinder geometry"),
+    # the ideal loop has no device to take them
+    (dict(geometry=GEOM8), "ideal backend takes no geometry or schedule"),
+    (dict(schedule=doubling_amplification_schedule()),
+     "ideal backend takes no geometry or schedule"),
+    (dict(backend="ideal", geometry=CylinderGeometry(1e-4, 8, 4.0),
+          schedule=default_amplification_schedule(8)),
+     "ideal backend takes no geometry or schedule"),
     (dict(fs=0.0), "sample rate"),
     (dict(full_scale=-1.0), "full_scale"),
     (dict(stability_bound=0.0), "stability bound"),
@@ -182,7 +191,8 @@ def _loop_oracle(cfg, u, gain=None):
     if gain is not None:
         quanta = cfg.full_scale_field * cfg.geometry.area / CODATA.phi0
     a, c = cfg.a, cfg.c
-    x = [0.0] * cfg.order
+    order = len(cfg.a)
+    x = [0.0] * order
     acc = 0
     err = 0.0
     codes, states, saturations = [], [], 0
@@ -192,10 +202,10 @@ def _loop_oracle(cfg, u, gain=None):
         else:
             acc += gain * round(err * quanta)
             x[0] = acc * (c[0] / gain) / quanta
-        for i in range(1, cfg.order):
+        for i in range(1, order):
             x[i] = x[i] + c[i] * x[i - 1]
         y = 0.0
-        for i in range(cfg.order):
+        for i in range(order):
             y += a[i] * x[i]
         raw = round(y / lsb_n)
         code = min(max(raw, -hr), hr)
@@ -215,7 +225,7 @@ def test_loop_matches_difference_equations_exactly(order, backend, noisy):
     a, c = LOOP_COEFFS[order]
     device = backend == "flux-device"
     noise = NoiseModel(R0=1.0, tau1=2.0, tau2=2e4, kprime=1e-6, seed=3)
-    cfg = ModulatorConfig(order=order, a=a, c=c, backend=backend,
+    cfg = ModulatorConfig(a=a, c=c, backend=backend,
                           geometry=GEOM8 if device else None,
                           stability_bound=50.0,
                           input_noise=noise if noisy else None)
@@ -245,7 +255,7 @@ def test_loop_quantizer_matches_comparator_quantize(order, backend):
     # comparator.quantize at the loop's normalized LSB
     a, c = LOOP_COEFFS[order]
     device = backend == "flux-device"
-    cfg = ModulatorConfig(order=order, a=a, c=c, backend=backend,
+    cfg = ModulatorConfig(a=a, c=c, backend=backend,
                           geometry=GEOM8 if device else None,
                           stability_bound=50.0)
     u = make_tone(4096, 5, 0.5)

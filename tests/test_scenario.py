@@ -1,18 +1,24 @@
 """Scenario parsing, artifact generation, and the CLI's exit codes."""
 
+import contextlib
+import io
 import math
 import os
+import pathlib
 import re
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fluxdsm import errors, scenario
 from fluxdsm.cli import main
 from fluxdsm.comparator import make_comparator
 from fluxdsm.electrodynamics import square_loop_current_for_field
 from fluxdsm.errors import ConfigError, FluxLossError, UnknownKeyError
+from fluxdsm.modulator import ModulatorConfig, run_modulator
 from fluxdsm.scenario import (
     CSV_CHUNK_ROWS,
     SCENARIO_KINDS,
@@ -113,30 +119,33 @@ n_segments = 4
 """
 MOD_TONE_BODY = MOD_DC_BODY.replace("dc = 0.25", "tone_cycles = 3")
 
-# (kind, subcommand, good body, body with a key the builder does not
-# read, "line: key" of that key); the bodies start on line 5
+# (kind, good body, body with a key the builder does not read,
+# "line: key" of that key); the bodies start on line 5
 UNREAD_KEY_REJECTIONS = [
     # keys of the other junction mode
-    ("junction-iv", "junction", NIS_BODY,
+    ("junction-iv", NIS_BODY,
      NIS_BODY + "form = 4\nphi_points = 0\n", "13: unknown key 'form'"),
-    ("junction-iv", "junction", SNS_BODY,
+    ("junction-iv", SNS_BODY,
      SNS_BODY + "v_start = 9\nv_stop = 1\npoints = -3\n",
      "11: unknown key 'v_start'"),
     # sns takes the material's gap
-    ("junction-iv", "junction", SNS_BODY, SNS_BODY + "delta = 5\n",
+    ("junction-iv", SNS_BODY, SNS_BODY + "delta = 5\n",
      "11: unknown key 'delta'"),
     # modulator keys that no code read for the choices the section makes
-    ("modulator-run", "modulator", MOD_DC_BODY,
+    ("modulator-run", MOD_DC_BODY,
      MOD_DC_BODY + "schedule = doubling\n", "8: unknown key 'schedule'"),
-    ("modulator-run", "modulator", MOD_DC_BODY,
+    ("modulator-run", MOD_DC_BODY,
      MOD_DC_BODY + "amplitude_dbfs = -40\n",
      "8: unknown key 'amplitude_dbfs'"),
-    ("modulator-run", "modulator", MOD_DC_BODY,
+    ("modulator-run", MOD_DC_BODY,
      MOD_DC_BODY + "full_scale = 1e-6\ninput_coil_n = 1e4\n"
      "input_coil_imax = 1e-3\n", "9: unknown key 'input_coil_n'"),
-    ("modulator-run", "modulator", MOD_DC_BODY,
+    ("modulator-run", MOD_DC_BODY,
      MOD_DC_BODY + "input_coil_imax = 1e-3\n",
      "8: unknown key 'input_coil_imax'"),
+    # a and c set the loop order
+    ("modulator-run", MOD_DC_BODY,
+     MOD_DC_BODY + "order = 3\n", "8: unknown key 'order'"),
 ]
 
 
@@ -248,8 +257,9 @@ def test_bad_value_reported_before_unread_key():
                                                  "n_segments = 2")
      + "schedule = doubling\n",
      "schedule 'doubling' step 3 switches coil 4, outside 1..2"),
-    ("modulator-run", MOD_DC_BODY + "order = 3\n",
-     "explicit a and c lists"),
+    # the loop order is the length of a and c
+    ("modulator-run", MOD_DC_BODY + "a = 1,0.5,0.1\n",
+     "a and c must each have one entry per stage"),
     ("modulator-run", MOD_DC_BODY.replace("dc = 0.25", "tone_cycles = 9"),
      "tone_cycles must lie in the band"),
     ("modulator-run", MOD_DC_BODY + "a = two,four\n",
@@ -521,7 +531,7 @@ def test_cli_runs_comparator(tmp_path, capsys):
     cfg_path = _write(tmp_path, "curve.cfg",
                       _scenario("comparator-curve", COMP_BODY))
     out = tmp_path / "out"
-    code = main(["comparator", "--config", cfg_path, "--out", str(out)])
+    code = main(["--config", cfg_path, "--out", str(out)])
     assert code == 0
     printed = capsys.readouterr().out.splitlines()
     assert str(out / "curve.csv") in printed
@@ -535,31 +545,22 @@ def test_cli_no_command_is_usage_error(capsys):
 
 def test_cli_syntax_error_exit_2(tmp_path, capsys):
     cfg_path = _write(tmp_path, "broken.cfg", "not a config\n")
-    assert main(["slab", "--config", cfg_path]) == 2
+    assert main(["--config", cfg_path]) == 2
     assert "error:" in capsys.readouterr().err
 
 
 def test_cli_unknown_key_exit_3(tmp_path, capsys):
     cfg_path = _write(tmp_path, "extra.cfg", _scenario(
         "comparator-curve", COMP_BODY + "sides = 4\n"))
-    assert main(["comparator", "--config", cfg_path]) == 3
+    assert main(["--config", cfg_path]) == 3
     assert "unknown key 'sides'" in capsys.readouterr().err
-
-
-def test_cli_kind_mismatch_exit_2(tmp_path, capsys):
-    cfg_path = _write(tmp_path, "curve.cfg", _scenario(
-        "comparator-curve", COMP_BODY))
-    assert main(["device", "--config", cfg_path]) == 2
-    err = capsys.readouterr().err
-    assert "declares kind 'comparator-curve'" in err
-    assert "'device-sequence'" in err
 
 
 def test_cli_invariant_violation_exit_4(tmp_path, capsys):
     cfg_path = _write(tmp_path, "bad.cfg", _scenario(
         "slab-profile",
         SLAB_BODY.replace("regime = normal", "regime = plasma")))
-    assert main(["slab", "--config", cfg_path]) == 4
+    assert main(["--config", cfg_path]) == 4
     assert "regime" in capsys.readouterr().err
 
 
@@ -571,7 +572,7 @@ def test_cli_runtime_flux_loss_exit_5(tmp_path, capsys):
         "device-sequence",
         DEVICE_BODY.replace("schedule = doubling",
                             f"schedule = {os.path.basename(sched)}")))
-    code = main(["device", "--config", cfg_path, "--out",
+    code = main(["--config", cfg_path, "--out",
                  str(tmp_path / "out")])
     assert code == FluxLossError.exit_code == 5
     err = capsys.readouterr().err
@@ -588,7 +589,7 @@ def test_cli_runtime_flux_loss_exit_5(tmp_path, capsys):
 
 def test_cli_missing_config_file_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "absent.cfg")
-    assert main(["comparator", "--config", missing]) == 2
+    assert main(["--config", missing]) == 2
     assert "cannot read config file" in capsys.readouterr().err
 
 
@@ -596,7 +597,7 @@ def test_cli_config_not_utf8_exit_2(tmp_path, capsys):
     p = tmp_path / "latin1.cfg"
     p.write_bytes(_scenario("comparator-curve", COMP_BODY).encode()
                   + b"# caf\xe9\n")
-    assert main(["comparator", "--config", str(p)]) == 2
+    assert main(["--config", str(p)]) == 2
     err = capsys.readouterr().err
     assert "latin1.cfg:7:" in err and "UTF-8" in err
 
@@ -606,39 +607,39 @@ def test_cli_schedule_not_utf8_exit_2(tmp_path, capsys):
     cfg_path = _write(tmp_path, "dev.cfg", _scenario(
         "device-sequence",
         DEVICE_BODY.replace("schedule = doubling", "schedule = latin1.sched")))
-    assert main(["device", "--config", cfg_path,
+    assert main(["--config", cfg_path,
                  "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "latin1.sched:2:" in err and "UTF-8" in err
 
 
-@pytest.mark.parametrize("kind,sub,good,bad", [
-    ("device-sequence", "device", DEVICE_BODY,
+@pytest.mark.parametrize("kind,good,bad", [
+    ("device-sequence", DEVICE_BODY,
      DEVICE_BODY.replace("schedule = doubling", "schedule = nowhere.sched")),
-    ("slab-profile", "slab", SLAB_BODY, SLAB_BODY.replace("d = 2e-4", "d = 0")),
-    ("noise-psd", "noise", NOISE_BODY,
+    ("slab-profile", SLAB_BODY, SLAB_BODY.replace("d = 2e-4", "d = 0")),
+    ("noise-psd", NOISE_BODY,
      NOISE_BODY.replace("n = 8192", "n = 1000")),
-    ("modulator-run", "modulator",
+    ("modulator-run",
      MOD_DC_BODY.replace("n = 1024", "n = 4096") + INPUT_NOISE_BODY,
      MOD_DC_BODY + INPUT_NOISE_BODY),
-    ("modulator-run", "modulator", MOD_DC_BODY, MOD_NO_INPUT_BODY),
-    ("modulator-run", "modulator", MOD_TONE_BODY,
+    ("modulator-run", MOD_DC_BODY, MOD_NO_INPUT_BODY),
+    ("modulator-run", MOD_TONE_BODY,
      MOD_TONE_BODY + "amplitude_dbfs = 3\n"),
-    ("slab-profile", "slab", SLAB_BODY,
+    ("slab-profile", SLAB_BODY,
      SLAB_BODY.replace("d = 2e-4", "d = nan")),
-    ("modulator-run", "modulator", MOD_DEVICE_DC_BODY,
+    ("modulator-run", MOD_DEVICE_DC_BODY,
      MOD_DEVICE_DC_BODY.replace("dc = 0.25", "dc = nan")),
-    ("junction-iv", "junction", NIS_BODY,
+    ("junction-iv", NIS_BODY,
      NIS_BODY.replace("t = 0.3128", "t = inf")),
-] + [("junction-iv", "junction", good, bad)
+] + [("junction-iv", good, bad)
      for good, bad, _ in JUNCTION_LOAD_REJECTIONS])
-def test_cli_load_rejection_writes_nothing(tmp_path, capsys, kind, sub, good,
+def test_cli_load_rejection_writes_nothing(tmp_path, capsys, kind, good,
                                            bad):
     # the batch loads both configs before it runs the good one
     ok_path = _write(tmp_path, "ok.cfg", _scenario(kind, good))
     bad_path = _write(tmp_path, "bad.cfg", _scenario(kind, bad))
     out = tmp_path / "out"
-    assert main([sub, "--config", ok_path, "--config", bad_path,
+    assert main(["--config", ok_path, "--config", bad_path,
                  "--out", str(out)]) == 4
     assert not out.exists()
     if bad in JUNCTION_LOAD_MESSAGES:
@@ -648,97 +649,97 @@ def test_cli_load_rejection_writes_nothing(tmp_path, capsys, kind, sub, good,
         assert "bad.cfg:5:" in err
 
 
-@pytest.mark.parametrize("kind,sub,good,bad,where", UNREAD_KEY_REJECTIONS,
+@pytest.mark.parametrize("kind,good,bad,where", UNREAD_KEY_REJECTIONS,
                          ids=["nis-form", "sns-v_start", "sns-delta",
                               "schedule",
                               "amplitude_dbfs-with-dc",
                               "input_coil-with-full_scale",
-                              "input_coil_imax-alone"])
-def test_cli_unread_key_exit_3(tmp_path, capsys, kind, sub, good, bad,
+                              "input_coil_imax-alone", "order"])
+def test_cli_unread_key_exit_3(tmp_path, capsys, kind, good, bad,
                                where):
     ok_path = _write(tmp_path, "ok.cfg", _scenario(kind, good))
     bad_path = _write(tmp_path, "bad.cfg", _scenario(kind, bad))
     out = tmp_path / "out"
-    assert main([sub, "--config", ok_path, "--config", bad_path,
+    assert main(["--config", ok_path, "--config", bad_path,
                  "--out", str(out)]) == 3
     assert not out.exists()
     assert f"bad.cfg:{where}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind,sub,body,where", [
+@pytest.mark.parametrize("kind,body,where", [
     # a non-finite number is named at its key's line
-    ("slab-profile", "slab", SLAB_BODY.replace("d = 2e-4", "d = nan"),
+    ("slab-profile", SLAB_BODY.replace("d = 2e-4", "d = nan"),
      "bad.cfg:8: key 'd' expects a number, got 'nan'"),
-    ("modulator-run", "modulator",
+    ("modulator-run",
      MOD_DEVICE_DC_BODY.replace("dc = 0.25", "dc = nan"),
      "bad.cfg:7: key 'dc' expects a number, got 'nan'"),
-    ("junction-iv", "junction", NIS_BODY.replace("t = 0.3128", "t = inf"),
+    ("junction-iv", NIS_BODY.replace("t = 0.3128", "t = inf"),
      "bad.cfg:8: key 't' expects a number, got 'inf'"),
     # an input level above full scale is named at its section's line
-    ("modulator-run", "modulator", MOD_TONE_BODY + "amplitude_dbfs = 3\n",
+    ("modulator-run", MOD_TONE_BODY + "amplitude_dbfs = 3\n",
      "bad.cfg:5: amplitude_dbfs must be at most 0"),
     # so is a section the builder did not read
-    ("modulator-run", "modulator",
+    ("modulator-run",
      MOD_DC_BODY + "\n[device]\nradius = 0.02\nn_segments = 4\n",
      "bad.cfg:9: section [device] does not belong to a modulator-run "
      "scenario"),
 ])
-def test_cli_load_rejection_names_location(tmp_path, capsys, kind, sub, body,
+def test_cli_load_rejection_names_location(tmp_path, capsys, kind, body,
                                            where):
     cfg_path = _write(tmp_path, "bad.cfg", _scenario(kind, body))
-    assert main([sub, "--config", cfg_path,
+    assert main(["--config", cfg_path,
                  "--out", str(tmp_path / "out")]) == 4
     assert where in capsys.readouterr().err
 
 
 # finite config values whose arithmetic would leave the float range:
-# (kind, subcommand, body, exit code, message). What load builds is
+# (kind, body, exit code, message). What load builds is
 # rejected at its section's line (exit 4), the rest by the run (exit 5).
 FLOAT_RANGE_REJECTIONS = [
-    ("comparator-curve", "comparator", COMP_BODY + "side = 1e-300\n", 4,
+    ("comparator-curve", COMP_BODY + "side = 1e-300\n", 4,
      "bad.cfg:5: loop side 1e-300 m puts the loop area outside"),
-    ("device-sequence", "device",
+    ("device-sequence",
      DEVICE_BODY.replace("radius = 0.02", "radius = 1e200"), 4,
      "bad.cfg:5: radius 1e+200 m puts the bore area outside"),
-    ("device-sequence", "device",
+    ("device-sequence",
      DEVICE_BODY.replace("b_in = 1e-10", "b_in = 1e300"), 5,
      "B_in = 1e+300 T over the bore is inf flux quanta"),
-    ("modulator-run", "modulator",
+    ("modulator-run",
      MOD_DEVICE_DC_BODY.replace("dc = 0.25", "dc = 0.25\nfull_scale = 1e300"),
      4, "bad.cfg:5: full scale 1e+300 T"),
-    ("modulator-run", "modulator", MOD_DC_BODY + "full_scale = 1e308\n", 4,
+    ("modulator-run", MOD_DC_BODY + "full_scale = 1e308\n", 4,
      "bad.cfg:5: full scale 1e+308 T"),
     # values that load, but whose run arithmetic leaves the float range
-    ("slab-profile", "slab", SLAB_BODY.replace("d = 2e-4", "d = 1e300"), 5,
+    ("slab-profile", SLAB_BODY.replace("d = 2e-4", "d = 1e300"), 5,
      "error: slab-profile run left the float range"),
-    ("slab-profile", "slab", SLAB_BODY.replace("b0 = 1e-6", "b0 = 1e300"), 5,
+    ("slab-profile", SLAB_BODY.replace("b0 = 1e-6", "b0 = 1e300"), 5,
      "error: slab-profile run left the float range"),
-    ("slab-profile", "slab",
+    ("slab-profile",
      SLAB_BODY.replace("omega = 1e5", "omega = 1e300"), 5,
      "error: slab-profile run left the float range"),
-    ("slab-profile", "slab", SLAB_BODY.replace(
+    ("slab-profile", SLAB_BODY.replace(
         "regime = normal", "regime = super").replace("d = 2e-4", "d = 1e300"),
      5, "error: slab-profile run left the float range"),
-    ("junction-iv", "junction", SNS_BODY + "area = 1e300\n", 5,
+    ("junction-iv", SNS_BODY + "area = 1e300\n", 5,
      "error: junction-iv run left the float range"),
-    ("comparator-curve", "comparator", COMP_BODY + "b_stop = 1e308\n", 5,
+    ("comparator-curve", COMP_BODY + "b_stop = 1e308\n", 5,
      "error: comparator-curve run left the float range"),
 ]
 
 
-@pytest.mark.parametrize("kind,sub,body,code,where", FLOAT_RANGE_REJECTIONS,
+@pytest.mark.parametrize("kind,body,code,where", FLOAT_RANGE_REJECTIONS,
                          ids=["comparator-side", "device-radius",
                               "device-b_in", "device-full_scale",
                               "ideal-full_scale", "slab-d", "slab-b0",
                               "slab-omega", "super-slab-d", "sns-area",
                               "comparator-b_stop"])
-def test_cli_float_range_rejection(tmp_path, capsys, kind, sub, body, code,
+def test_cli_float_range_rejection(tmp_path, capsys, kind, body, code,
                                    where):
     cfg_path = _write(tmp_path, "bad.cfg", _scenario(kind, body))
     out = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main([sub, "--config", cfg_path, "--out", str(out)]) == code
+        assert main(["--config", cfg_path, "--out", str(out)]) == code
     assert not out.exists()
     err = capsys.readouterr().err
     assert where in err and "RuntimeWarning" not in err
@@ -751,24 +752,24 @@ def test_full_scale_tone_loads():
     assert np.max(np.abs(cfg.spec[1])) == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("kind,sub,body,where", [
-    ("device-sequence", "device",
+@pytest.mark.parametrize("kind,body,where", [
+    ("device-sequence",
      DEVICE_BODY.replace("n_segments = 4", "n_segments = 8").replace(
          "schedule = doubling", "schedule = far.sched"),
      "bad.cfg:5: schedule 'far.sched' step 1 switches coil 9, "
      "outside 1..8"),
-    ("modulator-run", "modulator",
+    ("modulator-run",
      MOD_DEVICE_DC_BODY.replace("n_segments = 4", "n_segments = 2")
      + "schedule = doubling\n",
      "bad.cfg:10: schedule 'doubling' step 3 switches coil 4, "
      "outside 1..2"),
 ])
-def test_cli_schedule_outside_cylinder_exit_4(tmp_path, capsys, kind, sub,
-                                              body, where):
+def test_cli_schedule_outside_cylinder_exit_4(tmp_path, capsys, kind, body,
+                                              where):
     _write(tmp_path, "far.sched", "ecoil * on\necoil 9 off\n")
     cfg_path = _write(tmp_path, "bad.cfg", _scenario(kind, body))
     out = tmp_path / "out"
-    assert main([sub, "--config", cfg_path, "--out", str(out)]) == 4
+    assert main(["--config", cfg_path, "--out", str(out)]) == 4
     assert not out.exists()
     assert where in capsys.readouterr().err
 
@@ -796,7 +797,7 @@ def test_cli_missing_schedule_file_exit_4(tmp_path, capsys):
     cfg_path = _write(tmp_path, "lost.cfg", _scenario(
         "device-sequence",
         DEVICE_BODY.replace("schedule = doubling", "schedule = nowhere.sched")))
-    assert main(["device", "--config", cfg_path,
+    assert main(["--config", cfg_path,
                  "--out", str(tmp_path / "out")]) == 4
     assert "cannot read schedule" in capsys.readouterr().err
 
@@ -817,7 +818,7 @@ def test_cli_seed_override(tmp_path, capsys):
     cfg_path = _write(tmp_path, "noise.cfg",
                       _scenario("noise-psd", NOISE_BODY))
     for seed, sub in ((1, "s1"), (1, "s1b"), (2, "s2")):
-        main(["noise", "--config", cfg_path, "--seed", str(seed),
+        main(["--config", cfg_path, "--seed", str(seed),
               "--out", str(tmp_path / sub)])
     a = (tmp_path / "s1" / "series.csv").read_bytes()
     assert a == (tmp_path / "s1b" / "series.csv").read_bytes()
@@ -828,11 +829,134 @@ def test_cli_batch_uses_subdirs(tmp_path, capsys):
     c1 = _write(tmp_path, "one.cfg", _scenario("comparator-curve", COMP_BODY))
     c2 = _write(tmp_path, "two.cfg", _scenario(
         "comparator-curve", COMP_BODY.replace("points = 7", "points = 9")))
+    c3 = _write(tmp_path, "dev.cfg", _scenario("device-sequence", DEVICE_BODY))
     out = tmp_path / "batch"
-    code = main(["comparator", "--config", c1, "--config", c2,
-                 "--out", str(out)])
+    # several paths after one flag, and kinds mixed in one batch
+    code = main(["--config", c1, "--config", c2, c3, "--out", str(out)])
     assert code == 0
     assert (out / "one" / "curve.csv").exists()
     assert (out / "two" / "curve.csv").exists()
     lines_two = (out / "two" / "curve.csv").read_text().splitlines()
     assert len(lines_two) == 10
+    assert "gain = 2" in (out / "dev" / "report.txt").read_text()
+
+
+def test_cli_runs_third_order_loop(tmp_path, capsys):
+    # the lengths of a and c alone set the loop order
+    body = ("[modulator]\nn = 1024\ndc = 0.25\na = 1.0,0.5,0.1\n"
+            "c = 0.4,0.4,0.3\nstability_bound = 50\n")
+    cfg_path = _write(tmp_path, "third.cfg", _scenario("modulator-run", body))
+    out = tmp_path / "out"
+    assert main(["--config", cfg_path, "--out", str(out)]) == 0
+    trace = run_modulator(ModulatorConfig(a=(1.0, 0.5, 0.1),
+                                          c=(0.4, 0.4, 0.3),
+                                          stability_bound=50.0),
+                          np.full(1024, 0.25))
+    assert trace.states.shape == (1024, 3)
+    lines = ["k,code"] + [f"{k},{code}"
+                          for k, code in enumerate(trace.codes.tolist())]
+    assert (out / "codes.csv").read_text() == "\n".join(lines) + "\n"
+    report = (out / "report.txt").read_text()
+    assert [line.split(" = ")[0] for line in report.splitlines()[-3:]] == [
+        "state_peak_1", "state_peak_2", "state_peak_3"]
+
+
+# ------------------------------------------------------ generated configs
+
+# (kind, body, section edited, {key the kind reads: an out-of-band
+# value}); keys absent from the body are optional ones, added
+MUTABLE_CONFIGS = [
+    ("slab-profile", SLAB_BODY, "slab", {
+        "material": "iron", "regime": "plasma", "d": "-2e-4", "b0": "-1",
+        "omega": "-1e5", "npoints": "2", "t": "8"}),
+    ("device-sequence", DEVICE_BODY, "device", {
+        "radius": "-0.02", "n_segments": "5", "n_eff": "-4", "b_in": "1",
+        "schedule": "nowhere.sched", "material": "iron", "t": "9"}),
+    ("junction-iv", NIS_BODY, "junction", {
+        "mode": "sis", "material": "iron", "t": "9", "z": "-1",
+        "v_start": "5e-3", "v_stop": "-4e-3", "points": "1", "delta": "-1",
+        "prefactor": "-1"}),
+    ("junction-iv", SNS_BODY, "junction", {
+        "mode": "nis", "material": "aluminum", "t": "9", "d": "-1e-7",
+        "phi_points": "1", "area": "-1", "form": "4", "r_sheet": "-1"}),
+    ("noise-psd", NOISE_BODY, "noise", {
+        "tau1": "3e4", "tau2": "1", "kprime": "-1", "n": "1000",
+        "fs": "-1", "r0": "-1", "dof_coupled": "4", "method": "wavelet"}),
+    ("modulator-run", MOD_DC_BODY, "modulator", {
+        "n": "1000", "dc": "1.5", "osr": "4", "a": "1,2,3,4,5",
+        "c": "0.5", "backend": "analog", "fs": "-1", "full_scale": "-1",
+        "stability_bound": "0.1", "side": "-1", "i_bias": "-1",
+        "tone_cycles": "3"}),
+    ("modulator-run", MOD_TONE_BODY, "modulator", {
+        "n": "512", "tone_cycles": "5", "amplitude_dbfs": "3",
+        "osr": "4"}),
+    ("modulator-run", MOD_DEVICE_DC_BODY, "device", {
+        "radius": "1e-9", "n_segments": "1", "n_eff": "-1",
+        "schedule": "nowhere.sched"}),
+    ("modulator-run", MOD_DC_BODY.replace("n = 1024", "n = 4096")
+     + INPUT_NOISE_BODY, "input-noise", {
+         "tau1": "3e4", "tau2": "1", "kprime": "-1", "r0": "-1"}),
+    ("comparator-curve", COMP_BODY, "comparator", {
+        "points": "1", "side": "-1", "i_bias": "-1", "b_start": "1",
+        "b_stop": "-1"}),
+]
+SIZE_KEYS = {"n", "points", "npoints", "phi_points", "n_segments"}
+DRAWS = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "abc"]
+# a size key takes only small values, so that no run allocates much
+SIZE_DRAWS = ["nan", "abc", "-1", "0", "1", "2", "3", "16"]
+
+
+@st.composite
+def _one_key_edit(draw):
+    kind, body, section, keys = draw(st.sampled_from(MUTABLE_CONFIGS))
+    key = draw(st.sampled_from(sorted(keys)))
+    value = draw(st.sampled_from(
+        (SIZE_DRAWS if key in SIZE_KEYS else DRAWS) + [keys[key]]))
+    header = f"[{section}]\n"
+    head, tail = body.split(header)
+    line = re.compile(rf"^{key} = .*$", re.M)
+    if line.search(tail):
+        tail = line.sub(f"{key} = {value}", tail, count=1)
+    else:
+        tail = f"{key} = {value}\n" + tail
+    return _scenario(kind, head + header + tail)
+
+
+def _non_finite_fields(path):
+    """Fields of a CSV or report.txt that parse as nan or inf."""
+    found = []
+    for field in re.split(r",|\n| = ", path.read_text()):
+        try:
+            if not math.isfinite(float(field)):
+                found.append(field)
+        except ValueError:
+            pass
+    return found
+
+
+@settings(max_examples=250, derandomize=True, database=None, deadline=None)
+@given(text=_one_key_edit())
+def test_finite_config_edit_gives_finite_output_or_typed_exit(text):
+    """One key of a small config set to a non-finite, extreme, malformed
+    or out-of-band value: the run exits with a documented code, a load
+    rejection names its line, a failed run writes nothing, and a
+    successful one writes only finite numbers."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "edit.cfg")
+        with open(cfg_path, "w") as f:
+            f.write(text)
+        out = pathlib.Path(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["--config", cfg_path, "--out", str(out)])
+        assert code in (0, 2, 3, 4, 5), err.getvalue()
+        if code == 4:
+            assert re.search(re.escape(cfg_path) + r":\d+:", err.getvalue())
+        if code != 0:
+            assert not out.exists()
+        else:
+            for path in out.iterdir():
+                assert _non_finite_fields(path) == [], path.name

@@ -60,6 +60,8 @@ def _print_constants() -> None:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        parser.error("--seed must be a non-negative integer")
     if args.list_materials:
         _list_materials()
         return 0

@@ -295,8 +295,6 @@ def sns_current(cfg: JunctionConfig, phi, form: int = 1):
     with P from sns_prefactor and xi_N the normal coherence length at
     cfg.T. phi may be an array. Amperes out.
     """
-    if cfg.T <= 0:
-        raise DomainError("sns current needs T > 0 for xi_N")
     p = sns_prefactor(cfg, form)
     xi_n = n_coherence_length(cfg.material.vF, cfg.T)
     return p * math.exp(-cfg.d / xi_n) * np.sin(phi)

@@ -51,6 +51,8 @@ class NoiseModel:
             raise DomainError("kprime must be non-negative")
         if self.dof_coupled not in (1, 2, 3):
             raise DomainError("dof_coupled must be 1, 2 or 3")
+        if not self.seed >= 0:
+            raise DomainError("seed must be a non-negative integer")
 
 
 def lorentzian_psd(model: NoiseModel, omega):
@@ -113,49 +115,34 @@ def check_synthesis_limits(model: NoiseModel, n: int, fs: float) -> float:
     return decades
 
 
-def synth_flicker_series(model: NoiseModel, n: int, fs: float,
-                         method: str = "telegraph") -> np.ndarray:
+def synth_flicker_series(model: NoiseModel, n: int,
+                         fs: float) -> np.ndarray:
     """Synthesize a time series whose PSD follows the flicker band.
 
-    method='telegraph' (default) superposes two-state random-telegraph
-    processes with relaxation times log-spaced over [tau1, tau2], at
-    least 20 per decade, equal amplitudes (a log-uniform rate grid is
-    the discrete form of the 1/tau weighting). The per-process flip
-    probability per sample is matched exactly to the discrete-time
-    autocorrelation, so processes faster than the sample rate
-    degenerate gracefully to white noise. method='spectral' shapes
-    white Gaussian noise by sqrt(S) in the frequency domain instead.
+    Superposes two-state random-telegraph processes with relaxation
+    times log-spaced over [tau1, tau2], at least 20 per decade, equal
+    amplitudes (a log-uniform rate grid is the discrete form of the
+    1/tau weighting). The per-process flip probability per sample is
+    matched exactly to the discrete-time autocorrelation, so processes
+    faster than the sample rate degenerate gracefully to white noise.
 
-    The series is deterministic for a given (model.seed, n, fs, method).
+    The series is deterministic for a given (model.seed, n, fs).
     The limits on n, fs and the band are those of check_synthesis_limits.
     """
     decades = check_synthesis_limits(model, n, fs)
     rng = np.random.default_rng(model.seed)
-    if method == "telegraph":
-        m = math.ceil(20.0 * decades)
-        taus = np.geomspace(model.tau1, model.tau2, m)
-        amp = math.sqrt(model.kprime * math.log(model.tau2 / model.tau1)
-                        / (4.0 * m))
-        out = np.zeros(n)
-        if amp == 0.0:
-            return out
-        dt = 1.0 / fs
-        for tau in taus:
-            q = -0.5 * math.expm1(-dt / tau)
-            out += _telegraph(rng, n, q, amp)
+    m = math.ceil(20.0 * decades)
+    taus = np.geomspace(model.tau1, model.tau2, m)
+    amp = math.sqrt(model.kprime * math.log(model.tau2 / model.tau1)
+                    / (4.0 * m))
+    out = np.zeros(n)
+    if amp == 0.0:
         return out
-    if method == "spectral":
-        freqs = np.fft.rfftfreq(n, d=1.0 / fs)
-        psd = flicker_psd(model, 2.0 * math.pi * freqs)
-        scale = np.sqrt(psd * fs * n / 4.0)
-        re = rng.standard_normal(freqs.size)
-        im = rng.standard_normal(freqs.size)
-        spec = scale * (re + 1j * im)
-        spec[0] = 0.0
-        if n % 2 == 0:
-            spec[-1] = spec[-1].real * math.sqrt(2.0)
-        return np.fft.irfft(spec, n)
-    raise DomainError(f"unknown synthesis method '{method}'")
+    dt = 1.0 / fs
+    for tau in taus:
+        q = -0.5 * math.expm1(-dt / tau)
+        out += _telegraph(rng, n, q, amp)
+    return out
 
 
 def dof_variance_factor(model: NoiseModel) -> float:

@@ -67,6 +67,8 @@ def parse_scenario(text: str, path: Optional[str] = None) -> ScenarioConfig:
             f"unknown scenario kind {kind!r}; expected one of "
             + ", ".join(SCENARIO_KINDS), path=path)
     seed = top.get_int("seed", 0)
+    if seed < 0:
+        raise top.error("seed must be a non-negative integer")
     output_dir = top.get_str("output_dir", ".")
     needed, build, _ = _KINDS[kind]
     if needed not in sections:
@@ -165,10 +167,13 @@ def _build_slab(sec: Section, sections, config_dir: str):
     npoints = sec.get_int("npoints", 201)
     if npoints < 3:
         raise sec.error("npoints must be at least 3")
+    # the normal profile ignores T, the London profile omega
+    omega = sec.get_float("omega", 0.0)
+    if regime == "super" and omega != 0.0:
+        raise sec.error("a super slab takes omega = 0 only")
     slab = SlabConfig(d=sec.get_float("d"), material=material,
-                      B0=sec.get_float("b0"),
-                      omega=sec.get_float("omega", 0.0),
-                      T=sec.get_float("t", 0.0))
+                      B0=sec.get_float("b0"), omega=omega,
+                      T=sec.get_float("t", 0.0) if regime == "super" else 0.0)
     return slab, regime, np.linspace(-slab.d, slab.d, npoints)
 
 
@@ -220,8 +225,9 @@ def _build_device(sec: Section, sections, config_dir: str):
     geom, schedule = _geometry_and_schedule(sec, config_dir)
     material = get_material(sec.get_str("material")) \
         if sec.has("material") else None
+    # T serves only the material's superconductivity check
     return (geom, schedule, material, sec.get_float("b_in"),
-            sec.get_float("t", 0.0))
+            sec.get_float("t", 0.0) if material is not None else 0.0)
 
 
 def _run_device(cfg: ScenarioConfig):
@@ -276,11 +282,9 @@ def _build_junction(sec: Section, sections, config_dir: str):
     # without a material, sns_prefactor below names the missing one
     jc = JunctionConfig(
         delta=material.delta if material is not None else 0.0,
-        T=T, d=sec.get_float("d", 0.0),
+        T=T, d=sec.get_float("d"),
         area=sec.get_float("area", 1e-12), material=material,
         r_sheet=sec.get_float("r_sheet") if sec.has("r_sheet") else None)
-    if jc.d <= 0:
-        raise sec.error("sns mode needs a barrier length d > 0")
     phi_points = sec.get_int("phi_points", 181)
     if phi_points < 2:
         raise sec.error("phi_points must be at least 2")
@@ -307,30 +311,27 @@ def _run_junction(cfg: ScenarioConfig):
 
 # --------------------------------------------------------------- noise
 
-def _noise_model(sec: Section) -> NoiseModel:
-    """The section's noise band; runners set its seed from cfg.seed."""
-    return NoiseModel(R0=sec.get_float("r0", 1.0),
-                      tau1=sec.get_float("tau1"),
-                      tau2=sec.get_float("tau2"),
-                      kprime=sec.get_float("kprime", 1.0),
-                      dof_coupled=sec.get_int("dof_coupled", 1))
-
-
 def _build_noise(sec: Section, sections, config_dir: str):
-    model = _noise_model(sec)
-    method = sec.get_str("method", "telegraph")
-    if method not in ("telegraph", "spectral"):
-        raise sec.error("method must be telegraph or spectral")
+    """The section's noise band; _run_noise sets its seed from cfg.seed."""
+    model = NoiseModel(R0=sec.get_float("r0", 1.0),
+                       tau1=sec.get_float("tau1"),
+                       tau2=sec.get_float("tau2"),
+                       kprime=sec.get_float("kprime", 1.0),
+                       dof_coupled=sec.get_int("dof_coupled", 1))
+    # telegraph is the one synthesizer; the key is kept because the
+    # shipped noise config sets it and its report echoes it
+    if sec.get_str("method", "telegraph") != "telegraph":
+        raise sec.error("method must be telegraph")
     n = sec.get_int("n", 65536)
     fs = sec.get_float("fs", 1.0)
     check_synthesis_limits(model, n, fs)
-    return model, n, fs, method
+    return model, n, fs
 
 
 def _run_noise(cfg: ScenarioConfig):
-    model, n, fs, method = cfg.spec
+    model, n, fs = cfg.spec
     model = replace(model, seed=cfg.seed)
-    series = synth_flicker_series(model, n, fs, method=method)
+    series = synth_flicker_series(model, n, fs)
     freqs, measured = welch(series, fs=fs, nperseg=min(n // 8, 65536),
                             detrend="constant")
     omega = 2.0 * math.pi * freqs
@@ -366,17 +367,16 @@ def _comparator(sec: Section):
 
 def _build_modulator(sec: Section, sections, config_dir: str):
     """Spec: the loop config, the input trace, and the DC level or the
-    tone's cycle count (the other is None)."""
+    tone's cycle count (the other is None). A [device] section makes
+    the first integrator the flux device."""
     n = sec.get_int("n", 16384)
     if n < 16 or n & (n - 1):
         raise sec.error("n must be a power of two, at least 16")
-    if sec.has("dc") and sec.has("tone_cycles"):
-        raise sec.error("dc and tone_cycles are mutually exclusive")
     if not (sec.has("dc") or sec.has("tone_cycles")):
         raise sec.error("modulator needs dc or tone_cycles")
-    if sec.has("dc") and abs(sec.get_float("dc")) > 1.0:
+    dc = sec.get_float("dc") if sec.has("dc") else None
+    if dc is not None and abs(dc) > 1.0:
         raise sec.error("dc level must lie in [-1, 1]")
-    backend = sec.get_str("backend", "ideal")
     comp = _comparator(sec)
     full_scale = None
     if sec.has("full_scale"):
@@ -385,30 +385,30 @@ def _build_modulator(sec: Section, sections, config_dir: str):
         # map u = +-1 to the field of the input solenoid at max drive
         full_scale = solenoid_field(sec.get_float("input_coil_n"),
                                     sec.get_float("input_coil_imax"))
-    geometry = None
-    schedule = None
-    if backend == "flux-device":
-        dev = sections.get("device")
-        if dev is None:
-            raise sec.error("flux-device backend needs a [device] section")
-        geometry, schedule = _geometry_and_schedule(dev, config_dir)
+    geometry = schedule = None
+    if "device" in sections:
+        geometry, schedule = _geometry_and_schedule(sections["device"],
+                                                    config_dir)
     input_noise = None
     noise_sec = sections.get("input-noise")
     if noise_sec is not None:
-        input_noise = _noise_model(noise_sec)
+        # synthesis reads only the band; runners set the seed
+        input_noise = NoiseModel(R0=0.0, tau1=noise_sec.get_float("tau1"),
+                                 tau2=noise_sec.get_float("tau2"),
+                                 kprime=noise_sec.get_float("kprime", 1.0))
     mc = ModulatorConfig(
         osr=sec.get_int("osr", 128),
         a=_float_list(sec, "a", "2,4"),
         c=_float_list(sec, "c", "0.5,0.5"),
-        comparator=comp, backend=backend, geometry=geometry,
+        comparator=comp, geometry=geometry,
+        backend="ideal" if geometry is None else "flux-device",
         schedule=schedule, fs=sec.get_float("fs", 1.0),
         full_scale=full_scale,
         stability_bound=sec.get_float("stability_bound", 8.0),
         input_noise=input_noise)
     if input_noise is not None:
         check_synthesis_limits(input_noise, n, mc.fs)
-    if sec.has("dc"):
-        dc = sec.get_float("dc")
+    if dc is not None:
         return mc, np.full(n, dc), dc, None
     tone_cycles = sec.get_int("tone_cycles")
     if not 0 < tone_cycles <= n // (2 * mc.osr):

@@ -284,7 +284,7 @@ def test_sns_decay_slope_is_inverse_coherence_length():
 
 def test_sns_current_needs_positive_temperature():
     cfg = JunctionConfig(delta=LEAD.delta, T=0.0, d=1e-7, material=LEAD)
-    with pytest.raises(DomainError, match="T > 0"):
+    with pytest.raises(DomainError, match="temperature must be positive"):
         sns_current(cfg, 1.0)
 
 

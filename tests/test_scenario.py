@@ -43,6 +43,16 @@ omega = 1e5
 npoints = 11
 """
 
+SUPER_SLAB_BODY = """[slab]
+material = lead
+regime = super
+d = 2e-7
+b0 = 1e-3
+omega = 0
+t = 4.2
+npoints = 11
+"""
+
 DEVICE_BODY = """[device]
 radius = 0.02
 n_segments = 4
@@ -111,8 +121,8 @@ JUNCTION_LOAD_REJECTIONS = [
 JUNCTION_LOAD_MESSAGES = {bad: msg for _, bad, msg in JUNCTION_LOAD_REJECTIONS}
 
 MOD_NO_INPUT_BODY = MOD_DC_BODY.replace("dc = 0.25\n", "")
-MOD_DEVICE_DC_BODY = MOD_DC_BODY + """backend = flux-device
-
+# a [device] section alone makes the loop's first integrator the device
+MOD_DEVICE_DC_BODY = MOD_DC_BODY + """
 [device]
 radius = 0.02
 n_segments = 4
@@ -146,6 +156,21 @@ UNREAD_KEY_REJECTIONS = [
     # a and c set the loop order
     ("modulator-run", MOD_DC_BODY,
      MOD_DC_BODY + "order = 3\n", "8: unknown key 'order'"),
+    # dc is read when the section has it, and the tone keys otherwise
+    ("modulator-run", MOD_DC_BODY,
+     MOD_DC_BODY + "tone_cycles = 5\n", "8: unknown key 'tone_cycles'"),
+    # a [device] section picks the backend
+    ("modulator-run", MOD_DC_BODY,
+     MOD_DC_BODY + "backend = flux-device\n", "8: unknown key 'backend'"),
+    # keys that no computation of the section's choices uses
+    ("slab-profile", SLAB_BODY, SLAB_BODY + "t = 99\n",
+     "12: unknown key 't'"),
+    ("device-sequence", DEVICE_BODY, DEVICE_BODY + "t = 1e6\n",
+     "11: unknown key 't'"),
+    ("modulator-run", MOD_DC_BODY.replace("n = 1024", "n = 4096")
+     + INPUT_NOISE_BODY, MOD_DC_BODY.replace("n = 1024", "n = 4096")
+     + INPUT_NOISE_BODY + "r0 = 12345\ndof_coupled = 3\n",
+     "13: unknown key 'r0'"),
 ]
 
 
@@ -156,6 +181,17 @@ def _write(tmp_path, name, text):
 
 
 # ------------------------------------------------------------- parsing
+
+def test_shipped_and_benchmark_configs_load():
+    """The benchmark pins its own copies of the shipped configs, so a
+    key change has to keep both sets loading."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    paths = (sorted(root.glob("scenarios/*.cfg"))
+             + sorted(root.glob("perfbench/inputs/*.cfg")))
+    assert {p.parent.name for p in paths} == {"scenarios", "inputs"}
+    for path in paths:
+        assert load_scenario(str(path)).kind in SCENARIO_KINDS
+
 
 def test_parse_minimal_scenarios():
     for kind, body in [("slab-profile", SLAB_BODY),
@@ -230,7 +266,7 @@ def test_bad_value_reported_before_unread_key():
     ("junction-iv", NIS_BODY.replace("points = 5", "points = 1"),
      "points must be at least 2"),
     ("junction-iv", SNS_BODY.replace("d = 1e-7\n", ""),
-     "needs a barrier length"),
+     "missing required key 'd'"),
     ("junction-iv", SNS_BODY.replace("phi_points = 9", "phi_points = 0"),
      "phi_points must be at least 2"),
     ("junction-iv", SNS_BODY.replace("phi_points = 9", "phi_points = -1"),
@@ -238,18 +274,20 @@ def test_bad_value_reported_before_unread_key():
     ("noise-psd", NOISE_BODY.replace("tau2 = 2e4", "tau2 = 1"),
      "tau1 < tau2"),
     ("noise-psd", NOISE_BODY + "method = wavelet\n",
-     "method must be telegraph or spectral"),
+     "method must be telegraph"),
+    ("noise-psd", NOISE_BODY + "method = spectral\n",
+     "method must be telegraph"),
     ("modulator-run", MOD_DC_BODY.replace("n = 1024", "n = 1000"),
      "power of two"),
-    ("modulator-run", MOD_DC_BODY + "tone_cycles = 5\n",
-     "mutually exclusive"),
     ("modulator-run", MOD_DC_BODY.replace("dc = 0.25", "dc = 1.5"),
      "dc level must lie"),
-    ("modulator-run", MOD_DC_BODY + "\n[device]\nradius = 0.02\n"
+    ("slab-profile", SLAB_BODY + "\n[device]\nradius = 0.02\n"
      "n_segments = 4\n",
-     "section \\[device\\] does not belong to a modulator-run scenario"),
-    ("modulator-run", MOD_DC_BODY + "backend = flux-device\n",
-     "needs a \\[device\\] section"),
+     "section \\[device\\] does not belong to a slab-profile scenario"),
+    # the London profile is frequency independent
+    ("slab-profile", SLAB_BODY.replace("regime = normal", "regime = super")
+     .replace("omega = 1e5", "omega = 1e9"),
+     "a super slab takes omega = 0 only"),
     # a schedule that switches a coil the cylinder does not have
     ("device-sequence", DEVICE_BODY.replace("n_segments = 4", "n_segments = 2"),
      "schedule 'doubling' step 3 switches coil 4, outside 1..2"),
@@ -415,7 +453,7 @@ def test_run_modulator_tone(tmp_path):
 
 
 def test_run_modulator_device_backend(tmp_path):
-    body = (MOD_DC_BODY + "backend = flux-device\n\n[device]\n"
+    body = (MOD_DC_BODY + "\n[device]\n"
             "radius = 0.02\nn_segments = 4\nn_eff = 4\nschedule = doubling\n")
     cfg = parse_scenario(_scenario("modulator-run", body))
     run_scenario(cfg, str(tmp_path))
@@ -426,7 +464,7 @@ def test_run_modulator_device_backend(tmp_path):
 def test_fast_clock_device_config_warns_once(tmp_path, extra):
     # input noise synthesis needs at least 4096 samples
     body = (MOD_DC_BODY.replace("n = 1024", "n = 4096")
-            + "backend = flux-device\nfs = 1e9\n\n[device]\n"
+            + "fs = 1e9\n\n[device]\n"
             "radius = 0.02\nn_segments = 4\nn_eff = 4\nschedule = doubling\n"
             + extra)
     with warnings.catch_warnings(record=True) as caught:
@@ -654,7 +692,10 @@ def test_cli_load_rejection_writes_nothing(tmp_path, capsys, kind, good,
                               "schedule",
                               "amplitude_dbfs-with-dc",
                               "input_coil-with-full_scale",
-                              "input_coil_imax-alone", "order"])
+                              "input_coil_imax-alone", "order",
+                              "tone_cycles-with-dc", "backend",
+                              "normal-slab-t", "device-t-without-material",
+                              "input-noise-r0"])
 def test_cli_unread_key_exit_3(tmp_path, capsys, kind, good, bad,
                                where):
     ok_path = _write(tmp_path, "ok.cfg", _scenario(kind, good))
@@ -679,9 +720,9 @@ def test_cli_unread_key_exit_3(tmp_path, capsys, kind, good, bad,
     ("modulator-run", MOD_TONE_BODY + "amplitude_dbfs = 3\n",
      "bad.cfg:5: amplitude_dbfs must be at most 0"),
     # so is a section the builder did not read
-    ("modulator-run",
-     MOD_DC_BODY + "\n[device]\nradius = 0.02\nn_segments = 4\n",
-     "bad.cfg:9: section [device] does not belong to a modulator-run "
+    ("slab-profile",
+     SLAB_BODY + "\n[device]\nradius = 0.02\nn_segments = 4\n",
+     "bad.cfg:13: section [device] does not belong to a slab-profile "
      "scenario"),
 ])
 def test_cli_load_rejection_names_location(tmp_path, capsys, kind, body,
@@ -718,7 +759,8 @@ FLOAT_RANGE_REJECTIONS = [
      SLAB_BODY.replace("omega = 1e5", "omega = 1e300"), 5,
      "error: slab-profile run left the float range"),
     ("slab-profile", SLAB_BODY.replace(
-        "regime = normal", "regime = super").replace("d = 2e-4", "d = 1e300"),
+        "regime = normal", "regime = super").replace("d = 2e-4", "d = 1e300")
+     .replace("omega = 1e5", "omega = 0"),
      5, "error: slab-profile run left the float range"),
     ("junction-iv", SNS_BODY + "area = 1e300\n", 5,
      "error: junction-iv run left the float range"),
@@ -761,7 +803,7 @@ def test_full_scale_tone_loads():
     ("modulator-run",
      MOD_DEVICE_DC_BODY.replace("n_segments = 4", "n_segments = 2")
      + "schedule = doubling\n",
-     "bad.cfg:10: schedule 'doubling' step 3 switches coil 4, "
+     "bad.cfg:9: schedule 'doubling' step 3 switches coil 4, "
      "outside 1..2"),
 ])
 def test_cli_schedule_outside_cylinder_exit_4(tmp_path, capsys, kind, body,
@@ -825,6 +867,27 @@ def test_cli_seed_override(tmp_path, capsys):
     assert a != (tmp_path / "s2" / "series.csv").read_bytes()
 
 
+@pytest.mark.parametrize("seed,flag,code,where", [
+    (0, ["--seed", "-1"], 2, "--seed must be a non-negative integer"),
+    (-1, [], 4, "bad.cfg:1: seed must be a non-negative integer"),
+], ids=["flag", "config"])
+def test_cli_negative_seed_rejected(tmp_path, capsys, seed, flag, code,
+                                    where):
+    cfg_path = _write(tmp_path, "bad.cfg",
+                      _scenario("noise-psd", NOISE_BODY, seed=seed))
+    out = tmp_path / "out"
+    argv = ["--config", cfg_path, "--out", str(out)] + flag
+    if code == 2:
+        # argparse reports a bad option value and exits
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    else:
+        assert main(argv) == code
+    assert not out.exists()
+    assert where in capsys.readouterr().err
+
+
 def test_cli_batch_uses_subdirs(tmp_path, capsys):
     c1 = _write(tmp_path, "one.cfg", _scenario("comparator-curve", COMP_BODY))
     c2 = _write(tmp_path, "two.cfg", _scenario(
@@ -868,10 +931,14 @@ def test_cli_runs_third_order_loop(tmp_path, capsys):
 MUTABLE_CONFIGS = [
     ("slab-profile", SLAB_BODY, "slab", {
         "material": "iron", "regime": "plasma", "d": "-2e-4", "b0": "-1",
-        "omega": "-1e5", "npoints": "2", "t": "8"}),
+        "omega": "-1e5", "npoints": "2"}),
+    ("slab-profile", SUPER_SLAB_BODY, "slab", {
+        "d": "-2e-7", "b0": "1", "omega": "1e5", "npoints": "2", "t": "8"}),
     ("device-sequence", DEVICE_BODY, "device", {
         "radius": "-0.02", "n_segments": "5", "n_eff": "-4", "b_in": "1",
-        "schedule": "nowhere.sched", "material": "iron", "t": "9"}),
+        "schedule": "nowhere.sched", "material": "iron"}),
+    ("device-sequence", DEVICE_BODY + "material = lead\nt = 4.2\n", "device",
+     {"material": "iron", "t": "9", "b_in": "1"}),
     ("junction-iv", NIS_BODY, "junction", {
         "mode": "sis", "material": "iron", "t": "9", "z": "-1",
         "v_start": "5e-3", "v_stop": "-4e-3", "points": "1", "delta": "-1",
@@ -881,10 +948,10 @@ MUTABLE_CONFIGS = [
         "phi_points": "1", "area": "-1", "form": "4", "r_sheet": "-1"}),
     ("noise-psd", NOISE_BODY, "noise", {
         "tau1": "3e4", "tau2": "1", "kprime": "-1", "n": "1000",
-        "fs": "-1", "r0": "-1", "dof_coupled": "4", "method": "wavelet"}),
+        "fs": "-1", "r0": "-1", "dof_coupled": "4", "method": "spectral"}),
     ("modulator-run", MOD_DC_BODY, "modulator", {
         "n": "1000", "dc": "1.5", "osr": "4", "a": "1,2,3,4,5",
-        "c": "0.5", "backend": "analog", "fs": "-1", "full_scale": "-1",
+        "c": "0.5", "fs": "-1", "full_scale": "-1",
         "stability_bound": "0.1", "side": "-1", "i_bias": "-1",
         "tone_cycles": "3"}),
     ("modulator-run", MOD_TONE_BODY, "modulator", {
@@ -895,7 +962,7 @@ MUTABLE_CONFIGS = [
         "schedule": "nowhere.sched"}),
     ("modulator-run", MOD_DC_BODY.replace("n = 1024", "n = 4096")
      + INPUT_NOISE_BODY, "input-noise", {
-         "tau1": "3e4", "tau2": "1", "kprime": "-1", "r0": "-1"}),
+         "tau1": "3e4", "tau2": "1", "kprime": "-1"}),
     ("comparator-curve", COMP_BODY, "comparator", {
         "points": "1", "side": "-1", "i_bias": "-1", "b_start": "1",
         "b_stop": "-1"}),

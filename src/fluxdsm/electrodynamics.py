@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky_banded, cho_solve_banded
 
 from .constants import CODATA
 from .errors import DomainError
@@ -225,6 +224,9 @@ def crank_nicolson_diffusion(d: float, sigma: float, omega: float,
     the defaults resolve a slab a few skin depths thick to better than
     1e-3 relative.
     """
+    # scipy loads here, not with the package: no scenario runs the oracle
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+
     if not (d > 0 and sigma > 0 and omega > 0) or npoints < 5:
         raise DomainError("need d, sigma, omega > 0 and npoints >= 5")
     x = np.linspace(-d, d, npoints)

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, IntegrationWarning
 
 from .constants import CODATA
 from .errors import DomainError, QuadratureError
@@ -282,8 +281,13 @@ def sns_prefactor(cfg: JunctionConfig, form: int = 1) -> float:
         # written as `not x > 0` so that nan fails the check too
         if cfg.r_sheet is None or not cfg.r_sheet > 0:
             raise DomainError("form 3 needs a positive r_sheet")
-        return (16.0 * CODATA.hbar * m.vF
-                / (2.0 * CODATA.e * cfg.d * cfg.r_sheet))
+        # a tiny d * r_sheet underflows to a zero that cannot divide
+        den = 2.0 * CODATA.e * cfg.d * cfg.r_sheet
+        if not den > 0:
+            raise DomainError(
+                f"d {cfg.d!r} m at r_sheet {cfg.r_sheet!r} ohm puts the "
+                "form 3 prefactor outside the float range")
+        return 16.0 * CODATA.hbar * m.vF / den
     raise DomainError(f"unknown prefactor form {form}")
 
 
@@ -358,6 +362,9 @@ def nis_current(cfg: JunctionConfig, voltage):
     NIS_RTOL at a voltage; its diagnostics carry the estimate and its
     abserr.
     """
+    # scipy loads here, not with the package: no other kind needs it
+    from scipy.integrate import IntegrationWarning, quad
+
     check_nis(cfg)
     # Work in gap units so the integrand is order one regardless of the
     # joule scale of delta; the delta factor is restored at the end.

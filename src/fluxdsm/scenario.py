@@ -18,7 +18,6 @@ from itertools import islice, starmap
 from typing import Any, Dict, List, Optional
 
 import numpy as np
-from scipy.signal import welch
 
 from .comparator import (REFERENCE_I_BIAS, REFERENCE_SIDE, make_comparator,
                          quantize)
@@ -37,7 +36,7 @@ from .modulator import (ModulatorConfig, dc_tracking_mean,
                         output_power_spectrum, run_modulator, sndr_db,
                         test_tone)
 from .noise import NoiseModel, check_synthesis_limits, dof_variance_factor, \
-    flicker_psd, lorentzian_psd, synth_flicker_series
+    flicker_psd, lorentzian_psd, synth_flicker_series, welch_psd
 from .sectext import Section, finite_float, parse_sections, read_config
 
 
@@ -255,21 +254,20 @@ def _run_device(cfg: ScenarioConfig):
 
 def _build_junction(sec: Section, sections, config_dir: str):
     """Each mode reads its own keys, so a key of the other mode is left
-    unread and rejected. Only nis reads delta; sns takes the
-    material's gap."""
+    unread and rejected. nis takes delta, or the gap of its material
+    when delta is absent; sns takes the gap of its material, and its
+    form picks the rest: area for forms 1 and 2, r_sheet for form 3."""
     mode = sec.get_str("mode")
     if mode not in ("nis", "sns"):
         raise sec.error("mode must be nis or sns")
-    material = get_material(sec.get_str("material")) \
-        if sec.has("material") else None
     T = sec.get_float("t")
     if mode == "nis":
-        delta = sec.get_float(
-            "delta", material.delta if material is not None else None)
+        # nis_current needs the gap only, not the material
+        delta = sec.get_float("delta") if sec.has("delta") \
+            else get_material(sec.get_str("material")).delta
         jc = JunctionConfig(delta=delta, T=T, d=0.0,
                             Z=sec.get_float("z", 0.0),
-                            prefactor=sec.get_float("prefactor", 1.0),
-                            material=material)
+                            prefactor=sec.get_float("prefactor", 1.0))
         check_nis(jc)
         v_start = sec.get_float("v_start")
         v_stop = sec.get_float("v_stop")
@@ -279,17 +277,23 @@ def _build_junction(sec: Section, sections, config_dir: str):
         if points < 2:
             raise sec.error("points must be at least 2")
         return jc, mode, np.linspace(v_start, v_stop, points), None
-    # without a material, sns_prefactor below names the missing one
+    form = sec.get_int("form", 1)
+    sizes = {}
+    if form in (1, 2):
+        sizes["area"] = sec.get_float("area", 1e-12)
+    elif form == 3 and sec.has("r_sheet"):
+        sizes["r_sheet"] = sec.get_float("r_sheet")
+    # without a material or an r_sheet, or with an unknown form,
+    # sns_prefactor below names what is wrong
+    material = get_material(sec.get_str("material")) \
+        if sec.has("material") else None
     jc = JunctionConfig(
         delta=material.delta if material is not None else 0.0,
-        T=T, d=sec.get_float("d"),
-        area=sec.get_float("area", 1e-12), material=material,
-        r_sheet=sec.get_float("r_sheet") if sec.has("r_sheet") else None)
+        T=T, d=sec.get_float("d"), material=material, **sizes)
     phi_points = sec.get_int("phi_points", 181)
     if phi_points < 2:
         raise sec.error("phi_points must be at least 2")
     phis = np.linspace(0.0, 2.0 * math.pi, phi_points)
-    form = sec.get_int("form", 1)
     # sns_current's own checks, run at load: material, d, form, r_sheet, T
     sns_prefactor(jc, form)
     n_coherence_length(jc.material.vF, jc.T)
@@ -332,8 +336,7 @@ def _run_noise(cfg: ScenarioConfig):
     model, n, fs = cfg.spec
     model = replace(model, seed=cfg.seed)
     series = synth_flicker_series(model, n, fs)
-    freqs, measured = welch(series, fs=fs, nperseg=min(n // 8, 65536),
-                            detrend="constant")
+    freqs, measured = welch_psd(series, fs, min(n // 8, 65536))
     omega = 2.0 * math.pi * freqs
     model_col = flicker_psd(model, omega)
     lorentz_col = lorentzian_psd(model, omega)

@@ -1,12 +1,16 @@
 """Source hygiene: every name a module imports is used in it, the
 physics reads the fixed constants instead of taking them as arguments,
 numpy alone decides what a scalar input returns, every dataclass
-field is read somewhere, and README's command lines parse."""
+field is read somewhere, README's command lines parse, and scipy loads
+only where NIS quadrature and the CN oracle run."""
 
 import ast
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -175,3 +179,55 @@ def test_dataclass_fields_are_read():
               for qualified, name in _dataclass_fields(path)
               if name not in read]
     assert unread == []
+
+
+def _scipy_imports(tree):
+    """(line, module) of each scipy import at module level, and of
+    each scipy.signal import anywhere."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        for module in modules:
+            top = module.split(".")[0] == "scipy"
+            if top and (node in tree.body or module.startswith("scipy.signal")):
+                found.append((node.lineno, module))
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_scipy_imported_only_inside_functions(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _scipy_imports(tree) == []
+
+
+# every shipped config of a kind that runs without scipy: all but the
+# NIS junction, whose quadrature is scipy's
+COLD_CONFIGS = sorted(str(p) for p in (ROOT / "scenarios").glob("*.cfg")
+                      if p.name != "junction_nis_lead.cfg")
+
+COLD_RUN = """
+import sys
+from fluxdsm import cli
+code = cli.main(sys.argv[1:])
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+sys.exit(f"exit code {code}, {len(scipy)} scipy modules: {scipy[:3]}"
+         if code or scipy else 0)
+"""
+
+
+def test_cli_runs_without_loading_scipy(tmp_path):
+    """A fresh interpreter runs the comparator, device, slab, sns
+    junction, noise and modulator configs and never imports scipy."""
+    assert {pathlib.Path(p).stem.split("_")[0] for p in COLD_CONFIGS} == {
+        "comparator", "device", "junction", "modulator", "noise", "slab"}
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_RUN, "--config", *COLD_CONFIGS,
+         "--out", str(tmp_path)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

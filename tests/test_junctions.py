@@ -253,6 +253,9 @@ def test_sns_prefactor_validation():
         sns_prefactor(_sns_cfg(r_sheet=None), 3)
     with pytest.raises(DomainError, match="r_sheet"):
         sns_prefactor(_sns_cfg(r_sheet=math.nan), 3)
+    # d * r_sheet underflows to zero
+    with pytest.raises(DomainError, match="float range"):
+        sns_prefactor(_sns_cfg(r_sheet=1e-300), 3)
     with pytest.raises(DomainError, match="unknown prefactor form"):
         sns_prefactor(_sns_cfg(), 4)
 
@@ -368,7 +371,7 @@ def test_nis_quadrature_error(monkeypatch):
         seen.update(kwargs)
         return 0.5, abserr
 
-    monkeypatch.setattr("fluxdsm.junctions.quad", fake_quad)
+    monkeypatch.setattr("scipy.integrate.quad", fake_quad)
     with pytest.raises(QuadratureError, match=re.escape(f"V = {v}")) as err:
         nis_current(cfg, v)
     assert err.value.diagnostics == {"estimate": 0.5, "abserr": abserr}

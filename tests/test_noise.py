@@ -14,6 +14,7 @@ from fluxdsm.noise import (
     flicker_psd,
     lorentzian_psd,
     synth_flicker_series,
+    welch_psd,
 )
 
 MODEL = NoiseModel(R0=1.0, tau1=2.0, tau2=2e4, kprime=1.0, seed=42)
@@ -133,3 +134,16 @@ def test_synth_zero_magnitude_is_silent():
 def test_dof_variance_factor(dof, factor):
     m = NoiseModel(R0=1.0, tau1=2.0, tau2=2e4, kprime=1.0, dof_coupled=dof)
     assert dof_variance_factor(m) == pytest.approx(factor, rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [4096, 5000, 8200, 65536, 70001, 2**18])
+@pytest.mark.parametrize("fs", [1.0, 3.7])
+def test_welch_psd_equals_scipy_bit_for_bit(n, fs):
+    """psd.csv keeps its bytes: odd and even segment lengths, and the
+    one the noise runner uses."""
+    x = np.random.default_rng(n).standard_normal(n)
+    for m in sorted({n // 8, n // 8 + 1, min(n // 8, 65536)}):
+        f_ref, p_ref = welch(x, fs=fs, nperseg=m, detrend="constant")
+        f, p = welch_psd(x, fs, m)
+        assert np.array_equal(f, f_ref), m
+        assert np.array_equal(p, p_ref), m

@@ -79,6 +79,11 @@ d = 1e-7
 phi_points = 9
 """
 
+# nis with its gap in place of a material
+NIS_DELTA_BODY = NIS_BODY.replace("material = lead", "delta = 2.17e-22")
+
+SNS_FORM3_BODY = SNS_BODY + "form = 3\nr_sheet = 1\n"
+
 NOISE_BODY = """[noise]
 tau1 = 2
 tau2 = 2e4
@@ -108,7 +113,8 @@ kprime = 1e-9
 # functions make at run time, which load makes too
 JUNCTION_LOAD_REJECTIONS = [
     (NIS_BODY, NIS_BODY.replace("t = 0.3128", "t = 0"), "needs T > 0"),
-    (NIS_BODY, NIS_BODY + "delta = 0\n", "needs a positive gap"),
+    (NIS_BODY, NIS_BODY.replace("material = lead", "delta = 0"),
+     "needs a positive gap"),
     (SNS_BODY, SNS_BODY.replace("t = 4.2", "t = 0"),
      "temperature must be positive"),
     (SNS_BODY, SNS_BODY + "form = 4\n", "unknown prefactor form 4"),
@@ -141,6 +147,14 @@ UNREAD_KEY_REJECTIONS = [
     # sns takes the material's gap
     ("junction-iv", SNS_BODY, SNS_BODY + "delta = 5\n",
      "11: unknown key 'delta'"),
+    # nis takes a material only for its gap, when delta is absent
+    ("junction-iv", NIS_DELTA_BODY, NIS_BODY + "delta = 2.17e-22\n",
+     "7: unknown key 'material'"),
+    # the sns form picks area (forms 1 and 2) or r_sheet (form 3)
+    ("junction-iv", SNS_BODY + "form = 1\n",
+     SNS_BODY + "form = 1\nr_sheet = 12345\n", "12: unknown key 'r_sheet'"),
+    ("junction-iv", SNS_FORM3_BODY, SNS_FORM3_BODY + "area = 1e-12\n",
+     "13: unknown key 'area'"),
     # modulator keys that no code read for the choices the section makes
     ("modulator-run", MOD_DC_BODY,
      MOD_DC_BODY + "schedule = doubling\n", "8: unknown key 'schedule'"),
@@ -689,6 +703,8 @@ def test_cli_load_rejection_writes_nothing(tmp_path, capsys, kind, good,
 
 @pytest.mark.parametrize("kind,good,bad,where", UNREAD_KEY_REJECTIONS,
                          ids=["nis-form", "sns-v_start", "sns-delta",
+                              "nis-material-with-delta",
+                              "sns-form-1-r_sheet", "sns-form-3-area",
                               "schedule",
                               "amplitude_dbfs-with-dc",
                               "input_coil-with-full_scale",
@@ -946,6 +962,12 @@ MUTABLE_CONFIGS = [
     ("junction-iv", SNS_BODY, "junction", {
         "mode": "nis", "material": "aluminum", "t": "9", "d": "-1e-7",
         "phi_points": "1", "area": "-1", "form": "4", "r_sheet": "-1"}),
+    ("junction-iv", NIS_DELTA_BODY, "junction", {
+        "delta": "-1", "material": "lead", "t": "9", "z": "-1",
+        "prefactor": "-1", "points": "1"}),
+    ("junction-iv", SNS_FORM3_BODY, "junction", {
+        "r_sheet": "-1", "form": "1", "d": "-1e-7", "t": "9",
+        "material": "aluminum", "area": "-1"}),
     ("noise-psd", NOISE_BODY, "noise", {
         "tau1": "3e4", "tau2": "1", "kprime": "-1", "n": "1000",
         "fs": "-1", "r0": "-1", "dof_coupled": "4", "method": "spectral"}),

@@ -196,15 +196,15 @@ def circular_loop_current_for_field(radius: float, b_center: float) -> float:
 
 
 def crank_nicolson_diffusion(d: float, sigma: float, omega: float,
-                             b0: float = 1.0, npoints: int = 2001,
-                             periods: int = 20, steps_per_period: int = 1024):
+                             npoints: int = 2001, periods: int = 20,
+                             steps_per_period: int = 1024):
     """Time-domain oracle for the normal-slab profile.
 
     Solves the flux diffusion equation
 
         mu0 * sigma * dB/dt = d^2B/dx^2
 
-    on [-d, d] with Dirichlet boundaries B(+-d, t) = b0*cos(omega*t)
+    on [-d, d] with Dirichlet boundaries B(+-d, t) = cos(omega*t)
     and B(x, 0) = 0, using Crank-Nicolson stepping. After the
     transient has run for the given number of drive periods, the
     complex steady-state phasor is extracted by projecting the final
@@ -215,8 +215,8 @@ def crank_nicolson_diffusion(d: float, sigma: float, omega: float,
     x : ndarray
         The spatial grid (npoints values spanning [-d, d]).
     b_hat : ndarray of complex
-        Extracted phasor amplitude at each grid point; the boundary
-        entries are b0 by construction.
+        Extracted phasor amplitude at each grid point per unit drive
+        (the diffusion is linear); the boundary entries are 1.
 
     Notes
     -----
@@ -248,8 +248,8 @@ def crank_nicolson_diffusion(d: float, sigma: float, omega: float,
     t = 0.0
     for step in range(1, nsteps + 1):
         t_new = step * dt
-        bc_old = b0 * math.cos(omega * t)
-        bc_new = b0 * math.cos(omega * t_new)
+        bc_old = math.cos(omega * t)
+        bc_new = math.cos(omega * t_new)
         rhs = u.copy()
         rhs[1:-1] += 0.5 * r * (u[:-2] - 2.0 * u[1:-1] + u[2:])
         rhs[0] += 0.5 * r * (u[1] - 2.0 * u[0] + bc_old)
@@ -262,5 +262,5 @@ def crank_nicolson_diffusion(d: float, sigma: float, omega: float,
             proj += u * np.exp(-1j * omega * t)
     b_hat = np.empty(npoints, dtype=complex)
     b_hat[1:-1] = 2.0 * proj / steps_per_period
-    b_hat[0] = b_hat[-1] = b0
+    b_hat[0] = b_hat[-1] = 1.0
     return x, b_hat

@@ -19,9 +19,9 @@ TYPE_II = "type-II"
 class Material:
     """Parameter set for one superconductor.
 
-    Hc0 is the zero-temperature thermodynamic critical field for
-    type-I materials; type-II materials carry the lower/upper pair
-    (Hc1_0, Hc2_0) instead and leave Hc0 at 0 (and vice versa).
+    Each kind has one zero-temperature anchor, the field up to which
+    the material screens: the thermodynamic Hc0 for type-I, the lower
+    critical field Hc1_0 for type-II. The other anchor is unused.
 
     N0 is the single-spin density of states at the Fermi level per
     unit energy and volume (1/(J m^3)); sigma_n the normal-state
@@ -41,7 +41,6 @@ class Material:
     tau_s: float
     Hc0: float = 0.0
     Hc1_0: float = 0.0
-    Hc2_0: float = 0.0
 
     def __post_init__(self):
         if self.kind not in (TYPE_I, TYPE_II):
@@ -62,11 +61,8 @@ class Material:
         if self.kind == TYPE_I:
             if not self.Hc0 > 0:
                 raise DomainError("type-I material needs Hc0 > 0")
-        else:
-            if not (self.Hc1_0 > 0 and self.Hc2_0 > 0):
-                raise DomainError("type-II material needs Hc1_0 and Hc2_0 > 0")
-            if not self.Hc1_0 < self.Hc2_0:
-                raise DomainError("type-II material needs Hc1_0 < Hc2_0")
+        elif not self.Hc1_0 > 0:
+            raise DomainError("type-II material needs Hc1_0 > 0")
 
     @property
     def london_coefficient(self) -> float:
@@ -74,39 +70,24 @@ class Material:
         return CODATA.mu0 * self.lambda_l**2
 
 
-def critical_field(material: Material, T: float, which: str = "auto") -> float:
+def critical_field(material: Material, T: float) -> float:
     """Critical field H_c(T) = H_c(0) * (1 - (T/Tc)^2) in A/m.
 
-    which selects the zero-temperature anchor: 'thermodynamic' (type-I
-    Hc0), 'lower' (Hc1), 'upper' (Hc2), or 'auto' which resolves to
-    'thermodynamic' for type-I and 'lower' for type-II. Above Tc the
-    material is normal and the critical field is 0 by convention.
+    H_c(0) is the kind's anchor: Hc0 for type-I, Hc1_0 for type-II.
+    Above Tc the material is normal and the critical field is 0 by
+    convention.
     """
     # written as `not T >= 0` so that nan fails the check too
     if not T >= 0:
         raise DomainError("temperature must be non-negative")
-    if which == "auto":
-        which = "thermodynamic" if material.kind == TYPE_I else "lower"
-    anchors = {
-        "thermodynamic": material.Hc0,
-        "lower": material.Hc1_0,
-        "upper": material.Hc2_0,
-    }
-    if which not in anchors:
-        raise DomainError(f"unknown critical-field selector '{which}'")
-    h0 = anchors[which]
-    if h0 <= 0:
-        raise DomainError(
-            f"material '{material.name}' ({material.kind}) has no "
-            f"'{which}' critical field")
     if T >= material.Tc:
         return 0.0
+    h0 = material.Hc0 if material.kind == TYPE_I else material.Hc1_0
     return h0 * (1.0 - (T / material.Tc) ** 2)
 
 
 def critical_flux_density(material: Material, T: float) -> float:
-    """mu0 * H_c(T) in tesla of the 'auto' anchor, for comparisons
-    against applied B fields."""
+    """mu0 * H_c(T) in tesla, for comparisons against applied B fields."""
     return CODATA.mu0 * critical_field(material, T)
 
 
@@ -135,7 +116,7 @@ BUILTIN_MATERIALS = {
         lambda_l=1.6e-8, delta=2.88e-23, vF=2.03e6, kF=1.75e10,
         N0=1.45e47, sigma_n=3.77e7, tau_s=1e-12),
     "niobium": Material(
-        name="niobium", kind=TYPE_II, Tc=9.25, Hc1_0=1.43e5, Hc2_0=3.18e5,
+        name="niobium", kind=TYPE_II, Tc=9.25, Hc1_0=1.43e5,
         lambda_l=3.9e-8, delta=2.48e-22, vF=1.37e6, kF=1.18e10,
         N0=9.8e46, sigma_n=6.9e6, tau_s=1e-12),
 }

@@ -37,7 +37,7 @@ from .noise import NoiseModel, synth_flicker_series
 
 BACKENDS = ("ideal", "flux-device")
 # device settle-time constants (s): Cooper-pair formation and one E-coil
-# step, for the settle-time warning of a flux-device config
+# step, for the settle-time warning of a flux-device run
 TAU_COOPER = 1e-10
 TAU_ECOIL = 3e-10
 # bins on each side of the tone bin that count as signal power in SNDR
@@ -103,14 +103,6 @@ class ModulatorConfig:
                     f"full scale {self.full_scale_field!r} T is "
                     f"{self.quanta_per_unit!r} flux quanta over the bore, "
                     "not a positive finite count")
-            # one clock period must leave room for the device to settle
-            t_settle = settle_time_device(
-                TAU_COOPER, self.geometry.n_segments, TAU_ECOIL)
-            if self.fs * t_settle > 0.5:
-                warnings.warn(
-                    f"clock period {1.0 / self.fs:.3e} s leaves under half "
-                    f"a cycle of margin over the device settle time "
-                    f"{t_settle:.3e} s", stacklevel=3)
 
     @property
     def full_scale_field(self) -> float:
@@ -163,6 +155,9 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
 
     Raises InstabilityError when any integrator state leaves the
     configured bound; the offending sample index rides on the error.
+    On the flux-device backend, raises DomainError when the schedule
+    leaves no ring, and warns when one clock period leaves under half
+    a cycle of margin over the device settle time.
 
     The loop is one plain-Python core for every order and both
     backends. Per sample it computes each stage, checks it against the
@@ -195,12 +190,22 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
     quanta_per_unit = 0.0
     if cfg.backend == "flux-device":
         geom = cfg.geometry
+        # one clock period must leave room for the device to settle
+        t_settle = settle_time_device(TAU_COOPER, geom.n_segments, TAU_ECOIL)
+        if cfg.fs * t_settle > 0.5:
+            warnings.warn(
+                f"clock period {1.0 / cfg.fs:.3e} s leaves under half "
+                f"a cycle of margin over the device settle time "
+                f"{t_settle:.3e} s", stacklevel=2)
         schedule = cfg.schedule
         if schedule is None:
             schedule = default_amplification_schedule(geom.n_segments)
         # gain is set by the schedule topology alone; one reference run
         _, device_gain = run_amplification_sequence(
             geom, comp.b_lsb, schedule)
+        if device_gain < 1:
+            raise DomainError("the device schedule leaves no ring to "
+                              "integrate the loop error")
         quanta_per_unit = cfg.quanta_per_unit
 
     order = len(cfg.a)

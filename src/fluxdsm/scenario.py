@@ -12,7 +12,6 @@ artifact.
 
 import math
 import os
-import warnings
 from dataclasses import dataclass, replace
 from itertools import islice, starmap
 from typing import Any, Dict, List, Optional
@@ -25,7 +24,7 @@ from .electrodynamics import (SlabConfig, normal_slab_profile,
                               solenoid_field, square_loop_current_for_field,
                               super_slab_profile)
 from .errors import ConfigError, DomainError, UsageError
-from .fluxtrap import (CylinderGeometry, EcoilStep, FieldStep,
+from .fluxtrap import (CylinderGeometry, EcoilStep, FieldStep, FluxTrapState,
                        default_amplification_schedule,
                        doubling_amplification_schedule, iterate_sequence,
                        load_schedule)
@@ -232,7 +231,7 @@ def _build_device(sec: Section, sections, config_dir: str):
 def _run_device(cfg: ScenarioConfig):
     geom, schedule, material, b_in, T = cfg.spec
     rows = []
-    final_state = None
+    final_state = FluxTrapState(geometry=geom)
     for index, step, state in iterate_sequence(
             geom, b_in, schedule, material=material, T=T):
         field = isinstance(step, FieldStep)
@@ -426,11 +425,7 @@ def _build_modulator(sec: Section, sections, config_dir: str):
 def _run_modulator(cfg: ScenarioConfig):
     mc, u, dc, tone_cycles = cfg.spec
     if mc.input_noise is not None:
-        # checked at load; reseeding must not repeat the settle warning
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            mc = replace(mc, input_noise=replace(mc.input_noise,
-                                                 seed=cfg.seed))
+        mc = replace(mc, input_noise=replace(mc.input_noise, seed=cfg.seed))
     trace = run_modulator(mc, u)
     freqs, power = output_power_spectrum(trace)
     metrics = [("saturation_count", trace.saturation_count),

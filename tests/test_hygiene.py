@@ -32,12 +32,6 @@ def _unused_imports(tree):
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    # names re-exported through __all__ count as used
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__"
-                for t in node.targets):
-            used |= {elt.value for elt in node.value.elts}
     return sorted((line, name) for name, line in imported.items()
                   if name not in used)
 

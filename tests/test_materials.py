@@ -24,7 +24,7 @@ def test_builtin_catalog_contents():
     assert lead.Hc0 == 6.39e4
     nb = get_material("niobium")
     assert nb.kind == "type-II"
-    assert nb.Hc1_0 < nb.Hc2_0
+    assert nb.Hc1_0 == 1.43e5
 
 
 def test_get_material_unknown_name():
@@ -49,23 +49,10 @@ def test_critical_field_negative_temperature(T):
         critical_field(lead, T)
 
 
-def test_critical_field_selectors_type_ii():
-    nb = get_material("niobium")
-    # auto resolves to the lower field for type-II
-    assert critical_field(nb, 0.0) == nb.Hc1_0
-    assert critical_field(nb, 0.0, which="lower") == nb.Hc1_0
-    assert critical_field(nb, 0.0, which="upper") == nb.Hc2_0
-    with pytest.raises(DomainError, match="no 'thermodynamic'"):
-        critical_field(nb, 0.0, which="thermodynamic")
-
-
-def test_critical_field_selectors_type_i():
-    lead = get_material("lead")
-    assert critical_field(lead, 0.0, which="thermodynamic") == lead.Hc0
-    with pytest.raises(DomainError, match="no 'upper'"):
-        critical_field(lead, 0.0, which="upper")
-    with pytest.raises(DomainError, match="unknown critical-field selector"):
-        critical_field(lead, 0.0, which="sideways")
+@pytest.mark.parametrize("name, h0", [("lead", 6.39e4), ("niobium", 1.43e5)])
+def test_critical_field_anchor_per_kind(name, h0):
+    # thermodynamic Hc0 for type-I, lower Hc1_0 for type-II
+    assert critical_field(get_material(name), 0.0) == h0
 
 
 def test_critical_flux_density_is_mu0_h():
@@ -117,13 +104,8 @@ def test_material_validation(bad):
         Material(**_material_kwargs(**bad))
 
 
-def test_type_ii_field_ordering():
-    kwargs = _material_kwargs(kind="type-II", Hc0=0.0, Hc1_0=2.0, Hc2_0=1.0)
-    with pytest.raises(DomainError, match="Hc1_0 < Hc2_0"):
-        Material(**kwargs)
-    with pytest.raises(DomainError, match="needs Hc1_0 and Hc2_0"):
-        Material(**_material_kwargs(kind="type-II", Hc0=0.0, Hc1_0=2.0))
-    with pytest.raises(DomainError, match="needs Hc1_0 and Hc2_0"):
-        Material(**_material_kwargs(kind="type-II", Hc0=0.0, Hc1_0=1.0,
-                                    Hc2_0=math.nan))
+@pytest.mark.parametrize("hc1", [0.0, math.nan])
+def test_type_ii_needs_lower_field(hc1):
+    with pytest.raises(DomainError, match="needs Hc1_0 > 0"):
+        Material(**_material_kwargs(kind="type-II", Hc0=0.0, Hc1_0=hc1))
 

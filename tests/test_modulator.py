@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from fluxdsm.comparator import make_comparator, quantize
 from fluxdsm.constants import CODATA
 from fluxdsm.errors import ConfigError, DomainError, InstabilityError
-from fluxdsm.fluxtrap import (CylinderGeometry,
+from fluxdsm.fluxtrap import (CylinderGeometry, FieldStep,
                               default_amplification_schedule,
                               doubling_amplification_schedule)
 from fluxdsm.modulator import (
@@ -98,13 +98,15 @@ def test_full_scale_field_default_and_override():
 def test_settle_warning_threshold():
     # 8-segment schedule with default time constants settles in 6.2 ns;
     # the warning should trip once the clock leaves under half a period
+    u = np.zeros(64)
+    fast = ModulatorConfig(backend="flux-device", geometry=GEOM8, fs=1e8)
     with pytest.warns(UserWarning, match="settle") as record:
-        ModulatorConfig(backend="flux-device", geometry=GEOM8, fs=1e8)
-    # the warning names the line that built the config
+        run_modulator(fast, u)
+    # the warning names the line that ran the loop
     assert [w.filename for w in record] == [__file__]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ModulatorConfig(backend="flux-device", geometry=GEOM8, fs=5e7)
+        run_modulator(dataclasses.replace(fast, fs=5e7), u)
 
 
 def test_tone_is_coherent():
@@ -353,6 +355,18 @@ def test_device_backend_custom_schedule_gain():
                           schedule=doubling_amplification_schedule())
     trace = run_modulator(cfg, np.zeros(64))
     assert trace.device_gain == 2
+
+
+@pytest.mark.parametrize("schedule", [
+    (),
+    (FieldStep(True), FieldStep(False)),
+], ids=["empty", "field-only"])
+def test_device_schedule_without_rings_is_rejected(schedule):
+    geom = CylinderGeometry(radius=0.02, n_segments=4, n_eff=4)
+    cfg = ModulatorConfig(backend="flux-device", geometry=geom,
+                          schedule=schedule)
+    with pytest.raises(DomainError, match="leaves no ring"):
+        run_modulator(cfg, np.zeros(64))
 
 
 def test_deterministic_codes():

@@ -393,6 +393,22 @@ def test_run_device_sequence(tmp_path):
     assert "final_phases = NSNS" in report
 
 
+def test_run_device_empty_schedule(tmp_path):
+    # a schedule of comments only runs no step and traps nothing
+    (tmp_path / "none.sched").write_text("# nothing to switch\n")
+    cfg = parse_scenario(_scenario("device-sequence", DEVICE_BODY.replace(
+        "schedule = doubling", "schedule = none.sched")),
+        str(tmp_path / "empty.cfg"))
+    run_scenario(cfg, str(tmp_path))
+    lines = (tmp_path / "sequence.csv").read_text().splitlines()
+    assert lines == ["step,action,target,switch,phases,n_rings,"
+                     "trapped_quanta"]
+    report = (tmp_path / "report.txt").read_text()
+    assert "gain = 0" in report
+    assert "trapped_quanta_total = 0" in report
+    assert "final_phases = SSSS" in report
+
+
 def test_run_junction_nis(tmp_path):
     cfg = parse_scenario(_scenario("junction-iv", NIS_BODY))
     run_scenario(cfg, str(tmp_path))
@@ -637,6 +653,16 @@ def test_cli_runtime_flux_loss_exit_5(tmp_path, capsys):
         "ConfigSyntaxError": 2, "UnknownKeyError": 3, "DomainError": 5,
         "PhaseViolationError": 5, "FluxLossError": 5, "InstabilityError": 5,
         "QuadratureError": 5}
+
+
+def test_cli_device_loop_without_rings_exit_5(tmp_path, capsys):
+    _write(tmp_path, "no_ring.sched", "field on\nfield off\n")
+    cfg_path = _write(tmp_path, "no_ring.cfg", _scenario(
+        "modulator-run", MOD_DEVICE_DC_BODY + "schedule = no_ring.sched\n"))
+    out = tmp_path / "out"
+    assert main(["--config", cfg_path, "--out", str(out)]) == 5
+    assert not out.exists()
+    assert "leaves no ring to integrate" in capsys.readouterr().err
 
 
 def test_cli_missing_config_file_exit_2(tmp_path, capsys):

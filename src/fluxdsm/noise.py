@@ -91,13 +91,6 @@ def flicker_psd(model: NoiseModel, omega):
     return out[()]
 
 
-def _telegraph(rng, n, flip_prob, amplitude):
-    flips = rng.random(n) < flip_prob
-    start = rng.integers(0, 2)
-    parity = (start + np.cumsum(flips)) & 1
-    return amplitude * (1.0 - 2.0 * parity)
-
-
 def check_synthesis_limits(model: NoiseModel, n: int, fs: float) -> float:
     """Check that synth_flicker_series can draw n samples of the band at
     sample rate fs: n >= 4096, fs*tau2 > 10 so the slowest process is
@@ -140,9 +133,26 @@ def synth_flicker_series(model: NoiseModel, n: int,
     if amp == 0.0:
         return out
     dt = 1.0 / fs
+    # one two-state process per tau: uniforms, then flips where they
+    # fall below the flip probability, then a random start state; the
+    # state's parity gives the level amp * (1 - 2 parity). Buffers are
+    # reused across processes; a uint8 running sum keeps the parity.
+    u = np.empty(n)
+    flips = np.empty(n, dtype=np.uint8)
+    parity = np.empty(n, dtype=np.uint8)
+    level = np.empty(n)
     for tau in taus:
         q = -0.5 * math.expm1(-dt / tau)
-        out += _telegraph(rng, n, q, amp)
+        rng.random(out=u)
+        np.less(u, q, out=flips)
+        start = int(rng.integers(0, 2))
+        np.cumsum(flips, dtype=np.uint8, out=parity)
+        parity += start
+        parity &= 1
+        np.multiply(parity, -2.0, out=level)
+        level += 1.0
+        level *= amp
+        out += level
     return out
 
 

@@ -18,6 +18,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from . import csvtext
 from .comparator import (REFERENCE_I_BIAS, REFERENCE_SIDE, make_comparator,
                          quantize)
 from .electrodynamics import (SlabConfig, normal_slab_profile,
@@ -107,27 +108,44 @@ def load_scenario(path: str) -> ScenarioConfig:
 
 # rows per write: bounds the text held in memory on long tables
 CSV_CHUNK_ROWS = 1 << 14
+# tables of at least this many rows whose columns are all numeric
+# arrays are encoded column-wise by csvtext; shorter ones are faster
+# row by row
+CSV_COLUMNAR_ROWS = 512
 
 
-def write_csv(path: str, header, rows) -> None:
-    """CSV with '.' decimals, '\\n' endings, one header row, then rows
-    from any iterable (read once). A column's format is fixed by its
-    first row: an int, numpy integer or bool value makes it a column
-    of decimal integers (bools as 1/0), anything else is written with
-    format's default, which is repr for Python and float64 floats, so
-    equal values are equal bytes, and str for text. Rows are written
-    in chunks of CSV_CHUNK_ROWS."""
-    rows = iter(rows)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+def write_csv(path: str, header, columns) -> None:
+    """CSV with '.' decimals, '\\n' endings, one header row, then one
+    row per index of columns, an iterable (read once) of equal-length
+    columns. A column is a numpy array or a sequence of Python values.
+    Python and float64 floats are written with repr, so equal values
+    are equal bytes, integers and bools as decimal integers (bools as
+    1/0), and text as it is. In a sequence column the first value
+    fixes the format of the rest. Long all-numeric tables go through
+    csvtext, which writes the same bytes column-wise."""
+    columns = list(columns)
+    n = len(columns[0]) if columns else 0
+    if any(len(c) != n for c in columns):
+        raise ValueError("CSV columns differ in length")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        if n >= CSV_COLUMNAR_ROWS:
+            arrays = [csvtext.numeric(c) for c in columns]
+            if all(a is not None for a in arrays):
+                for start in range(0, n, CSV_CHUNK_ROWS):
+                    fh.write(csvtext.encode_rows(
+                        [a[start:start + CSV_CHUNK_ROWS] for a in arrays]))
+                return
+        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                     for c in columns))
         first = next(rows, None)
         if first is None:
             return
         fmt = (",".join("{:d}" if isinstance(v, (int, np.integer)) else "{}"
                         for v in first) + "\n").format
-        fh.write(fmt(*first))
+        fh.write(fmt(*first).encode())
         while chunk := "".join(starmap(fmt, islice(rows, CSV_CHUNK_ROWS))):
-            fh.write(chunk)
+            fh.write(chunk.encode())
 
 
 # serves report.txt values; CSV columns get their format in write_csv
@@ -182,9 +200,10 @@ def _run_slab(cfg: ScenarioConfig):
     else:
         profile = super_slab_profile(slab, x)
     mid = x.size // 2
-    rows = zip(x.tolist(), profile.B.real.tolist(), profile.B.imag.tolist(),
-               profile.J.real.tolist(), profile.J.imag.tolist())
-    return [("profile.csv", ("x", "re_b", "im_b", "re_j", "im_j"), rows)], [
+    columns = (x, profile.B.real, profile.B.imag, profile.J.real,
+               profile.J.imag)
+    return [("profile.csv", ("x", "re_b", "im_b", "re_j", "im_j"),
+             columns)], [
         ("center_abs_b", abs(profile.B[mid])),
         ("center_screening", abs(profile.B[mid]) / abs(slab.B0)),
         ("max_abs_j", float(np.max(np.abs(profile.J)))),
@@ -242,7 +261,7 @@ def _run_device(cfg: ScenarioConfig):
         final_state = state
     header = ("step", "action", "target", "switch", "phases", "n_rings",
               "trapped_quanta")
-    return [("sequence.csv", header, rows)], [
+    return [("sequence.csv", header, zip(*rows))], [
         ("gain", len(final_state.rings)),
         ("trapped_quanta_total", final_state.trapped_flux_total),
         ("final_phases", final_state.phases()),
@@ -251,11 +270,22 @@ def _run_device(cfg: ScenarioConfig):
 
 # ------------------------------------------------------------ junction
 
+def _junction_material(sec: Section, T: float):
+    """The section's material, which must be superconducting at T."""
+    material = get_material(sec.get_str("material"))
+    # written as `not T < Tc` so that nan fails the check too
+    if not T < material.Tc:
+        raise sec.error(f"t = {T:g} K is not below {material.name}'s "
+                        f"Tc {material.Tc:g} K")
+    return material
+
+
 def _build_junction(sec: Section, sections, config_dir: str):
     """Each mode reads its own keys, so a key of the other mode is left
     unread and rejected. nis takes delta, or the gap of its material
     when delta is absent; sns takes the gap of its material, and its
-    form picks the rest: area for forms 1 and 2, r_sheet for form 3."""
+    form picks the rest: area for forms 1 and 2, r_sheet for form 3.
+    A material must be superconducting at t (below its Tc)."""
     mode = sec.get_str("mode")
     if mode not in ("nis", "sns"):
         raise sec.error("mode must be nis or sns")
@@ -263,7 +293,7 @@ def _build_junction(sec: Section, sections, config_dir: str):
     if mode == "nis":
         # nis_current needs the gap only, not the material
         delta = sec.get_float("delta") if sec.has("delta") \
-            else get_material(sec.get_str("material")).delta
+            else _junction_material(sec, T).delta
         jc = JunctionConfig(delta=delta, T=T, d=0.0,
                             Z=sec.get_float("z", 0.0),
                             prefactor=sec.get_float("prefactor", 1.0))
@@ -284,8 +314,7 @@ def _build_junction(sec: Section, sections, config_dir: str):
         sizes["r_sheet"] = sec.get_float("r_sheet")
     # without a material or an r_sheet, or with an unknown form,
     # sns_prefactor below names what is wrong
-    material = get_material(sec.get_str("material")) \
-        if sec.has("material") else None
+    material = _junction_material(sec, T) if sec.has("material") else None
     jc = JunctionConfig(
         delta=material.delta if material is not None else 0.0,
         T=T, d=sec.get_float("d"), material=material, **sizes)
@@ -303,12 +332,10 @@ def _run_junction(cfg: ScenarioConfig):
     jc, mode, grid, form = cfg.spec
     if mode == "nis":
         currents = nis_current(jc, grid)
-        return [("iv.csv", ("v", "i"),
-                 zip(grid.tolist(), currents.tolist()))], [
+        return [("iv.csv", ("v", "i"), (grid, currents))], [
             ("i_max", currents.max()), ("mode", "nis")]
     currents = sns_current(jc, grid, form=form)
-    return [("iv.csv", ("phi", "i"),
-             zip(grid.tolist(), currents.tolist()))], [
+    return [("iv.csv", ("phi", "i"), (grid, currents))], [
         ("i_critical", currents.max()), ("mode", "sns")]
 
 
@@ -340,10 +367,9 @@ def _run_noise(cfg: ScenarioConfig):
     model_col = flicker_psd(model, omega)
     lorentz_col = lorentzian_psd(model, omega)
     return [
-        ("series.csv", ("k", "value"), enumerate(series.tolist())),
+        ("series.csv", ("k", "value"), (np.arange(n), series)),
         ("psd.csv", ("freq", "s_measured", "s_flicker", "s_lorentzian"),
-         zip(freqs.tolist(), measured.tolist(),
-             model_col.tolist(), lorentz_col.tolist())),
+         (freqs, measured, model_col, lorentz_col)),
     ], [
         ("series_variance", float(np.var(series))),
         ("dof_variance_factor", dof_variance_factor(model)),
@@ -441,9 +467,9 @@ def _run_modulator(cfg: ScenarioConfig):
     # headroom of each integrator against stability_bound
     metrics += [(f"state_peak_{i}", peak)
                 for i, peak in enumerate(trace.state_peak, start=1)]
-    return [("codes.csv", ("k", "code"), enumerate(trace.codes.tolist())),
-            ("spectrum.csv", ("freq", "power"),
-             zip(freqs.tolist(), power.tolist()))], metrics
+    return [("codes.csv", ("k", "code"),
+             (np.arange(trace.codes.size), trace.codes)),
+            ("spectrum.csv", ("freq", "power"), (freqs, power))], metrics
 
 
 # ---------------------------------------------------------- comparator
@@ -462,9 +488,8 @@ def _run_comparator(cfg: ScenarioConfig):
     comp, fields = cfg.spec
     codes, saturated = quantize(comp, fields)
     i_diff_half = square_loop_current_for_field(comp.side, fields)
-    rows = zip(fields.tolist(), codes.tolist(), saturated.tolist(),
-               i_diff_half.tolist())
-    return [("curve.csv", ("b", "code", "saturated", "i_diff_half"), rows)], [
+    return [("curve.csv", ("b", "code", "saturated", "i_diff_half"),
+             (fields, codes, saturated, i_diff_half))], [
         ("n_levels", comp.n_levels),
         ("half_range", comp.half_range),
         ("b_lsb", comp.b_lsb),
@@ -474,7 +499,7 @@ def _run_comparator(cfg: ScenarioConfig):
 
 # kind -> (section, builder, runner). A builder checks the section and
 # returns the spec; a runner computes from cfg.spec and returns its CSV
-# tables (file name, header, rows) and its report metrics.
+# tables (file name, header, columns) and its report metrics.
 _KINDS = {
     "slab-profile": ("slab", _build_slab, _run_slab),
     "device-sequence": ("device", _build_device, _run_device),
@@ -503,9 +528,9 @@ def run_scenario(cfg: ScenarioConfig,
     target = out_dir if out_dir is not None else cfg.output_dir
     os.makedirs(target, exist_ok=True)
     written = []
-    for name, header, rows in tables:
+    for name, header, columns in tables:
         written.append(os.path.join(target, name))
-        write_csv(written[-1], header, rows)
+        write_csv(written[-1], header, columns)
     written.append(os.path.join(target, "report.txt"))
     _write_report(written[-1], cfg, metrics)
     return written

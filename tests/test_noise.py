@@ -125,6 +125,32 @@ def test_synth_deterministic_per_seed():
     assert np.array_equal(a, synth_flicker_series(same, 8192, 1.0))
 
 
+def _telegraph_loop_series(model, n, fs):
+    """synth_flicker_series as it was first written: one fresh array per
+    step of each process. The buffered form must draw the same."""
+    decades = math.log10(model.tau2 / model.tau1)
+    rng = np.random.default_rng(model.seed)
+    m = math.ceil(20.0 * decades)
+    amp = math.sqrt(model.kprime * math.log(model.tau2 / model.tau1)
+                    / (4.0 * m))
+    out = np.zeros(n)
+    for tau in np.geomspace(model.tau1, model.tau2, m):
+        q = -0.5 * math.expm1(-1.0 / fs / tau)
+        flips = rng.random(n) < q
+        start = rng.integers(0, 2)
+        parity = (start + np.cumsum(flips)) & 1
+        out += amp * (1.0 - 2.0 * parity)
+    return out
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("n", [4096, 65536])
+def test_synth_equals_the_loop_bit_for_bit(seed, n):
+    model = NoiseModel(R0=1.0, tau1=2.0, tau2=2e4, kprime=1.0, seed=seed)
+    assert synth_flicker_series(model, n, 1.0).tobytes() == \
+        _telegraph_loop_series(model, n, 1.0).tobytes()
+
+
 def test_synth_zero_magnitude_is_silent():
     m = NoiseModel(R0=1.0, tau1=2.0, tau2=2e4, kprime=0.0, seed=42)
     assert np.all(synth_flicker_series(m, 8192, 1.0) == 0.0)

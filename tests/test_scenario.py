@@ -21,6 +21,7 @@ from fluxdsm.errors import ConfigError, FluxLossError, UnknownKeyError
 from fluxdsm.modulator import ModulatorConfig, run_modulator
 from fluxdsm.scenario import (
     CSV_CHUNK_ROWS,
+    CSV_COLUMNAR_ROWS,
     SCENARIO_KINDS,
     _cell,
     load_scenario,
@@ -123,6 +124,11 @@ JUNCTION_LOAD_REJECTIONS = [
      "form 3 needs a positive"),
     (SNS_BODY, SNS_BODY.replace("material = lead", "delta = 2e-22"),
      "SNS prefactor needs a material"),
+    # a material above its Tc (lead: 7.19 K) has no gap
+    (NIS_BODY, NIS_BODY.replace("t = 0.3128", "t = 20"),
+     "t = 20 K is not below lead's Tc 7.19 K"),
+    (SNS_BODY, SNS_BODY.replace("t = 4.2", "t = 20"),
+     "t = 20 K is not below lead's Tc 7.19 K"),
 ]
 JUNCTION_LOAD_MESSAGES = {bad: msg for _, bad, msg in JUNCTION_LOAD_REJECTIONS}
 
@@ -547,7 +553,7 @@ def test_comparator_curve_matches_scalar_writer(tmp_path):
 
 def test_csv_bytes_are_lf_only(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(str(path), ("a", "b"), [(1, 2.5), (True, -0.0)])
+    write_csv(str(path), ("a", "b"), [(1, True), (2.5, -0.0)])
     raw = path.read_bytes()
     assert b"\r" not in raw
     assert raw == b"a,b\n1,2.5\n1,-0.0\n"
@@ -568,20 +574,44 @@ _MIXED_ROWS = [
 ]
 
 
-@pytest.mark.parametrize("rows", [
-    _MIXED_ROWS,
-    [(True, 0.5), (False, -1), (1, math.nan)],  # bool-led int column
+def _numeric_columns(n):
+    """numpy columns of each dtype the column-wise encoder takes, with
+    the odd floats, both int64 ends and a bool among them."""
+    rng = np.random.default_rng(n)
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+    floats[:len(_ODD_FLOATS)] = _ODD_FLOATS
+    ints = rng.integers(-2**63, 2**63, n, dtype=np.int64)
+    ints[:2] = (-2**63, 2**63 - 1)
+    return [np.arange(n), floats, ints, floats > 0, np.linspace(0.0, 0.5, n)]
+
+
+@pytest.mark.parametrize("columns", [
+    list(zip(*_MIXED_ROWS)),
+    [(True, False, 1), (0.5, -1, math.nan)],  # bool-led int column
     [],
-    [(k, k * 0.1) for k in range(CSV_CHUNK_ROWS + 3)],
-], ids=["mixed", "bools", "empty", "chunk-boundary"])
-def test_write_csv_matches_row_writer(tmp_path, rows):
-    header = tuple(f"c{i}" for i in range(len(rows[0]) if rows else 2))
+    [range(CSV_CHUNK_ROWS + 3), [k * 0.1 for k in range(CSV_CHUNK_ROWS + 3)]],
+    # numpy columns: row by row below CSV_COLUMNAR_ROWS, column-wise
+    # from it on, in chunks of CSV_CHUNK_ROWS
+    _numeric_columns(CSV_COLUMNAR_ROWS - 1),
+    _numeric_columns(CSV_COLUMNAR_ROWS),
+    _numeric_columns(CSV_CHUNK_ROWS + 3),
+], ids=["mixed", "bools", "empty", "chunk-boundary", "numeric-by-row",
+        "numeric-by-column", "numeric-by-column-chunks"])
+def test_write_csv_matches_row_writer(tmp_path, columns):
+    header = tuple(f"c{i}" for i in range(len(columns) or 2))
+    rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                      for c in columns)))
     path = tmp_path / "t.csv"
-    write_csv(str(path), header, rows)
+    write_csv(str(path), header, columns)
     assert path.read_bytes() == _row_writer_bytes(header, rows)
     # a one-shot generator, as an instrumented caller passes, gives the same
-    write_csv(str(path), header, (row for row in rows))
+    write_csv(str(path), header, (column for column in columns))
     assert path.read_bytes() == _row_writer_bytes(header, rows)
+
+
+def test_write_csv_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError, match="differ in length"):
+        write_csv(str(tmp_path / "t.csv"), ("a", "b"), [(1, 2), (3,)])
 
 
 def test_runs_are_byte_identical(tmp_path):

@@ -7,7 +7,8 @@ without parsing stderr:
 
     0  success
     2  usage or config syntax error (argparse errors, no --config, a
-       config file that cannot be read, malformed config text)
+       batch with --out whose configs share a file stem, a config file
+       that cannot be read, malformed config text)
     3  unknown config key
     4  config invariant violation
     5  runtime domain or device error
@@ -71,17 +72,25 @@ def main(argv=None) -> int:
     if not args.config:
         parser.print_usage(sys.stderr)
         return 2
+    out_dirs = [args.out] * len(args.config)
+    if args.out is not None and len(args.config) > 1:
+        # each config of a batch writes to a subdirectory named after its
+        # file, so two configs may not share a file stem
+        paths = {}
+        for i, path in enumerate(args.config):
+            stem = os.path.splitext(os.path.basename(path))[0]
+            if stem in paths:
+                parser.error(f"configs {paths[stem]} and {path} share the "
+                             f"file stem {stem!r}, so their artifacts "
+                             "would share one --out subdirectory")
+            paths[stem] = path
+            out_dirs[i] = os.path.join(args.out, stem)
     try:
         # every config of a batch is checked before any of them runs
         cfgs = [load_scenario(path) for path in args.config]
-        for path, cfg in zip(args.config, cfgs):
+        for cfg, out_dir in zip(cfgs, out_dirs):
             if args.seed is not None:
                 cfg = replace(cfg, seed=args.seed)
-            out_dir = args.out
-            if out_dir is not None and len(cfgs) > 1:
-                # keep batched configs from clobbering each other's artifacts
-                stem = os.path.splitext(os.path.basename(path))[0]
-                out_dir = os.path.join(out_dir, stem)
             for artifact in run_scenario(cfg, out_dir):
                 print(artifact)
     except FluxDsmError as exc:

@@ -118,8 +118,9 @@ def super_slab_profile(cfg: SlabConfig, x) -> FieldProfile:
     Raises
     ------
     PhaseViolationError
-        If |B0| is at or above the critical flux density mu0*Hc(T) for
-        cfg.material at cfg.T (the slab would not be superconducting).
+        If cfg.T is not below the material's Tc, or |B0| is at or above
+        its critical flux density mu0*Hc(T) at cfg.T (the slab would
+        not be superconducting).
     """
     x = _check_grid(x, cfg.d)
     check_superconducting(cfg.material, cfg.T, cfg.B0, "B0")

@@ -21,7 +21,6 @@ from itertools import groupby
 
 from .constants import CODATA
 from .errors import DomainError, FluxLossError
-from .materials import Material, check_superconducting
 from .sectext import ConfigSyntaxError, content_lines, read_config
 
 LN2 = math.log(2.0)
@@ -222,8 +221,7 @@ def default_amplification_schedule(n_segments: int):
     return tuple(steps)
 
 
-def iterate_sequence(geometry: CylinderGeometry, b_in: float, schedule,
-                     material: Material | None = None, T: float = 0.0):
+def iterate_sequence(geometry: CylinderGeometry, b_in: float, schedule):
     """Execute an amplification schedule step by step.
 
     Starts from the virgin cooldown state (all segments
@@ -237,8 +235,6 @@ def iterate_sequence(geometry: CylinderGeometry, b_in: float, schedule,
     that were already superconducting before the field came up screen
     the field instead and trap nothing.
     """
-    if material is not None:
-        check_superconducting(material, T, b_in, "B_in")
     quanta = b_in * geometry.area / CODATA.phi0
     if not math.isfinite(quanta):
         raise DomainError(
@@ -290,9 +286,7 @@ def _trap_armed(state, armed, quanta_each, step):
 
 
 def run_amplification_sequence(geometry: CylinderGeometry, b_in: float,
-                               schedule,
-                               material: Material | None = None,
-                               T: float = 0.0):
+                               schedule):
     """Run a schedule to completion.
 
     Returns (final_state, gain) where gain is the number of independent
@@ -301,8 +295,7 @@ def run_amplification_sequence(geometry: CylinderGeometry, b_in: float,
     ring trapping the same input field those two bookkeepings agree.
     """
     state = FluxTrapState(geometry=geometry)
-    for _, _, state in iterate_sequence(geometry, b_in, schedule,
-                                        material, T):
+    for _, _, state in iterate_sequence(geometry, b_in, schedule):
         pass
     return state, len(state.rings)
 
@@ -312,21 +305,15 @@ _FIELD_COOLING = (EcoilStep(None, True), FieldStep(True),
                   EcoilStep(None, False), FieldStep(False))
 
 
-def trap_flux(geometry: CylinderGeometry, b_ext: float,
-              material: Material | None = None,
-              T: float = 0.0) -> FluxTrapState:
+def trap_flux(geometry: CylinderGeometry, b_ext: float) -> FluxTrapState:
     """Cool the whole cylinder through Tc in a field, then remove it.
 
     All segments end superconducting and a single ring spanning the
     full stack carries the current that supports the quantized flux:
     quanta = round(b_ext * area / phi0), ties to even. This is the
     schedule _FIELD_COOLING run by run_amplification_sequence.
-
-    When a material is given, b_ext must stay below its critical flux
-    density at temperature T or PhaseViolationError is raised.
     """
-    return run_amplification_sequence(geometry, b_ext, _FIELD_COOLING,
-                                      material, T)[0]
+    return run_amplification_sequence(geometry, b_ext, _FIELD_COOLING)[0]
 
 
 # --- schedule text format -------------------------------------------

@@ -19,9 +19,9 @@ TYPE_II = "type-II"
 class Material:
     """Parameter set for one superconductor.
 
-    Each kind has one zero-temperature anchor, the field up to which
-    the material screens: the thermodynamic Hc0 for type-I, the lower
-    critical field Hc1_0 for type-II. The other anchor is unused.
+    Hc0 is the zero-temperature anchor of the field up to which the
+    material screens: the thermodynamic critical field for type-I, the
+    lower critical field Hc1 for type-II.
 
     N0 is the single-spin density of states at the Fermi level per
     unit energy and volume (1/(J m^3)); sigma_n the normal-state
@@ -39,8 +39,7 @@ class Material:
     N0: float
     sigma_n: float
     tau_s: float
-    Hc0: float = 0.0
-    Hc1_0: float = 0.0
+    Hc0: float
 
     def __post_init__(self):
         if self.kind not in (TYPE_I, TYPE_II):
@@ -58,11 +57,8 @@ class Material:
             raise DomainError("sigma_n must be positive")
         if not self.tau_s >= 0:
             raise DomainError("tau_s must be non-negative")
-        if self.kind == TYPE_I:
-            if not self.Hc0 > 0:
-                raise DomainError("type-I material needs Hc0 > 0")
-        elif not self.Hc1_0 > 0:
-            raise DomainError("type-II material needs Hc1_0 > 0")
+        if not self.Hc0 > 0:
+            raise DomainError("Hc0 must be positive")
 
     @property
     def london_coefficient(self) -> float:
@@ -73,17 +69,15 @@ class Material:
 def critical_field(material: Material, T: float) -> float:
     """Critical field H_c(T) = H_c(0) * (1 - (T/Tc)^2) in A/m.
 
-    H_c(0) is the kind's anchor: Hc0 for type-I, Hc1_0 for type-II.
-    Above Tc the material is normal and the critical field is 0 by
-    convention.
+    H_c(0) is the material's anchor Hc0. Above Tc the material is
+    normal and the critical field is 0 by convention.
     """
     # written as `not T >= 0` so that nan fails the check too
     if not T >= 0:
         raise DomainError("temperature must be non-negative")
     if T >= material.Tc:
         return 0.0
-    h0 = material.Hc0 if material.kind == TYPE_I else material.Hc1_0
-    return h0 * (1.0 - (T / material.Tc) ** 2)
+    return material.Hc0 * (1.0 - (T / material.Tc) ** 2)
 
 
 def critical_flux_density(material: Material, T: float) -> float:
@@ -91,16 +85,21 @@ def critical_flux_density(material: Material, T: float) -> float:
     return CODATA.mu0 * critical_field(material, T)
 
 
-def check_superconducting(material: Material, T: float, b: float,
-                          label: str) -> None:
-    """Raise PhaseViolationError unless the field b (T), named label in
-    the message, is below the critical flux density of material at T."""
+def check_superconducting(material: Material, T: float, b: float = 0.0,
+                          label: str = "b") -> None:
+    """Raise PhaseViolationError unless material is superconducting at
+    temperature T (K) in the field b (T), named label in the message:
+    T below Tc, and |b| below the critical flux density at T."""
+    # written as `not x < y` so that nan fails the checks too
+    if not T < material.Tc:
+        raise PhaseViolationError(
+            f"t = {T:g} K is not below {material.name}'s Tc "
+            f"{material.Tc:g} K")
     bc = critical_flux_density(material, T)
-    # written as `not x < bc` so that nan fails the check too
     if not abs(b) < bc:
         raise PhaseViolationError(
             f"|{label}| = {abs(b):.4g} T is not below the critical flux "
-            f"density {bc:.4g} T of {material.name} at T = {T} K")
+            f"density {bc:.4g} T of {material.name} at t = {T:g} K")
 
 
 # Sourced placeholder parameters. Round literature numbers; the solver
@@ -116,7 +115,7 @@ BUILTIN_MATERIALS = {
         lambda_l=1.6e-8, delta=2.88e-23, vF=2.03e6, kF=1.75e10,
         N0=1.45e47, sigma_n=3.77e7, tau_s=1e-12),
     "niobium": Material(
-        name="niobium", kind=TYPE_II, Tc=9.25, Hc1_0=1.43e5,
+        name="niobium", kind=TYPE_II, Tc=9.25, Hc0=1.43e5,
         lambda_l=3.9e-8, delta=2.48e-22, vF=1.37e6, kF=1.18e10,
         N0=9.8e46, sigma_n=6.9e6, tau_s=1e-12),
 }

@@ -31,7 +31,7 @@ from .fluxtrap import (CylinderGeometry, EcoilStep, FieldStep, FluxTrapState,
                        load_schedule)
 from .junctions import (JunctionConfig, check_nis, n_coherence_length,
                         nis_current, sns_current, sns_prefactor)
-from .materials import get_material
+from .materials import check_superconducting, get_material
 from .modulator import (ModulatorConfig, dc_tracking_mean,
                         output_power_spectrum, run_modulator, sndr_db,
                         test_tone)
@@ -120,9 +120,9 @@ def write_csv(path: str, header, columns) -> None:
     columns. A column is a numpy array or a sequence of Python values.
     Python and float64 floats are written with repr, so equal values
     are equal bytes, integers and bools as decimal integers (bools as
-    1/0), and text as it is. In a sequence column the first value
-    fixes the format of the rest. Long all-numeric tables go through
-    csvtext, which writes the same bytes column-wise."""
+    1/0) in a column that holds nothing else, and text as it is. Long
+    all-numeric tables go through csvtext, which writes the same bytes
+    column-wise."""
     columns = list(columns)
     n = len(columns[0]) if columns else 0
     if any(len(c) != n for c in columns):
@@ -136,16 +136,21 @@ def write_csv(path: str, header, columns) -> None:
                     fh.write(csvtext.encode_rows(
                         [a[start:start + CSV_CHUNK_ROWS] for a in arrays]))
                 return
+        # one template per table: formatting per value is slower
+        fmt = (",".join(map(_column_format, columns)) + "\n").format
         rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c
                      for c in columns))
-        first = next(rows, None)
-        if first is None:
-            return
-        fmt = (",".join("{:d}" if isinstance(v, (int, np.integer)) else "{}"
-                        for v in first) + "\n").format
-        fh.write(fmt(*first).encode())
         while chunk := "".join(starmap(fmt, islice(rows, CSV_CHUNK_ROWS))):
             fh.write(chunk.encode())
+
+
+def _column_format(column) -> str:
+    """'{:d}' for a column of integers and bools, '{}' (repr for a
+    float, str otherwise) for any other."""
+    if isinstance(column, np.ndarray):
+        return "{:d}" if column.dtype.kind in "biu" else "{}"
+    integral = all(isinstance(v, (int, np.integer)) for v in column)
+    return "{:d}" if integral else "{}"
 
 
 # serves report.txt values; CSV columns get their format in write_csv
@@ -190,6 +195,8 @@ def _build_slab(sec: Section, sections, config_dir: str):
     slab = SlabConfig(d=sec.get_float("d"), material=material,
                       B0=sec.get_float("b0"), omega=omega,
                       T=sec.get_float("t", 0.0) if regime == "super" else 0.0)
+    if regime == "super":
+        check_superconducting(material, slab.T, slab.B0, "b0")
     return slab, regime, np.linspace(-slab.d, slab.d, npoints)
 
 
@@ -240,19 +247,19 @@ def _geometry_and_schedule(sec: Section, config_dir: str):
 
 def _build_device(sec: Section, sections, config_dir: str):
     geom, schedule = _geometry_and_schedule(sec, config_dir)
-    material = get_material(sec.get_str("material")) \
-        if sec.has("material") else None
-    # T serves only the material's superconductivity check
-    return (geom, schedule, material, sec.get_float("b_in"),
-            sec.get_float("t", 0.0) if material is not None else 0.0)
+    b_in = sec.get_float("b_in")
+    if sec.has("material"):
+        # material and t serve only this check
+        check_superconducting(get_material(sec.get_str("material")),
+                              sec.get_float("t", 0.0), b_in, "b_in")
+    return geom, schedule, b_in
 
 
 def _run_device(cfg: ScenarioConfig):
-    geom, schedule, material, b_in, T = cfg.spec
+    geom, schedule, b_in = cfg.spec
     rows = []
     final_state = FluxTrapState(geometry=geom)
-    for index, step, state in iterate_sequence(
-            geom, b_in, schedule, material=material, T=T):
+    for index, step, state in iterate_sequence(geom, b_in, schedule):
         field = isinstance(step, FieldStep)
         target = "*" if field or step.segment is None else str(step.segment)
         rows.append((index, "field" if field else "ecoil", target,
@@ -273,10 +280,7 @@ def _run_device(cfg: ScenarioConfig):
 def _junction_material(sec: Section, T: float):
     """The section's material, which must be superconducting at T."""
     material = get_material(sec.get_str("material"))
-    # written as `not T < Tc` so that nan fails the check too
-    if not T < material.Tc:
-        raise sec.error(f"t = {T:g} K is not below {material.name}'s "
-                        f"Tc {material.Tc:g} K")
+    check_superconducting(material, T)
     return material
 
 

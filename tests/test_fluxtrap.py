@@ -11,7 +11,6 @@ from fluxdsm.errors import (
     ConfigSyntaxError,
     DomainError,
     FluxLossError,
-    PhaseViolationError,
 )
 from fluxdsm.fluxtrap import (
     CylinderGeometry,
@@ -32,7 +31,6 @@ from fluxdsm.fluxtrap import (
     settle_time_device,
     trap_flux,
 )
-from fluxdsm.materials import get_material
 
 GEOM4 = CylinderGeometry(radius=0.02, n_segments=4, n_eff=4)
 
@@ -112,17 +110,6 @@ def test_trap_flux_full_span():
     assert ring.quanta == 61
     assert state.trapped_flux_total == 61
     assert state.phases() == "SSSS"
-
-
-def test_trap_flux_respects_critical_field():
-    lead = get_material("lead")
-    with pytest.raises(PhaseViolationError):
-        trap_flux(GEOM4, 0.1, material=lead, T=4.2)
-    with pytest.raises(PhaseViolationError):
-        trap_flux(GEOM4, math.nan, material=lead, T=4.2)
-    # well below Bc is fine
-    state = trap_flux(GEOM4, 1e-10, material=lead, T=4.2)
-    assert state.trapped_flux_total == 61
 
 
 def test_state_rejects_ring_over_normal_segment():
@@ -279,13 +266,6 @@ def test_iterate_sequence_reports_step_index():
     with pytest.raises(FluxLossError, match="step 5"):
         for _ in iterate_sequence(GEOM4, 1e-10, schedule):
             pass
-
-
-def test_iterate_sequence_checks_critical_field():
-    lead = get_material("lead")
-    with pytest.raises(PhaseViolationError):
-        list(iterate_sequence(GEOM4, 0.1, doubling_amplification_schedule(),
-                              material=lead, T=4.2))
 
 
 def test_iterate_sequence_rejects_unknown_step():

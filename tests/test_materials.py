@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fluxdsm.constants import CODATA
-from fluxdsm.errors import DomainError
+from fluxdsm.errors import DomainError, PhaseViolationError
 from fluxdsm.materials import (
     BUILTIN_MATERIALS,
     Material,
+    check_superconducting,
     critical_field,
     critical_flux_density,
     get_material,
@@ -24,7 +25,7 @@ def test_builtin_catalog_contents():
     assert lead.Hc0 == 6.39e4
     nb = get_material("niobium")
     assert nb.kind == "type-II"
-    assert nb.Hc1_0 == 1.43e5
+    assert nb.Hc0 == 1.43e5
 
 
 def test_get_material_unknown_name():
@@ -47,12 +48,6 @@ def test_critical_field_negative_temperature(T):
     lead = get_material("lead")
     with pytest.raises(DomainError, match="non-negative"):
         critical_field(lead, T)
-
-
-@pytest.mark.parametrize("name, h0", [("lead", 6.39e4), ("niobium", 1.43e5)])
-def test_critical_field_anchor_per_kind(name, h0):
-    # thermodynamic Hc0 for type-I, lower Hc1_0 for type-II
-    assert critical_field(get_material(name), 0.0) == h0
 
 
 def test_critical_flux_density_is_mu0_h():
@@ -104,8 +99,31 @@ def test_material_validation(bad):
         Material(**_material_kwargs(**bad))
 
 
-@pytest.mark.parametrize("hc1", [0.0, math.nan])
-def test_type_ii_needs_lower_field(hc1):
-    with pytest.raises(DomainError, match="needs Hc1_0 > 0"):
-        Material(**_material_kwargs(kind="type-II", Hc0=0.0, Hc1_0=hc1))
+def test_check_superconducting_accepts_the_phase():
+    lead = get_material("lead")
+    bc = critical_flux_density(lead, 4.2)
+    check_superconducting(lead, 4.2, -0.99 * bc, "b")
+    check_superconducting(lead, 0.0)
+    # niobium's anchor is its lower critical field Hc1
+    check_superconducting(get_material("niobium"), 4.2, 0.13)
+
+
+@pytest.mark.parametrize("T, b, msg", [
+    (4.2, 0.06, r"\|b_in\| = 0.06 T is not below the critical flux density "
+     r"0.0529 T of lead at t = 4.2 K"),
+    (4.2, -0.06, r"\|b_in\| = 0.06 T is not below"),
+    (4.2, math.nan, r"\|b_in\| = nan T is not below"),
+    (7.19, 0.0, r"t = 7.19 K is not below lead's Tc 7.19 K"),
+    (20.0, 1e-10, r"t = 20 K is not below lead's Tc 7.19 K"),
+    (math.nan, 0.0, r"t = nan K is not below lead's Tc 7.19 K"),
+], ids=["above-bc", "above-bc-negative", "nan-field", "at-tc", "above-tc",
+        "nan-t"])
+def test_check_superconducting_rejects_the_normal_phase(T, b, msg):
+    with pytest.raises(PhaseViolationError, match=msg):
+        check_superconducting(get_material("lead"), T, b, "b_in")
+
+
+def test_check_superconducting_rejects_negative_temperature():
+    with pytest.raises(DomainError, match="non-negative"):
+        check_superconducting(get_material("lead"), -1.0)
 

@@ -130,7 +130,29 @@ JUNCTION_LOAD_REJECTIONS = [
     (SNS_BODY, SNS_BODY.replace("t = 4.2", "t = 20"),
      "t = 20 K is not below lead's Tc 7.19 K"),
 ]
-JUNCTION_LOAD_MESSAGES = {bad: msg for _, bad, msg in JUNCTION_LOAD_REJECTIONS}
+
+DEVICE_LEAD_BODY = DEVICE_BODY + "material = lead\nt = 4.2\n"
+
+# (kind, good body, body rejected at load, message): a material not
+# superconducting at its t and field
+PHASE_LOAD_REJECTIONS = [
+    ("device-sequence", DEVICE_LEAD_BODY,
+     DEVICE_LEAD_BODY.replace("b_in = 1e-10", "b_in = 0.06"),
+     "|b_in| = 0.06 T is not below the critical flux density 0.0529 T "
+     "of lead at t = 4.2 K"),
+    ("device-sequence", DEVICE_LEAD_BODY,
+     DEVICE_LEAD_BODY.replace("t = 4.2", "t = 9"),
+     "t = 9 K is not below lead's Tc 7.19 K"),
+    ("slab-profile", SUPER_SLAB_BODY,
+     SUPER_SLAB_BODY.replace("b0 = 1e-3", "b0 = 0.5"),
+     "|b0| = 0.5 T is not below the critical flux density 0.0529 T "
+     "of lead at t = 4.2 K"),
+    ("slab-profile", SUPER_SLAB_BODY,
+     SUPER_SLAB_BODY.replace("t = 4.2", "t = 7.19"),
+     "t = 7.19 K is not below lead's Tc 7.19 K"),
+]
+LOAD_MESSAGES = {bad: msg for _, bad, msg in JUNCTION_LOAD_REJECTIONS}
+LOAD_MESSAGES.update((bad, msg) for _, _, bad, msg in PHASE_LOAD_REJECTIONS)
 
 MOD_NO_INPUT_BODY = MOD_DC_BODY.replace("dc = 0.25\n", "")
 # a [device] section alone makes the loop's first integrator the device
@@ -588,6 +610,7 @@ def _numeric_columns(n):
 @pytest.mark.parametrize("columns", [
     list(zip(*_MIXED_ROWS)),
     [(True, False, 1), (0.5, -1, math.nan)],  # bool-led int column
+    [[1, 2.5]],  # int-led float column
     [],
     [range(CSV_CHUNK_ROWS + 3), [k * 0.1 for k in range(CSV_CHUNK_ROWS + 3)]],
     # numpy columns: row by row below CSV_COLUMNAR_ROWS, column-wise
@@ -595,8 +618,8 @@ def _numeric_columns(n):
     _numeric_columns(CSV_COLUMNAR_ROWS - 1),
     _numeric_columns(CSV_COLUMNAR_ROWS),
     _numeric_columns(CSV_CHUNK_ROWS + 3),
-], ids=["mixed", "bools", "empty", "chunk-boundary", "numeric-by-row",
-        "numeric-by-column", "numeric-by-column-chunks"])
+], ids=["mixed", "bools", "int-led-float", "empty", "chunk-boundary",
+        "numeric-by-row", "numeric-by-column", "numeric-by-column-chunks"])
 def test_write_csv_matches_row_writer(tmp_path, columns):
     header = tuple(f"c{i}" for i in range(len(columns) or 2))
     rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
@@ -740,7 +763,8 @@ def test_cli_schedule_not_utf8_exit_2(tmp_path, capsys):
     ("junction-iv", NIS_BODY,
      NIS_BODY.replace("t = 0.3128", "t = inf")),
 ] + [("junction-iv", good, bad)
-     for good, bad, _ in JUNCTION_LOAD_REJECTIONS])
+     for good, bad, _ in JUNCTION_LOAD_REJECTIONS] + [
+    (kind, good, bad) for kind, good, bad, _ in PHASE_LOAD_REJECTIONS])
 def test_cli_load_rejection_writes_nothing(tmp_path, capsys, kind, good,
                                            bad):
     # the batch loads both configs before it runs the good one
@@ -750,11 +774,10 @@ def test_cli_load_rejection_writes_nothing(tmp_path, capsys, kind, good,
     assert main(["--config", ok_path, "--config", bad_path,
                  "--out", str(out)]) == 4
     assert not out.exists()
-    if bad in JUNCTION_LOAD_MESSAGES:
+    if bad in LOAD_MESSAGES:
         # the message names what the config sets, at the section's line
         err = capsys.readouterr().err
-        assert re.search(JUNCTION_LOAD_MESSAGES[bad], err)
-        assert "bad.cfg:5:" in err
+        assert "bad.cfg:5:" in err and LOAD_MESSAGES[bad] in err
 
 
 @pytest.mark.parametrize("kind,good,bad,where", UNREAD_KEY_REJECTIONS,
@@ -976,6 +999,26 @@ def test_cli_batch_uses_subdirs(tmp_path, capsys):
     assert "gain = 2" in (out / "dev" / "report.txt").read_text()
 
 
+def test_cli_batch_rejects_shared_file_stem(tmp_path, capsys):
+    # both would write into DIR/x, the device's report over the curve's
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    c1 = _write(tmp_path / "a", "x.cfg",
+                _scenario("comparator-curve", COMP_BODY))
+    c2 = _write(tmp_path / "b", "x.cfg",
+                _scenario("device-sequence", DEVICE_BODY))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", c1, c2, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"configs {c1} and {c2} share the file stem 'x'" in err
+    # one config alone, or a batch without --out, has no subdirectories
+    assert main(["--config", c1, "--out", str(out)]) == 0
+    assert (out / "curve.csv").exists()
+
+
 def test_cli_runs_third_order_loop(tmp_path, capsys):
     # the lengths of a and c alone set the loop order
     body = ("[modulator]\nn = 1024\ndc = 0.25\na = 1.0,0.5,0.1\n"
@@ -1009,7 +1052,7 @@ MUTABLE_CONFIGS = [
     ("device-sequence", DEVICE_BODY, "device", {
         "radius": "-0.02", "n_segments": "5", "n_eff": "-4", "b_in": "1",
         "schedule": "nowhere.sched", "material": "iron"}),
-    ("device-sequence", DEVICE_BODY + "material = lead\nt = 4.2\n", "device",
+    ("device-sequence", DEVICE_LEAD_BODY, "device",
      {"material": "iron", "t": "9", "b_in": "1"}),
     ("junction-iv", NIS_BODY, "junction", {
         "mode": "sis", "material": "iron", "t": "9", "z": "-1",

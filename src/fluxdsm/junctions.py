@@ -325,12 +325,34 @@ def _fermi(x, kt):
     return w / (1.0 + w)
 
 
-def check_nis(cfg: JunctionConfig) -> None:
-    """Raise DomainError unless nis_current can sweep cfg."""
+# BCS ratio of the zero-temperature gap to kB Tc
+BCS_GAP_RATIO = 1.764
+# largest |eV| / delta an NIS sweep takes: past about 1.3e154, e * e in
+# _btk_kernel overflows and the current falls away from the ohmic limit
+NIS_MAX_EV = 1e150
+
+
+def check_nis(cfg: JunctionConfig, voltage=0.0) -> None:
+    """Raise DomainError unless nis_current can sweep cfg over voltage
+    (volts, any shape): T must lie between 0 and the BCS Tc of the gap,
+    delta / (1.764 kB), past which the Fermi difference of the integrand
+    cancels, and every |eV| / delta must be at most NIS_MAX_EV."""
     if cfg.T <= 0:
         raise DomainError("NIS current needs T > 0")
     if cfg.delta <= 0:
         raise DomainError("NIS current needs a positive gap delta")
+    tc = cfg.delta / (BCS_GAP_RATIO * CODATA.kB)
+    # written as `not x < y` so that nan fails the checks too
+    if not cfg.T < tc:
+        raise DomainError(
+            f"t = {cfg.T:g} K is not below the BCS Tc {tc:.3g} K of the "
+            f"gap delta = {cfg.delta:g} J")
+    v_max = float(np.max(np.abs(voltage), initial=0.0))
+    if not CODATA.e * v_max / cfg.delta <= NIS_MAX_EV:
+        raise DomainError(
+            f"|V| = {v_max:g} V is past the NIS sweep limit "
+            f"{NIS_MAX_EV * cfg.delta / CODATA.e:g} V "
+            f"(|eV| / delta = {NIS_MAX_EV:g})")
 
 
 # relative accuracy asked of each NIS quadrature; an error estimate
@@ -358,21 +380,21 @@ def nis_current(cfg: JunctionConfig, voltage):
     checked against its own error bound.
 
     voltage (volts) may have any shape; the currents (amperes) have its
-    shape. Raises QuadratureError if the integrator cannot reach
-    NIS_RTOL at a voltage; its diagnostics carry the estimate and its
-    abserr.
+    shape. Raises DomainError outside check_nis's domain, and
+    QuadratureError if the integrator cannot reach NIS_RTOL at a
+    voltage; its diagnostics carry the estimate and its abserr.
     """
     # scipy loads here, not with the package: no other kind needs it
     from scipy.integrate import IntegrationWarning, quad
 
-    check_nis(cfg)
+    volts = np.asarray(voltage, dtype=float)
+    check_nis(cfg, volts)
     # Work in gap units so the integrand is order one regardless of the
     # joule scale of delta; the delta factor is restored at the end.
     delta = cfg.delta
     kt = CODATA.kB * cfg.T / delta
     z = cfg.Z
 
-    volts = np.asarray(voltage, dtype=float)
     out = np.empty_like(volts)
     for i in np.ndindex(volts.shape):
         v = volts[i]

@@ -120,16 +120,16 @@ class ModulatorConfig:
 
 @dataclass(frozen=True)
 class TraceSet:
-    """One modulator run: stimulus, codes, and internal state history.
-    state_peak holds the peak |x_i| of each integrator over the run, the
-    headroom left against config.stability_bound."""
+    """One modulator run: its codes, quantizer saturations and device
+    gain (None on the ideal backend). state_peak holds the peak |x_i| of
+    each integrator over the run, the headroom left against
+    config.stability_bound; the state history itself is not kept."""
 
     config: ModulatorConfig
     codes: np.ndarray
-    states: np.ndarray
     saturation_count: int
-    device_gain: Optional[int] = None
-    state_peak: tuple = ()
+    device_gain: Optional[int]
+    state_peak: tuple
 
 
 def test_tone(n: int, cycles: int, amplitude: float) -> np.ndarray:
@@ -161,12 +161,13 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
 
     The loop is one plain-Python core for every order and both
     backends. Per sample it computes each stage, checks it against the
-    bound, stores it and adds it to y in one pass; the input is read and
-    codes and states are written through memoryviews, so no numpy scalar
-    is made per sample. Every float operation keeps its operands and
-    their order (x1 + c1 err, acc (c1 / gain) / quanta, xi + ci x_{i-1},
-    then y summed from stage 1 up), so codes and states are bit-identical
-    to the difference equations above evaluated in that order.
+    bound, updates its peak and adds it to y in one pass; the input is
+    read and the codes are written through memoryviews, so no numpy
+    scalar is made per sample. Every float operation keeps its operands
+    and their order (x1 + c1 err, acc (c1 / gain) / quanta,
+    xi + ci x_{i-1}, then y summed from stage 1 up), so the codes and
+    the state peaks are bit-identical to the difference equations above
+    evaluated in that order.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size == 0:
@@ -217,18 +218,17 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
     bound = cfg.stability_bound
     neg_bound = -bound
     codes = np.empty(n, dtype=np.int64)
-    states = np.empty((n, order), dtype=float)
-    # memoryviews read and write the arrays as plain Python floats and
-    # ints, with no numpy scalar per access; states is written flat,
-    # row by row
+    # memoryviews read the input and write the codes as plain Python
+    # floats and ints, with no numpy scalar per access
     u_view = memoryview(u_n)
     code_view = memoryview(codes)
-    state_view = memoryview(states.reshape(-1))
     x = [0.0] * order
+    # peak |x_i| so far: stage 1's in a local, later stages' in a list
+    peak = [0.0] * order
     x0 = 0.0
+    p0 = 0.0
     acc = 0
     err = 0.0
-    j = 0
     saturations = 0
 
     for k in range(n):
@@ -239,10 +239,12 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
             x0 = acc * c0_gain / quanta_per_unit
         else:
             x0 = x0 + c0 * err
+        # the bound check comes first: a nan state fails it and never
+        # reaches round()
         if not neg_bound <= x0 <= bound:
             raise _left_bound(1, bound, k)
-        state_view[j] = x0
-        j += 1
+        if x0 > p0 or -x0 > p0:
+            p0 = abs(x0)
         y = a0 * x0
         prev = x0
         for i, ci, ai in stages:
@@ -250,8 +252,8 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
             if not neg_bound <= xi <= bound:
                 raise _left_bound(i + 1, bound, k)
             x[i] = xi
-            state_view[j] = xi
-            j += 1
+            if xi > peak[i] or -xi > peak[i]:
+                peak[i] = abs(xi)
             y += ai * xi
             prev = xi
         # comparator.quantize at the normalized LSB, inlined: a call
@@ -266,9 +268,9 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
         code_view[k] = raw
         err = u_view[k] - raw * lsb_n
 
-    return TraceSet(config=cfg, codes=codes, states=states,
-                    saturation_count=saturations, device_gain=device_gain,
-                    state_peak=tuple(np.max(np.abs(states), axis=0).tolist()))
+    peak[0] = p0
+    return TraceSet(config=cfg, codes=codes, saturation_count=saturations,
+                    device_gain=device_gain, state_peak=tuple(peak))
 
 
 def _left_bound(stage: int, bound: float, k: int) -> InstabilityError:

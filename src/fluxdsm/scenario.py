@@ -289,7 +289,8 @@ def _build_junction(sec: Section, sections, config_dir: str):
     unread and rejected. nis takes delta, or the gap of its material
     when delta is absent; sns takes the gap of its material, and its
     form picks the rest: area for forms 1 and 2, r_sheet for form 3.
-    A material must be superconducting at t (below its Tc)."""
+    A material must be superconducting at t (below its Tc), and an nis
+    sweep must lie in check_nis's domain at both ends."""
     mode = sec.get_str("mode")
     if mode not in ("nis", "sns"):
         raise sec.error("mode must be nis or sns")
@@ -301,9 +302,9 @@ def _build_junction(sec: Section, sections, config_dir: str):
         jc = JunctionConfig(delta=delta, T=T, d=0.0,
                             Z=sec.get_float("z", 0.0),
                             prefactor=sec.get_float("prefactor", 1.0))
-        check_nis(jc)
         v_start = sec.get_float("v_start")
         v_stop = sec.get_float("v_stop")
+        check_nis(jc, (v_start, v_stop))
         if v_start >= v_stop:
             raise sec.error("v_start must be below v_stop")
         points = sec.get_int("points", 101)

@@ -1,8 +1,9 @@
 """Source hygiene: every name a module imports is used in it, the
 physics reads the fixed constants instead of taking them as arguments,
 numpy alone decides what a scalar input returns, every dataclass
-field is read somewhere, README's command lines parse, and scipy loads
-only where NIS quadrature and the CN oracle run."""
+field is read somewhere, README's command lines parse and its Python
+blocks run, and scipy loads only where NIS quadrature and the CN oracle
+run."""
 
 import ast
 import os
@@ -135,6 +136,15 @@ def test_readme_commands_parse():
         args = parser.parse_args(argv)
         for pattern in args.config or ():
             assert sorted(ROOT.glob(pattern)), f"{pattern} names no file"
+
+
+def test_readme_python_blocks_run():
+    # each block runs alone, against the package as it is
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {"__name__": "readme"})
 
 
 def _is_dataclass(decorator):

@@ -17,6 +17,8 @@ from fluxdsm.junctions import (
     HOLE,
     NORMAL_SIDE,
     SUPER_SIDE,
+    BCS_GAP_RATIO,
+    NIS_MAX_EV,
     NIS_RTOL,
     JunctionConfig,
     _btk_kernel,
@@ -317,6 +319,23 @@ def test_nis_current_validation():
         nis_current(JunctionConfig(delta=1e-22, T=0.0, d=0.0), 1e-3)
     with pytest.raises(DomainError, match="positive gap"):
         nis_current(JunctionConfig(delta=0.0, T=1.0, d=0.0), 1e-3)
+
+
+def test_nis_current_rejects_unverified_domain():
+    cfg = JunctionConfig(delta=LEAD.delta, T=0.3128, d=0.0)
+    v_limit = NIS_MAX_EV * LEAD.delta / CODATA.e
+    # the limit itself is accepted, and there the current is ohmic
+    assert nis_current(cfg, -v_limit) == pytest.approx(
+        -LEAD.delta * NIS_MAX_EV, rel=1e-12)
+    for v in (np.nextafter(v_limit, math.inf), 1e300, math.nan):
+        with pytest.raises(DomainError, match="past the NIS sweep limit"):
+            nis_current(cfg, np.array([0.0, -v]))
+    # the BCS Tc of lead's gap, delta / (1.764 kB) = 8.87 K, bounds T
+    # also when no material sets a lower one
+    tc = LEAD.delta / (BCS_GAP_RATIO * CODATA.kB)
+    for t in (tc, 1e300, math.inf):
+        with pytest.raises(DomainError, match="not below the BCS Tc 8.87 K"):
+            nis_current(JunctionConfig(delta=LEAD.delta, T=t, d=0.0), 4e-3)
 
 
 def test_nis_lowT_form():

@@ -159,18 +159,22 @@ def test_matches_handwritten_recursion():
     c1, c2 = cfg.c
     x1 = x2 = 0.0
     prev_err = 0.0
-    codes = []
+    codes, states = [], []
     for k in range(n):
         x1 = x1 + c1 * prev_err
         x2 = x2 + c2 * x1
         y = a1 * x1 + a2 * x2
         code = min(max(round(y / lsb_n), -hr), hr)
         codes.append(code)
+        states.append((x1, x2))
         prev_err = u[k] - code * lsb_n
     np.testing.assert_array_equal(trace.codes, np.array(codes))
-    np.testing.assert_allclose(trace.states[:, 0], np.cumsum(
-        np.concatenate([[0.0], c1 * (u[:-1] - trace.codes[:-1] * lsb_n)])),
-        rtol=1e-9, atol=1e-15)
+    assert trace.state_peak == tuple(np.max(np.abs(states), axis=0))
+    # the first integrator sums the delayed loop error
+    x1_sum = np.cumsum(np.concatenate(
+        [[0.0], c1 * (u[:-1] - trace.codes[:-1] * lsb_n)]))
+    assert trace.state_peak[0] == pytest.approx(np.max(np.abs(x1_sum)),
+                                                rel=1e-9)
 
 
 # (a, c) per order; orders 3 and 4 are not tuned for the default bound
@@ -240,20 +244,39 @@ def test_loop_matches_difference_equations_exactly(order, backend, noisy):
     assert trace.device_gain == gain
     codes, states, saturations = _loop_oracle(cfg, u, gain)
     assert trace.codes.dtype == np.int64 and trace.codes.shape == (4096,)
-    assert trace.states.dtype == np.float64
-    assert trace.states.shape == (4096, order)
     assert trace.codes.tobytes() == codes.tobytes()
-    assert trace.states.tobytes() == states.tobytes()
     assert trace.saturation_count == saturations
     assert (saturations > 0) == (order > 1)
-    assert trace.state_peak == tuple(np.max(np.abs(states), axis=0))
+    assert (np.array(trace.state_peak).tobytes()
+            == np.max(np.abs(states), axis=0).tobytes())
+
+
+@pytest.mark.parametrize("backend", ["ideal", "flux-device"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_state_peak_of_negative_excursion(order, backend):
+    # a negative DC level drives every stage's peak |x_i| from below
+    # zero, the branch of the peak update that a tone may not reach
+    a, c = LOOP_COEFFS[order]
+    device = backend == "flux-device"
+    cfg = ModulatorConfig(a=a, c=c, backend=backend,
+                          geometry=GEOM8 if device else None,
+                          stability_bound=50.0)
+    u = np.full(2048, -0.5)
+    trace = run_modulator(cfg, u)
+    _, states, _ = _loop_oracle(cfg, u, GEOM8.n_segments // 2
+                                if device else None)
+    at_peak = states[np.argmax(np.abs(states), axis=0), range(order)]
+    assert np.all(at_peak < 0.0)
+    assert (np.array(trace.state_peak).tobytes()
+            == np.max(np.abs(states), axis=0).tobytes())
 
 
 @pytest.mark.parametrize("backend", ["ideal", "flux-device"])
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_loop_quantizer_matches_comparator_quantize(order, backend):
     # the loop inlines the comparator's round-and-clamp; rebuilt from the
-    # stored states, its input y must quantize to the same codes through
+    # oracle's states, whose codes the exact test above pins to the
+    # loop's, its input y must quantize to the same codes through
     # comparator.quantize at the loop's normalized LSB
     a, c = LOOP_COEFFS[order]
     device = backend == "flux-device"
@@ -263,9 +286,11 @@ def test_loop_quantizer_matches_comparator_quantize(order, backend):
     u = make_tone(4096, 5, 0.5)
     u[:8] = 0.9
     trace = run_modulator(cfg, u)
-    y = cfg.a[0] * trace.states[:, 0]
+    _, states, _ = _loop_oracle(cfg, u, GEOM8.n_segments // 2
+                                if device else None)
+    y = cfg.a[0] * states[:, 0]
     for i in range(1, order):
-        y = y + cfg.a[i] * trace.states[:, i]
+        y = y + cfg.a[i] * states[:, i]
     comp = cfg.comparator
     lsb_n = comp.b_lsb / cfg.full_scale_field
     codes, saturated = quantize(dataclasses.replace(comp, b_lsb=lsb_n), y)
@@ -308,7 +333,9 @@ def test_stability_over_random_inputs():
         rng = np.random.default_rng(seed)
         u = rng.uniform(-0.9, 0.9, 4096)
         trace = run_modulator(cfg, u)
-        assert np.max(np.abs(trace.states)) <= cfg.stability_bound
+        _, states, _ = _loop_oracle(cfg, u)
+        assert trace.state_peak == tuple(np.max(np.abs(states), axis=0))
+        assert max(trace.state_peak) <= cfg.stability_bound
 
 
 def test_instability_reports_sample_index():

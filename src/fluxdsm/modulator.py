@@ -20,6 +20,7 @@ and summed in the pickup accumulator. Dividing the readout by the gain
 recovers the ideal integrator up to single-quantum granularity.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -159,15 +160,24 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
     leaves no ring, and warns when one clock period leaves under half
     a cycle of margin over the device settle time.
 
-    The loop is one plain-Python core for every order and both
-    backends. Per sample it computes each stage, checks it against the
-    bound, updates its peak and adds it to y in one pass; the input is
-    read and the codes are written through memoryviews, so no numpy
-    scalar is made per sample. Every float operation keeps its operands
-    and their order (x1 + c1 err, acc (c1 / gain) / quanta,
-    xi + ci x_{i-1}, then y summed from stage 1 up), so the codes and
-    the state peaks are bit-identical to the difference equations above
-    evaluated in that order.
+    The loop is plain Python written out for the config's order and
+    backend (_compiled_loop), compiled on the first run of that pair
+    and kept: each stage's state, gains and peak are locals, and the
+    input is read and the codes are written through memoryviews, so a
+    sample makes no numpy scalar, no list access and no test of the
+    backend. Every float operation keeps its operands and their order
+    (x1 + c1 err, acc (c1 / gain) / quanta, xi + ci x_{i-1}, then y
+    summed from stage 1 up), so the codes and the state peaks are
+    bit-identical to the difference equations above evaluated in that
+    order.
+
+    Each stage's bound check rides on its peak update. A state inside
+    [-p_i, p_i] of its running peak is inside the bound, because p_i
+    never exceeds it; only a state outside that range, or a nan, which
+    fails every comparison, sets p_i = |x_i| and then meets the bound
+    check. So the check raises at the same sample and stage as a check
+    of every state would, and a nan state raises there before round()
+    could see it.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size == 0:
@@ -209,74 +219,93 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
                               "integrate the loop error")
         quanta_per_unit = cfg.quanta_per_unit
 
-    order = len(cfg.a)
-    device = device_gain is not None
-    c0, a0 = cfg.c[0], cfg.a[0]
-    c0_gain = c0 / device_gain if device else 0.0
-    # (i, c_i, a_i) of the stages after the first
-    stages = tuple(zip(range(1, order), cfg.c[1:], cfg.a[1:]))
-    bound = cfg.stability_bound
-    neg_bound = -bound
     codes = np.empty(n, dtype=np.int64)
-    # memoryviews read the input and write the codes as plain Python
-    # floats and ints, with no numpy scalar per access
-    u_view = memoryview(u_n)
-    code_view = memoryview(codes)
-    x = [0.0] * order
-    # peak |x_i| so far: stage 1's in a local, later stages' in a list
-    peak = [0.0] * order
-    x0 = 0.0
-    p0 = 0.0
-    acc = 0
-    err = 0.0
-    saturations = 0
-
-    for k in range(n):
-        if device:
-            # round() of a float is the ties-to-even int, as in
-            # fluxtrap's trapping
-            acc += device_gain * round(err * quanta_per_unit)
-            x0 = acc * c0_gain / quanta_per_unit
-        else:
-            x0 = x0 + c0 * err
-        # the bound check comes first: a nan state fails it and never
-        # reaches round()
-        if not neg_bound <= x0 <= bound:
-            raise _left_bound(1, bound, k)
-        if x0 > p0 or -x0 > p0:
-            p0 = abs(x0)
-        y = a0 * x0
-        prev = x0
-        for i, ci, ai in stages:
-            xi = x[i] + ci * prev
-            if not neg_bound <= xi <= bound:
-                raise _left_bound(i + 1, bound, k)
-            x[i] = xi
-            if xi > peak[i] or -xi > peak[i]:
-                peak[i] = abs(xi)
-            y += ai * xi
-            prev = xi
-        # comparator.quantize at the normalized LSB, inlined: a call
-        # per sample would cost more than the rest of the step
-        raw = round(y / lsb_n)
-        if raw > hr:
-            raw = hr
-            saturations += 1
-        elif raw < -hr:
-            raw = -hr
-            saturations += 1
-        code_view[k] = raw
-        err = u_view[k] - raw * lsb_n
-
-    peak[0] = p0
+    loop = _compiled_loop(len(cfg.a), device_gain is not None)
+    saturations, state_peak = loop(
+        memoryview(u_n), memoryview(codes), cfg.c, cfg.a,
+        cfg.stability_bound, hr, lsb_n, device_gain, quanta_per_unit)
     return TraceSet(config=cfg, codes=codes, saturation_count=saturations,
-                    device_gain=device_gain, state_peak=tuple(peak))
+                    device_gain=device_gain, state_peak=state_peak)
 
 
 def _left_bound(stage: int, bound: float, k: int) -> InstabilityError:
     return InstabilityError(
         f"integrator {stage} left [-{bound}, {bound}] at sample {k}",
         sample=k)
+
+
+# The loop of run_modulator in pieces, which _compiled_loop joins for
+# one order and backend; {i} is a stage's index from 0.
+_LOOP_HEAD = """\
+def loop(u, codes, c, a, bound, hr, lsb_n, gain, quanta):
+    {c_names}, = c
+    {a_names}, = a
+    {zeros} = 0.0
+    neg_hr = -hr
+    err = 0.0
+    saturations = 0
+"""
+_IDEAL_INTEGRATOR = """\
+    for k, uk in enumerate(u):
+        x0 = x0 + c0 * err
+"""
+# round() of a float is the ties-to-even int, as in fluxtrap's trapping
+_DEVICE_INTEGRATOR = """\
+    c0_gain = c0 / gain
+    acc = 0
+    for k, uk in enumerate(u):
+        acc += gain * round(err * quanta)
+        x0 = acc * c0_gain / quanta
+"""
+_LATER_STAGE = """\
+        x{i} = x{i} + c{i} * x{prev}
+"""
+# the bound check folded into the peak update; run_modulator's
+# docstring says why it raises where a check of every state would, nan
+# included
+_PEAK_AND_BOUND = """\
+        if not m{i} <= x{i} <= p{i}:
+            p{i} = abs(x{i})
+            m{i} = -p{i}
+            if not p{i} <= bound:
+                raise _left_bound({stage}, bound, k)
+"""
+# comparator.quantize at the normalized LSB, inlined
+_LOOP_TAIL = """\
+        y = {y_sum}
+        raw = round(y / lsb_n)
+        if not neg_hr <= raw <= hr:
+            raw = hr if raw > 0 else neg_hr
+            saturations += 1
+        codes[k] = raw
+        err = uk - raw * lsb_n
+    return saturations, ({peaks},)
+"""
+
+
+@functools.lru_cache(maxsize=8)
+def _compiled_loop(order: int, device: bool):
+    """The loop written out stage by stage for one order and backend,
+    compiled on first use. Each stage's state x_i, gains c_i, a_i and
+    peak p_i = -m_i are plain locals: a sample does no list access, no
+    loop over the stages and no test of the backend."""
+    def each(template, sep=", "):
+        return sep.join(template.format(i=i) for i in range(order))
+
+    src = _LOOP_HEAD.format(c_names=each("c{i}"), a_names=each("a{i}"),
+                            zeros=each("x{i} = p{i} = m{i}", " = "))
+    src += _DEVICE_INTEGRATOR if device else _IDEAL_INTEGRATOR
+    for i in range(order):
+        if i:
+            src += _LATER_STAGE.format(i=i, prev=i - 1)
+        src += _PEAK_AND_BOUND.format(i=i, stage=i + 1)
+    src += _LOOP_TAIL.format(y_sum=each("a{i} * x{i}", " + "),
+                             peaks=each("p{i}"))
+    backend = "flux-device" if device else "ideal"
+    namespace = {"_left_bound": _left_bound}
+    exec(compile(src, f"<modulator loop, order {order}, {backend}>", "exec"),
+         namespace)
+    return namespace["loop"]
 
 
 def _hann_periodic(n: int) -> np.ndarray:
@@ -305,15 +334,19 @@ def sndr_from_series(x, osr: int, signal_cycles: int) -> float:
     """In-band signal to noise-and-distortion ratio of a series, in dB.
 
     Signal power is the +-SIGNAL_GUARD_BINS bins around the tone bin;
-    noise is
-    everything else inside the band edge n/(2 osr), skipping the first
-    three bins where the window parks any DC content.
+    noise is everything else inside the band edge n/(2 osr), skipping
+    the first three bins where the window parks any DC content.
     """
-    x = np.asarray(x, dtype=float)
-    n = x.size
     _, power = power_spectrum(x)
+    return _band_sndr(power, osr, signal_cycles)
+
+
+def _band_sndr(power: np.ndarray, osr: int, signal_cycles: int) -> float:
+    """The band sums of sndr_from_series over the n//2 bins of a series'
+    power spectrum."""
     k0 = int(signal_cycles)
-    band_edge = n // (2 * osr)
+    # (n // 2) // osr is n // (2 osr)
+    band_edge = len(power) // osr
     if not 0 < k0 <= band_edge:
         raise ConfigError("signal bin outside the modulator band")
     lo = max(k0 - SIGNAL_GUARD_BINS, 0)
@@ -329,10 +362,14 @@ def sndr_from_series(x, osr: int, signal_cycles: int) -> float:
     return 10.0 * math.log10(p_sig / p_noise)
 
 
-def sndr_db(trace: TraceSet, signal_cycles: int) -> float:
-    """SNDR of a modulator run's code stream."""
-    return sndr_from_series(trace.codes.astype(float), trace.config.osr,
-                            signal_cycles)
+def sndr_db(trace: TraceSet, signal_cycles: int, *,
+            power: Optional[np.ndarray] = None) -> float:
+    """SNDR of a modulator run's code stream. A caller that holds the
+    run's output_power_spectrum passes its power, which is then not
+    taken again (the power does not depend on the sample rate)."""
+    if power is None:
+        _, power = power_spectrum(trace.codes.astype(float))
+    return _band_sndr(power, trace.config.osr, signal_cycles)
 
 
 def theoretical_sqnr(order: int, osr: int, bits: float) -> float:

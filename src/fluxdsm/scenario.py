@@ -464,7 +464,8 @@ def _run_modulator(cfg: ScenarioConfig):
     if trace.device_gain is not None:
         metrics.append(("device_gain", trace.device_gain))
     if tone_cycles is not None:
-        metrics.append(("sndr_db", sndr_db(trace, tone_cycles)))
+        metrics.append(("sndr_db", sndr_db(trace, tone_cycles,
+                                            power=power)))
     else:
         mean = dc_tracking_mean(trace)
         metrics.append(("dc_mean", mean))

@@ -299,17 +299,53 @@ def test_loop_quantizer_matches_comparator_quantize(order, backend):
     assert (trace.saturation_count > 0) == (order > 1)
 
 
-def test_instability_in_second_integrator_reports_sample():
-    # a DC step drives x2 past the bound while x1 stays inside it
+@pytest.mark.parametrize("backend", ["ideal", "flux-device"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_instability_reports_first_stage_past_bound(order, backend):
+    # a DC step drives the states past each bound in turn; the error
+    # names the first (sample, stage) of the oracle's states past it,
+    # and at the largest bound this order breaks that is its last stage
+    a, c = LOOP_COEFFS[order]
+    device = backend == "flux-device"
+    geometry = GEOM8 if device else None
     u = np.full(64, 0.9)
-    bound = 1.0
-    _, states, _ = _loop_oracle(ModulatorConfig(), u)
-    first = int(np.argmax(np.any(np.abs(states) > bound, axis=1)))
-    assert abs(states[first, 0]) <= bound < abs(states[first, 1])
+    _, states, _ = _loop_oracle(
+        ModulatorConfig(a=a, c=c, backend=backend, geometry=geometry),
+        u, GEOM8.n_segments // 2 if device else None)
+    stages = []
+    for bound in (0.25, 1.0, 4.0):
+        cfg = ModulatorConfig(a=a, c=c, backend=backend, geometry=geometry,
+                              stability_bound=bound)
+        past = np.abs(states) > bound
+        if not past.any():
+            assert max(run_modulator(cfg, u).state_peak) <= bound
+            continue
+        sample = int(np.argmax(past.any(axis=1)))
+        stage = int(np.argmax(past[sample])) + 1
+        stages.append(stage)
+        with pytest.raises(InstabilityError) as err:
+            run_modulator(cfg, u)
+        assert str(err.value) == (f"integrator {stage} left [-{bound}, "
+                                  f"{bound}] at sample {sample}")
+        assert err.value.sample == sample
+    assert stages[-1] == order
+
+
+@pytest.mark.parametrize("backend", ["ideal", "flux-device"])
+@pytest.mark.parametrize("stage", [0, 1])
+def test_nan_state_raises_instability_at_its_stage(stage, backend):
+    # inf * 0.0 is nan: an infinite c_i turns stage i+1 nan at sample 0,
+    # which the bound check must catch before round() raises ValueError
+    device = backend == "flux-device"
+    c = [0.5, 0.5]
+    c[stage] = math.inf
+    cfg = ModulatorConfig(c=tuple(c), backend=backend,
+                          geometry=GEOM8 if device else None)
     with pytest.raises(InstabilityError) as err:
-        run_modulator(ModulatorConfig(stability_bound=bound), u)
-    assert str(err.value) == f"integrator 2 left [-1.0, 1.0] at sample {first}"
-    assert err.value.sample == first == 7
+        run_modulator(cfg, np.full(16, 0.5))
+    assert str(err.value) == (f"integrator {stage + 1} left [-8.0, 8.0] "
+                              "at sample 0")
+    assert err.value.sample == 0
 
 
 def test_zero_input_is_silent():
@@ -463,6 +499,11 @@ def test_sndr_tracks_theory_at_osr_64():
     theory = theoretical_sqnr(2, 64, 9)
     assert theory - 6.0 <= measured <= theory + 1.0
     assert measured == pytest.approx(132.31, abs=0.1)
+    # the spectrum a caller already holds gives the same value, bit for
+    # bit, at any sample rate
+    _, power = output_power_spectrum(
+        dataclasses.replace(trace, config=ModulatorConfig(osr=64, fs=1e9)))
+    assert sndr_db(trace, 129, power=power) == measured
 
 
 def test_theoretical_sqnr_values():

@@ -1,15 +1,25 @@
-"""CSV text of numeric columns, encoded column-wise with numpy.
+"""How every artifact spells a value, and the CSV writer.
 
-encode_rows(columns) gives the bytes that scenario.write_csv's row
-writer gives for the same values: a float64 spelled as Python's repr
-spells it, an integer as its decimal digits, ',' between cells and
-'\\n' after each row.
+A float, Python or numpy, is spelled as repr spells it (the shortest
+digits that read back as the same float64, so equal values are equal
+bytes), an integer as its decimal digits, a bool as 1 or 0, and
+anything else as str gives it; spell() spells report.txt values. A CSV
+column holding only integers and bools is spelled so; any other spells
+each value as str does (repr for a float). Cells are joined by ',' and
+each row ends in '\\n'.
 
-Each row is laid out in 8-byte words, with NUL bytes wherever a cell
-is shorter than its words, and the NULs are dropped in one
-bytes.translate. A word is a uint64 whose byte k is character k, kept
-in a little-endian array, so its bytes read in order. The first two
-characters of a cell's first word are kept free for the ',' before
+write_csv classifies each column once (_classify), which picks both its
+format in the row template and its column-wise encoder, if it has one.
+A table of at least CSV_COLUMNAR_ROWS rows whose columns all have one
+is encoded column-wise with numpy, any other row by row through one
+template, which is faster on short tables. Both write CSV_CHUNK_ROWS
+rows at a time, with the same bytes.
+
+Column-wise, each row is laid out in 8-byte words, with NUL bytes
+wherever a cell is shorter than its words, and the NULs are dropped in
+one bytes.translate. A word is a uint64 whose byte k is character k,
+kept in a little-endian array, so its bytes read in order. The first
+two characters of a cell's first word are kept free for the ',' before
 it and its sign; a float's exponent suffix takes one more word, in
 blocks where some float needs one; a row ends with a '\\n' word.
 
@@ -21,6 +31,7 @@ numpy < 2 promotes that mix to float64.
 """
 
 import functools
+from itertools import islice, starmap
 
 import numpy as np
 
@@ -307,8 +318,10 @@ def _float_cells(x):
 
 
 def _int_cells(v):
-    """The words of the decimal digits of each int64 of v, right-aligned
-    and as few as leave two characters free, and the sign characters."""
+    """The words of the decimal digits of each int64 or bool of v,
+    right-aligned and as few as leave two characters free, and the
+    sign characters."""
+    v = v.astype(np.int64, copy=False)
     negative = v < 0
     mag = v.view(np.uint64).copy()
     mag[negative] = ~mag[negative] + _U(1)
@@ -325,21 +338,10 @@ def _int_cells(v):
     return words, negative * _MINUS
 
 
-def numeric(column):
-    """column as an int64 or float64 array when it is a 1-d float64,
-    int64 or bool array, the dtypes the runners write, else None."""
-    if not isinstance(column, np.ndarray) or column.ndim != 1 or \
-            column.dtype not in (np.float64, np.int64, np.bool_):
-        return None
-    return column.astype(np.int64, copy=False) \
-        if column.dtype == np.bool_ else column
-
-
-def encode_rows(columns) -> bytes:
-    """CSV lines of equal-length int64 and float64 columns."""
-    cells = [_float_cells(c) if c.dtype.kind == "f" else _int_cells(c)
-             for c in columns]
-    rows = np.empty((columns[0].size, sum(len(w) for w, _ in cells) + 1),
+def _encode_rows(cells) -> bytes:
+    """CSV lines of equal-length columns, given as the (words, sign) of
+    their cells."""
+    rows = np.empty((cells[0][1].size, sum(len(w) for w, _ in cells) + 1),
                     dtype="<u8")
     at = 0
     for index, (words, sign) in enumerate(cells):
@@ -350,3 +352,60 @@ def encode_rows(columns) -> bytes:
         at += 1
     rows[:, at] = _U(ord("\n"))
     return rows.tobytes().translate(None, b"\0")
+
+
+# the column-wise encoders, by the dtype of a 1-d array (the dtypes
+# the runners write)
+_ENCODERS = {np.dtype(np.float64): _float_cells,
+             np.dtype(np.int64): _int_cells, np.dtype(np.bool_): _int_cells}
+
+
+def _classify(column):
+    """The format of column in the row template, '{:d}' for integers
+    and bools and '{}' for anything else, and its column-wise encoder,
+    or None where it has none."""
+    if not isinstance(column, np.ndarray):
+        integral = all(isinstance(v, (int, np.integer)) for v in column)
+        return ("{:d}" if integral else "{}"), None
+    encode = _ENCODERS.get(column.dtype) if column.ndim == 1 else None
+    return ("{:d}" if column.dtype.kind in "biu" else "{}"), encode
+
+
+# rows per write: bounds the text held in memory on long tables
+CSV_CHUNK_ROWS = 1 << 14
+# the fewest rows that the column-wise encoders write faster
+CSV_COLUMNAR_ROWS = 512
+
+
+def write_csv(path: str, header, columns) -> None:
+    """CSV of one header row, then one row per index of columns, an
+    iterable (read once) of equal-length columns, each a numpy array or
+    a sequence of Python values, spelled as the module docstring says."""
+    columns = list(columns)
+    n = len(columns[0]) if columns else 0
+    if any(len(c) != n for c in columns):
+        raise ValueError("CSV columns differ in length")
+    kinds = [_classify(c) for c in columns]
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        if n >= CSV_COLUMNAR_ROWS and all(encode for _, encode in kinds):
+            for start in range(0, n, CSV_CHUNK_ROWS):
+                fh.write(_encode_rows(
+                    [encode(c[start:start + CSV_CHUNK_ROWS])
+                     for c, (_, encode) in zip(columns, kinds)]))
+            return
+        # one template per table: formatting per value is slower
+        fmt = (",".join(template for template, _ in kinds) + "\n").format
+        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                     for c in columns))
+        while chunk := "".join(starmap(fmt, islice(rows, CSV_CHUNK_ROWS))):
+            fh.write(chunk.encode())
+
+
+def spell(value) -> str:
+    """One value as report.txt spells it."""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)

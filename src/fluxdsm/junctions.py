@@ -336,7 +336,8 @@ def check_nis(cfg: JunctionConfig, voltage=0.0) -> None:
     """Raise DomainError unless nis_current can sweep cfg over voltage
     (volts, any shape): T must lie between 0 and the BCS Tc of the gap,
     delta / (1.764 kB), past which the Fermi difference of the integrand
-    cancels, and every |eV| / delta must be at most NIS_MAX_EV."""
+    cancels, every |eV| / delta must be at most NIS_MAX_EV, and the
+    current scale prefactor * delta must be a finite float."""
     if cfg.T <= 0:
         raise DomainError("NIS current needs T > 0")
     if cfg.delta <= 0:
@@ -347,6 +348,10 @@ def check_nis(cfg: JunctionConfig, voltage=0.0) -> None:
         raise DomainError(
             f"t = {cfg.T:g} K is not below the BCS Tc {tc:.3g} K of the "
             f"gap delta = {cfg.delta:g} J")
+    if not abs(cfg.prefactor * cfg.delta) < math.inf:
+        raise DomainError(
+            f"prefactor {cfg.prefactor:g} times delta {cfg.delta:g} J "
+            "leaves the float range")
     v_max = float(np.max(np.abs(voltage), initial=0.0))
     if not CODATA.e * v_max / cfg.delta <= NIS_MAX_EV:
         raise DomainError(
@@ -395,7 +400,7 @@ def nis_current(cfg: JunctionConfig, voltage):
     kt = CODATA.kB * cfg.T / delta
     z = cfg.Z
 
-    out = np.empty_like(volts)
+    vals = np.empty_like(volts)
     for i in np.ndindex(volts.shape):
         v = volts[i]
         ev = CODATA.e * float(v) / delta
@@ -417,8 +422,9 @@ def nis_current(cfg: JunctionConfig, voltage):
             raise QuadratureError(
                 f"NIS quadrature did not converge at V = {v}",
                 diagnostics={"estimate": val, "abserr": err})
-        out[i] = cfg.prefactor * delta * val
-    return out[()]
+        vals[i] = val
+    # one numpy product, so an overflow meets the caller's np.errstate
+    return (cfg.prefactor * delta * vals)[()]
 
 
 def nis_current_lowT(cfg: JunctionConfig, voltage):

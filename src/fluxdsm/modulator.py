@@ -330,20 +330,15 @@ def output_power_spectrum(trace: TraceSet):
     return power_spectrum(trace.codes.astype(float), trace.config.fs)
 
 
-def sndr_from_series(x, osr: int, signal_cycles: int) -> float:
-    """In-band signal to noise-and-distortion ratio of a series, in dB.
+def band_sndr(power: np.ndarray, osr: int, signal_cycles: int) -> float:
+    """In-band signal to noise-and-distortion ratio, in dB, of the n//2
+    bins of a series' power_spectrum at oversampling ratio osr.
 
-    Signal power is the +-SIGNAL_GUARD_BINS bins around the tone bin;
-    noise is everything else inside the band edge n/(2 osr), skipping
-    the first three bins where the window parks any DC content.
+    Signal power is the +-SIGNAL_GUARD_BINS bins around the tone bin
+    signal_cycles; noise is everything else inside the band edge
+    n/(2 osr), skipping the first three bins where the window parks any
+    DC content.
     """
-    _, power = power_spectrum(x)
-    return _band_sndr(power, osr, signal_cycles)
-
-
-def _band_sndr(power: np.ndarray, osr: int, signal_cycles: int) -> float:
-    """The band sums of sndr_from_series over the n//2 bins of a series'
-    power spectrum."""
     k0 = int(signal_cycles)
     # (n // 2) // osr is n // (2 osr)
     band_edge = len(power) // osr
@@ -362,14 +357,10 @@ def _band_sndr(power: np.ndarray, osr: int, signal_cycles: int) -> float:
     return 10.0 * math.log10(p_sig / p_noise)
 
 
-def sndr_db(trace: TraceSet, signal_cycles: int, *,
-            power: Optional[np.ndarray] = None) -> float:
-    """SNDR of a modulator run's code stream. A caller that holds the
-    run's output_power_spectrum passes its power, which is then not
-    taken again (the power does not depend on the sample rate)."""
-    if power is None:
-        _, power = power_spectrum(trace.codes.astype(float))
-    return _band_sndr(power, trace.config.osr, signal_cycles)
+def sndr_db(trace: TraceSet, signal_cycles: int) -> float:
+    """band_sndr of a modulator run's output_power_spectrum."""
+    return band_sndr(output_power_spectrum(trace)[1], trace.config.osr,
+                     signal_cycles)
 
 
 def theoretical_sqnr(order: int, osr: int, bits: float) -> float:

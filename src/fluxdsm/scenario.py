@@ -5,22 +5,21 @@ pipeline kind. Loading checks the parameters and builds the kind's
 typed objects once (the spec); running computes from the spec and only
 then writes CSV artifacts plus a plain-text report into an output
 directory. Identical config and seed produce byte identical files:
-floats are serialized with repr (shortest roundtrip), rows are ordered
-deterministically, and no timestamps or absolute paths leak into any
-artifact.
+csvtext spells every value, rows are ordered deterministically, and no
+timestamps or absolute paths leak into any artifact.
 """
 
 import math
 import os
 from dataclasses import dataclass, replace
-from itertools import islice, starmap
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from . import csvtext
+from . import modulator
 from .comparator import (REFERENCE_I_BIAS, REFERENCE_SIDE, make_comparator,
                          quantize)
+from .csvtext import spell, write_csv
 from .electrodynamics import (SlabConfig, normal_slab_profile,
                               solenoid_field, square_loop_current_for_field,
                               super_slab_profile)
@@ -32,12 +31,15 @@ from .fluxtrap import (CylinderGeometry, EcoilStep, FieldStep, FluxTrapState,
 from .junctions import (JunctionConfig, check_nis, n_coherence_length,
                         nis_current, sns_current, sns_prefactor)
 from .materials import check_superconducting, get_material
-from .modulator import (ModulatorConfig, dc_tracking_mean,
-                        output_power_spectrum, run_modulator, sndr_db,
-                        test_tone)
+from .modulator import (ModulatorConfig, band_sndr, dc_tracking_mean,
+                        output_power_spectrum, run_modulator, test_tone)
 from .noise import NoiseModel, check_synthesis_limits, dof_variance_factor, \
     flicker_psd, lorentzian_psd, synth_flicker_series, welch_psd
 from .sectext import Section, finite_float, parse_sections, read_config
+
+# perfbench's traced runs wrap sndr_db in this namespace too; tone runs
+# take band_sndr of the spectrum they write instead
+sndr_db = modulator.sndr_db
 
 
 @dataclass(frozen=True)
@@ -106,64 +108,6 @@ def load_scenario(path: str) -> ScenarioConfig:
     return parse_scenario(text, path=path)
 
 
-# rows per write: bounds the text held in memory on long tables
-CSV_CHUNK_ROWS = 1 << 14
-# tables of at least this many rows whose columns are all numeric
-# arrays are encoded column-wise by csvtext; shorter ones are faster
-# row by row
-CSV_COLUMNAR_ROWS = 512
-
-
-def write_csv(path: str, header, columns) -> None:
-    """CSV with '.' decimals, '\\n' endings, one header row, then one
-    row per index of columns, an iterable (read once) of equal-length
-    columns. A column is a numpy array or a sequence of Python values.
-    Python and float64 floats are written with repr, so equal values
-    are equal bytes, integers and bools as decimal integers (bools as
-    1/0) in a column that holds nothing else, and text as it is. Long
-    all-numeric tables go through csvtext, which writes the same bytes
-    column-wise."""
-    columns = list(columns)
-    n = len(columns[0]) if columns else 0
-    if any(len(c) != n for c in columns):
-        raise ValueError("CSV columns differ in length")
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        if n >= CSV_COLUMNAR_ROWS:
-            arrays = [csvtext.numeric(c) for c in columns]
-            if all(a is not None for a in arrays):
-                for start in range(0, n, CSV_CHUNK_ROWS):
-                    fh.write(csvtext.encode_rows(
-                        [a[start:start + CSV_CHUNK_ROWS] for a in arrays]))
-                return
-        # one template per table: formatting per value is slower
-        fmt = (",".join(map(_column_format, columns)) + "\n").format
-        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c
-                     for c in columns))
-        while chunk := "".join(starmap(fmt, islice(rows, CSV_CHUNK_ROWS))):
-            fh.write(chunk.encode())
-
-
-def _column_format(column) -> str:
-    """'{:d}' for a column of integers and bools, '{}' (repr for a
-    float, str otherwise) for any other."""
-    if isinstance(column, np.ndarray):
-        return "{:d}" if column.dtype.kind in "biu" else "{}"
-    integral = all(isinstance(v, (int, np.integer)) for v in column)
-    return "{:d}" if integral else "{}"
-
-
-# serves report.txt values; CSV columns get their format in write_csv
-def _cell(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
 def _write_report(path: str, cfg: ScenarioConfig, metrics) -> None:
     """Config echo plus computed metrics, key = value per line."""
     lines = [f"kind = {cfg.kind}", f"seed = {cfg.seed}"]
@@ -173,7 +117,7 @@ def _write_report(path: str, cfg: ScenarioConfig, metrics) -> None:
         lines += [f"{name}.{e.key} = {e.value}"
                   for e in cfg.sections[name].entries]
     for key, value in metrics:
-        lines.append(f"{key} = {_cell(value)}")
+        lines.append(f"{key} = {spell(value)}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -464,8 +408,7 @@ def _run_modulator(cfg: ScenarioConfig):
     if trace.device_gain is not None:
         metrics.append(("device_gain", trace.device_gain))
     if tone_cycles is not None:
-        metrics.append(("sndr_db", sndr_db(trace, tone_cycles,
-                                            power=power)))
+        metrics.append(("sndr_db", band_sndr(power, mc.osr, tone_cycles)))
     else:
         mean = dc_tracking_mean(trace)
         metrics.append(("dc_mean", mean))

@@ -6,15 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from fluxdsm.csvtext import encode_rows, numeric
-
-CHUNK = 1 << 14
+from fluxdsm.csvtext import CSV_CHUNK_ROWS as CHUNK, _classify, _encode_rows
 
 
-def _encoded(column):
-    """encode_rows of a one-column table, in chunks as write_csv calls it."""
-    return b"".join(encode_rows([column[start:start + CHUNK]])
-                    for start in range(0, column.size, CHUNK))
+def _encoded(*columns):
+    """The column-wise encoder's lines of numpy columns, in chunks as
+    write_csv hands them over."""
+    encoders = [_classify(c)[1] for c in columns]
+    return b"".join(_encode_rows([encode(c[start:start + CHUNK])
+                                  for encode, c in zip(encoders, columns)])
+                    for start in range(0, columns[0].size, CHUNK))
 
 
 def _floats():
@@ -74,9 +75,8 @@ def test_rows_join_cells_with_commas():
     k = np.arange(3)
     x = np.array([0.5, -1e300, math.nan])
     flag = np.array([True, False, True])
-    columns = [numeric(c) for c in (x, k, flag, x)]
-    assert encode_rows(columns) == (b"0.5,0,1,0.5\n-1e+300,1,0,-1e+300\n"
-                                    b"nan,2,1,nan\n")
+    assert _encoded(x, k, flag, x) == (b"0.5,0,1,0.5\n-1e+300,1,0,-1e+300\n"
+                                       b"nan,2,1,nan\n")
 
 
 @pytest.mark.parametrize("column", [
@@ -89,5 +89,5 @@ def test_rows_join_cells_with_commas():
     [1.0, 2.0],
 ] + ([np.array([1.0, 2.0], dtype=np.longdouble)]
      if np.dtype(np.longdouble).itemsize > 8 else []))
-def test_numeric_refuses_what_it_cannot_spell(column):
-    assert numeric(column) is None
+def test_no_encoder_for_what_it_cannot_spell(column):
+    assert _classify(column)[1] is None

@@ -268,6 +268,18 @@ def test_iterate_sequence_reports_step_index():
             pass
 
 
+def test_trap_over_an_existing_ring_is_flux_loss():
+    # the ring trapped at 2 spreads into 3 while 3 is armed, so the
+    # second field-off (step 6) would trap 3 inside it
+    schedule = parse_schedule("ecoil * on\nfield on\necoil 2 off\n"
+                              "field off\nfield on\necoil 3 off\n"
+                              "field off\n")
+    with pytest.raises(FluxLossError,
+                       match="trap would overlap an existing ring") as err:
+        list(iterate_sequence(GEOM4, 1e-10, schedule))
+    assert err.value.step == 6
+
+
 def test_iterate_sequence_rejects_unknown_step():
     with pytest.raises(DomainError, match="unknown schedule step"):
         list(iterate_sequence(GEOM4, 1e-10, ("bogus",)))

@@ -16,12 +16,12 @@ from fluxdsm.fluxtrap import (CylinderGeometry, FieldStep,
                               doubling_amplification_schedule)
 from fluxdsm.modulator import (
     ModulatorConfig,
+    band_sndr,
     dc_tracking_mean,
     output_power_spectrum,
     power_spectrum,
     run_modulator,
     sndr_db,
-    sndr_from_series,
     theoretical_sqnr,
 )
 from fluxdsm.modulator import test_tone as make_tone
@@ -470,26 +470,27 @@ def test_sndr_estimator_against_white_noise():
     sigma = math.sqrt(16.0 * 0.5 / 1e12)
     x = (np.sin(2 * math.pi * 501 * np.arange(n) / n)
          + sigma * rng.standard_normal(n))
-    assert sndr_from_series(x, 16, 501) == pytest.approx(119.83, abs=0.5)
+    assert band_sndr(power_spectrum(x)[1], 16, 501) == pytest.approx(
+        119.83, abs=0.5)
 
 
 def test_sndr_pure_tone_floor():
     n = 2**16
     x = np.sin(2 * math.pi * 501 * np.arange(n) / n)
-    assert sndr_from_series(x, 16, 501) > 200.0
+    assert band_sndr(power_spectrum(x)[1], 16, 501) > 200.0
 
 
 def test_sndr_silent_band_reports_floor_code():
     # osr 4 with the tone at bin 5: every in-band noise bin falls inside
     # the guard window, so the noise sum is exactly zero
-    assert sndr_from_series(make_tone(64, 5, 1.0), 4, 5) == 320.0
+    assert band_sndr(power_spectrum(make_tone(64, 5, 1.0))[1], 4, 5) == 320.0
 
 
 def test_sndr_validation():
     with pytest.raises(ConfigError, match="outside the modulator band"):
-        sndr_from_series(np.ones(4096), 128, 20)
+        band_sndr(power_spectrum(np.ones(4096))[1], 128, 20)
     with pytest.raises(DomainError, match="no signal power"):
-        sndr_from_series(np.zeros(4096), 128, 5)
+        band_sndr(power_spectrum(np.zeros(4096))[1], 128, 5)
 
 
 def test_sndr_tracks_theory_at_osr_64():
@@ -499,11 +500,11 @@ def test_sndr_tracks_theory_at_osr_64():
     theory = theoretical_sqnr(2, 64, 9)
     assert theory - 6.0 <= measured <= theory + 1.0
     assert measured == pytest.approx(132.31, abs=0.1)
-    # the spectrum a caller already holds gives the same value, bit for
-    # bit, at any sample rate
+    # band_sndr of the spectrum a caller already holds gives the same
+    # value, bit for bit, at any sample rate
     _, power = output_power_spectrum(
         dataclasses.replace(trace, config=ModulatorConfig(osr=64, fs=1e9)))
-    assert sndr_db(trace, 129, power=power) == measured
+    assert band_sndr(power, 64, 129) == measured
 
 
 def test_theoretical_sqnr_values():

@@ -16,18 +16,17 @@ from hypothesis import given, settings, strategies as st
 from fluxdsm import errors, scenario
 from fluxdsm.cli import main
 from fluxdsm.comparator import make_comparator
-from fluxdsm.electrodynamics import square_loop_current_for_field
+from fluxdsm.csvtext import (CSV_CHUNK_ROWS, CSV_COLUMNAR_ROWS, spell,
+                             write_csv)
+from fluxdsm.electrodynamics import (solenoid_field,
+                                     square_loop_current_for_field)
 from fluxdsm.errors import ConfigError, FluxLossError, UnknownKeyError
 from fluxdsm.modulator import ModulatorConfig, run_modulator
 from fluxdsm.scenario import (
-    CSV_CHUNK_ROWS,
-    CSV_COLUMNAR_ROWS,
     SCENARIO_KINDS,
-    _cell,
     load_scenario,
     parse_scenario,
     run_scenario,
-    write_csv,
 )
 
 
@@ -509,6 +508,21 @@ def test_run_modulator_dc(tmp_path):
     assert spec[0] == "freq,power" and len(spec) == 513
 
 
+def test_input_coil_sets_full_scale(tmp_path):
+    # the input solenoid's field at full drive is the full scale
+    coil = MOD_DC_BODY + "input_coil_n = 1e4\ninput_coil_imax = 1e-3\n"
+    field = MOD_DC_BODY + f"full_scale = {solenoid_field(1e4, 1e-3)!r}\n"
+    for name, body in (("coil", coil), ("field", field),
+                       ("default", MOD_DC_BODY)):
+        run_scenario(parse_scenario(_scenario("modulator-run", body)),
+                     str(tmp_path / name))
+    for csv in ("codes.csv", "spectrum.csv"):
+        assert (tmp_path / "coil" / csv).read_bytes() == \
+            (tmp_path / "field" / csv).read_bytes()
+    assert (tmp_path / "coil" / "codes.csv").read_bytes() != \
+        (tmp_path / "default" / "codes.csv").read_bytes()
+
+
 def test_run_modulator_tone(tmp_path):
     body = "[modulator]\nn = 1024\ntone_cycles = 5\nosr = 64\n"
     cfg = parse_scenario(_scenario("modulator-run", body))
@@ -588,8 +602,8 @@ def test_csv_bytes_are_lf_only(tmp_path):
 
 
 def _row_writer_bytes(header, rows):
-    """The oracle: one _cell per value, one line per row."""
-    lines = [",".join(header)] + [",".join(_cell(v) for v in row)
+    """The oracle: one spell per value, one line per row."""
+    lines = [",".join(header)] + [",".join(spell(v) for v in row)
                                   for row in rows]
     return ("\n".join(lines) + "\n").encode()
 
@@ -714,6 +728,33 @@ def test_cli_runtime_flux_loss_exit_5(tmp_path, capsys):
         "QuadratureError": 5}
 
 
+def test_cli_ring_overlap_exit_5(tmp_path, capsys):
+    _write(tmp_path, "overlap.sched",
+           "ecoil * on\nfield on\necoil 2 off\nfield off\nfield on\n"
+           "ecoil 3 off\nfield off\n")
+    cfg_path = _write(tmp_path, "overlap.cfg", _scenario(
+        "device-sequence",
+        DEVICE_BODY.replace("schedule = doubling", "schedule = overlap.sched")))
+    out = tmp_path / "out"
+    assert main(["--config", cfg_path, "--out", str(out)]) == 5
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "step 6: trap would overlap an existing ring" in err
+    assert "Traceback" not in err
+
+
+def test_cli_unwritable_artifact_exit_5(tmp_path, capsys):
+    # --out names a regular file, so the output directory cannot be made
+    out = tmp_path / "taken"
+    out.write_text("")
+    shipped = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+    assert main(["--config", str(shipped / "comparator_curve.cfg"),
+                 "--out", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert out.read_text() == ""
+
+
 def test_cli_device_loop_without_rings_exit_5(tmp_path, capsys):
     _write(tmp_path, "no_ring.sched", "field on\nfield off\n")
     cfg_path = _write(tmp_path, "no_ring.cfg", _scenario(
@@ -834,6 +875,16 @@ def test_cli_load_rejection_names_location(tmp_path, capsys, kind, body,
     assert where in capsys.readouterr().err
 
 
+NIS_HUGE_BODY = """[junction]
+mode = nis
+delta = 1e100
+t = 1
+prefactor = 1e300
+v_start = 0
+v_stop = 1e90
+points = 3
+"""
+
 # finite config values whose arithmetic would leave the float range:
 # (kind, body, exit code, message). What load builds is
 # rejected at its section's line (exit 4), the rest by the run (exit 5).
@@ -867,6 +918,14 @@ FLOAT_RANGE_REJECTIONS = [
      "error: junction-iv run left the float range"),
     ("comparator-curve", COMP_BODY + "b_stop = 1e308\n", 5,
      "error: comparator-curve run left the float range"),
+    # an NIS current scale past the float range once wrote nan, and an
+    # overflowing current inf, both with exit 0
+    ("junction-iv", NIS_HUGE_BODY, 4,
+     "bad.cfg:5: prefactor 1e+300 times delta 1e+100 J leaves the float "
+     "range"),
+    ("junction-iv", NIS_HUGE_BODY.replace("delta = 1e100", "delta = 1e5")
+     .replace("v_stop = 1e90", "v_stop = 1e34"), 5,
+     "error: junction-iv run left the float range"),
 ]
 
 
@@ -875,7 +934,8 @@ FLOAT_RANGE_REJECTIONS = [
                               "device-b_in", "device-full_scale",
                               "ideal-full_scale", "slab-d", "slab-b0",
                               "slab-omega", "super-slab-d", "sns-area",
-                              "comparator-b_stop"])
+                              "comparator-b_stop", "nis-scale",
+                              "nis-current"])
 def test_cli_float_range_rejection(tmp_path, capsys, kind, body, code,
                                    where):
     cfg_path = _write(tmp_path, "bad.cfg", _scenario(kind, body))

@@ -3,10 +3,10 @@
 A float, Python or numpy, is spelled as repr spells it (the shortest
 digits that read back as the same float64, so equal values are equal
 bytes), an integer as its decimal digits, a bool as 1 or 0, and
-anything else as str gives it; spell() spells report.txt values. A CSV
-column holding only integers and bools is spelled so; any other spells
-each value as str does (repr for a float). Cells are joined by ',' and
-each row ends in '\\n'.
+anything else as str gives it; spell() spells report.txt values and
+each cell of a CSV sequence column. An array column of integers or
+bools is spelled as digits, any other as str gives each value (repr
+for a float). Cells are joined by ',' and each row ends in '\\n'.
 
 write_csv classifies each column once (_classify), which picks both its
 format in the row template and its column-wise encoder, if it has one.
@@ -396,15 +396,16 @@ def write_csv(path: str, header, columns) -> None:
             return
         # one template per table: formatting per value is slower
         fmt = (",".join(template for template, _ in kinds) + "\n").format
-        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c
-                     for c in columns))
+        rows = zip(*(c.tolist() if isinstance(c, np.ndarray)
+                     else c if template == "{:d}" else map(spell, c)
+                     for c, (template, _) in zip(columns, kinds)))
         while chunk := "".join(starmap(fmt, islice(rows, CSV_CHUNK_ROWS))):
             fh.write(chunk.encode())
 
 
 def spell(value) -> str:
-    """One value as report.txt spells it."""
-    if isinstance(value, (int, np.integer)):
+    """One value as report.txt spells it (a bool as 1 or 0)."""
+    if isinstance(value, (int, np.integer, np.bool_)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))

@@ -22,7 +22,6 @@ recovers the ideal integrator up to single-quantum granularity.
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -38,7 +37,7 @@ from .noise import NoiseModel, synth_flicker_series
 
 BACKENDS = ("ideal", "flux-device")
 # device settle-time constants (s): Cooper-pair formation and one E-coil
-# step, for the settle-time warning of a flux-device run
+# step, for the clock check of a flux-device loop
 TAU_COOPER = 1e-10
 TAU_ECOIL = 3e-10
 # bins on each side of the tone bin that count as signal power in SNDR
@@ -52,7 +51,9 @@ def _default_comparator() -> ComparatorConfig:
 @dataclass(frozen=True)
 class ModulatorConfig:
     """The loop order is len(a), one feedforward gain a_i and one
-    integrator gain c_i per integrator."""
+    integrator gain c_i per integrator. A flux-device config runs its
+    schedule once, for device_gain, and raises DomainError if that
+    leaves no ring or if fs is past the device settle budget."""
 
     osr: int = 128
     a: tuple = (2.0, 4.0)
@@ -104,6 +105,17 @@ class ModulatorConfig:
                     f"full scale {self.full_scale_field!r} T is "
                     f"{self.quanta_per_unit!r} flux quanta over the bore, "
                     "not a positive finite count")
+            # one clock period must leave room for the device to settle
+            t_settle = settle_time_device(
+                TAU_COOPER, self.geometry.n_segments, TAU_ECOIL)
+            if self.fs * t_settle > 0.5:
+                raise DomainError(
+                    f"clock period {1.0 / self.fs:.3e} s leaves under half "
+                    "a cycle of margin over the device settle time "
+                    f"{t_settle:.3e} s")
+            if self.device_gain < 1:
+                raise DomainError("the device schedule leaves no ring to "
+                                  "integrate the loop error")
 
     @property
     def full_scale_field(self) -> float:
@@ -117,6 +129,19 @@ class ModulatorConfig:
         """Flux quanta that one full-scale unit traps over the bore of
         the flux-device geometry."""
         return self.full_scale_field * self.geometry.area / CODATA.phi0
+
+    @functools.cached_property
+    def device_gain(self) -> Optional[int]:
+        """Rings left by the schedule, default_amplification_schedule if
+        none is given: the gain of the device integrator, which the
+        schedule topology alone sets. None on the ideal backend."""
+        if self.geometry is None:
+            return None
+        schedule = self.schedule
+        if schedule is None:
+            schedule = default_amplification_schedule(self.geometry.n_segments)
+        return run_amplification_sequence(
+            self.geometry, self.comparator.b_lsb, schedule)[1]
 
 
 @dataclass(frozen=True)
@@ -156,9 +181,7 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
 
     Raises InstabilityError when any integrator state leaves the
     configured bound; the offending sample index rides on the error.
-    On the flux-device backend, raises DomainError when the schedule
-    leaves no ring, and warns when one clock period leaves under half
-    a cycle of margin over the device settle time.
+    The flux device's gain and clock were checked when cfg was built.
 
     The loop is plain Python written out for the config's order and
     backend (_compiled_loop), compiled on the first run of that pair
@@ -186,44 +209,21 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
         # written so that nan fails it too
         raise DomainError("input must stay within [-1, 1] of full scale")
     n = u.size
-    fsf = cfg.full_scale_field
-    comp = cfg.comparator
-    hr = comp.half_range
-    lsb_n = comp.b_lsb / fsf
-
     u_n = u
     if cfg.input_noise is not None:
         # injected ahead of the quantizer, in normalized units; the
         # flicker amplitude calibration is the caller's k'
         u_n = u + synth_flicker_series(cfg.input_noise, n, cfg.fs)
 
-    device_gain = None
-    quanta_per_unit = 0.0
-    if cfg.backend == "flux-device":
-        geom = cfg.geometry
-        # one clock period must leave room for the device to settle
-        t_settle = settle_time_device(TAU_COOPER, geom.n_segments, TAU_ECOIL)
-        if cfg.fs * t_settle > 0.5:
-            warnings.warn(
-                f"clock period {1.0 / cfg.fs:.3e} s leaves under half "
-                f"a cycle of margin over the device settle time "
-                f"{t_settle:.3e} s", stacklevel=2)
-        schedule = cfg.schedule
-        if schedule is None:
-            schedule = default_amplification_schedule(geom.n_segments)
-        # gain is set by the schedule topology alone; one reference run
-        _, device_gain = run_amplification_sequence(
-            geom, comp.b_lsb, schedule)
-        if device_gain < 1:
-            raise DomainError("the device schedule leaves no ring to "
-                              "integrate the loop error")
-        quanta_per_unit = cfg.quanta_per_unit
-
+    device_gain = cfg.device_gain
+    quanta_per_unit = 0.0 if device_gain is None else cfg.quanta_per_unit
     codes = np.empty(n, dtype=np.int64)
     loop = _compiled_loop(len(cfg.a), device_gain is not None)
     saturations, state_peak = loop(
         memoryview(u_n), memoryview(codes), cfg.c, cfg.a,
-        cfg.stability_bound, hr, lsb_n, device_gain, quanta_per_unit)
+        cfg.stability_bound, cfg.comparator.half_range,
+        cfg.comparator.b_lsb / cfg.full_scale_field, device_gain,
+        quanta_per_unit)
     return TraceSet(config=cfg, codes=codes, saturation_count=saturations,
                     device_gain=device_gain, state_peak=state_peak)
 

@@ -2,8 +2,8 @@
 physics reads the fixed constants instead of taking them as arguments,
 numpy alone decides what a scalar input returns, every dataclass
 field is read somewhere, README's command lines parse and its Python
-blocks run, and scipy loads only where NIS quadrature and the CN oracle
-run."""
+blocks run, scipy loads only where NIS quadrature and the CN oracle
+run, and no module warns: a failure leaves as a typed FluxDsmError."""
 
 import ast
 import os
@@ -41,6 +41,26 @@ def _unused_imports(tree):
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def _warnings_imports(tree):
+    """(line, module) of each import of the warnings module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        found += [(node.lineno, m) for m in modules if m == "warnings"]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_warnings_channel(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _warnings_imports(tree) == []
 
 
 def _constant_overrides(tree):

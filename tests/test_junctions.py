@@ -388,7 +388,9 @@ def test_nis_quadrature_error(monkeypatch):
 
     def fake_quad(f, a, b, **kwargs):
         seen.update(kwargs)
-        return 0.5, abserr
+        # full_output adds an info dict, and a message when QUADPACK
+        # flags the result
+        return 0.5, abserr, {}, "flagged"
 
     monkeypatch.setattr("scipy.integrate.quad", fake_quad)
     with pytest.raises(QuadratureError, match=re.escape(f"V = {v}")) as err:
@@ -396,8 +398,9 @@ def test_nis_quadrature_error(monkeypatch):
     assert err.value.diagnostics == {"estimate": 0.5, "abserr": abserr}
     assert err.value.exit_code == 5
     ev = CODATA.e * v / cfg.delta
-    assert seen == {"points": [-1.0, 1.0, ev], "limit": 400, "epsabs": 0.0,
-                    "epsrel": NIS_RTOL}
+    assert seen == {"args": (ev, kt, cfg.Z), "points": [-1.0, 1.0, ev],
+                    "limit": 400, "epsabs": 0.0, "epsrel": NIS_RTOL,
+                    "full_output": 1}
     # an error estimate inside the bound passes the estimate through
     abserr = 0.5 * bound
     assert nis_current(cfg, v) == cfg.prefactor * cfg.delta * 0.5

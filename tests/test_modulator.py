@@ -95,18 +95,34 @@ def test_full_scale_field_default_and_override():
     assert cfg2.full_scale_field == 1e-5
 
 
-def test_settle_warning_threshold():
+def test_settle_budget_threshold():
     # 8-segment schedule with default time constants settles in 6.2 ns;
-    # the warning should trip once the clock leaves under half a period
-    u = np.zeros(64)
-    fast = ModulatorConfig(backend="flux-device", geometry=GEOM8, fs=1e8)
-    with pytest.warns(UserWarning, match="settle") as record:
-        run_modulator(fast, u)
-    # the warning names the line that ran the loop
-    assert [w.filename for w in record] == [__file__]
+    # a clock that leaves under half a period of margin is rejected
+    # when the config is built
+    with pytest.raises(DomainError, match="settle"):
+        ModulatorConfig(backend="flux-device", geometry=GEOM8, fs=1e8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        run_modulator(dataclasses.replace(fast, fs=5e7), u)
+        slow = ModulatorConfig(backend="flux-device", geometry=GEOM8, fs=5e7)
+        run_modulator(slow, np.zeros(64))
+
+
+def test_device_gain_is_found_once_per_config(monkeypatch):
+    from fluxdsm import modulator
+    calls = []
+    real = modulator.run_amplification_sequence
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(modulator, "run_amplification_sequence", counted)
+    cfg = ModulatorConfig(backend="flux-device", geometry=GEOM8)
+    assert cfg.device_gain == 4
+    for _ in range(2):
+        assert run_modulator(cfg, np.zeros(64)).device_gain == 4
+    assert len(calls) == 1
+    assert ModulatorConfig().device_gain is None
 
 
 def test_tone_is_coherent():
@@ -426,10 +442,9 @@ def test_device_backend_custom_schedule_gain():
 ], ids=["empty", "field-only"])
 def test_device_schedule_without_rings_is_rejected(schedule):
     geom = CylinderGeometry(radius=0.02, n_segments=4, n_eff=4)
-    cfg = ModulatorConfig(backend="flux-device", geometry=geom,
-                          schedule=schedule)
     with pytest.raises(DomainError, match="leaves no ring"):
-        run_modulator(cfg, np.zeros(64))
+        ModulatorConfig(backend="flux-device", geometry=geom,
+                        schedule=schedule)
 
 
 def test_deterministic_codes():

@@ -539,7 +539,7 @@ def test_run_modulator_device_backend(tmp_path):
 
 
 @pytest.mark.parametrize("extra", ["", INPUT_NOISE_BODY])
-def test_fast_clock_device_config_warns_once(tmp_path, extra):
+def test_fast_clock_device_config_rejected_at_load(extra):
     # input noise synthesis needs at least 4096 samples
     body = (MOD_DC_BODY.replace("n = 1024", "n = 4096")
             + "fs = 1e9\n\n[device]\n"
@@ -547,11 +547,11 @@ def test_fast_clock_device_config_warns_once(tmp_path, extra):
             + extra)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        cfg = parse_scenario(_scenario("modulator-run", body))
-        run_scenario(cfg, str(tmp_path))
-    settle = [w for w in caught if "settle time" in str(w.message)]
-    assert len(settle) == 1
-    assert settle[0].filename.endswith(os.path.join("fluxdsm", "scenario.py"))
+        with pytest.raises(ConfigError, match="settle time") as err:
+            parse_scenario(_scenario("modulator-run", body))
+    # anchored at the [modulator] header
+    assert err.value.line == 5
+    assert caught == []
 
 
 def test_run_comparator_curve(tmp_path):
@@ -657,6 +657,36 @@ def test_write_csv_rejects_ragged_columns(tmp_path):
         write_csv(str(tmp_path / "t.csv"), ("a", "b"), [(1, 2), (3,)])
 
 
+_INT64 = st.integers(-2**63, 2**63 - 1)
+# every value type the spelling rule names; text holds no comma, line
+# break or NUL (numpy drops a str's trailing NULs)
+_SPELLED = st.one_of(
+    st.booleans(), st.booleans().map(np.bool_), _INT64, _INT64.map(np.int64),
+    st.floats(), st.floats().map(np.float64),
+    st.text(st.characters(blacklist_categories=("Cs",),
+                          blacklist_characters=",\r\n\0")))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(value=_SPELLED)
+def test_csv_cell_is_spelled_value(value):
+    """A value's cell is spell(value) in a one-row table, a sequence
+    column of its own or beside a float, and a 512-row array column."""
+    cell = spell(value)
+    tables = [
+        ([[value]], f"{cell}\n"),
+        ([(value,) * 3, (0.5,) * 3], f"{cell},0.5\n" * 3),
+        ([(value, 0.5)], f"{cell}\n0.5\n"),
+        ([np.full(CSV_COLUMNAR_ROWS, value)], f"{cell}\n" * CSV_COLUMNAR_ROWS),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        for columns, body in tables:
+            write_csv(path, ("c",) * len(columns), columns)
+            with open(path, encoding="utf-8", newline="") as f:
+                assert f.read().split("\n", 1)[1] == body
+
+
 def test_runs_are_byte_identical(tmp_path):
     cfg = parse_scenario(_scenario("noise-psd", NOISE_BODY, seed=9))
     run_scenario(cfg, str(tmp_path / "a"))
@@ -755,14 +785,51 @@ def test_cli_unwritable_artifact_exit_5(tmp_path, capsys):
     assert out.read_text() == ""
 
 
-def test_cli_device_loop_without_rings_exit_5(tmp_path, capsys):
+def test_cli_device_loop_without_rings_exit_4(tmp_path, capsys):
     _write(tmp_path, "no_ring.sched", "field on\nfield off\n")
     cfg_path = _write(tmp_path, "no_ring.cfg", _scenario(
         "modulator-run", MOD_DEVICE_DC_BODY + "schedule = no_ring.sched\n"))
     out = tmp_path / "out"
-    assert main(["--config", cfg_path, "--out", str(out)]) == 5
+    assert main(["--config", cfg_path, "--out", str(out)]) == 4
     assert not out.exists()
-    assert "leaves no ring to integrate" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{cfg_path}:5: the device schedule leaves no ring" in err
+
+
+def test_cli_device_loop_losing_flux_exits_5_before_the_batch_runs(
+        tmp_path, capsys):
+    # the schedule runs when the loop's config is built, at load, so
+    # the good config ahead of it in the batch writes nothing either
+    _write(tmp_path, "overlap.sched",
+           "ecoil * on\nfield on\necoil 2 off\nfield off\nfield on\n"
+           "ecoil 3 off\nfield off\n")
+    good = _write(tmp_path, "good.cfg", _scenario("comparator-curve",
+                                                  COMP_BODY))
+    bad = _write(tmp_path, "overlap.cfg", _scenario(
+        "modulator-run", MOD_DEVICE_DC_BODY + "schedule = overlap.sched\n"))
+    out = tmp_path / "out"
+    assert main(["--config", good, bad, "--out", str(out)]) == 5
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "step 6: trap would overlap an existing ring" in err
+    assert "Traceback" not in err
+
+
+def test_cli_device_loop_past_settle_budget_exit_4(tmp_path, capsys):
+    cfg_path = _write(tmp_path, "fast.cfg", _scenario(
+        "modulator-run", "[modulator]\nosr = 32\nn = 1024\ndc = 0.25\n"
+        "fs = 1e10\n\n[device]\nradius = 0.02\nn_segments = 8\n"
+        "n_eff = 4\n"))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--config", cfg_path, "--out", str(out)]) == 4
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg_path}:5: clock period 1.000e-10 s")
+    assert "settle time" in err
+    assert "Warning" not in err and "Traceback" not in err
+    assert caught == []
 
 
 def test_cli_missing_config_file_exit_2(tmp_path, capsys):

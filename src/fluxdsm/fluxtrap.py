@@ -40,8 +40,8 @@ class CylinderGeometry:
         # written as `not v > 0` so that nan fails the checks too
         if not self.radius > 0:
             raise DomainError("radius must be positive")
-        if self.n_segments < 1:
-            raise DomainError("need at least one segment")
+        if not isinstance(self.n_segments, int) or self.n_segments < 1:
+            raise DomainError("n_segments must be an integer >= 1")
         if not self.n_eff > 0:
             raise DomainError("n_eff must be positive")
         # radius**2 raises OverflowError past the float range, and a
@@ -208,8 +208,8 @@ def default_amplification_schedule(n_segments: int):
     ring one segment down so each sits in an odd-labelled segment. The
     resulting gain is floor(N/2) for N >= 2 and 1 for N = 1.
     """
-    if n_segments < 1:
-        raise DomainError("need at least one segment")
+    if not isinstance(n_segments, int) or n_segments < 1:
+        raise DomainError("n_segments must be an integer >= 1")
     traps = list(range(2, n_segments + 1, 2)) or [1]
     steps = [EcoilStep(None, True), FieldStep(True)]
     steps += [EcoilStep(s, False) for s in traps]

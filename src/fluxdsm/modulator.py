@@ -35,7 +35,6 @@ from .fluxtrap import (CylinderGeometry, default_amplification_schedule,
                        run_amplification_sequence, settle_time_device)
 from .noise import NoiseModel, synth_flicker_series
 
-BACKENDS = ("ideal", "flux-device")
 # device settle-time constants (s): Cooper-pair formation and one E-coil
 # step, for the clock check of a flux-device loop
 TAU_COOPER = 1e-10
@@ -51,15 +50,17 @@ def _default_comparator() -> ComparatorConfig:
 @dataclass(frozen=True)
 class ModulatorConfig:
     """The loop order is len(a), one feedforward gain a_i and one
-    integrator gain c_i per integrator. A flux-device config runs its
-    schedule once, for device_gain, and raises DomainError if that
-    leaves no ring or if fs is past the device settle budget."""
+    integrator gain c_i per integrator. A cylinder geometry makes the
+    first integrator the flux device, whose schedule the config runs
+    once, for device_gain; DomainError if that leaves no ring or if fs
+    is past the device settle budget. backend is derived from the
+    geometry, "flux-device" or "ideal"; one that is given must agree."""
 
     osr: int = 128
     a: tuple = (2.0, 4.0)
     c: tuple = (0.5, 0.5)
     comparator: ComparatorConfig = field(default_factory=_default_comparator)
-    backend: str = "ideal"
+    backend: Optional[str] = None
     geometry: Optional[CylinderGeometry] = None
     schedule: Optional[tuple] = None
     fs: float = 1.0
@@ -77,13 +78,13 @@ class ModulatorConfig:
         # written as `not v > 0` so that nan fails the checks too
         if not all(v > 0 for v in (*self.a, *self.c)):
             raise ConfigError("feedforward and integrator gains must be > 0")
-        if self.backend not in BACKENDS:
-            raise ConfigError(f"backend must be one of {BACKENDS}")
-        if self.backend == "flux-device" and self.geometry is None:
-            raise ConfigError("flux-device backend needs a cylinder geometry")
-        if self.backend == "ideal" and not (self.geometry is None
-                                            and self.schedule is None):
-            raise ConfigError("ideal backend takes no geometry or schedule")
+        derived = "ideal" if self.geometry is None else "flux-device"
+        if self.backend not in (None, derived):
+            raise ConfigError(f"backend {self.backend!r} contradicts the "
+                              f"geometry, which makes the loop {derived!r}")
+        object.__setattr__(self, "backend", derived)
+        if self.schedule is not None and self.geometry is None:
+            raise ConfigError("a schedule needs a cylinder geometry")
         if not self.fs > 0:
             raise ConfigError("sample rate must be positive")
         if self.full_scale is not None and not self.full_scale > 0:
@@ -99,7 +100,7 @@ class ModulatorConfig:
                 f"full scale {self.full_scale_field!r} T and stability bound "
                 f"{self.stability_bound!r} put the loop sum past the float "
                 "range in comparator LSBs")
-        if self.backend == "flux-device":
+        if self.geometry is not None:
             if not 0.0 < self.quanta_per_unit < math.inf:
                 raise DomainError(
                     f"full scale {self.full_scale_field!r} T is "

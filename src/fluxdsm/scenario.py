@@ -378,7 +378,6 @@ def _build_modulator(sec: Section, sections, config_dir: str):
         a=_float_list(sec, "a", "2,4"),
         c=_float_list(sec, "c", "0.5,0.5"),
         comparator=comp, geometry=geometry,
-        backend="ideal" if geometry is None else "flux-device",
         schedule=schedule, fs=sec.get_float("fs", 1.0),
         full_scale=full_scale,
         stability_bound=sec.get_float("stability_bound", 8.0),

@@ -52,6 +52,13 @@ def test_geometry_validation():
             CylinderGeometry(radius=radius, n_segments=4, n_eff=4)
 
 
+def test_segment_count_must_be_an_integer():
+    with pytest.raises(DomainError, match="n_segments must be an integer"):
+        CylinderGeometry(0.02, 2.5, 4.0)
+    with pytest.raises(DomainError, match="n_segments must be an integer"):
+        default_amplification_schedule(8.0)
+
+
 def test_geometry_area_and_segments():
     assert GEOM4.area == pytest.approx(math.pi * 4e-4, rel=1e-15)
     assert list(GEOM4.segments) == [1, 2, 3, 4]

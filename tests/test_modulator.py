@@ -28,6 +28,8 @@ from fluxdsm.modulator import test_tone as make_tone
 from fluxdsm.noise import NoiseModel, synth_flicker_series
 
 GEOM8 = CylinderGeometry(radius=0.02, n_segments=8, n_eff=4)
+# test ids of the loops without and with GEOM8, named by their backend
+BACKEND_IDS = ["ideal", "flux-device"]
 
 
 @pytest.mark.parametrize("kwargs,msg", [
@@ -36,15 +38,20 @@ GEOM8 = CylinderGeometry(radius=0.02, n_segments=8, n_eff=4)
     (dict(osr=4), "osr must be"),
     (dict(a=(1.0,)), "one entry per stage"),
     (dict(a=(1.0, -2.0)), "gains must be > 0"),
-    (dict(backend="analog"), "backend must be"),
-    (dict(backend="flux-device"), "needs a cylinder geometry"),
-    # the ideal loop has no device to take them
-    (dict(geometry=GEOM8), "ideal backend takes no geometry or schedule"),
+    # the geometry alone sets the backend; a given one must agree
+    (dict(backend="analog"),
+     "backend 'analog' contradicts the geometry, which makes the loop "
+     "'ideal'"),
+    (dict(backend="flux-device"),
+     "backend 'flux-device' contradicts the geometry, which makes the loop "
+     "'ideal'"),
+    # the ideal loop has no device to run a schedule
     (dict(schedule=doubling_amplification_schedule()),
-     "ideal backend takes no geometry or schedule"),
+     "a schedule needs a cylinder geometry"),
     (dict(backend="ideal", geometry=CylinderGeometry(1e-4, 8, 4.0),
           schedule=default_amplification_schedule(8)),
-     "ideal backend takes no geometry or schedule"),
+     "backend 'ideal' contradicts the geometry, which makes the loop "
+     "'flux-device'"),
     (dict(fs=0.0), "sample rate"),
     (dict(full_scale=-1.0), "full_scale"),
     (dict(stability_bound=0.0), "stability bound"),
@@ -65,11 +72,11 @@ def test_config_validation(kwargs, msg):
     (dict(full_scale=1e308), "past the float range"),
     (dict(stability_bound=1e306), "past the float range"),
     # one full-scale unit over a wide bore overflows the quanta count
-    (dict(full_scale=1e285, backend="flux-device",
+    (dict(full_scale=1e285,
           geometry=CylinderGeometry(radius=1e10, n_segments=4, n_eff=4)),
      "flux quanta"),
     # or underflows it to zero, which the integrator divides by
-    (dict(full_scale=1e-300, backend="flux-device",
+    (dict(full_scale=1e-300,
           geometry=CylinderGeometry(radius=1e-100, n_segments=4, n_eff=4)),
      "0.0 flux quanta"),
 ])
@@ -100,10 +107,10 @@ def test_settle_budget_threshold():
     # a clock that leaves under half a period of margin is rejected
     # when the config is built
     with pytest.raises(DomainError, match="settle"):
-        ModulatorConfig(backend="flux-device", geometry=GEOM8, fs=1e8)
+        ModulatorConfig(geometry=GEOM8, fs=1e8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        slow = ModulatorConfig(backend="flux-device", geometry=GEOM8, fs=5e7)
+        slow = ModulatorConfig(geometry=GEOM8, fs=5e7)
         run_modulator(slow, np.zeros(64))
 
 
@@ -117,12 +124,26 @@ def test_device_gain_is_found_once_per_config(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(modulator, "run_amplification_sequence", counted)
-    cfg = ModulatorConfig(backend="flux-device", geometry=GEOM8)
+    cfg = ModulatorConfig(geometry=GEOM8)
     assert cfg.device_gain == 4
     for _ in range(2):
         assert run_modulator(cfg, np.zeros(64)).device_gain == 4
     assert len(calls) == 1
     assert ModulatorConfig().device_gain is None
+
+
+def test_geometry_alone_makes_a_flux_device_loop():
+    cfg = ModulatorConfig(geometry=GEOM8)
+    assert cfg.backend == "flux-device"
+    assert cfg.device_gain == 4
+    named = ModulatorConfig(geometry=GEOM8, backend="flux-device")
+    u = make_tone(4096, 5, 0.5)
+    assert (run_modulator(cfg, u).codes.tobytes()
+            == run_modulator(named, u).codes.tobytes())
+    assert ModulatorConfig().backend == "ideal"
+    # replace passes the derived label back in, where it agrees
+    slow = dataclasses.replace(cfg, fs=5e7)
+    assert slow.backend == "flux-device" and slow.fs == 5e7
 
 
 def test_tone_is_coherent():
@@ -153,10 +174,9 @@ def test_run_modulator_input_validation():
         run_modulator(cfg, np.array([0.0, 1.2]))
 
 
-@pytest.mark.parametrize("backend,geometry", [("ideal", None),
-                                             ("flux-device", GEOM8)])
-def test_run_modulator_rejects_nan_input(backend, geometry):
-    cfg = ModulatorConfig(backend=backend, geometry=geometry)
+@pytest.mark.parametrize("geometry", [None, GEOM8], ids=BACKEND_IDS)
+def test_run_modulator_rejects_nan_input(geometry):
+    cfg = ModulatorConfig(geometry=geometry)
     with pytest.raises(DomainError, match="within \\[-1, 1\\]"):
         run_modulator(cfg, np.array([0.0, np.nan, 0.5]))
 
@@ -241,15 +261,13 @@ def _loop_oracle(cfg, u, gain=None):
 
 @pytest.mark.parametrize("noisy", [False, True],
                          ids=["no-noise", "input-noise"])
-@pytest.mark.parametrize("backend", ["ideal", "flux-device"])
+@pytest.mark.parametrize("geometry", [None, GEOM8], ids=BACKEND_IDS)
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
-def test_loop_matches_difference_equations_exactly(order, backend, noisy):
+def test_loop_matches_difference_equations_exactly(order, geometry, noisy):
     a, c = LOOP_COEFFS[order]
-    device = backend == "flux-device"
+    device = geometry is not None
     noise = NoiseModel(R0=1.0, tau1=2.0, tau2=2e4, kprime=1e-6, seed=3)
-    cfg = ModulatorConfig(a=a, c=c, backend=backend,
-                          geometry=GEOM8 if device else None,
-                          stability_bound=50.0,
+    cfg = ModulatorConfig(a=a, c=c, geometry=geometry, stability_bound=50.0,
                           input_noise=noise if noisy else None)
     # a DC step ahead of the tone saturates the quantizer of orders 2-4
     # while the loop settles
@@ -267,16 +285,14 @@ def test_loop_matches_difference_equations_exactly(order, backend, noisy):
             == np.max(np.abs(states), axis=0).tobytes())
 
 
-@pytest.mark.parametrize("backend", ["ideal", "flux-device"])
+@pytest.mark.parametrize("geometry", [None, GEOM8], ids=BACKEND_IDS)
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
-def test_state_peak_of_negative_excursion(order, backend):
+def test_state_peak_of_negative_excursion(order, geometry):
     # a negative DC level drives every stage's peak |x_i| from below
     # zero, the branch of the peak update that a tone may not reach
     a, c = LOOP_COEFFS[order]
-    device = backend == "flux-device"
-    cfg = ModulatorConfig(a=a, c=c, backend=backend,
-                          geometry=GEOM8 if device else None,
-                          stability_bound=50.0)
+    device = geometry is not None
+    cfg = ModulatorConfig(a=a, c=c, geometry=geometry, stability_bound=50.0)
     u = np.full(2048, -0.5)
     trace = run_modulator(cfg, u)
     _, states, _ = _loop_oracle(cfg, u, GEOM8.n_segments // 2
@@ -287,18 +303,16 @@ def test_state_peak_of_negative_excursion(order, backend):
             == np.max(np.abs(states), axis=0).tobytes())
 
 
-@pytest.mark.parametrize("backend", ["ideal", "flux-device"])
+@pytest.mark.parametrize("geometry", [None, GEOM8], ids=BACKEND_IDS)
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
-def test_loop_quantizer_matches_comparator_quantize(order, backend):
+def test_loop_quantizer_matches_comparator_quantize(order, geometry):
     # the loop inlines the comparator's round-and-clamp; rebuilt from the
     # oracle's states, whose codes the exact test above pins to the
     # loop's, its input y must quantize to the same codes through
     # comparator.quantize at the loop's normalized LSB
     a, c = LOOP_COEFFS[order]
-    device = backend == "flux-device"
-    cfg = ModulatorConfig(a=a, c=c, backend=backend,
-                          geometry=GEOM8 if device else None,
-                          stability_bound=50.0)
+    device = geometry is not None
+    cfg = ModulatorConfig(a=a, c=c, geometry=geometry, stability_bound=50.0)
     u = make_tone(4096, 5, 0.5)
     u[:8] = 0.9
     trace = run_modulator(cfg, u)
@@ -315,22 +329,21 @@ def test_loop_quantizer_matches_comparator_quantize(order, backend):
     assert (trace.saturation_count > 0) == (order > 1)
 
 
-@pytest.mark.parametrize("backend", ["ideal", "flux-device"])
+@pytest.mark.parametrize("geometry", [None, GEOM8], ids=BACKEND_IDS)
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
-def test_instability_reports_first_stage_past_bound(order, backend):
+def test_instability_reports_first_stage_past_bound(order, geometry):
     # a DC step drives the states past each bound in turn; the error
     # names the first (sample, stage) of the oracle's states past it,
     # and at the largest bound this order breaks that is its last stage
     a, c = LOOP_COEFFS[order]
-    device = backend == "flux-device"
-    geometry = GEOM8 if device else None
+    device = geometry is not None
     u = np.full(64, 0.9)
     _, states, _ = _loop_oracle(
-        ModulatorConfig(a=a, c=c, backend=backend, geometry=geometry),
+        ModulatorConfig(a=a, c=c, geometry=geometry),
         u, GEOM8.n_segments // 2 if device else None)
     stages = []
     for bound in (0.25, 1.0, 4.0):
-        cfg = ModulatorConfig(a=a, c=c, backend=backend, geometry=geometry,
+        cfg = ModulatorConfig(a=a, c=c, geometry=geometry,
                               stability_bound=bound)
         past = np.abs(states) > bound
         if not past.any():
@@ -347,16 +360,14 @@ def test_instability_reports_first_stage_past_bound(order, backend):
     assert stages[-1] == order
 
 
-@pytest.mark.parametrize("backend", ["ideal", "flux-device"])
+@pytest.mark.parametrize("geometry", [None, GEOM8], ids=BACKEND_IDS)
 @pytest.mark.parametrize("stage", [0, 1])
-def test_nan_state_raises_instability_at_its_stage(stage, backend):
+def test_nan_state_raises_instability_at_its_stage(stage, geometry):
     # inf * 0.0 is nan: an infinite c_i turns stage i+1 nan at sample 0,
     # which the bound check must catch before round() raises ValueError
-    device = backend == "flux-device"
     c = [0.5, 0.5]
     c[stage] = math.inf
-    cfg = ModulatorConfig(c=tuple(c), backend=backend,
-                          geometry=GEOM8 if device else None)
+    cfg = ModulatorConfig(c=tuple(c), geometry=geometry)
     with pytest.raises(InstabilityError) as err:
         run_modulator(cfg, np.full(16, 0.5))
     assert str(err.value) == (f"integrator {stage + 1} left [-8.0, 8.0] "
@@ -419,7 +430,7 @@ def test_device_backend_equivalence():
     u = make_tone(2**16, 257, 10 ** (-1.0 / 20.0))
     ideal = run_modulator(ModulatorConfig(osr=32), u)
     device = run_modulator(
-        ModulatorConfig(osr=32, backend="flux-device", geometry=GEOM8), u)
+        ModulatorConfig(osr=32, geometry=GEOM8), u)
     assert device.device_gain == 4
     s_ideal = sndr_db(ideal, 257)
     s_device = sndr_db(device, 257)
@@ -430,7 +441,7 @@ def test_device_backend_equivalence():
 def test_device_backend_custom_schedule_gain():
     from fluxdsm.fluxtrap import doubling_amplification_schedule
     geom = CylinderGeometry(radius=0.02, n_segments=4, n_eff=4)
-    cfg = ModulatorConfig(backend="flux-device", geometry=geom,
+    cfg = ModulatorConfig(geometry=geom,
                           schedule=doubling_amplification_schedule())
     trace = run_modulator(cfg, np.zeros(64))
     assert trace.device_gain == 2
@@ -443,8 +454,7 @@ def test_device_backend_custom_schedule_gain():
 def test_device_schedule_without_rings_is_rejected(schedule):
     geom = CylinderGeometry(radius=0.02, n_segments=4, n_eff=4)
     with pytest.raises(DomainError, match="leaves no ring"):
-        ModulatorConfig(backend="flux-device", geometry=geom,
-                        schedule=schedule)
+        ModulatorConfig(geometry=geom, schedule=schedule)
 
 
 def test_deterministic_codes():

@@ -530,6 +530,15 @@ def test_run_modulator_tone(tmp_path):
     assert "sndr_db = " in (tmp_path / "report.txt").read_text()
 
 
+@pytest.mark.parametrize("body,backend", [
+    (MOD_DC_BODY, "ideal"), (MOD_DEVICE_DC_BODY, "flux-device")],
+    ids=["ideal", "flux-device"])
+def test_modulator_backend_label_follows_the_device_section(body, backend):
+    # the label that a traced run is counted under, ideal or device
+    mc = parse_scenario(_scenario("modulator-run", body)).spec[0]
+    assert mc.backend == backend
+
+
 def test_run_modulator_device_backend(tmp_path):
     body = (MOD_DC_BODY + "\n[device]\n"
             "radius = 0.02\nn_segments = 4\nn_eff = 4\nschedule = doubling\n")

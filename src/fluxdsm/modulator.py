@@ -52,8 +52,8 @@ class ModulatorConfig:
     """The loop order is len(a), one feedforward gain a_i and one
     integrator gain c_i per integrator. A cylinder geometry makes the
     first integrator the flux device, whose schedule the config runs
-    once, for device_gain; DomainError if that leaves no ring or if fs
-    is past the device settle budget. backend is derived from the
+    once, for device_gain; DomainError if that leaves no ring or if
+    settle_margin is under 1. backend is derived from the
     geometry, "flux-device" or "ideal"; one that is given must agree."""
 
     osr: int = 128
@@ -107,13 +107,11 @@ class ModulatorConfig:
                     f"{self.quanta_per_unit!r} flux quanta over the bore, "
                     "not a positive finite count")
             # one clock period must leave room for the device to settle
-            t_settle = settle_time_device(
-                TAU_COOPER, self.geometry.n_segments, TAU_ECOIL)
-            if self.fs * t_settle > 0.5:
+            if self.settle_margin < 1:
                 raise DomainError(
                     f"clock period {1.0 / self.fs:.3e} s leaves under half "
-                    "a cycle of margin over the device settle time "
-                    f"{t_settle:.3e} s")
+                    "a cycle of margin over the device settle time: "
+                    f"settle_margin {self.settle_margin:.3g} < 1")
             if self.device_gain < 1:
                 raise DomainError("the device schedule leaves no ring to "
                                   "integrate the loop error")
@@ -130,6 +128,15 @@ class ModulatorConfig:
         """Flux quanta that one full-scale unit traps over the bore of
         the flux-device geometry."""
         return self.full_scale_field * self.geometry.area / CODATA.phi0
+
+    @property
+    def settle_margin(self) -> Optional[float]:
+        """Half a clock period over the flux device's settle time, which
+        the config checks is at least 1. None on the ideal backend."""
+        if self.geometry is None:
+            return None
+        return 0.5 / self.fs / settle_time_device(
+            TAU_COOPER, self.geometry.n_segments, TAU_ECOIL)
 
     @functools.cached_property
     def device_gain(self) -> Optional[int]:

@@ -52,7 +52,7 @@ class NoiseModel:
             raise DomainError("kprime must be non-negative")
         if self.dof_coupled not in (1, 2, 3):
             raise DomainError("dof_coupled must be 1, 2 or 3")
-        if not self.seed >= 0:
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise DomainError("seed must be a non-negative integer")
 
 
@@ -93,9 +93,11 @@ def flicker_psd(model: NoiseModel, omega):
 
 def check_synthesis_limits(model: NoiseModel, n: int, fs: float) -> float:
     """Check that synth_flicker_series can draw n samples of the band at
-    sample rate fs: n >= 4096, fs*tau2 > 10 so the slowest process is
-    resolved, and a band at least one decade wide. Returns the band's
-    width in decades."""
+    sample rate fs: an integer n >= 4096, fs*tau2 > 10 so the slowest
+    process is resolved, and a band at least one decade wide. Returns
+    the band's width in decades."""
+    if not isinstance(n, (int, np.integer)):
+        raise DomainError(f"sample count {n!r} is not an integer")
     if n < 4096:
         raise DomainError("need n >= 4096 samples")
     # written as `not x > 0` so that nan fails the checks too
@@ -120,7 +122,10 @@ def synth_flicker_series(model: NoiseModel, n: int,
     matched exactly to the discrete-time autocorrelation, so processes
     faster than the sample rate degenerate gracefully to white noise.
 
-    The series is deterministic for a given (model.seed, n, fs).
+    Each process draws n uniforms and then one start bit, and its level
+    is built run by run between its flips. The series is bit-identical
+    to stepping each process sample by sample and adding the processes
+    in tau order, and deterministic for a given (model.seed, n, fs).
     The limits on n, fs and the band are those of check_synthesis_limits.
     """
     decades = check_synthesis_limits(model, n, fs)
@@ -133,26 +138,22 @@ def synth_flicker_series(model: NoiseModel, n: int,
     if amp == 0.0:
         return out
     dt = 1.0 / fs
-    # one two-state process per tau: uniforms, then flips where they
-    # fall below the flip probability, then a random start state; the
-    # state's parity gives the level amp * (1 - 2 parity). Buffers are
-    # reused across processes; a uint8 running sum keeps the parity.
+    # one two-state process per tau. It flips at each sample whose
+    # uniform falls below the flip probability q, so it is constant
+    # between flips: run j spans edges[j-1] to edges[j] (0 and n at the
+    # ends) at parity start + j, level amp when even and -amp when odd,
+    # the same float that amp * (1 - 2 parity) gives. One repeat of the
+    # alternating levels over the run lengths (at most n + 1 of them)
+    # gives the process.
     u = np.empty(n)
-    flips = np.empty(n, dtype=np.uint8)
-    parity = np.empty(n, dtype=np.uint8)
-    level = np.empty(n)
+    levels = np.tile((amp, -amp), n // 2 + 2)
     for tau in taus:
         q = -0.5 * math.expm1(-dt / tau)
         rng.random(out=u)
-        np.less(u, q, out=flips)
         start = int(rng.integers(0, 2))
-        np.cumsum(flips, dtype=np.uint8, out=parity)
-        parity += start
-        parity &= 1
-        np.multiply(parity, -2.0, out=level)
-        level += 1.0
-        level *= amp
-        out += level
+        edges = np.flatnonzero(u < q)
+        runs = np.diff(np.concatenate(((0,), edges, (n,))))
+        out += np.repeat(levels[start:start + runs.size], runs)
     return out
 
 

@@ -412,6 +412,9 @@ def _run_modulator(cfg: ScenarioConfig):
         mean = dc_tracking_mean(trace)
         metrics.append(("dc_mean", mean))
         metrics.append(("tracking_error", abs(mean - dc)))
+    metrics.append(("band_hz", mc.fs / (2 * mc.osr)))
+    if mc.settle_margin is not None:
+        metrics.append(("settle_margin", mc.settle_margin))
     # headroom of each integrator against stability_bound
     metrics += [(f"state_peak_{i}", peak)
                 for i, peak in enumerate(trace.state_peak, start=1)]

@@ -114,6 +114,16 @@ def test_settle_budget_threshold():
         run_modulator(slow, np.zeros(64))
 
 
+def test_settle_margin_is_half_a_period_over_the_settle_time():
+    assert ModulatorConfig(fs=1e10).settle_margin is None
+    # 8 segments settle in 16 tau_cooper ln 2 + 17 tau_ecoil, 6.2 ns
+    t_settle = 16.0 * 1e-10 * math.log(2.0) + 17 * 3e-10
+    for fs in (1.0, 5e7, 8e7):
+        margin = ModulatorConfig(geometry=GEOM8, fs=fs).settle_margin
+        assert margin == 0.5 / fs / t_settle
+        assert margin >= 1.0
+
+
 def test_device_gain_is_found_once_per_config(monkeypatch):
     from fluxdsm import modulator
     calls = []

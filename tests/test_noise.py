@@ -35,6 +35,10 @@ MODEL = NoiseModel(R0=1.0, tau1=2.0, tau2=2e4, kprime=1.0, seed=42)
     dict(kprime=math.nan),
     dict(seed=-1),
     dict(seed=np.int64(-1)),
+    dict(seed=1.5),
+    dict(seed=42.0),
+    dict(seed=math.nan),
+    dict(seed="7"),
 ])
 def test_noise_model_validation(bad):
     kwargs = dict(R0=1.0, tau1=2.0, tau2=2e4, kprime=1.0)
@@ -86,6 +90,8 @@ def test_flicker_rejects_negative_omega():
     (dict(n=8192, fs=0.0), "sample rate"),
     (dict(n=8192, fs=math.nan), "sample rate"),
     (dict(n=8192, fs=1e-4), "fs \\* tau2"),
+    (dict(n=8192.0, fs=1.0), "not an integer"),
+    (dict(n=8192.5, fs=1.0), "not an integer"),
 ])
 def test_synth_preconditions(kwargs, msg):
     with pytest.raises(DomainError, match=msg):
@@ -123,6 +129,8 @@ def test_synth_deterministic_per_seed():
     same = NoiseModel(R0=1.0, tau1=2.0, tau2=2e4, kprime=1.0,
                       seed=np.int64(42))
     assert np.array_equal(a, synth_flicker_series(same, 8192, 1.0))
+    # and a numpy integer sample count the same as the int
+    assert np.array_equal(a, synth_flicker_series(MODEL, np.int64(8192), 1.0))
 
 
 def _telegraph_loop_series(model, n, fs):
@@ -143,12 +151,34 @@ def _telegraph_loop_series(model, n, fs):
     return out
 
 
+# (model keywords, n, fs) of each case the run-length synthesis is
+# checked on against the loop
+ORACLE_CASES = {
+    "4096": (dict(tau1=2.0, tau2=2e4, kprime=1.0), 4096, 1.0),
+    "65536": (dict(tau1=2.0, tau2=2e4, kprime=1.0), 65536, 1.0),
+    "loop-sweep-noise": (dict(tau1=2.0, tau2=2e4, kprime=1e-9), 16384, 1.0),
+    "q-near-half": (dict(tau1=0.01, tau2=100.0, kprime=1.0), 4096, 1.0),
+    "fs-3.7": (dict(tau1=2.0, tau2=2e4, kprime=1.0), 4096, 3.7),
+    "n-5000": (dict(tau1=2.0, tau2=2e4, kprime=1.0), 5000, 1.0),
+}
+
+
 @pytest.mark.parametrize("seed", [42, 7])
-@pytest.mark.parametrize("n", [4096, 65536])
-def test_synth_equals_the_loop_bit_for_bit(seed, n):
-    model = NoiseModel(R0=1.0, tau1=2.0, tau2=2e4, kprime=1.0, seed=seed)
-    assert synth_flicker_series(model, n, 1.0).tobytes() == \
-        _telegraph_loop_series(model, n, 1.0).tobytes()
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_synth_equals_the_loop_bit_for_bit(seed, case):
+    """Every case at seeds 42 and 7. The run edges are reached:
+    - q-near-half, whose fastest process has q = 0.5 to the last bit:
+      at both seeds 22 processes flip at sample 0, which makes a
+      zero-length first run, and over 20 flip at sample n - 1.
+    - Every other case has a process that flips at sample 0 at seed
+      42, and none at seed 7.
+    - Every case but q-near-half has a process that never flips, one
+      long run: 22 of 80 at 4096 and seed 42, 27 at fs-3.7 and 42.
+    """
+    kwargs, n, fs = ORACLE_CASES[case]
+    model = NoiseModel(R0=1.0, seed=seed, **kwargs)
+    assert synth_flicker_series(model, n, fs).tobytes() == \
+        _telegraph_loop_series(model, n, fs).tobytes()
 
 
 def test_synth_zero_magnitude_is_silent():

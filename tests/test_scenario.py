@@ -547,6 +547,36 @@ def test_run_modulator_device_backend(tmp_path):
     assert "device_gain = 2" in (tmp_path / "report.txt").read_text()
 
 
+@pytest.mark.parametrize("body,osr,fs,segments", [
+    (MOD_DC_BODY, 128, 1.0, None),
+    (MOD_TONE_BODY.replace("n = 1024", "n = 1024\nosr = 16\nfs = 2e6"),
+     16, 2e6, None),
+    (MOD_DEVICE_DC_BODY.replace("n = 1024", "n = 1024\nfs = 3.7e7"),
+     128, 3.7e7, 4),
+    (MOD_DEVICE_DC_BODY.replace("n_segments = 4", "n_segments = 16")
+     .replace("n = 1024", "n = 1024\nosr = 8\nfs = 4.5e7"), 8, 4.5e7, 16),
+], ids=["ideal-dc", "ideal-tone", "device-4", "device-16"])
+def test_modulator_report_states_band_and_settle_margin(tmp_path, body, osr,
+                                                        fs, segments):
+    run_scenario(parse_scenario(_scenario("modulator-run", body)),
+                 str(tmp_path))
+    lines = (tmp_path / "report.txt").read_text().splitlines()
+    report = dict(line.split(" = ") for line in lines)
+    assert float(report["band_hz"]) == fs / (2 * osr)
+    if segments is None:
+        assert "settle_margin" not in report
+    else:
+        # half a clock period over 16 tau_cooper ln 2 + (2n + 1) tau_ecoil
+        t_settle = 16.0 * 1e-10 * math.log(2.0) + (2 * segments + 1) * 3e-10
+        margin = float(report["settle_margin"])
+        assert margin == 0.5 / fs / t_settle
+        assert margin >= 1.0
+    # both come before the state peaks, which stay the last lines
+    keys = [line.split(" = ")[0] for line in lines]
+    last = keys.index("settle_margin" if segments else "band_hz")
+    assert keys[last + 1:] == ["state_peak_1", "state_peak_2"]
+
+
 @pytest.mark.parametrize("extra", ["", INPUT_NOISE_BODY])
 def test_fast_clock_device_config_rejected_at_load(extra):
     # input noise synthesis needs at least 4096 samples

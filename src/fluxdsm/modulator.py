@@ -41,6 +41,12 @@ TAU_COOPER = 1e-10
 TAU_ECOIL = 3e-10
 # bins on each side of the tone bin that count as signal power in SNDR
 SIGNAL_GUARD_BINS = 3
+# the loop rounds a float t as (t + _ROUND) - _ROUND, exact for
+# |t| <= 2**51; ModulatorConfig derives the two load limits that keep
+# every rounded value in that range
+_ROUND = 1.5 * 2.0**52
+_LOOP_SUM_LIMIT = 2.0**50
+_ACCUMULATOR_LIMIT = 2.0**48
 
 
 def _default_comparator() -> ComparatorConfig:
@@ -53,8 +59,31 @@ class ModulatorConfig:
     integrator gain c_i per integrator. A cylinder geometry makes the
     first integrator the flux device, whose schedule the config runs
     once, for device_gain; DomainError if that leaves no ring or if
-    settle_margin is under 1. backend is derived from the
-    geometry, "flux-device" or "ideal"; one that is given must agree."""
+    settle_margin is under 1 or not finite. backend is derived from the
+    geometry, "flux-device" or "ideal"; one that is given must agree.
+
+    The loop rounds in float arithmetic. For |t| <= 2**51, t + _ROUND
+    (1.5 * 2**52) lies in [2**52, 2**53], where the floats are the
+    integers and _ROUND is even, so (t + _ROUND) - _ROUND is t rounded
+    half to even, the value of round(t). Two checks keep every value
+    the loop rounds in that range, and DomainError rejects a config
+    past either:
+
+    - Loop sum. A state inside the bound gives |y| <= sum(a) *
+      stability_bound, which the quantizer rounds in comparator LSBs,
+      full_scale_field / b_lsb per unit. That count must be under
+      _LOOP_SUM_LIMIT = 2**50; the factor of 2 below 2**51 covers the
+      few roundings in y and y / lsb_n.
+    - Device accumulator. A first state inside the bound leaves at most
+      A = stability_bound * quanta_per_unit * device_gain / c[0] quanta
+      in the accumulator, which must be under _ACCUMULATOR_LIMIT =
+      2**48. A sample with |err * quanta| <= 2**51 and a step of
+      |gain * q| <= 2**52 quanta then adds integers whose sum stays
+      under 2**53, exactly. Any other sample steps at least 2**51 - 2
+      quanta, so |acc| exceeds 2**51 - 2**49 > 6 A, and |x1| six times
+      the bound, in float and in integer arithmetic alike: the loop
+      raises at that sample, at stage 1, as the integer loop would.
+    """
 
     osr: int = 128
     a: tuple = (2.0, 4.0)
@@ -91,15 +120,15 @@ class ModulatorConfig:
             raise ConfigError("full_scale must be positive")
         if not self.stability_bound > 0:
             raise ConfigError("stability bound must be positive")
-        # the loop rounds y, up to sum(a) * stability_bound, to LSBs, and
-        # the device integrator rounds the loop error to whole quanta;
-        # both counts must be finite floats
-        if not (sum(self.a) * self.stability_bound * self.full_scale_field
-                / self.comparator.b_lsb < math.inf):
+        # the class docstring derives both load limits
+        loop_sum = (sum(self.a) * self.stability_bound
+                    * self.full_scale_field / self.comparator.b_lsb)
+        if not loop_sum < _LOOP_SUM_LIMIT:
             raise DomainError(
                 f"full scale {self.full_scale_field!r} T and stability bound "
-                f"{self.stability_bound!r} put the loop sum past the float "
-                "range in comparator LSBs")
+                f"{self.stability_bound!r} put the loop sum at {loop_sum:.3g} "
+                "comparator LSBs, past the 2**50 that the loop rounds "
+                "exactly")
         if self.geometry is not None:
             if not 0.0 < self.quanta_per_unit < math.inf:
                 raise DomainError(
@@ -112,9 +141,23 @@ class ModulatorConfig:
                     f"clock period {1.0 / self.fs:.3e} s leaves under half "
                     "a cycle of margin over the device settle time: "
                     f"settle_margin {self.settle_margin:.3g} < 1")
+            if not self.settle_margin < math.inf:
+                raise DomainError(
+                    f"clock period {1.0 / self.fs:.3e} s puts settle_margin, "
+                    "half a period over the device settle time, past the "
+                    "float range")
             if self.device_gain < 1:
                 raise DomainError("the device schedule leaves no ring to "
                                   "integrate the loop error")
+            accumulator = (self.stability_bound * self.quanta_per_unit
+                           * self.device_gain / self.c[0])
+            if not accumulator < _ACCUMULATOR_LIMIT:
+                raise DomainError(
+                    f"full scale {self.full_scale_field!r} T is "
+                    f"{self.quanta_per_unit!r} flux quanta over the bore, "
+                    f"which puts up to {accumulator:.3g} quanta in the "
+                    "device accumulator, past the 2**48 that it sums "
+                    "exactly")
 
     @property
     def full_scale_field(self) -> float:
@@ -202,6 +245,16 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
     bit-identical to the difference equations above evaluated in that
     order.
 
+    The loop rounds without round() and without a Python int: the
+    quantizer takes (y / lsb_n + _ROUND) - _ROUND, the device
+    integrator adds gain ((err quanta + _ROUND) - _ROUND) to a float
+    accumulator, and the codes go to a float buffer that is converted
+    to int64 once. ModulatorConfig's loop-sum and device-accumulator
+    checks keep every rounded value, and the accumulator, where these
+    floats equal round()'s ints, so the codes, saturations, state
+    peaks and InstabilityErrors are those of round() and an integer
+    accumulator.
+
     Each stage's bound check rides on its peak update. A state inside
     [-p_i, p_i] of its running peak is inside the bound, because p_i
     never exceeds it; only a state outside that range, or a nan, which
@@ -225,14 +278,15 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
 
     device_gain = cfg.device_gain
     quanta_per_unit = 0.0 if device_gain is None else cfg.quanta_per_unit
-    codes = np.empty(n, dtype=np.int64)
+    codes = np.empty(n)
     loop = _compiled_loop(len(cfg.a), device_gain is not None)
     saturations, state_peak = loop(
         memoryview(u_n), memoryview(codes), cfg.c, cfg.a,
-        cfg.stability_bound, cfg.comparator.half_range,
+        cfg.stability_bound, float(cfg.comparator.half_range),
         cfg.comparator.b_lsb / cfg.full_scale_field, device_gain,
         quanta_per_unit)
-    return TraceSet(config=cfg, codes=codes, saturation_count=saturations,
+    return TraceSet(config=cfg, codes=codes.astype(np.int64),
+                    saturation_count=saturations,
                     device_gain=device_gain, state_peak=state_peak)
 
 
@@ -257,12 +311,16 @@ _IDEAL_INTEGRATOR = """\
     for k, uk in enumerate(u):
         x0 = x0 + c0 * err
 """
-# round() of a float is the ties-to-even int, as in fluxtrap's trapping
+# the loop error rounded half to even to whole quanta, as fluxtrap
+# traps them, by adding and subtracting _ROUND; the float accumulator
+# holds integers, exactly while ModulatorConfig's accumulator check
+# holds
 _DEVICE_INTEGRATOR = """\
+    gain = float(gain)
     c0_gain = c0 / gain
-    acc = 0
+    acc = 0.0
     for k, uk in enumerate(u):
-        acc += gain * round(err * quanta)
+        acc += gain * ((err * quanta + {round}) - {round})
         x0 = acc * c0_gain / quanta
 """
 _LATER_STAGE = """\
@@ -278,10 +336,11 @@ _PEAK_AND_BOUND = """\
             if not p{i} <= bound:
                 raise _left_bound({stage}, bound, k)
 """
-# comparator.quantize at the normalized LSB, inlined
+# comparator.quantize at the normalized LSB, inlined, rounding half
+# to even by adding and subtracting _ROUND
 _LOOP_TAIL = """\
         y = {y_sum}
-        raw = round(y / lsb_n)
+        raw = (y / lsb_n + {round}) - {round}
         if not neg_hr <= raw <= hr:
             raw = hr if raw > 0 else neg_hr
             saturations += 1
@@ -302,13 +361,14 @@ def _compiled_loop(order: int, device: bool):
 
     src = _LOOP_HEAD.format(c_names=each("c{i}"), a_names=each("a{i}"),
                             zeros=each("x{i} = p{i} = m{i}", " = "))
-    src += _DEVICE_INTEGRATOR if device else _IDEAL_INTEGRATOR
+    src += (_DEVICE_INTEGRATOR.format(round=repr(_ROUND)) if device
+            else _IDEAL_INTEGRATOR)
     for i in range(order):
         if i:
             src += _LATER_STAGE.format(i=i, prev=i - 1)
         src += _PEAK_AND_BOUND.format(i=i, stage=i + 1)
     src += _LOOP_TAIL.format(y_sum=each("a{i} * x{i}", " + "),
-                             peaks=each("p{i}"))
+                             round=repr(_ROUND), peaks=each("p{i}"))
     backend = "flux-device" if device else "ideal"
     namespace = {"_left_bound": _left_bound}
     exec(compile(src, f"<modulator loop, order {order}, {backend}>", "exec"),

@@ -3,7 +3,8 @@ physics reads the fixed constants instead of taking them as arguments,
 numpy alone decides what a scalar input returns, every dataclass
 field is read somewhere, README's command lines parse and its Python
 blocks run, scipy loads only where NIS quadrature and the CN oracle
-run, and no module warns: a failure leaves as a typed FluxDsmError."""
+run, no module warns: a failure leaves as a typed FluxDsmError, and
+the generated modulator loop calls no round()."""
 
 import ast
 import os
@@ -17,6 +18,7 @@ import pytest
 
 import fluxdsm
 from fluxdsm.cli import _build_parser
+from fluxdsm.modulator import _compiled_loop
 
 MODULES = sorted(pathlib.Path(fluxdsm.__file__).parent.glob("*.py"))
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -61,6 +63,18 @@ def _warnings_imports(tree):
 def test_no_warnings_channel(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _warnings_imports(tree) == []
+
+
+@pytest.mark.parametrize("device", [False, True],
+                         ids=["ideal", "flux-device"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_modulator_loop_calls_no_round(order, device):
+    """The loop rounds by adding and subtracting a float constant;
+    round() would cost a builtin call and an int per sample. Every
+    name the compiled loop loads is in co_names, so a call to round()
+    in the generated source would show there."""
+    names = _compiled_loop(order, device).__code__.co_names
+    assert "round" not in names
 
 
 def _constant_overrides(tree):

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fluxdsm.comparator import make_comparator, quantize
 from fluxdsm.constants import CODATA
@@ -15,6 +15,7 @@ from fluxdsm.fluxtrap import (CylinderGeometry, FieldStep,
                               default_amplification_schedule,
                               doubling_amplification_schedule)
 from fluxdsm.modulator import (
+    _ROUND,
     ModulatorConfig,
     band_sndr,
     dc_tracking_mean,
@@ -67,18 +68,50 @@ def test_config_validation(kwargs, msg):
         ModulatorConfig(**kwargs)
 
 
+# an order-1 loop, whose state follows its input: eight samples at 0.9
+# of full scale take it to 0.9 of the default bound, eight at -0.9 back
+ORDER1 = dict(a=(1.0,), c=(1.0,))
+
+
+def _full_scale_at_limit(geometry):
+    """The full scale (T) that puts the ORDER1 loop at its loop-sum
+    limit, sum(a) stability_bound full_scale / b_lsb = 2**50, without a
+    geometry, or at its device-accumulator limit, stability_bound
+    quanta_per_unit device_gain / c[0] = 2**48, with one."""
+    cfg = ModulatorConfig(geometry=geometry, **ORDER1)
+    if geometry is None:
+        return 2.0**50 * cfg.comparator.b_lsb / cfg.stability_bound
+    return 2.0**48 * CODATA.phi0 / (cfg.stability_bound * geometry.area
+                                    * cfg.device_gain)
+
+
 @pytest.mark.parametrize("kwargs,msg", [
-    # the loop sum in comparator LSBs overflows
-    (dict(full_scale=1e308), "past the float range"),
-    (dict(stability_bound=1e306), "past the float range"),
-    # one full-scale unit over a wide bore overflows the quanta count
-    (dict(full_scale=1e285,
-          geometry=CylinderGeometry(radius=1e10, n_segments=4, n_eff=4)),
-     "flux quanta"),
+    # the loop sum in comparator LSBs overflows, far past the 2**50 that
+    # the loop rounds exactly
+    (dict(full_scale=1e308), "loop sum at inf comparator LSBs, past the "
+     r"2\*\*50"),
+    (dict(stability_bound=1e306), "loop sum at inf comparator LSBs"),
+    # one full-scale unit over a wide bore overflows the quanta count,
+    # with the loop sum, 8 full_scale / b_lsb, far under its limit
+    (dict(full_scale=1e3,
+          geometry=CylinderGeometry(radius=1e153, n_segments=4, n_eff=4)),
+     "inf flux quanta"),
     # or underflows it to zero, which the integrator divides by
     (dict(full_scale=1e-300,
           geometry=CylinderGeometry(radius=1e-100, n_segments=4, n_eff=4)),
      "0.0 flux quanta"),
+    # half a period over the device settle time overflows to a margin
+    # that the report could not state
+    (dict(geometry=GEOM8, fs=1e-301), "settle_margin, .* past the float "
+     "range"),
+    (dict(geometry=GEOM8, fs=5e-324), "settle_margin, .* past the float "
+     "range"),
+    # just past the loop's exactly rounded range
+    (dict(full_scale=_full_scale_at_limit(None) * (1.0 + 1e-12), **ORDER1),
+     r"loop sum at 1.13e\+15 comparator LSBs, past the 2\*\*50"),
+    (dict(geometry=GEOM8, full_scale=_full_scale_at_limit(GEOM8)
+          * (1.0 + 1e-12), **ORDER1),
+     r"up to 2.81e\+14 quanta in the device accumulator, past the 2\*\*48"),
 ])
 def test_config_rejects_counts_past_the_float_range(kwargs, msg):
     with pytest.raises(DomainError, match=msg):
@@ -118,10 +151,11 @@ def test_settle_margin_is_half_a_period_over_the_settle_time():
     assert ModulatorConfig(fs=1e10).settle_margin is None
     # 8 segments settle in 16 tau_cooper ln 2 + 17 tau_ecoil, 6.2 ns
     t_settle = 16.0 * 1e-10 * math.log(2.0) + 17 * 3e-10
-    for fs in (1.0, 5e7, 8e7):
+    # 1e-300 Hz is about the slowest clock whose margin stays finite
+    for fs in (1e-300, 1.0, 5e7, 8e7):
         margin = ModulatorConfig(geometry=GEOM8, fs=fs).settle_margin
         assert margin == 0.5 / fs / t_settle
-        assert margin >= 1.0
+        assert 1.0 <= margin < math.inf
 
 
 def test_device_gain_is_found_once_per_config(monkeypatch):
@@ -295,6 +329,85 @@ def test_loop_matches_difference_equations_exactly(order, geometry, noisy):
             == np.max(np.abs(states), axis=0).tobytes())
 
 
+@pytest.mark.parametrize("dc", [3 / 512, -3 / 512])
+def test_loop_rounds_half_lsb_ties_like_round(dc):
+    # the default loop's lsb_n is exactly 1/256 and its gains are
+    # dyadic, so a DC input of 1.5 LSB keeps every state dyadic and
+    # lands y / lsb_n on exact half-LSBs, above odd and even integers,
+    # where rounding half to even decides the code
+    cfg = ModulatorConfig()
+    lsb_n = cfg.comparator.b_lsb / cfg.full_scale_field
+    assert lsb_n == 1 / 256
+    u = np.full(4096, dc)
+    codes, states, saturations = _loop_oracle(cfg, u)
+    t = (cfg.a[0] * states[:, 0] + cfg.a[1] * states[:, 1]) / lsb_n
+    below_ties = np.floor(t[t % 1.0 == 0.5])
+    assert np.any(below_ties % 2 == 0) and np.any(below_ties % 2 == 1)
+    trace = run_modulator(cfg, u)
+    assert trace.codes.tobytes() == codes.tobytes()
+    assert trace.saturation_count == saturations == 0
+    assert (np.array(trace.state_peak).tobytes()
+            == np.max(np.abs(states), axis=0).tobytes())
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.one_of(
+    st.floats(min_value=-2.0**50, max_value=2.0**50),
+    st.integers(min_value=-2**50, max_value=2**50 - 1).map(
+        lambda k: k + 0.5)))
+@example(t=0.5)
+@example(t=-0.5)
+@example(t=1.5)
+@example(t=-2.5)
+@example(t=2.0**50 - 0.5)
+@example(t=-2.0**50 + 0.5)
+def test_float_rounding_is_round_half_even(t):
+    # the loop's rounding, over the loop-sum limit's range of y / lsb_n
+    assert (t + _ROUND) - _ROUND == round(t)
+
+
+@pytest.mark.parametrize("geometry", [None, GEOM8], ids=BACKEND_IDS)
+def test_config_just_under_its_rounding_limit_runs_exactly(geometry):
+    full_scale = _full_scale_at_limit(geometry) * (1.0 - 1e-12)
+    cfg = ModulatorConfig(geometry=geometry, full_scale=full_scale,
+                          **ORDER1)
+    lsb_n = cfg.comparator.b_lsb / cfg.full_scale_field
+    u = np.concatenate([np.full(8, 0.9), np.full(8, -0.9),
+                        make_tone(2048, 5, 100.0 * lsb_n)])
+    gain = GEOM8.n_segments // 2 if geometry is not None else None
+    codes, states, saturations = _loop_oracle(cfg, u, gain)
+    # the state, and so y / lsb_n or the accumulator, reaches 0.9 of
+    # the limit
+    assert np.max(np.abs(states)) >= 0.85 * cfg.stability_bound
+    trace = run_modulator(cfg, u)
+    assert trace.codes.tobytes() == codes.tobytes()
+    assert trace.saturation_count == saturations > 0
+    assert (np.array(trace.state_peak).tobytes()
+            == np.max(np.abs(states), axis=0).tobytes())
+
+
+def test_device_step_past_exact_rounding_raises_as_the_integer_loop():
+    # a large c[0] keeps the accumulator limit while one full-scale unit
+    # holds more than 2**51 quanta: the second sample rounds err quanta
+    # past 2**51, inexactly in floats, and both arithmetics leave the
+    # bound there, at stage 1
+    c0 = 1024.0
+    full_scale = 1.2 * 2.0**51 * CODATA.phi0 / GEOM8.area
+    cfg = ModulatorConfig(a=(1.0,), c=(c0,), geometry=GEOM8,
+                          full_scale=full_scale)
+    assert cfg.stability_bound * cfg.quanta_per_unit * 4 / c0 < 2.0**48
+    u = np.full(16, 0.85)
+    # the loop error of sample 1 is u[0], which the float rounding
+    # misses by one quantum
+    t = u[0] * cfg.quanta_per_unit
+    assert t >= 2.0**51 and (t + _ROUND) - _ROUND != round(t)
+    _, states, _ = _loop_oracle(cfg, u, GEOM8.n_segments // 2)
+    assert abs(states[0, 0]) <= 8.0 < abs(states[1, 0])
+    with pytest.raises(InstabilityError) as err:
+        run_modulator(cfg, u)
+    assert str(err.value) == "integrator 1 left [-8.0, 8.0] at sample 1"
+
+
 @pytest.mark.parametrize("geometry", [None, GEOM8], ids=BACKEND_IDS)
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_state_peak_of_negative_excursion(order, geometry):
@@ -374,7 +487,8 @@ def test_instability_reports_first_stage_past_bound(order, geometry):
 @pytest.mark.parametrize("stage", [0, 1])
 def test_nan_state_raises_instability_at_its_stage(stage, geometry):
     # inf * 0.0 is nan: an infinite c_i turns stage i+1 nan at sample 0,
-    # which the bound check must catch before round() raises ValueError
+    # which the bound check must catch before the quantizer rounds it;
+    # (nan + _ROUND) - _ROUND is nan, which would clamp to -half_range
     c = [0.5, 0.5]
     c[stage] = math.inf
     cfg = ModulatorConfig(c=tuple(c), geometry=geometry)

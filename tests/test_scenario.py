@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from fluxdsm import errors, scenario
 from fluxdsm.cli import main
 from fluxdsm.comparator import make_comparator
+from fluxdsm.constants import CODATA
 from fluxdsm.csvtext import (CSV_CHUNK_ROWS, CSV_COLUMNAR_ROWS, spell,
                              write_csv)
 from fluxdsm.electrodynamics import (solenoid_field,
@@ -991,7 +992,39 @@ v_stop = 1e90
 points = 3
 """
 
-# finite config values whose arithmetic would leave the float range:
+def _loop_limit_rejections():
+    """modulator-run cases just past the loop sum's 2**50 LSBs, the
+    device accumulator's 2**48 quanta, and a device clock slow enough
+    that settle_margin overflows."""
+    ideal = ModulatorConfig()
+    device = parse_scenario(_scenario("modulator-run",
+                                      MOD_DEVICE_DC_BODY)).spec[0]
+    # sum(a) stability_bound full_scale / b_lsb = 2**50
+    sum_scale = 2.0**50 * ideal.comparator.b_lsb / (6.0 * 8.0)
+    # stability_bound quanta_per_unit device_gain / c[0] = 2**48
+    acc_scale = (2.0**48 * 0.5 * device.full_scale_field
+                 / (8.0 * device.quanta_per_unit * device.device_gain))
+    over_sum, over_acc = sum_scale * (1 + 1e-12), acc_scale * (1 + 1e-12)
+    return [
+        ("modulator-run", MOD_DC_BODY + f"full_scale = {over_sum!r}\n", 4,
+         f"bad.cfg:5: full scale {over_sum!r} T and stability bound 8.0 "
+         "put the loop sum at 1.13e+15 comparator LSBs, past the 2**50"),
+        ("modulator-run", MOD_DEVICE_DC_BODY.replace(
+            "dc = 0.25", f"dc = 0.25\nfull_scale = {over_acc!r}"), 4,
+         f"bad.cfg:5: full scale {over_acc!r} T is "
+         f"{over_acc * device.geometry.area / CODATA.phi0!r} "
+         "flux quanta over the bore, which puts up to 2.81e+14 quanta in "
+         "the device accumulator, past the 2**48"),
+        # half a period of 1e301 s over the settle time overflows
+        ("modulator-run",
+         MOD_DEVICE_DC_BODY.replace("dc = 0.25", "dc = 0.25\nfs = 1e-301"),
+         4, "bad.cfg:5: clock period 1.000e+301 s puts settle_margin, half "
+         "a period over the device settle time, past the float range"),
+    ]
+
+
+# finite config values whose arithmetic would leave the float range,
+# or the range the modulator loop rounds exactly in floats:
 # (kind, body, exit code, message). What load builds is
 # rejected at its section's line (exit 4), the rest by the run (exit 5).
 FLOAT_RANGE_REJECTIONS = [
@@ -1032,7 +1065,7 @@ FLOAT_RANGE_REJECTIONS = [
     ("junction-iv", NIS_HUGE_BODY.replace("delta = 1e100", "delta = 1e5")
      .replace("v_stop = 1e90", "v_stop = 1e34"), 5,
      "error: junction-iv run left the float range"),
-]
+] + _loop_limit_rejections()
 
 
 @pytest.mark.parametrize("kind,body,code,where", FLOAT_RANGE_REJECTIONS,
@@ -1041,7 +1074,8 @@ FLOAT_RANGE_REJECTIONS = [
                               "ideal-full_scale", "slab-d", "slab-b0",
                               "slab-omega", "super-slab-d", "sns-area",
                               "comparator-b_stop", "nis-scale",
-                              "nis-current"])
+                              "nis-current", "loop-sum",
+                              "device-accumulator", "device-settle-margin"])
 def test_cli_float_range_rejection(tmp_path, capsys, kind, body, code,
                                    where):
     cfg_path = _write(tmp_path, "bad.cfg", _scenario(kind, body))

@@ -7,8 +7,9 @@ without parsing stderr:
 
     0  success
     2  usage or config syntax error (argparse errors, no --config, a
-       batch with --out whose configs share a file stem, a config file
-       that cannot be read, malformed config text)
+       batch with --out whose configs share a file stem, a batch whose
+       configs write to one directory, a config file that cannot be
+       read, malformed config text)
     3  unknown config key
     4  config invariant violation
     5  runtime domain or device error
@@ -88,6 +89,16 @@ def main(argv=None) -> int:
     try:
         # every config of a batch is checked before any of them runs
         cfgs = [load_scenario(path) for path in args.config]
+        # and no two of them write into one directory
+        writers = {}
+        for path, cfg, out_dir in zip(args.config, cfgs, out_dirs):
+            target = os.path.normpath(os.path.abspath(
+                cfg.output_dir if out_dir is None else out_dir))
+            if target in writers:
+                parser.error(f"configs {writers[target]} and {path} both "
+                             f"write to {target}, so the second would "
+                             "overwrite the first's artifacts")
+            writers[target] = path
         for cfg, out_dir in zip(cfgs, out_dirs):
             if args.seed is not None:
                 cfg = replace(cfg, seed=args.seed)

@@ -26,8 +26,12 @@ blocks where some float needs one; a row ends with a '\\n' word.
 The shortest round-trip digits of a float come from Ryu's d2d (Adams,
 "Ryu: fast float-to-string conversion", PLDI 2018) run on whole
 arrays, its 128-bit products built from 32-bit halves in uint64
-arithmetic. uint64 and int64 arrays never meet in one operation:
-numpy < 2 promotes that mix to float64.
+arithmetic. Each distinct bit pattern of a chunk's float column is
+encoded once (np.unique), and its words are gathered back into the
+column's rows: a column of few distinct values, such as a telegraph
+series, costs a Ryu run per value, not per cell. uint64 and int64
+arrays never meet in one operation: numpy < 2 promotes that mix to
+float64.
 """
 
 import functools
@@ -255,9 +259,14 @@ def _shortest(bits):
 
 def _float_cells(x):
     """The words of the repr of each float64 of x, without its sign,
-    and the sign characters."""
-    n = x.size
-    bits = x.view(np.uint64)
+    and the sign characters.
+
+    Each distinct bit pattern of x is encoded once and its words are
+    gathered back into x's order. The patterns are keyed as uint64,
+    not compared as floats, so 0.0 and -0.0 stay apart, and so do nans
+    of either sign."""
+    bits, index = np.unique(x.view(np.uint64), return_inverse=True)
+    n = bits.size
     special = (bits & _U(0x7FF << _MANT_BITS)) == _U(0x7FF << _MANT_BITS)
     zero = (bits << _U(1)) == _U(0)
     plain = ~(special | zero)
@@ -314,7 +323,7 @@ def _float_cells(x):
         # 'nan' or 'inf' in the last three characters of the third word
         words[2][odd] = np.where(nan, _U(0x6E616E << 40), _U(0x666E69 << 40))
         sign[odd[nan]] = _U(0)
-    return words, sign
+    return [word[index] for word in words], sign[index]
 
 
 def _int_cells(v):

@@ -376,9 +376,14 @@ def _compiled_loop(order: int, device: bool):
     return namespace["loop"]
 
 
+@functools.lru_cache(maxsize=4)
 def _hann_periodic(n: int) -> np.ndarray:
+    """The periodic Hann window of n points, built once per length and
+    shared by every caller, so it is read-only."""
     k = np.arange(n)
-    return 0.5 - 0.5 * np.cos(2.0 * math.pi * k / n)
+    w = 0.5 - 0.5 * np.cos(2.0 * math.pi * k / n)
+    w.setflags(write=False)
+    return w
 
 
 def power_spectrum(x: np.ndarray, fs: float = 1.0):

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from fluxdsm.csvtext import CSV_CHUNK_ROWS as CHUNK, _classify, _encode_rows
+from fluxdsm.csvtext import (CSV_CHUNK_ROWS as CHUNK, CSV_COLUMNAR_ROWS,
+                             _classify, _encode_rows, write_csv)
 
 
 def _encoded(*columns):
@@ -57,6 +58,49 @@ def test_floats_encode_as_repr(name, values):
     assert values.dtype == np.float64
     expected = "".join(repr(v) + "\n" for v in values.tolist()).encode()
     assert _encoded(values) == expected
+
+
+def _pool():
+    """Few distinct values whose spellings the float-equal ones would
+    confuse: both zeros, nans of several payloads and both signs, both
+    infinities, the least subnormal, and neighbours of the 1e-4 and
+    1e16 layout switches."""
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001,
+                     0x7FF0000000000001, 0xFFF8000000000000,
+                     0xFFF0000000000123], dtype=np.uint64).view(np.float64)
+    edges = [np.nextafter(edge, toward) for edge in (1e-4, 1e16)
+             for toward in (0.0, math.inf)] + [1e-4, 1e16]
+    edges += [-v for v in edges]
+    return np.concatenate([[0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+                            0.1, -2.5], nans, edges])
+
+
+def test_repeated_floats_encode_as_repr():
+    """A pool column shuffled across more than two chunks: each chunk
+    encodes its distinct bit patterns once and gathers them back."""
+    pool = _pool()
+    column = np.tile(pool, (2 * CHUNK + 1000) // pool.size + 1)
+    np.random.default_rng(25).shuffle(column)
+    assert column.size > 2 * CHUNK
+    # the shuffle moves bit patterns, nan payloads and signs included
+    assert set(column.view(np.uint64).tolist()) == \
+        set(pool.view(np.uint64).tolist())
+    expected = "".join(repr(v) + "\n" for v in column.tolist()).encode()
+    assert _encoded(column) == expected
+
+
+def test_strided_column_matches_row_writer(tmp_path):
+    rng = np.random.default_rng(3)
+    z = (rng.standard_normal(CSV_COLUMNAR_ROWS + 7)
+         + 1j * rng.standard_normal(CSV_COLUMNAR_ROWS + 7))
+    z.real[::3] = -0.0
+    column = z.real
+    assert not column.flags.c_contiguous
+    write_csv(str(tmp_path / "by_column.csv"), ("x",), [column])
+    # a list goes through the row writer
+    write_csv(str(tmp_path / "by_row.csv"), ("x",), [column.tolist()])
+    assert (tmp_path / "by_column.csv").read_bytes() == \
+        (tmp_path / "by_row.csv").read_bytes()
 
 
 def test_int64_encode_as_str():

@@ -16,6 +16,7 @@ from fluxdsm.fluxtrap import (CylinderGeometry, FieldStep,
                               doubling_amplification_schedule)
 from fluxdsm.modulator import (
     _ROUND,
+    _hann_periodic,
     ModulatorConfig,
     band_sndr,
     dc_tracking_mean,
@@ -609,6 +610,16 @@ def test_power_spectrum_bin_count():
     trace = run_modulator(ModulatorConfig(), make_tone(512, 3, 0.5))
     f2, p2 = output_power_spectrum(trace)
     assert f2.shape == (256,) and p2.shape == (256,)
+
+
+@pytest.mark.parametrize("n", [1, 1000, 4096, 65536])
+def test_hann_window_is_shared_read_only_and_exact(n):
+    # built once per length and shared by every spectrum of that length
+    w = _hann_periodic(n)
+    assert _hann_periodic(n) is w
+    assert not w.flags.writeable
+    k = np.arange(n)
+    assert w.tobytes() == (0.5 - 0.5 * np.cos(2.0 * math.pi * k / n)).tobytes()
 
 
 def test_sndr_estimator_against_white_noise():

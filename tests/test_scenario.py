@@ -23,6 +23,7 @@ from fluxdsm.electrodynamics import (solenoid_field,
                                      square_loop_current_for_field)
 from fluxdsm.errors import ConfigError, FluxLossError, UnknownKeyError
 from fluxdsm.modulator import ModulatorConfig, run_modulator
+from fluxdsm.noise import NoiseModel, synth_flicker_series
 from fluxdsm.scenario import (
     SCENARIO_KINDS,
     load_scenario,
@@ -678,8 +679,12 @@ def _numeric_columns(n):
     _numeric_columns(CSV_COLUMNAR_ROWS - 1),
     _numeric_columns(CSV_COLUMNAR_ROWS),
     _numeric_columns(CSV_CHUNK_ROWS + 3),
+    # a telegraph series holds few distinct values, each many times
+    [np.arange(4096), synth_flicker_series(NoiseModel(
+        R0=1.0, tau1=2.0, tau2=2e4, kprime=1.0, seed=42), 4096, 1.0)],
 ], ids=["mixed", "bools", "int-led-float", "empty", "chunk-boundary",
-        "numeric-by-row", "numeric-by-column", "numeric-by-column-chunks"])
+        "numeric-by-row", "numeric-by-column", "numeric-by-column-chunks",
+        "flicker-series"])
 def test_write_csv_matches_row_writer(tmp_path, columns):
     header = tuple(f"c{i}" for i in range(len(columns) or 2))
     rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
@@ -1223,6 +1228,42 @@ def test_cli_batch_rejects_shared_file_stem(tmp_path, capsys):
     # one config alone, or a batch without --out, has no subdirectories
     assert main(["--config", c1, "--out", str(out)]) == 0
     assert (out / "curve.csv").exists()
+
+
+def test_cli_batch_rejects_configs_sharing_one_directory(
+        tmp_path, capsys, monkeypatch):
+    # without --out each config writes to its output_dir, so the 7-point
+    # curve would overwrite the 5-point one's curve.csv and report.txt
+    monkeypatch.chdir(tmp_path)
+
+    def curve(name, points, output_dir=None):
+        text = _scenario("comparator-curve",
+                         COMP_BODY.replace("7", str(points)))
+        if output_dir is not None:
+            text = text.replace("seed = 0\n",
+                                f"seed = 0\noutput_dir = {output_dir}\n")
+        return _write(tmp_path, name, text)
+
+    batches = [
+        # neither sets output_dir: both write to the working directory
+        ((curve("a.cfg", 5), curve("b.cfg", 7)), "."),
+        # two spellings of one directory
+        ((curve("c.cfg", 5, "shared"), curve("d.cfg", 7, "./x/../shared/")),
+         "shared"),
+    ]
+    for (c1, c2), shared in batches:
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", c1, c2])
+        assert exc.value.code == 2
+        target = os.path.normpath(os.path.join(os.getcwd(), shared))
+        assert f"configs {c1} and {c2} both write to {target}" in \
+            capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+    # configs with their own directories still run as one batch
+    assert main(["--config", curve("e.cfg", 5, "five"),
+                 curve("f.cfg", 7, "seven")]) == 0
+    assert len((tmp_path / "five" / "curve.csv").read_text().splitlines()) == 6
+    assert len((tmp_path / "seven" / "curve.csv").read_text().splitlines()) == 8
 
 
 def test_cli_runs_third_order_loop(tmp_path, capsys):

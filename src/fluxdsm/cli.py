@@ -7,9 +7,8 @@ without parsing stderr:
 
     0  success
     2  usage or config syntax error (argparse errors, no --config, a
-       batch with --out whose configs share a file stem, a batch whose
-       configs write to one directory, a config file that cannot be
-       read, malformed config text)
+       batch whose configs resolve to one output directory, a config
+       file that cannot be read, malformed config text)
     3  unknown config key
     4  config invariant violation
     5  runtime domain or device error
@@ -40,8 +39,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         metavar="PATH", help="scenario config files; "
                         "their kinds may differ (repeatable)")
     parser.add_argument("--out", default=None, metavar="DIR",
-                        help="output directory (default: config's "
-                        "output_dir, relative to the working directory)")
+                        help="output directory of a single config; a "
+                        "batch writes each config to DIR/<file stem> "
+                        "(default: each config's output_dir, relative to "
+                        "the working directory)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     return parser
@@ -73,27 +74,21 @@ def main(argv=None) -> int:
     if not args.config:
         parser.print_usage(sys.stderr)
         return 2
-    out_dirs = [args.out] * len(args.config)
-    if args.out is not None and len(args.config) > 1:
-        # each config of a batch writes to a subdirectory named after its
-        # file, so two configs may not share a file stem
-        paths = {}
-        for i, path in enumerate(args.config):
-            stem = os.path.splitext(os.path.basename(path))[0]
-            if stem in paths:
-                parser.error(f"configs {paths[stem]} and {path} share the "
-                             f"file stem {stem!r}, so their artifacts "
-                             "would share one --out subdirectory")
-            paths[stem] = path
-            out_dirs[i] = os.path.join(args.out, stem)
     try:
         # every config of a batch is checked before any of them runs
         cfgs = [load_scenario(path) for path in args.config]
-        # and no two of them write into one directory
-        writers = {}
-        for path, cfg, out_dir in zip(args.config, cfgs, out_dirs):
-            target = os.path.normpath(os.path.abspath(
-                cfg.output_dir if out_dir is None else out_dir))
+        # and no two of them write into one directory: --out for one
+        # config, --out/<file stem> for each of a batch, else output_dir
+        out_dirs, writers = [], {}
+        for path, cfg in zip(args.config, cfgs):
+            if args.out is None:
+                out_dirs.append(cfg.output_dir)
+            elif len(cfgs) == 1:
+                out_dirs.append(args.out)
+            else:
+                stem = os.path.splitext(os.path.basename(path))[0]
+                out_dirs.append(os.path.join(args.out, stem))
+            target = os.path.normpath(os.path.abspath(out_dirs[-1]))
             if target in writers:
                 parser.error(f"configs {writers[target]} and {path} both "
                              f"write to {target}, so the second would "

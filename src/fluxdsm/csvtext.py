@@ -370,12 +370,11 @@ _ENCODERS = {np.dtype(np.float64): _float_cells,
 
 
 def _classify(column):
-    """The format of column in the row template, '{:d}' for integers
-    and bools and '{}' for anything else, and its column-wise encoder,
-    or None where it has none."""
+    """The format of column in the row template, '{:d}' for an array of
+    integers or bools and '{}' for anything else, and its column-wise
+    encoder, or None where it has none."""
     if not isinstance(column, np.ndarray):
-        integral = all(isinstance(v, (int, np.integer)) for v in column)
-        return ("{:d}" if integral else "{}"), None
+        return "{}", None
     encode = _ENCODERS.get(column.dtype) if column.ndim == 1 else None
     return ("{:d}" if column.dtype.kind in "biu" else "{}"), encode
 
@@ -406,8 +405,7 @@ def write_csv(path: str, header, columns) -> None:
         # one template per table: formatting per value is slower
         fmt = (",".join(template for template, _ in kinds) + "\n").format
         rows = zip(*(c.tolist() if isinstance(c, np.ndarray)
-                     else c if template == "{:d}" else map(spell, c)
-                     for c, (template, _) in zip(columns, kinds)))
+                     else map(spell, c) for c in columns))
         while chunk := "".join(starmap(fmt, islice(rows, CSV_CHUNK_ROWS))):
             fh.write(chunk.encode())
 

@@ -369,6 +369,24 @@ def _nis_integrand(s, ev, kt, z):
     return _btk_kernel(abs(s), z) * (_fermi(s - ev, kt) - _fermi(s, kt))
 
 
+# below this |eV| / kT, nis_current takes the Fermi difference from
+# _nis_integrand_small, whose form does not cancel
+NIS_SMALL_EV = 1e-3
+
+
+def _nis_integrand_small(s, ev, kt, z):
+    """_nis_integrand for |ev| < NIS_SMALL_EV kt, with the Fermi
+    difference in the exact form sinh(a/2) / (cosh(y - a/2) + cosh(a/2)),
+    y = s/kt and a = ev/kt, which keeps its digits as a goes to 0; it is
+    0.0 past |y - a/2| = 700, short of where math.cosh overflows."""
+    a = ev / kt
+    u = s / kt - 0.5 * a
+    if abs(u) > 700.0:
+        return 0.0
+    return (_btk_kernel(abs(s), z) * math.sinh(0.5 * a)
+            / (math.cosh(u) + math.cosh(0.5 * a)))
+
+
 def nis_current(cfg: JunctionConfig, voltage):
     """NIS junction current by quadrature of the interface kernel:
 
@@ -411,9 +429,11 @@ def nis_current(cfg: JunctionConfig, voltage):
         lo = min(-30.0 * kt, ev - 30.0 * kt, -1.5)
         hi = max(30.0 * kt, ev + 30.0 * kt, 1.5)
         breakpoints = sorted(p for p in (-1.0, 1.0, ev) if lo < p < hi)
+        integrand = (_nis_integrand_small if abs(ev) < NIS_SMALL_EV * kt
+                     else _nis_integrand)
         # full_output returns QUADPACK's message instead of warning; the
         # estimated-error check below is the convergence contract
-        val, err = quad(_nis_integrand, lo, hi, args=(ev, kt, z),
+        val, err = quad(integrand, lo, hi, args=(ev, kt, z),
                         points=breakpoints, limit=400, epsabs=0.0,
                         epsrel=NIS_RTOL, full_output=1)[:2]
         scale = max(abs(val), kt)

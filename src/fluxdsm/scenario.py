@@ -463,9 +463,9 @@ _KINDS = {
 SCENARIO_KINDS = tuple(_KINDS)
 
 
-def run_scenario(cfg: ScenarioConfig,
-                 out_dir: Optional[str] = None) -> List[str]:
-    """Execute a loaded scenario; returns the artifact paths written.
+def run_scenario(cfg: ScenarioConfig, out_dir: str) -> List[str]:
+    """Execute a loaded scenario and write its artifacts into out_dir;
+    returns the artifact paths written.
     Nothing is written, not even the directory, unless the run
     computes to the end. numpy arithmetic that leaves the float range
     (overflow, an invalid operation, a division by zero) stops the run
@@ -476,12 +476,11 @@ def run_scenario(cfg: ScenarioConfig,
     except FloatingPointError as exc:
         raise DomainError(
             f"{cfg.kind} run left the float range: {exc}") from None
-    target = out_dir if out_dir is not None else cfg.output_dir
-    os.makedirs(target, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     written = []
     for name, header, columns in tables:
-        written.append(os.path.join(target, name))
+        written.append(os.path.join(out_dir, name))
         write_csv(written[-1], header, columns)
-    written.append(os.path.join(target, "report.txt"))
+    written.append(os.path.join(out_dir, "report.txt"))
     _write_report(written[-1], cfg, metrics)
     return written

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -20,9 +21,12 @@ from fluxdsm.junctions import (
     BCS_GAP_RATIO,
     NIS_MAX_EV,
     NIS_RTOL,
+    NIS_SMALL_EV,
     JunctionConfig,
     _btk_kernel,
     _fermi,
+    _nis_integrand,
+    _nis_integrand_small,
     andreev_outcome,
     btk_probabilities,
     coherence_factors,
@@ -404,3 +408,38 @@ def test_nis_quadrature_error(monkeypatch):
     # an error estimate inside the bound passes the estimate through
     abserr = 0.5 * bound
     assert nis_current(cfg, v) == cfg.prefactor * cfg.delta * 0.5
+
+
+@pytest.mark.parametrize("t", [0.3128, 4.2, 8.8])
+@pytest.mark.parametrize("z", [0.0, 1.0, 10.0])
+def test_nis_linear_response_at_tiny_voltages(t, z):
+    # past |eV| ~ 1e-16 kT, f(s - eV) - f(s) rounds to 0.0 and the
+    # current with it; I/V must stay at its linear-response value
+    cfg = JunctionConfig(delta=LEAD.delta, T=t, d=0.0, Z=z)
+    conductance = nis_current(cfg, 1e-15) / 1e-15
+    assert conductance > 0.0
+    for v in (1e-18, 1e-21, -1e-21, 1e-200):
+        assert nis_current(cfg, v) / v == pytest.approx(conductance,
+                                                        rel=1e-5)
+    assert nis_current(cfg, 0.0) == 0.0
+    up, down = nis_current(cfg, np.array([1e-21, -1e-21]))
+    assert down == pytest.approx(-up, rel=1e-12)
+    # 1e-300 V gives a subnormal current, too few bits for the ratio
+    assert 0.0 < nis_current(cfg, 1e-300) < sys.float_info.min
+
+
+@pytest.mark.parametrize("t", [0.3128, 4.2, 8.8])
+@pytest.mark.parametrize("z", [0.0, 1.0, 10.0])
+def test_nis_small_voltage_form_meets_fermi_form(t, z):
+    # at the crossover |eV| = NIS_SMALL_EV kT the Fermi difference form
+    # still keeps about 12 digits, past what NIS_RTOL asks of quad
+    kt = CODATA.kB * t / LEAD.delta
+    ev = NIS_SMALL_EV * kt
+    lo, hi = min(-30.0 * kt, -1.5), max(ev + 30.0 * kt, 1.5)
+    kwargs = dict(args=(ev, kt, z), limit=400, epsabs=0.0, epsrel=NIS_RTOL,
+                  points=sorted(p for p in (-1.0, 1.0, ev) if lo < p < hi))
+    fermi = quad(_nis_integrand, lo, hi, **kwargs)[0]
+    small = quad(_nis_integrand_small, lo, hi, **kwargs)[0]
+    assert small == pytest.approx(fermi, rel=1e-10)
+    # past |y - a/2| = 700 the form reads 0.0, where cosh would overflow
+    assert _nis_integrand_small(720.0 * kt, ev, kt, z) == 0.0

@@ -6,6 +6,7 @@ import math
 import os
 import pathlib
 import re
+import sys
 import tempfile
 import warnings
 
@@ -22,6 +23,7 @@ from fluxdsm.csvtext import (CSV_CHUNK_ROWS, CSV_COLUMNAR_ROWS, spell,
 from fluxdsm.electrodynamics import (solenoid_field,
                                      square_loop_current_for_field)
 from fluxdsm.errors import ConfigError, FluxLossError, UnknownKeyError
+from fluxdsm.junctions import nis_current
 from fluxdsm.modulator import ModulatorConfig, run_modulator
 from fluxdsm.noise import NoiseModel, synth_flicker_series
 from fluxdsm.scenario import (
@@ -409,6 +411,18 @@ def test_run_slab_profile(tmp_path):
     assert "slab.material = lead" in report
 
 
+def test_run_scenario_writes_only_into_its_out_dir(tmp_path, monkeypatch):
+    # output_dir is the CLI's default directory; run_scenario never reads it
+    monkeypatch.chdir(tmp_path)
+    cfg = parse_scenario(_scenario("comparator-curve", COMP_BODY).replace(
+        "seed = 0\n", "seed = 0\noutput_dir = elsewhere\n"))
+    assert run_scenario(cfg, "here") == [os.path.join("here", "curve.csv"),
+                                         os.path.join("here", "report.txt")]
+    assert [p.name for p in tmp_path.iterdir()] == ["here"]
+    with pytest.raises(TypeError):
+        run_scenario(cfg)
+
+
 def test_reports_do_not_leak_paths(tmp_path):
     cfg = parse_scenario(_scenario("slab-profile", SLAB_BODY))
     run_scenario(cfg, str(tmp_path))
@@ -452,6 +466,28 @@ def test_run_junction_nis(tmp_path):
     v = [float(l.split(",")[0]) for l in lines[1:]]
     assert v == sorted(v) and len(v) == 5
     assert "i_max = " in (tmp_path / "report.txt").read_text()
+
+
+@pytest.mark.parametrize("v_stop", ["1e-21", "1e-300"])
+def test_run_junction_nis_at_tiny_voltages(tmp_path, v_stop):
+    # the Fermi difference f(s - eV) - f(s) cancels to 0.0 here, which
+    # wrote an all-zero iv.csv; linear response makes I/V constant
+    body = (NIS_BODY.replace("t = 0.3128", "t = 4.2")
+            .replace("z = 10", "z = 0").replace("v_start = 1e-4", "v_start = 0")
+            .replace("v_stop = 4e-3", f"v_stop = {v_stop}")
+            .replace("points = 5", "points = 3"))
+    cfg = parse_scenario(_scenario("junction-iv", body))
+    run_scenario(cfg, str(tmp_path))
+    rows = [[float(cell) for cell in line.split(",")] for line in
+            (tmp_path / "iv.csv").read_text().splitlines()[1:]]
+    assert rows[0] == [0.0, 0.0] and len(rows) == 3
+    conductance = nis_current(cfg.spec[0], 1e-15) / 1e-15
+    for v, i in rows[1:]:
+        if i < sys.float_info.min:
+            # a subnormal current keeps too few bits for a ratio
+            assert i > 0.0
+        else:
+            assert i / v == pytest.approx(conductance, rel=1e-5)
 
 
 @pytest.mark.parametrize("body,name,points", [
@@ -1224,7 +1260,7 @@ def test_cli_batch_rejects_shared_file_stem(tmp_path, capsys):
     assert exc.value.code == 2
     assert not out.exists()
     err = capsys.readouterr().err
-    assert f"configs {c1} and {c2} share the file stem 'x'" in err
+    assert f"configs {c1} and {c2} both write to {out / 'x'}" in err
     # one config alone, or a batch without --out, has no subdirectories
     assert main(["--config", c1, "--out", str(out)]) == 0
     assert (out / "curve.csv").exists()

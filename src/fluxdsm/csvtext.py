@@ -270,14 +270,13 @@ def _float_cells(x):
     special = (bits & _U(0x7FF << _MANT_BITS)) == _U(0x7FF << _MANT_BITS)
     zero = (bits << _U(1)) == _U(0)
     plain = ~(special | zero)
-    if plain.all():
-        digits, exp10 = _shortest(bits)
-    else:
-        digits = np.zeros(n, dtype=np.uint64)
-        exp10 = np.zeros(n, dtype=np.int64)
-        digits[plain], exp10[plain] = _shortest(bits[plain])
+    # _shortest takes 1.0 (its bits) in place of each zero, inf and
+    # nan, whose digits are then the single 0 of '0.0'; the inf and nan
+    # words are set below
+    digits, exp10 = _shortest(np.where(plain, bits, _U(0x3FF << _MANT_BITS)))
     ndig = np.searchsorted(_P10, digits, side="right").astype(np.int64)
-    ndig[~plain] = 1
+    blank = np.flatnonzero(~plain)
+    digits[blank], exp10[blank], ndig[blank] = 0, 0, 1
     point = exp10 + ndig
     positional = (point > -4) & (point <= 16)
     # the text T is the digits, zero-padded in front up to the point

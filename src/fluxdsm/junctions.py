@@ -186,16 +186,6 @@ class ScatterOutcome:
     regime: str      # "sub-gap" or "above-gap"
     channels: tuple
 
-    @property
-    def total_probability(self) -> float:
-        return sum(ch.probability for ch in self.channels)
-
-    def probability(self, label: str) -> float:
-        for ch in self.channels:
-            if ch.label == label:
-                return ch.probability
-        return 0.0
-
 
 def andreev_outcome(incident_species: str, incident_side: str, eps: float,
                     delta: float, Z: float = 0.0) -> ScatterOutcome:
@@ -333,20 +323,19 @@ NIS_MAX_EV = 1e150
 
 def check_nis(cfg: JunctionConfig, voltage=0.0) -> None:
     """Raise DomainError unless nis_current can sweep cfg over voltage
-    (volts, any shape): T must lie between 0 and the BCS Tc of the gap,
-    delta / (1.764 kB), past which the Fermi difference of the integrand
-    cancels, every |eV| / delta must be at most NIS_MAX_EV, and the
-    current scale prefactor * delta must be a finite float."""
-    if cfg.T <= 0:
-        raise DomainError("NIS current needs T > 0")
+    (volts, any shape): the gap delta must be positive, 0 < T < Tc with
+    Tc = delta / (1.764 kB) the BCS Tc of the gap, past which the Fermi
+    difference of the integrand cancels, every |eV| / delta must be at
+    most NIS_MAX_EV, and the current scale prefactor * delta must be a
+    finite float."""
     if cfg.delta <= 0:
         raise DomainError("NIS current needs a positive gap delta")
     tc = cfg.delta / (BCS_GAP_RATIO * CODATA.kB)
-    # written as `not x < y` so that nan fails the checks too
-    if not cfg.T < tc:
+    # written as `not x < y` so that nan fails the check too
+    if not 0 < cfg.T < tc:
         raise DomainError(
-            f"t = {cfg.T:g} K is not below the BCS Tc {tc:.3g} K of the "
-            f"gap delta = {cfg.delta:g} J")
+            f"t = {cfg.T:g} K is not strictly between 0 and the BCS Tc "
+            f"{tc:.3g} K of the gap delta = {cfg.delta:g} J")
     if not abs(cfg.prefactor * cfg.delta) < math.inf:
         raise DomainError(
             f"prefactor {cfg.prefactor:g} times delta {cfg.delta:g} J "

@@ -59,7 +59,7 @@ class ModulatorConfig:
     integrator gain c_i per integrator. A cylinder geometry makes the
     first integrator the flux device, whose schedule the config runs
     once, for device_gain; DomainError if that leaves no ring or if
-    settle_margin is under 1 or not finite. backend is derived from the
+    settle_margin lies outside [1, inf). backend is derived from the
     geometry, "flux-device" or "ideal"; one that is given must agree.
 
     The loop rounds in float arithmetic. For |t| <= 2**51, t + _ROUND
@@ -76,10 +76,10 @@ class ModulatorConfig:
       few roundings in y and y / lsb_n.
     - Device accumulator. A first state inside the bound leaves at most
       A = stability_bound * quanta_per_unit * device_gain / c[0] quanta
-      in the accumulator, which must be under _ACCUMULATOR_LIMIT =
-      2**48. A sample with |err * quanta| <= 2**51 and a step of
-      |gain * q| <= 2**52 quanta then adds integers whose sum stays
-      under 2**53, exactly. Any other sample steps at least 2**51 - 2
+      in the accumulator. quanta_per_unit must be above 0, and A under
+      _ACCUMULATOR_LIMIT = 2**48. A sample with |err * quanta| <= 2**51
+      and a step of |gain * q| <= 2**52 quanta then adds integers whose
+      sum stays under 2**53, exactly. Any other sample steps at least 2**51 - 2
       quanta, so |acc| exceeds 2**51 - 2**49 > 6 A, and |x1| six times
       the bound, in float and in integer arithmetic alike: the loop
       raises at that sample, at stage 1, as the integer loop would.
@@ -130,34 +130,28 @@ class ModulatorConfig:
                 "comparator LSBs, past the 2**50 that the loop rounds "
                 "exactly")
         if self.geometry is not None:
-            if not 0.0 < self.quanta_per_unit < math.inf:
-                raise DomainError(
-                    f"full scale {self.full_scale_field!r} T is "
-                    f"{self.quanta_per_unit!r} flux quanta over the bore, "
-                    "not a positive finite count")
-            # one clock period must leave room for the device to settle
-            if self.settle_margin < 1:
-                raise DomainError(
-                    f"clock period {1.0 / self.fs:.3e} s leaves under half "
-                    "a cycle of margin over the device settle time: "
-                    f"settle_margin {self.settle_margin:.3g} < 1")
-            if not self.settle_margin < math.inf:
+            # one clock period must leave room for the device to settle,
+            # and the margin must be a finite float the report can state
+            if not 1 <= self.settle_margin < math.inf:
                 raise DomainError(
                     f"clock period {1.0 / self.fs:.3e} s puts settle_margin, "
-                    "half a period over the device settle time, past the "
-                    "float range")
+                    "half a period over the device settle time, at "
+                    f"{self.settle_margin:.3g}, outside [1, inf)")
             if self.device_gain < 1:
                 raise DomainError("the device schedule leaves no ring to "
                                   "integrate the loop error")
+            # an infinite or nan count fails the bound, since device_gain,
+            # stability_bound and c[0] are positive
             accumulator = (self.stability_bound * self.quanta_per_unit
                            * self.device_gain / self.c[0])
-            if not accumulator < _ACCUMULATOR_LIMIT:
+            if not (self.quanta_per_unit > 0
+                    and accumulator < _ACCUMULATOR_LIMIT):
                 raise DomainError(
                     f"full scale {self.full_scale_field!r} T is "
                     f"{self.quanta_per_unit!r} flux quanta over the bore, "
                     f"which puts up to {accumulator:.3g} quanta in the "
-                    "device accumulator, past the 2**48 that it sums "
-                    "exactly")
+                    "device accumulator: the count must be above 0 and "
+                    "the accumulator under the 2**48 that it sums exactly")
 
     @property
     def full_scale_field(self) -> float:

@@ -26,7 +26,8 @@ class NoiseModel:
     """Parameters of the relaxation-noise band.
 
     R0 : zero-lag power of the single-process autocorrelation
-    tau1, tau2 : shortest / longest relaxation times bounding the band (s)
+    tau1, tau2 : shortest / longest relaxation times bounding the band
+        (s), 0 < tau1 < tau2
     kprime : flicker magnitude k' (power per unit log-rate * rad/s)
     seed : RNG seed for synthesis, fixed for reproducibility
     dof_coupled : how many of the three momentum degrees of freedom
@@ -44,10 +45,9 @@ class NoiseModel:
         # written as `not v >= 0` so that nan fails the checks too
         if not self.R0 >= 0:
             raise DomainError("R0 must be non-negative")
-        if not (self.tau1 > 0 and self.tau2 > 0):
-            raise DomainError("relaxation times must be positive")
-        if not self.tau1 < self.tau2:
-            raise DomainError("need tau1 < tau2")
+        if not 0 < self.tau1 < self.tau2:
+            raise DomainError(f"relaxation times tau1 = {self.tau1!r} s, "
+                              f"tau2 = {self.tau2!r} s need 0 < tau1 < tau2")
         if not self.kprime >= 0:
             raise DomainError("kprime must be non-negative")
         if self.dof_coupled not in (1, 2, 3):
@@ -94,17 +94,17 @@ def flicker_psd(model: NoiseModel, omega):
 def check_synthesis_limits(model: NoiseModel, n: int, fs: float) -> float:
     """Check that synth_flicker_series can draw n samples of the band at
     sample rate fs: an integer n >= 4096, fs*tau2 > 10 so the slowest
-    process is resolved, and a band at least one decade wide. Returns
-    the band's width in decades."""
+    process is resolved (which implies fs > 0, since NoiseModel keeps
+    tau2 > 0), and a band at least one decade wide. Returns the band's
+    width in decades."""
     if not isinstance(n, (int, np.integer)):
         raise DomainError(f"sample count {n!r} is not an integer")
     if n < 4096:
         raise DomainError("need n >= 4096 samples")
-    # written as `not x > 0` so that nan fails the checks too
-    if not fs > 0:
-        raise DomainError("sample rate must be positive")
+    # written as `not x > 10` so that nan fails the check too
     if not fs * model.tau2 > 10:
-        raise DomainError("fs * tau2 must exceed 10")
+        raise DomainError(f"sample rate {fs!r} Hz puts fs * tau2 at "
+                          f"{fs * model.tau2!r}, which must exceed 10")
     decades = math.log10(model.tau2 / model.tau1)
     if decades < 1.0:
         raise DomainError("flicker band must span at least one decade")

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in it, the
 physics reads the fixed constants instead of taking them as arguments,
 numpy alone decides what a scalar input returns, every dataclass
-field is read somewhere, README's command lines parse and its Python
+field is read somewhere, every public method is read by the package
+or named in README, README's command lines parse and its Python
 blocks run, scipy loads only where NIS quadrature and the CN oracle
 run, no module warns: a failure leaves as a typed FluxDsmError, and
 the generated modulator loop calls no round()."""
@@ -197,11 +198,12 @@ def _dataclass_fields(path):
             and isinstance(stmt.target, ast.Name)]
 
 
-def _attributes_read():
-    """Attribute names loaded anywhere in the package, tests, scripts
-    or benchmark."""
+def _attributes_read(folders=("src/fluxdsm", "tests", "scripts",
+                              "perfbench")):
+    """Attribute names loaded anywhere in the given folders: by default
+    the package, tests, scripts and benchmark."""
     names = set()
-    for folder in ("src/fluxdsm", "tests", "scripts", "perfbench"):
+    for folder in folders:
         for path in (ROOT / folder).rglob("*.py"):
             tree = ast.parse(path.read_text(encoding="utf-8"),
                              filename=str(path))
@@ -217,6 +219,27 @@ def test_dataclass_fields_are_read():
               for qualified, name in _dataclass_fields(path)
               if name not in read]
     assert unread == []
+
+
+def _public_methods(path):
+    """(qualified name, name) of each public method or property of the
+    module's classes."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [(f"{path.stem}.{node.name}.{item.name}", item.name)
+            for node in tree.body if isinstance(node, ast.ClassDef)
+            for item in node.body if isinstance(item, ast.FunctionDef)
+            and not item.name.startswith("_")]
+
+
+def test_public_methods_read_or_documented():
+    """A method or property that only tests call is kept only if the
+    README names it."""
+    read = _attributes_read(("src/fluxdsm",))
+    documented = _readme_names()
+    orphans = [qualified for path in MODULES
+               for qualified, name in _public_methods(path)
+               if name not in read and name not in documented]
+    assert orphans == []
 
 
 def _scipy_imports(tree):

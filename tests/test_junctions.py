@@ -187,9 +187,10 @@ def test_andreev_normal_side_sub_gap():
     assert out.regime == "sub-gap"
     labels = [ch.label for ch in out.channels]
     assert labels == ["andreev", "specular", "pair-transfer"]
-    assert out.probability("andreev") == pytest.approx(1.0 / 7.0, rel=1e-12)
-    assert out.probability("pair-transfer") == 0.0
-    assert out.total_probability == pytest.approx(1.0, abs=1e-12)
+    probability = [ch.probability for ch in out.channels]
+    assert probability[0] == pytest.approx(1.0 / 7.0, rel=1e-12)
+    assert probability[2] == 0.0
+    assert sum(probability) == pytest.approx(1.0, abs=1e-12)
     # retro-reflection flips the species
     assert out.channels[0].species == HOLE
 
@@ -198,7 +199,8 @@ def test_andreev_normal_side_above_gap():
     out = andreev_outcome(HOLE, NORMAL_SIDE, 2.0, 1.0, Z=0.5)
     assert out.regime == "above-gap"
     assert len(out.channels) == 4
-    assert out.total_probability == pytest.approx(1.0, abs=1e-12)
+    assert sum(ch.probability for ch in out.channels) == pytest.approx(
+        1.0, abs=1e-12)
     assert out.channels[0].species == ELECTRON
 
 
@@ -210,7 +212,8 @@ def test_andreev_super_side_sub_gap_forbidden():
 def test_andreev_super_side_above_gap():
     out = andreev_outcome(ELECTRON, SUPER_SIDE, 2.0, 1.0, Z=0.5)
     assert len(out.channels) == 4
-    assert out.total_probability == pytest.approx(1.0, abs=1e-12)
+    assert sum(ch.probability for ch in out.channels) == pytest.approx(
+        1.0, abs=1e-12)
 
 
 def test_andreev_validation():
@@ -319,7 +322,7 @@ def test_nis_matches_tunneling_law():
 
 
 def test_nis_current_validation():
-    with pytest.raises(DomainError, match="T > 0"):
+    with pytest.raises(DomainError, match="t = 0 K is not strictly between 0"):
         nis_current(JunctionConfig(delta=1e-22, T=0.0, d=0.0), 1e-3)
     with pytest.raises(DomainError, match="positive gap"):
         nis_current(JunctionConfig(delta=0.0, T=1.0, d=0.0), 1e-3)
@@ -338,7 +341,8 @@ def test_nis_current_rejects_unverified_domain():
     # also when no material sets a lower one
     tc = LEAD.delta / (BCS_GAP_RATIO * CODATA.kB)
     for t in (tc, 1e300, math.inf):
-        with pytest.raises(DomainError, match="not below the BCS Tc 8.87 K"):
+        with pytest.raises(DomainError, match="not strictly between 0 and "
+                           "the BCS Tc 8.87 K"):
             nis_current(JunctionConfig(delta=LEAD.delta, T=t, d=0.0), 4e-3)
 
 

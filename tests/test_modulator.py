@@ -103,16 +103,17 @@ def _full_scale_at_limit(geometry):
      "0.0 flux quanta"),
     # half a period over the device settle time overflows to a margin
     # that the report could not state
-    (dict(geometry=GEOM8, fs=1e-301), "settle_margin, .* past the float "
-     "range"),
-    (dict(geometry=GEOM8, fs=5e-324), "settle_margin, .* past the float "
-     "range"),
+    (dict(geometry=GEOM8, fs=1e-301), r"settle_margin, .* at inf, outside "
+     r"\[1, inf\)"),
+    (dict(geometry=GEOM8, fs=5e-324), r"settle_margin, .* at inf, outside "
+     r"\[1, inf\)"),
     # just past the loop's exactly rounded range
     (dict(full_scale=_full_scale_at_limit(None) * (1.0 + 1e-12), **ORDER1),
      r"loop sum at 1.13e\+15 comparator LSBs, past the 2\*\*50"),
     (dict(geometry=GEOM8, full_scale=_full_scale_at_limit(GEOM8)
           * (1.0 + 1e-12), **ORDER1),
-     r"up to 2.81e\+14 quanta in the device accumulator, past the 2\*\*48"),
+     r"up to 2.81e\+14 quanta in the device accumulator: the count must "
+     r"be above 0 and the accumulator under the 2\*\*48"),
 ])
 def test_config_rejects_counts_past_the_float_range(kwargs, msg):
     with pytest.raises(DomainError, match=msg):

@@ -22,16 +22,21 @@ from fluxdsm.csvtext import (CSV_CHUNK_ROWS, CSV_COLUMNAR_ROWS, spell,
                              write_csv)
 from fluxdsm.electrodynamics import (solenoid_field,
                                      square_loop_current_for_field)
-from fluxdsm.errors import ConfigError, FluxLossError, UnknownKeyError
-from fluxdsm.junctions import nis_current
+from fluxdsm.errors import (ConfigError, DomainError, FluxLossError,
+                            UnknownKeyError)
+from fluxdsm.fluxtrap import CylinderGeometry
+from fluxdsm.junctions import (BCS_GAP_RATIO, JunctionConfig, check_nis,
+                               nis_current)
 from fluxdsm.modulator import ModulatorConfig, run_modulator
-from fluxdsm.noise import NoiseModel, synth_flicker_series
+from fluxdsm.noise import (NoiseModel, check_synthesis_limits,
+                           synth_flicker_series)
 from fluxdsm.scenario import (
     SCENARIO_KINDS,
     load_scenario,
     parse_scenario,
     run_scenario,
 )
+from test_modulator import GEOM8, ORDER1, _full_scale_at_limit
 
 
 def _scenario(kind, body, seed=0):
@@ -116,7 +121,8 @@ kprime = 1e-9
 # (good body, body rejected at load, message): checks the junction
 # functions make at run time, which load makes too
 JUNCTION_LOAD_REJECTIONS = [
-    (NIS_BODY, NIS_BODY.replace("t = 0.3128", "t = 0"), "needs T > 0"),
+    (NIS_BODY, NIS_BODY.replace("t = 0.3128", "t = 0"),
+     "t = 0 K is not strictly between 0 and the BCS Tc 8.87 K"),
     (NIS_BODY, NIS_BODY.replace("material = lead", "delta = 0"),
      "needs a positive gap"),
     (SNS_BODY, SNS_BODY.replace("t = 4.2", "t = 0"),
@@ -137,7 +143,7 @@ JUNCTION_LOAD_REJECTIONS = [
     (NIS_BODY, NIS_BODY.replace("v_stop = 4e-3", "v_stop = 1e300"),
      "is past the NIS sweep limit"),
     (NIS_DELTA_BODY, NIS_DELTA_BODY.replace("t = 0.3128", "t = 1e300"),
-     "K is not below the BCS Tc 8.91 K of the gap"),
+     "K is not strictly between 0 and the BCS Tc 8.91 K of the gap"),
 ]
 
 DEVICE_LEAD_BODY = DEVICE_BODY + "material = lead\nt = 4.2\n"
@@ -1055,12 +1061,13 @@ def _loop_limit_rejections():
          f"bad.cfg:5: full scale {over_acc!r} T is "
          f"{over_acc * device.geometry.area / CODATA.phi0!r} "
          "flux quanta over the bore, which puts up to 2.81e+14 quanta in "
-         "the device accumulator, past the 2**48"),
+         "the device accumulator: the count must be above 0 and the "
+         "accumulator under the 2**48"),
         # half a period of 1e301 s over the settle time overflows
         ("modulator-run",
          MOD_DEVICE_DC_BODY.replace("dc = 0.25", "dc = 0.25\nfs = 1e-301"),
          4, "bad.cfg:5: clock period 1.000e+301 s puts settle_margin, half "
-         "a period over the device settle time, past the float range"),
+         "a period over the device settle time, at inf, outside [1, inf)"),
     ]
 
 
@@ -1431,3 +1438,74 @@ def test_finite_config_edit_gives_finite_output_or_typed_exit(text):
         else:
             for path in out.iterdir():
                 assert _non_finite_fields(path) == [], path.name
+
+
+# ---------------------------------------------------------- load limits
+
+def _settle_fs(margin):
+    """The clock (Hz) that puts GEOM8's settle_margin at margin."""
+    return ModulatorConfig(geometry=GEOM8).settle_margin / margin
+
+
+# the BCS Tc of an NIS gap of 2.17e-22 J
+NIS_TC = 2.17e-22 / (BCS_GAP_RATIO * CODATA.kB)
+
+
+# limit -> (build from one value, values just inside its ends, values
+# just past them or nan, (kind, body) of a config past it); past the
+# limit, build raises DomainError and the CLI exits 4
+LOAD_LIMITS = {
+    "settle-margin": (
+        lambda fs: ModulatorConfig(geometry=GEOM8, fs=fs),
+        [_settle_fs(1 + 1e-9), 1e-300], [_settle_fs(1 - 1e-9), 1e-301],
+        ("modulator-run",
+         MOD_DEVICE_DC_BODY.replace("dc = 0.25", "dc = 0.25\nfs = 1e-301"))),
+    "flux-count": (
+        lambda kwargs: ModulatorConfig(**kwargs),
+        [dict(geometry=GEOM8, full_scale=1e-20),
+         dict(geometry=GEOM8, full_scale=_full_scale_at_limit(GEOM8)
+              * (1.0 - 1e-12), **ORDER1)],
+        [dict(geometry=CylinderGeometry(radius=1e-100, n_segments=4,
+                                        n_eff=4), full_scale=1e-300),
+         dict(geometry=GEOM8, full_scale=_full_scale_at_limit(GEOM8)
+              * (1.0 + 1e-12), **ORDER1)],
+        ("modulator-run",
+         MOD_DEVICE_DC_BODY.replace("dc = 0.25", "dc = 0.25\nfull_scale = "
+                                    "1e-300").replace("radius = 0.02",
+                                                      "radius = 1e-100"))),
+    "nis-t": (
+        lambda t: check_nis(JunctionConfig(delta=2.17e-22, T=t, d=0.0)),
+        [NIS_TC * (1.0 - 1e-9)], [0.0, NIS_TC, math.nan],
+        ("junction-iv", NIS_BODY.replace("t = 0.3128", "t = 0"))),
+    "relaxation-times": (
+        lambda taus: NoiseModel(R0=1.0, tau1=taus[0], tau2=taus[1],
+                                kprime=1.0),
+        [(1.0, 1.0 + 1e-9)], [(0.0, 1.0), (1.0, 1.0), (1.0, -1.0),
+                              (math.nan, 1.0)],
+        ("noise-psd", NOISE_BODY.replace("tau1 = 2\n", "tau1 = 2e4\n"))),
+    # fs * tau2 is the value, exact since tau2 is a power of two
+    "fs-tau2": (
+        lambda x: check_synthesis_limits(
+            NoiseModel(R0=1.0, tau1=1.0, tau2=2.0**14, kprime=1.0), 8192,
+            x / 2.0**14),
+        [10.0 * (1.0 + 1e-9)], [10.0, 0.0, -1.0, math.nan],
+        ("noise-psd", NOISE_BODY.replace("fs = 1.0", "fs = -1"))),
+}
+
+
+@pytest.mark.parametrize("limit", list(LOAD_LIMITS))
+def test_load_limit_ends(tmp_path, limit):
+    """Each load limit accepts values just inside its ends, and rejects
+    values just past them, and nan, with DomainError itself and exit 4
+    through the CLI; the messages are not pinned here."""
+    build, inside, past, (kind, body) = LOAD_LIMITS[limit]
+    for value in inside:
+        build(value)
+    for value in past:
+        with pytest.raises(DomainError) as err:
+            build(value)
+        assert err.type is DomainError, value
+    cfg_path = _write(tmp_path, "bad.cfg", _scenario(kind, body))
+    out = tmp_path / "out"
+    assert main(["--config", cfg_path, "--out", str(out)]) == 4
+    assert not out.exists()

@@ -156,14 +156,6 @@ def two_fluid_wavenumber(material: Material, omega: float) -> complex:
     return complex(np.sqrt(num / den))
 
 
-def solenoid_field(turns_per_length: float, current: float) -> float:
-    """Interior field of a long solenoid, B = mu0 * n * I (T)."""
-    # written as `not x >= 0` so that nan fails the check too
-    if not turns_per_length >= 0:
-        raise DomainError("turns per length must be non-negative")
-    return CODATA.mu0 * turns_per_length * current
-
-
 def square_loop_center_field(side: float, i_diff_half: float) -> float:
     """Center field of a square loop of side L carrying the comparator
     half-difference current, B = 2*sqrt(2)*mu0*I / (pi*L)."""

@@ -280,17 +280,25 @@ def sns_prefactor(cfg: JunctionConfig, form: int = 1) -> float:
     raise DomainError(f"unknown prefactor form {form}")
 
 
-def sns_current(cfg: JunctionConfig, phi, form: int = 1):
-    """Supercurrent through a long proximity bridge:
+def sns_critical_current(cfg: JunctionConfig, form: int = 1) -> float:
+    """Critical current of a long proximity bridge, in amperes:
 
-        I = P * exp(-d / xi_N) * sin(phi)
+        I_c = P * exp(-d / xi_N)
 
     with P from sns_prefactor and xi_N the normal coherence length at
-    cfg.T. phi may be an array. Amperes out.
+    cfg.T.
     """
     p = sns_prefactor(cfg, form)
     xi_n = n_coherence_length(cfg.material.vF, cfg.T)
-    return p * math.exp(-cfg.d / xi_n) * np.sin(phi)
+    return p * math.exp(-cfg.d / xi_n)
+
+
+def sns_current(cfg: JunctionConfig, phi, form: int = 1):
+    """Supercurrent through a long proximity bridge,
+    I = sns_critical_current * sin(phi). phi may be an array. Amperes
+    out.
+    """
+    return sns_critical_current(cfg, form) * np.sin(phi)
 
 
 def _btk_kernel(e, z):

@@ -397,6 +397,23 @@ def output_power_spectrum(trace: TraceSet):
     return power_spectrum(trace.codes.astype(float), trace.config.fs)
 
 
+def _band_bins(n_bins: int, osr: int, signal_cycles: int):
+    """band_sndr's signal bins lo..hi and noise bins, of n_bins bins."""
+    k0 = int(signal_cycles)
+    # (n // 2) // osr is n // (2 osr)
+    band_edge = n_bins // osr
+    if not 0 < k0 <= band_edge:
+        raise ConfigError(f"signal bin {k0} outside the modulator band 1 to "
+                          f"n / (2 osr) = {band_edge}")
+    lo = max(k0 - SIGNAL_GUARD_BINS, 0)
+    hi = min(k0 + SIGNAL_GUARD_BINS, n_bins - 1)
+    noise_bins = [k for k in range(3, band_edge + 1) if not lo <= k <= hi]
+    if not noise_bins:
+        raise ConfigError(f"no noise bin in the band 1 to {band_edge} outside "
+                          f"the DC bins 0 to 2 and signal bins {lo} to {hi}")
+    return lo, hi, noise_bins
+
+
 def band_sndr(power: np.ndarray, osr: int, signal_cycles: int) -> float:
     """In-band signal to noise-and-distortion ratio, in dB, of the n//2
     bins of a series' power_spectrum at oversampling ratio osr.
@@ -404,23 +421,16 @@ def band_sndr(power: np.ndarray, osr: int, signal_cycles: int) -> float:
     Signal power is the +-SIGNAL_GUARD_BINS bins around the tone bin
     signal_cycles; noise is everything else inside the band edge
     n/(2 osr), skipping the first three bins where the window parks any
-    DC content.
+    DC content; it must hold a bin (else ConfigError) and power (else
+    DomainError).
     """
-    k0 = int(signal_cycles)
-    # (n // 2) // osr is n // (2 osr)
-    band_edge = len(power) // osr
-    if not 0 < k0 <= band_edge:
-        raise ConfigError("signal bin outside the modulator band")
-    lo = max(k0 - SIGNAL_GUARD_BINS, 0)
-    hi = min(k0 + SIGNAL_GUARD_BINS, len(power) - 1)
+    lo, hi, noise_bins = _band_bins(len(power), osr, signal_cycles)
     p_sig = float(np.sum(power[lo:hi + 1]))
-    noise_bins = [k for k in range(3, band_edge + 1) if not lo <= k <= hi]
     p_noise = float(np.sum(power[noise_bins]))
     if p_sig <= 0.0:
         raise DomainError("degenerate spectrum: no signal power")
     if p_noise <= 0.0:
-        # numerically silent band: report the double floor
-        return 320.0
+        raise DomainError("degenerate spectrum: no noise power in the band")
     return 10.0 * math.log10(p_sig / p_noise)
 
 

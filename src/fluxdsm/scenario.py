@@ -21,15 +21,15 @@ from .comparator import (REFERENCE_I_BIAS, REFERENCE_SIDE, make_comparator,
                          quantize)
 from .csvtext import spell, write_csv
 from .electrodynamics import (SlabConfig, normal_slab_profile,
-                              solenoid_field, square_loop_current_for_field,
+                              square_loop_current_for_field,
                               super_slab_profile)
 from .errors import ConfigError, DomainError, UsageError
 from .fluxtrap import (CylinderGeometry, EcoilStep, FieldStep, FluxTrapState,
                        default_amplification_schedule,
                        doubling_amplification_schedule, iterate_sequence,
                        load_schedule)
-from .junctions import (JunctionConfig, check_nis, n_coherence_length,
-                        nis_current, sns_current, sns_prefactor)
+from .junctions import (JunctionConfig, check_nis, nis_current,
+                        sns_critical_current, sns_current)
 from .materials import check_superconducting, get_material
 from .modulator import (ModulatorConfig, band_sndr, dc_tracking_mean,
                         output_power_spectrum, run_modulator, test_tone)
@@ -77,14 +77,8 @@ def parse_scenario(text: str, path: Optional[str] = None) -> ScenarioConfig:
                           f"section", path=path)
     sec = sections[needed]
     config_dir = os.path.dirname(os.path.abspath(path)) if path else "."
-    try:
+    with sec.anchored():
         spec = build(sec, sections, config_dir)
-    except (DomainError, ConfigError) as exc:
-        # a constructor's check failing on config values names no line;
-        # it is a config invariant violation at the kind's section
-        if getattr(exc, "line", None) is not None:
-            raise
-        raise sec.error(str(exc)) from exc
     # a section, and a key, belongs when the builder read it for the
     # choices it made
     for name, section in sections.items():
@@ -130,8 +124,9 @@ def _build_slab(sec: Section, sections, config_dir: str):
         raise sec.error("regime must be normal or super")
     material = get_material(sec.get_str("material"))
     npoints = sec.get_int("npoints", 201)
-    if npoints < 3:
-        raise sec.error("npoints must be at least 3")
+    if npoints < 3 or npoints % 2 == 0:
+        raise sec.error("npoints must be at least 3 and odd, so that x = 0 "
+                        "is a grid point")
     # the normal profile ignores T, the London profile omega
     omega = sec.get_float("omega", 0.0)
     if regime == "super" and omega != 0.0:
@@ -166,9 +161,10 @@ def _run_slab(cfg: ScenarioConfig):
 def _geometry_and_schedule(sec: Section, config_dir: str):
     """The cylinder of a device section and its coil schedule: a named
     preset or a schedule file relative to the config's directory."""
-    geom = CylinderGeometry(radius=sec.get_float("radius"),
-                            n_segments=sec.get_int("n_segments"),
-                            n_eff=sec.get_float("n_eff", 1.0))
+    with sec.anchored():
+        geom = CylinderGeometry(radius=sec.get_float("radius"),
+                                n_segments=sec.get_int("n_segments"),
+                                n_eff=sec.get_float("n_eff", 1.0))
     name = sec.get_str("schedule", "default")
     if name == "doubling":
         schedule = doubling_amplification_schedule()
@@ -259,21 +255,17 @@ def _build_junction(sec: Section, sections, config_dir: str):
     sizes = {}
     if form in (1, 2):
         sizes["area"] = sec.get_float("area", 1e-12)
-    elif form == 3 and sec.has("r_sheet"):
+    elif form == 3:
         sizes["r_sheet"] = sec.get_float("r_sheet")
-    # without a material or an r_sheet, or with an unknown form,
-    # sns_prefactor below names what is wrong
-    material = _junction_material(sec, T) if sec.has("material") else None
-    jc = JunctionConfig(
-        delta=material.delta if material is not None else 0.0,
-        T=T, d=sec.get_float("d"), material=material, **sizes)
+    material = _junction_material(sec, T)
+    jc = JunctionConfig(delta=material.delta, T=T, d=sec.get_float("d"),
+                        material=material, **sizes)
     phi_points = sec.get_int("phi_points", 181)
     if phi_points < 2:
         raise sec.error("phi_points must be at least 2")
     phis = np.linspace(0.0, 2.0 * math.pi, phi_points)
-    # sns_current's own checks, run at load: material, d, form, r_sheet, T
-    sns_prefactor(jc, form)
-    n_coherence_length(jc.material.vF, jc.T)
+    # sns_current's own checks, run at load: d, form, r_sheet, T
+    sns_critical_current(jc, form)
     return jc, mode, phis, form
 
 
@@ -285,7 +277,7 @@ def _run_junction(cfg: ScenarioConfig):
             ("i_max", currents.max()), ("mode", "nis")]
     currents = sns_current(jc, grid, form=form)
     return [("iv.csv", ("phi", "i"), (grid, currents))], [
-        ("i_critical", currents.max()), ("mode", "sns")]
+        ("i_critical", sns_critical_current(jc, form)), ("mode", "sns")]
 
 
 # --------------------------------------------------------------- noise
@@ -355,13 +347,7 @@ def _build_modulator(sec: Section, sections, config_dir: str):
     if dc is not None and abs(dc) > 1.0:
         raise sec.error("dc level must lie in [-1, 1]")
     comp = _comparator(sec)
-    full_scale = None
-    if sec.has("full_scale"):
-        full_scale = sec.get_float("full_scale")
-    elif sec.has("input_coil_n"):
-        # map u = +-1 to the field of the input solenoid at max drive
-        full_scale = solenoid_field(sec.get_float("input_coil_n"),
-                                    sec.get_float("input_coil_imax"))
+    full_scale = sec.get_float("full_scale") if sec.has("full_scale") else None
     geometry = schedule = None
     if "device" in sections:
         geometry, schedule = _geometry_and_schedule(sections["device"],
@@ -370,9 +356,11 @@ def _build_modulator(sec: Section, sections, config_dir: str):
     noise_sec = sections.get("input-noise")
     if noise_sec is not None:
         # synthesis reads only the band; runners set the seed
-        input_noise = NoiseModel(R0=0.0, tau1=noise_sec.get_float("tau1"),
-                                 tau2=noise_sec.get_float("tau2"),
-                                 kprime=noise_sec.get_float("kprime", 1.0))
+        with noise_sec.anchored():
+            input_noise = NoiseModel(
+                R0=0.0, tau1=noise_sec.get_float("tau1"),
+                tau2=noise_sec.get_float("tau2"),
+                kprime=noise_sec.get_float("kprime", 1.0))
     mc = ModulatorConfig(
         osr=sec.get_int("osr", 128),
         a=_float_list(sec, "a", "2,4"),
@@ -387,8 +375,8 @@ def _build_modulator(sec: Section, sections, config_dir: str):
     if dc is not None:
         return mc, np.full(n, dc), dc, None
     tone_cycles = sec.get_int("tone_cycles")
-    if not 0 < tone_cycles <= n // (2 * mc.osr):
-        raise sec.error("tone_cycles must lie in the band 1 to n / (2 osr)")
+    # band_sndr's bins: the tone must lie in the band, beside a noise bin
+    modulator._band_bins(n // 2, mc.osr, tone_cycles)
     amplitude_dbfs = sec.get_float("amplitude_dbfs", -1.0)
     if amplitude_dbfs > 0:
         raise sec.error("amplitude_dbfs must be at most 0 (full scale)")

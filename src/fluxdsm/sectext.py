@@ -15,11 +15,13 @@ identifiers. Every entry must live inside a section. Errors carry the
 unknown keys.
 """
 
+import contextlib
 import math
 import re
 from dataclasses import dataclass, field
 
-from .errors import ConfigSyntaxError, UnknownKeyError, ConfigError
+from .errors import (ConfigError, ConfigSyntaxError, DomainError,
+                     UnknownKeyError)
 
 _SECTION_RE = re.compile(r"^\[([a-z0-9_-]+)\]$")
 _KEY_RE = re.compile(r"^[a-z0-9_.-]+$")
@@ -62,6 +64,17 @@ class Section:
     def error(self, message):
         """A ConfigError anchored at this section's header line."""
         return ConfigError(message, line=self.line, path=self.path)
+
+    @contextlib.contextmanager
+    def anchored(self):
+        """Re-raise a DomainError or ConfigError that names no line, such
+        as a constructor's check, as a ConfigError at this header line."""
+        try:
+            yield
+        except (DomainError, ConfigError) as exc:
+            if getattr(exc, "line", None) is not None:
+                raise
+            raise self.error(str(exc)) from exc
 
     def _get(self, key, default, convert, expects):
         """The key's value through convert; default when the key is

@@ -15,7 +15,6 @@ from fluxdsm.electrodynamics import (
     crank_nicolson_diffusion,
     normal_slab_profile,
     skin_depth,
-    solenoid_field,
     square_loop_center_field,
     square_loop_current_for_field,
     super_slab_profile,
@@ -176,16 +175,6 @@ def test_two_fluid_rejects_negative_omega():
 def test_two_fluid_principal_root(omega, name):
     k = two_fluid_wavenumber(get_material(name), omega)
     assert k.real >= 0.0
-
-
-def test_solenoid_field():
-    assert solenoid_field(1000.0, 2.0) == pytest.approx(
-        CODATA.mu0 * 2000.0, rel=1e-15)
-    assert solenoid_field(0.0, 5.0) == 0.0
-    with pytest.raises(DomainError):
-        solenoid_field(-1.0, 1.0)
-    with pytest.raises(DomainError):
-        solenoid_field(math.nan, 1.0)
 
 
 def test_square_loop_frozen_current():

@@ -2,7 +2,8 @@
 physics reads the fixed constants instead of taking them as arguments,
 numpy alone decides what a scalar input returns, every dataclass
 field is read somewhere, every public method is read by the package
-or named in README, README's command lines parse and its Python
+or named in README, so is every config key a builder reads, README's
+command lines parse and its Python
 blocks run, scipy loads only where NIS quadrature and the CN oracle
 run, no module warns: a failure leaves as a typed FluxDsmError, and
 the generated modulator loop calls no round()."""
@@ -240,6 +241,36 @@ def test_public_methods_read_or_documented():
                for qualified, name in _public_methods(path)
                if name not in read and name not in documented]
     assert orphans == []
+
+
+def _config_keys():
+    """The key of every get_str, get_float, get_int and has call, and
+    of every _float_list call, in scenario.py: each key a builder
+    reads. _float_list's own get_str, of a key it is passed, is left
+    to its callers."""
+    path = pathlib.Path(fluxdsm.__file__).parent / "scenario.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    keys = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in (
+                "get_str", "get_float", "get_int", "has"):
+            arg = node.args[0]
+        elif isinstance(func, ast.Name) and func.id == "_float_list":
+            arg = node.args[1]
+        else:
+            continue
+        if isinstance(arg, ast.Constant):
+            keys.add(arg.value)
+    return keys
+
+
+def test_readme_names_every_config_key():
+    keys = _config_keys()
+    assert {"kind", "full_scale", "r_sheet", "a"} <= keys
+    assert sorted(keys - _readme_names()) == []
 
 
 def _scipy_imports(tree):

@@ -34,6 +34,7 @@ from fluxdsm.junctions import (
     n_coherence_length,
     nis_current,
     nis_current_lowT,
+    sns_critical_current,
     sns_current,
     sns_prefactor,
 )
@@ -280,6 +281,7 @@ def test_sns_current_phase_relation():
     i = sns_current(cfg, phi)
     i_c = sns_prefactor(cfg, 1) * math.exp(
         -cfg.d / n_coherence_length(LEAD.vF, cfg.T))
+    assert sns_critical_current(cfg) == i_c
     np.testing.assert_allclose(i, i_c * np.sin(phi), rtol=1e-12, atol=1e-15)
 
 

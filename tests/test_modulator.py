@@ -641,10 +641,16 @@ def test_sndr_pure_tone_floor():
     assert band_sndr(power_spectrum(x)[1], 16, 501) > 200.0
 
 
-def test_sndr_silent_band_reports_floor_code():
+def test_sndr_band_without_noise_is_rejected():
     # osr 4 with the tone at bin 5: every in-band noise bin falls inside
-    # the guard window, so the noise sum is exactly zero
-    assert band_sndr(power_spectrum(make_tone(64, 5, 1.0))[1], 4, 5) == 320.0
+    # the guard window, so the band holds no noise bin
+    with pytest.raises(ConfigError, match="no noise bin in the band"):
+        band_sndr(power_spectrum(make_tone(64, 5, 1.0))[1], 4, 5)
+    # noise bins that hold no power would divide by zero
+    power = np.zeros(64)
+    power[5] = 1.0
+    with pytest.raises(DomainError, match="no noise power in the band"):
+        band_sndr(power, 4, 5)
 
 
 def test_sndr_validation():

@@ -20,13 +20,14 @@ from fluxdsm.comparator import make_comparator
 from fluxdsm.constants import CODATA
 from fluxdsm.csvtext import (CSV_CHUNK_ROWS, CSV_COLUMNAR_ROWS, spell,
                              write_csv)
-from fluxdsm.electrodynamics import (solenoid_field,
+from fluxdsm.electrodynamics import (SlabConfig,
                                      square_loop_current_for_field)
 from fluxdsm.errors import (ConfigError, DomainError, FluxLossError,
                             UnknownKeyError)
 from fluxdsm.fluxtrap import CylinderGeometry
 from fluxdsm.junctions import (BCS_GAP_RATIO, JunctionConfig, check_nis,
                                nis_current)
+from fluxdsm.materials import get_material
 from fluxdsm.modulator import ModulatorConfig, run_modulator
 from fluxdsm.noise import (NoiseModel, check_synthesis_limits,
                            synth_flicker_series)
@@ -128,11 +129,12 @@ JUNCTION_LOAD_REJECTIONS = [
     (SNS_BODY, SNS_BODY.replace("t = 4.2", "t = 0"),
      "temperature must be positive"),
     (SNS_BODY, SNS_BODY + "form = 4\n", "unknown prefactor form 4"),
-    (SNS_BODY, SNS_BODY + "form = 3\n", "form 3 needs a positive"),
+    (SNS_BODY, SNS_BODY + "form = 3\n",
+     "missing required key 'r_sheet'"),
     (SNS_BODY, SNS_BODY + "form = 3\nr_sheet = 0\n",
      "form 3 needs a positive"),
     (SNS_BODY, SNS_BODY.replace("material = lead", "delta = 2e-22"),
-     "SNS prefactor needs a material"),
+     "missing required key 'material'"),
     # a material above its Tc (lead: 7.19 K) has no gap
     (NIS_BODY, NIS_BODY.replace("t = 0.3128", "t = 20"),
      "t = 20 K is not below lead's Tc 7.19 K"),
@@ -166,8 +168,6 @@ PHASE_LOAD_REJECTIONS = [
      SUPER_SLAB_BODY.replace("t = 4.2", "t = 7.19"),
      "t = 7.19 K is not below lead's Tc 7.19 K"),
 ]
-LOAD_MESSAGES = {bad: msg for _, bad, msg in JUNCTION_LOAD_REJECTIONS}
-LOAD_MESSAGES.update((bad, msg) for _, _, bad, msg in PHASE_LOAD_REJECTIONS)
 
 MOD_NO_INPUT_BODY = MOD_DC_BODY.replace("dc = 0.25\n", "")
 # a [device] section alone makes the loop's first integrator the device
@@ -176,7 +176,29 @@ MOD_DEVICE_DC_BODY = MOD_DC_BODY + """
 radius = 0.02
 n_segments = 4
 """
-MOD_TONE_BODY = MOD_DC_BODY.replace("dc = 0.25", "tone_cycles = 3")
+# at osr 16 the band holds noise bins 7 to 32 beside the tone's 0 to 6
+MOD_TONE_BODY = MOD_DC_BODY.replace("dc = 0.25", "tone_cycles = 3\nosr = 16")
+
+# (kind, good body, body rejected at load, message): configs that once
+# ran to exit 0 with a wrong result. A tone band with no noise bin
+# reported sndr_db = 320.0, and an even slab grid reported the profile
+# off x = 0 as its center_* results.
+WRONG_RESULT_REJECTIONS = [
+    ("modulator-run", MOD_TONE_BODY,
+     "[modulator]\nn = 64\nosr = 8\ntone_cycles = 4\namplitude_dbfs = -6\n",
+     "no noise bin in the band 1 to 4 outside the DC bins 0 to 2 and "
+     "signal bins 1 to 7"),
+    ("modulator-run", MOD_TONE_BODY,
+     "[modulator]\nn = 16\nosr = 8\ntone_cycles = 1\n",
+     "no noise bin in the band 1 to 1 outside the DC bins 0 to 2 and "
+     "signal bins 0 to 4"),
+    ("slab-profile", SUPER_SLAB_BODY,
+     SUPER_SLAB_BODY.replace("npoints = 11", "npoints = 4"),
+     "npoints must be at least 3 and odd"),
+]
+LOAD_MESSAGES = {bad: msg for _, bad, msg in JUNCTION_LOAD_REJECTIONS}
+LOAD_MESSAGES.update((bad, msg) for _, _, bad, msg in PHASE_LOAD_REJECTIONS
+                     + WRONG_RESULT_REJECTIONS)
 
 # (kind, good body, body with a key the builder does not read,
 # "line: key" of that key); the bodies start on line 5
@@ -198,7 +220,8 @@ UNREAD_KEY_REJECTIONS = [
      SNS_BODY + "form = 1\nr_sheet = 12345\n", "12: unknown key 'r_sheet'"),
     ("junction-iv", SNS_FORM3_BODY, SNS_FORM3_BODY + "area = 1e-12\n",
      "13: unknown key 'area'"),
-    # modulator keys that no code read for the choices the section makes
+    # modulator keys that no code reads for the choices the section
+    # makes; full_scale alone sets the full scale
     ("modulator-run", MOD_DC_BODY,
      MOD_DC_BODY + "schedule = doubling\n", "8: unknown key 'schedule'"),
     ("modulator-run", MOD_DC_BODY,
@@ -263,6 +286,28 @@ def test_parse_minimal_scenarios():
         assert cfg.output_dir == "."
         assert body.split("]")[0][1:] in cfg.sections
     assert len(SCENARIO_KINDS) == 6
+
+
+def test_minimal_configs_build_the_library_defaults():
+    """A key a config leaves out takes the library's default: the
+    builders' defaults must not drift from the dataclasses'."""
+    def spec(kind, body):
+        return parse_scenario(_scenario(kind, body)).spec[0]
+
+    lead = get_material("lead")
+    assert spec("modulator-run", "[modulator]\ndc = 0.25\n") \
+        == ModulatorConfig()
+    assert spec("junction-iv", "[junction]\nmode = nis\nmaterial = lead\n"
+                "t = 1\nv_start = 0\nv_stop = 1e-3\n") \
+        == JunctionConfig(delta=lead.delta, T=1.0, d=0.0)
+    assert spec("junction-iv", "[junction]\nmode = sns\nmaterial = lead\n"
+                "t = 4.2\nd = 1e-7\n") \
+        == JunctionConfig(delta=lead.delta, T=4.2, d=1e-7, material=lead)
+    assert spec("noise-psd", "[noise]\ntau1 = 2\ntau2 = 2e4\n") \
+        == NoiseModel(R0=1.0, tau1=2.0, tau2=2e4, kprime=1.0)
+    assert spec("slab-profile", "[slab]\nmaterial = lead\nregime = super\n"
+                "d = 2e-7\nb0 = 1e-3\n") \
+        == SlabConfig(d=2e-7, material=lead, B0=1e-3, omega=0.0)
 
 
 def test_parse_missing_scenario_section():
@@ -356,7 +401,7 @@ def test_bad_value_reported_before_unread_key():
     ("modulator-run", MOD_DC_BODY + "a = 1,0.5,0.1\n",
      "a and c must each have one entry per stage"),
     ("modulator-run", MOD_DC_BODY.replace("dc = 0.25", "tone_cycles = 9"),
-     "tone_cycles must lie in the band"),
+     "signal bin 9 outside the modulator band 1 to n / \\(2 osr\\) = 4"),
     ("modulator-run", MOD_DC_BODY + "a = two,four\n",
      "comma separated float list"),
     ("modulator-run", MOD_NO_INPUT_BODY, "needs dc or tone_cycles"),
@@ -524,6 +569,17 @@ def test_run_junction_sns(tmp_path):
     assert "i_critical = " in (tmp_path / "report.txt").read_text()
 
 
+@pytest.mark.parametrize("phi_points", [2, 3, 4])
+def test_sns_i_critical_is_the_closed_form(tmp_path, phi_points):
+    # the largest sample of a coarse grid misses the peak at phi = pi/2:
+    # 0.0 at 2 points, 1.5e-14 at 3 and 106.35 at 4
+    body = SNS_BODY.replace("phi_points = 9", f"phi_points = {phi_points}")
+    run_scenario(parse_scenario(_scenario("junction-iv", body)),
+                 str(tmp_path))
+    report = (tmp_path / "report.txt").read_text().splitlines()
+    assert "i_critical = 122.80449997332772" in report
+
+
 def test_run_noise_psd(tmp_path):
     cfg = parse_scenario(_scenario("noise-psd", NOISE_BODY))
     written = run_scenario(cfg, str(tmp_path))
@@ -552,23 +608,9 @@ def test_run_modulator_dc(tmp_path):
     assert spec[0] == "freq,power" and len(spec) == 513
 
 
-def test_input_coil_sets_full_scale(tmp_path):
-    # the input solenoid's field at full drive is the full scale
-    coil = MOD_DC_BODY + "input_coil_n = 1e4\ninput_coil_imax = 1e-3\n"
-    field = MOD_DC_BODY + f"full_scale = {solenoid_field(1e4, 1e-3)!r}\n"
-    for name, body in (("coil", coil), ("field", field),
-                       ("default", MOD_DC_BODY)):
-        run_scenario(parse_scenario(_scenario("modulator-run", body)),
-                     str(tmp_path / name))
-    for csv in ("codes.csv", "spectrum.csv"):
-        assert (tmp_path / "coil" / csv).read_bytes() == \
-            (tmp_path / "field" / csv).read_bytes()
-    assert (tmp_path / "coil" / "codes.csv").read_bytes() != \
-        (tmp_path / "default" / "codes.csv").read_bytes()
-
-
 def test_run_modulator_tone(tmp_path):
-    body = "[modulator]\nn = 1024\ntone_cycles = 5\nosr = 64\n"
+    # bins 3 to 32 of the band hold noise bins beside the tone's 2 to 8
+    body = "[modulator]\nn = 4096\ntone_cycles = 5\nosr = 64\n"
     cfg = parse_scenario(_scenario("modulator-run", body))
     run_scenario(cfg, str(tmp_path))
     assert "sndr_db = " in (tmp_path / "report.txt").read_text()
@@ -593,7 +635,7 @@ def test_run_modulator_device_backend(tmp_path):
 
 @pytest.mark.parametrize("body,osr,fs,segments", [
     (MOD_DC_BODY, 128, 1.0, None),
-    (MOD_TONE_BODY.replace("n = 1024", "n = 1024\nosr = 16\nfs = 2e6"),
+    (MOD_TONE_BODY.replace("n = 1024", "n = 1024\nfs = 2e6"),
      16, 2e6, None),
     (MOD_DEVICE_DC_BODY.replace("n = 1024", "n = 1024\nfs = 3.7e7"),
      128, 3.7e7, 4),
@@ -965,7 +1007,8 @@ def test_cli_schedule_not_utf8_exit_2(tmp_path, capsys):
      NIS_BODY.replace("t = 0.3128", "t = inf")),
 ] + [("junction-iv", good, bad)
      for good, bad, _ in JUNCTION_LOAD_REJECTIONS] + [
-    (kind, good, bad) for kind, good, bad, _ in PHASE_LOAD_REJECTIONS])
+    (kind, good, bad) for kind, good, bad, _ in PHASE_LOAD_REJECTIONS
+    + WRONG_RESULT_REJECTIONS])
 def test_cli_load_rejection_writes_nothing(tmp_path, capsys, kind, good,
                                            bad):
     # the batch loads both configs before it runs the good one
@@ -1020,6 +1063,15 @@ def test_cli_unread_key_exit_3(tmp_path, capsys, kind, good, bad,
      SLAB_BODY + "\n[device]\nradius = 0.02\nn_segments = 4\n",
      "bad.cfg:13: section [device] does not belong to a slab-profile "
      "scenario"),
+    # a value the cylinder or the input-noise band rejects is named at
+    # its own section's line, not at [modulator]'s
+    ("modulator-run", MOD_DEVICE_DC_BODY.replace("radius = 0.02",
+                                                 "radius = -1"),
+     "bad.cfg:9: radius must be positive"),
+    ("modulator-run", MOD_DC_BODY.replace("n = 1024", "n = 4096")
+     + INPUT_NOISE_BODY.replace("tau1 = 2", "tau1 = 5")
+     .replace("tau2 = 2e4", "tau2 = 2"),
+     "bad.cfg:9: relaxation times tau1 = 5.0 s, tau2 = 2.0 s"),
 ])
 def test_cli_load_rejection_names_location(tmp_path, capsys, kind, body,
                                            where):

@@ -17,7 +17,9 @@ def _load(name):
 
 def test_osr_sweep_prints_both_tables(capsys):
     osr_sweep = _load("osr_sweep")
-    osr_sweep.N = 2 ** 12
+    # the least N whose band at osr 256, bins 3 to 16, holds noise bins
+    # beside the tone's 6 to 12
+    osr_sweep.N = 2 ** 13
     osr_sweep.main()
     lines = capsys.readouterr().out.splitlines()
     osr_rows = [line.split() for line in lines[1:lines.index("")]]

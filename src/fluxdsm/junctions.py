@@ -362,7 +362,10 @@ NIS_RTOL = 1e-9
 
 
 def _nis_integrand(s, ev, kt, z):
-    """The NIS kernel of nis_current in gap units."""
+    """The NIS kernel of nis_current in gap units. nis_current does not
+    call it or _nis_integrand_small: _quadpack.nis_rule writes both out
+    node by node, bit for bit, and the tests integrate them with
+    scipy's quad as its oracle."""
     return _btk_kernel(abs(s), z) * (_fermi(s - ev, kt) - _fermi(s, kt))
 
 
@@ -384,7 +387,7 @@ def _nis_integrand_small(s, ev, kt, z):
             / (math.cosh(u) + math.cosh(0.5 * a)))
 
 
-def nis_current(cfg: JunctionConfig, voltage):
+def nis_current(cfg: JunctionConfig, voltage, full_output=False):
     """NIS junction current by quadrature of the interface kernel:
 
         I(V) = prefactor * Integral (1 + A(eps) - B(eps))
@@ -399,17 +402,23 @@ def nis_current(cfg: JunctionConfig, voltage):
         1 + A - B = 2 / (e^2 + (1 - e^2)(1 + 2 Z^2)^2)      e < 1
         1 + A - B = 2 / (1 + eta (1 + 2 Z^2)),  eta = sqrt(e^2 - 1)/e
 
-    which equals 1 + A - B from btk_probabilities. The per-point error
-    contract is unchanged: each voltage is its own adaptive quadrature,
-    checked against its own error bound.
+    which equals 1 + A - B from btk_probabilities. Each voltage is its
+    own adaptive quadrature, checked against its own error bound: the
+    package's port of QUADPACK's dqagpe (Piessens, de Doncker-Kapenga,
+    Ueberhuber & Kahaner, QUADPACK, Springer 1983) with the 21-point
+    Gauss-Kronrod rule, split at e = -1, 1 and eV/delta. It equals
+    scipy.integrate.quad with those points bit for bit.
 
     voltage (volts) may have any shape; the currents (amperes) have its
+    shape. With full_output, returns (currents, evals), evals the
+    integrand evaluations of each voltage's quadrature, of the same
     shape. Raises DomainError outside check_nis's domain, and
     QuadratureError if the integrator cannot reach NIS_RTOL at a
     voltage; its diagnostics carry the estimate and its abserr.
     """
-    # scipy loads here, not with the package: no other kind needs it
-    from scipy.integrate import quad
+    # the quadrature loads here, not with the package: no other kind
+    # needs it
+    from ._quadpack import nis_rule, qagpe
 
     volts = np.asarray(voltage, dtype=float)
     check_nis(cfg, volts)
@@ -420,19 +429,15 @@ def nis_current(cfg: JunctionConfig, voltage):
     z = cfg.Z
 
     vals = np.empty_like(volts)
+    evals = np.empty(volts.shape, dtype=np.int64)
     for i in np.ndindex(volts.shape):
         v = volts[i]
         ev = CODATA.e * float(v) / delta
         lo = min(-30.0 * kt, ev - 30.0 * kt, -1.5)
         hi = max(30.0 * kt, ev + 30.0 * kt, 1.5)
-        breakpoints = sorted(p for p in (-1.0, 1.0, ev) if lo < p < hi)
-        integrand = (_nis_integrand_small if abs(ev) < NIS_SMALL_EV * kt
-                     else _nis_integrand)
-        # full_output returns QUADPACK's message instead of warning; the
-        # estimated-error check below is the convergence contract
-        val, err = quad(integrand, lo, hi, args=(ev, kt, z),
-                        points=breakpoints, limit=400, epsabs=0.0,
-                        epsrel=NIS_RTOL, full_output=1)[:2]
+        rule = nis_rule(abs(ev) < NIS_SMALL_EV * kt)(ev, kt, z)
+        val, err, evals[i] = qagpe(rule, lo, hi, points=[-1.0, 1.0, ev],
+                                   epsabs=0.0, epsrel=NIS_RTOL, limit=400)
         scale = max(abs(val), kt)
         if err > 1e3 * NIS_RTOL * scale:
             raise QuadratureError(
@@ -440,7 +445,8 @@ def nis_current(cfg: JunctionConfig, voltage):
                 diagnostics={"estimate": val, "abserr": err})
         vals[i] = val
     # one numpy product, so an overflow meets the caller's np.errstate
-    return (cfg.prefactor * delta * vals)[()]
+    currents = (cfg.prefactor * delta * vals)[()]
+    return (currents, evals[()]) if full_output else currents
 
 
 def nis_current_lowT(cfg: JunctionConfig, voltage):

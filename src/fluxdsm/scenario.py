@@ -272,9 +272,10 @@ def _build_junction(sec: Section, sections, config_dir: str):
 def _run_junction(cfg: ScenarioConfig):
     jc, mode, grid, form = cfg.spec
     if mode == "nis":
-        currents = nis_current(jc, grid)
+        currents, evals = nis_current(jc, grid, full_output=True)
         return [("iv.csv", ("v", "i"), (grid, currents))], [
-            ("i_max", currents.max()), ("mode", "nis")]
+            ("i_max", currents.max()), ("mode", "nis"),
+            ("quad_evals", evals.sum())]
     currents = sns_current(jc, grid, form=form)
     return [("iv.csv", ("phi", "i"), (grid, currents))], [
         ("i_critical", sns_critical_current(jc, form)), ("mode", "sns")]

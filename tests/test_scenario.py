@@ -16,12 +16,14 @@ from hypothesis import given, settings, strategies as st
 
 from fluxdsm import errors, scenario
 from fluxdsm.cli import main
-from fluxdsm.comparator import make_comparator
+from fluxdsm.comparator import (REFERENCE_I_BIAS, REFERENCE_SIDE,
+                                make_comparator)
 from fluxdsm.constants import CODATA
 from fluxdsm.csvtext import (CSV_CHUNK_ROWS, CSV_COLUMNAR_ROWS, spell,
                              write_csv)
-from fluxdsm.electrodynamics import (SlabConfig,
-                                     square_loop_current_for_field)
+from fluxdsm.electrodynamics import (SlabConfig, normal_slab_profile,
+                                     square_loop_current_for_field,
+                                     super_slab_profile)
 from fluxdsm.errors import (ConfigError, DomainError, FluxLossError,
                             UnknownKeyError)
 from fluxdsm.fluxtrap import CylinderGeometry
@@ -1561,3 +1563,70 @@ def test_load_limit_ends(tmp_path, limit):
     out = tmp_path / "out"
     assert main(["--config", cfg_path, "--out", str(out)]) == 4
     assert not out.exists()
+
+
+def _nis_sweep(key, value):
+    """NIS_BODY with one sweep key set to value."""
+    return "junction-iv", re.sub(rf"^{key} = .*$", f"{key} = {value!r}",
+                                 NIS_BODY, flags=re.M)
+
+
+def _run_body(kind, body):
+    """Load and run one scenario through the library."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "end.cfg")
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            fh.write(_scenario(kind, body))
+        run_scenario(load_scenario(cfg_path), os.path.join(tmp, "out"))
+
+
+NORMAL_SLAB = SlabConfig(d=2e-4, material=get_material("lead"), B0=1e-6,
+                         omega=1e5)
+SUPER_SLAB = SlabConfig(d=2e-7, material=get_material("lead"), B0=1e-3,
+                        omega=0.0, T=4.2)
+
+# Ends of checks that no other test reaches: the library call (for
+# None, a load and run of the config) passes at each inside value and
+# raises the error with its message at each past value; with a config,
+# the CLI exits 0 at the first inside value and 4 at the first past one.
+CHECK_ENDS = {
+    "nis-sweep-order": (
+        None, [math.nextafter(4e-3, 0.0)], [4e-3, 5e-3], ConfigError,
+        "v_start must be below v_stop", lambda v: _nis_sweep("v_start", v)),
+    "nis-points": (
+        None, [2], [1, 0], ConfigError, "points must be at least 2",
+        lambda n: _nis_sweep("points", n)),
+    # a negative side passes the later 0 < side**2 < inf
+    "comparator-side": (
+        lambda side: make_comparator(side, REFERENCE_I_BIAS),
+        [REFERENCE_SIDE], [-REFERENCE_SIDE, math.nan], DomainError,
+        "loop side must be positive",
+        lambda side: ("comparator-curve", COMP_BODY + f"side = {side!r}\n")),
+    # no config reaches it: a slab grid has at least 3 points
+    "slab-grid": (
+        lambda x: (normal_slab_profile(NORMAL_SLAB, x),
+                   super_slab_profile(SUPER_SLAB, x)),
+        [[0.0]], [[], np.zeros((1, 1)), np.zeros((2, 3))], DomainError,
+        "x must be a non-empty 1-D grid", None),
+}
+
+
+@pytest.mark.parametrize("check", list(CHECK_ENDS))
+def test_check_ends(tmp_path, capsys, check):
+    call, inside, past, error, message, config = CHECK_ENDS[check]
+    if call is None:
+        def call(value):
+            _run_body(*config(value))
+    for value in inside:
+        call(value)
+    for value in past:
+        with pytest.raises(error, match=re.escape(message)):
+            call(value)
+    if config is None:
+        return
+    for value, code in ((inside[0], 0), (past[0], 4)):
+        cfg_path = _write(tmp_path, "end.cfg", _scenario(*config(value)))
+        out = tmp_path / f"out{code}"
+        assert main(["--config", cfg_path, "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+    assert message in capsys.readouterr().err

@@ -1,4 +1,5 @@
-"""How every artifact spells a value, and the CSV writer.
+"""How every artifact spells a value, the CSV writer, and the one
+function that writes an artifact file.
 
 A float, Python or numpy, is spelled as repr spells it (the shortest
 digits that read back as the same float64, so equal values are equal
@@ -10,10 +11,16 @@ for a float). Cells are joined by ',' and each row ends in '\\n'.
 
 write_csv classifies each column once (_classify), which picks both its
 format in the row template and its column-wise encoder, if it has one.
-A table of at least CSV_COLUMNAR_ROWS rows whose columns all have one
-is encoded column-wise with numpy, any other row by row through one
-template, which is faster on short tables. Both write CSV_CHUNK_ROWS
-rows at a time, with the same bytes.
+A table of at least CSV_COLUMNAR_CELLS cells (rows x columns) whose
+columns all have one is encoded column-wise with numpy, any other row
+by row through one template, which is faster on small tables. Both
+write CSV_CHUNK_ROWS rows at a time, with the same bytes. A Ryu run
+costs as much as about 600 cells before its first cell, so where the
+float columns of a chunk hold at most CSV_RUN_CELLS cells together, one
+run encodes them all.
+
+Every artifact, CSV or report.txt, is written by write_artifact, as a
+new file.
 
 Column-wise, each row is laid out in 8-byte words, with NUL bytes
 wherever a cell is shorter than its words, and the NULs are dropped in
@@ -21,20 +28,20 @@ one bytes.translate. A word is a uint64 whose byte k is character k,
 kept in a little-endian array, so its bytes read in order. The first
 two characters of a cell's first word are kept free for the ',' before
 it and its sign; a float's exponent suffix takes one more word, in
-blocks where some float needs one; a row ends with a '\\n' word.
+each Ryu run where some float needs one; a row ends with a '\\n' word.
 
 The shortest round-trip digits of a float come from Ryu's d2d (Adams,
 "Ryu: fast float-to-string conversion", PLDI 2018) run on whole
 arrays, its 128-bit products built from 32-bit halves in uint64
-arithmetic. Each distinct bit pattern of a chunk's float column is
-encoded once (np.unique), and its words are gathered back into the
-column's rows: a column of few distinct values, such as a telegraph
-series, costs a Ryu run per value, not per cell. uint64 and int64
-arrays never meet in one operation: numpy < 2 promotes that mix to
-float64.
+arithmetic. Each distinct bit pattern of a run is encoded once
+(np.unique), and its words are gathered back into the columns' rows: a
+column of few distinct values, such as a telegraph series, costs Ryu's
+work per value, not per cell. uint64 and int64 arrays never meet in
+one operation: numpy < 2 promotes that mix to float64.
 """
 
 import functools
+import os
 from itertools import islice, starmap
 
 import numpy as np
@@ -362,6 +369,24 @@ def _encode_rows(cells) -> bytes:
     return rows.tobytes().translate(None, b"\0")
 
 
+def _encode_chunk(columns, encoders) -> bytes:
+    """CSV lines of a chunk of equal-length 1-d numpy columns, each with
+    its column-wise encoder. Where the float columns hold at most
+    CSV_RUN_CELLS cells together, one _float_cells run encodes them
+    all; any other column is encoded on its own."""
+    floats = [i for i, encode in enumerate(encoders) if encode is _float_cells]
+    m = columns[0].size
+    if len(floats) < 2 or m * len(floats) > CSV_RUN_CELLS:
+        return _encode_rows([encode(c) for c, encode in zip(columns, encoders)])
+    cells = [None if encode is _float_cells else encode(c)
+             for c, encode in zip(columns, encoders)]
+    words, sign = _float_cells(np.concatenate([columns[i] for i in floats]))
+    for k, i in enumerate(floats):
+        own = slice(k * m, (k + 1) * m)
+        cells[i] = [word[own] for word in words], sign[own]
+    return _encode_rows(cells)
+
+
 # the column-wise encoders, by the dtype of a 1-d array (the dtypes
 # the runners write)
 _ENCODERS = {np.dtype(np.float64): _float_cells,
@@ -380,8 +405,28 @@ def _classify(column):
 
 # rows per write: bounds the text held in memory on long tables
 CSV_CHUNK_ROWS = 1 << 14
-# the fewest rows that the column-wise encoders write faster
-CSV_COLUMNAR_ROWS = 512
+# the most float cells of a chunk that one Ryu run encodes together: a
+# run's fixed cost outweighs its cost per cell on small columns, but a
+# larger run costs more per cell than one run per column
+CSV_RUN_CELLS = 1 << 12
+# the fewest cells (rows x columns) that the column-wise encoders write
+# faster
+CSV_COLUMNAR_CELLS = 512
+
+
+def write_artifact(path: str, chunks) -> None:
+    """Write the bytes of chunks, an iterable, to path as a new file.
+    An existing file at path is unlinked first, so a hard link or a
+    symlink there is replaced, not written through: rewriting a file in
+    place costs several times more on file systems that flush on
+    truncation, such as ext4."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    with open(path, "xb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def write_csv(path: str, header, columns) -> None:
@@ -392,21 +437,25 @@ def write_csv(path: str, header, columns) -> None:
     n = len(columns[0]) if columns else 0
     if any(len(c) != n for c in columns):
         raise ValueError("CSV columns differ in length")
+    write_artifact(path, _csv_lines(header, columns, n))
+
+
+def _csv_lines(header, columns, n):
+    """The bytes of write_csv's file, chunk by chunk."""
+    yield (",".join(header) + "\n").encode()
     kinds = [_classify(c) for c in columns]
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        if n >= CSV_COLUMNAR_ROWS and all(encode for _, encode in kinds):
-            for start in range(0, n, CSV_CHUNK_ROWS):
-                fh.write(_encode_rows(
-                    [encode(c[start:start + CSV_CHUNK_ROWS])
-                     for c, (_, encode) in zip(columns, kinds)]))
-            return
-        # one template per table: formatting per value is slower
-        fmt = (",".join(template for template, _ in kinds) + "\n").format
-        rows = zip(*(c.tolist() if isinstance(c, np.ndarray)
-                     else map(spell, c) for c in columns))
-        while chunk := "".join(starmap(fmt, islice(rows, CSV_CHUNK_ROWS))):
-            fh.write(chunk.encode())
+    encoders = [encode for _, encode in kinds]
+    if n * len(columns) >= CSV_COLUMNAR_CELLS and all(encoders):
+        for start in range(0, n, CSV_CHUNK_ROWS):
+            yield _encode_chunk([c[start:start + CSV_CHUNK_ROWS]
+                                 for c in columns], encoders)
+        return
+    # one template per table: formatting per value is slower
+    fmt = (",".join(template for template, _ in kinds) + "\n").format
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray)
+                 else map(spell, c) for c in columns))
+    while chunk := "".join(starmap(fmt, islice(rows, CSV_CHUNK_ROWS))):
+        yield chunk.encode()
 
 
 def spell(value) -> str:

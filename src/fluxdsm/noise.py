@@ -12,6 +12,7 @@ flicker band, whose closed form is
 k' absorbs the 4*R0*k normalization of the underlying rate density.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -157,6 +158,18 @@ def synth_flicker_series(model: NoiseModel, n: int,
     return out
 
 
+@functools.lru_cache(maxsize=4)
+def _welch_window(m: int, fs: float) -> np.ndarray:
+    """welch_psd's periodic Hann window of m points with its density
+    scale at sample rate fs, built once per (m, fs) and shared by every
+    caller, so it is read-only."""
+    w = 0.5 + 0.5 * np.cos(np.linspace(-math.pi, math.pi, m + 1)[:-1])
+    # Python's left-to-right sum, as scipy sums it
+    w = w * (1.0 / np.sqrt(sum(w**2) / (1.0 / fs)))
+    w.setflags(write=False)
+    return w
+
+
 def welch_psd(x, fs: float, nperseg: int):
     """One-sided Welch PSD of a real series: periodic Hann segments of
     nperseg samples at half overlap, each less its mean, density
@@ -169,9 +182,7 @@ def welch_psd(x, fs: float, nperseg: int):
     """
     x = np.asarray(x, dtype=float)
     m = nperseg
-    w = 0.5 + 0.5 * np.cos(np.linspace(-math.pi, math.pi, m + 1)[:-1])
-    # Python's left-to-right sum, as scipy sums it
-    w = w * (1.0 / np.sqrt(sum(w**2) / (1.0 / fs)))
+    w = _welch_window(m, fs)
     hop = m - m // 2
     nseg = (x.size - m // 2) // hop
     seg = sliding_window_view(x, m)[::hop][:nseg]

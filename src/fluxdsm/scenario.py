@@ -19,7 +19,7 @@ import numpy as np
 from . import modulator
 from .comparator import (REFERENCE_I_BIAS, REFERENCE_SIDE, make_comparator,
                          quantize)
-from .csvtext import spell, write_csv
+from .csvtext import spell, write_artifact, write_csv
 from .electrodynamics import (SlabConfig, normal_slab_profile,
                               square_loop_current_for_field,
                               super_slab_profile)
@@ -112,8 +112,7 @@ def _write_report(path: str, cfg: ScenarioConfig, metrics) -> None:
                   for e in cfg.sections[name].entries]
     for key, value in metrics:
         lines.append(f"{key} = {spell(value)}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_artifact(path, [("\n".join(lines) + "\n").encode()])
 
 
 # ---------------------------------------------------------------- slab

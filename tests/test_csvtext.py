@@ -6,17 +6,27 @@ import math
 import numpy as np
 import pytest
 
-from fluxdsm.csvtext import (CSV_CHUNK_ROWS as CHUNK, CSV_COLUMNAR_ROWS,
-                             _classify, _encode_rows, write_csv)
+from fluxdsm import csvtext
+from fluxdsm.csvtext import (CSV_CHUNK_ROWS as CHUNK, CSV_COLUMNAR_CELLS,
+                             CSV_RUN_CELLS, _classify, _encode_chunk,
+                             write_csv)
 
 
 def _encoded(*columns):
-    """The column-wise encoder's lines of numpy columns, in chunks as
+    """The per-chunk encoder's lines of numpy columns, in chunks as
     write_csv hands them over."""
     encoders = [_classify(c)[1] for c in columns]
-    return b"".join(_encode_rows([encode(c[start:start + CHUNK])
-                                  for encode, c in zip(encoders, columns)])
+    return b"".join(_encode_chunk([c[start:start + CHUNK] for c in columns],
+                                  encoders)
                     for start in range(0, columns[0].size, CHUNK))
+
+
+def _spelled(*columns):
+    """The oracle: each cell as repr spells it, a bool as 1 or 0."""
+    values = [(c.astype(np.int64) if c.dtype == np.bool_ else c).tolist()
+              for c in columns]
+    return "".join(",".join(map(repr, row)) + "\n"
+                   for row in zip(*values)).encode()
 
 
 def _floats():
@@ -91,8 +101,8 @@ def test_repeated_floats_encode_as_repr():
 
 def test_strided_column_matches_row_writer(tmp_path):
     rng = np.random.default_rng(3)
-    z = (rng.standard_normal(CSV_COLUMNAR_ROWS + 7)
-         + 1j * rng.standard_normal(CSV_COLUMNAR_ROWS + 7))
+    z = (rng.standard_normal(CSV_COLUMNAR_CELLS + 7)
+         + 1j * rng.standard_normal(CSV_COLUMNAR_CELLS + 7))
     z.real[::3] = -0.0
     column = z.real
     assert not column.flags.c_contiguous
@@ -121,6 +131,77 @@ def test_rows_join_cells_with_commas():
     flag = np.array([True, False, True])
     assert _encoded(x, k, flag, x) == (b"0.5,0,1,0.5\n-1e+300,1,0,-1e+300\n"
                                        b"nan,2,1,nan\n")
+
+
+def _layouts(n):
+    """Float columns of n rows in each layout, one per column: positional
+    (one a strided view), exponent, and the zeros, infinities and nans
+    of _pool, with int64 and bool columns beside them."""
+    rng = np.random.default_rng(n)
+    z = rng.uniform(-1e4, 1e4, n) + 1j * rng.uniform(-1.0, 1.0, n)
+    exponent = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    odd = np.resize(_pool(), n)
+    return [z.real, rng.integers(-2**63, 2**63, n, dtype=np.int64),
+            exponent, odd, odd < 0.0, z.imag]
+
+
+@pytest.mark.parametrize("n", [
+    # one Ryu run over the four float columns, then one per column
+    CSV_RUN_CELLS // 4, CSV_RUN_CELLS // 4 + 1,
+    # a full chunk, then a last chunk whose float columns share one run
+    CHUNK + 100,
+])
+def test_float_columns_of_a_chunk_encode_as_repr(n):
+    columns = _layouts(n)
+    assert not columns[0].flags.c_contiguous
+    assert _encoded(*columns) == _spelled(*columns)
+
+
+@pytest.mark.parametrize("floats,rows,runs", [
+    (4, CSV_RUN_CELLS // 4, 1),
+    (4, CSV_RUN_CELLS // 4 + 1, 4),
+    # one float column is its own run
+    (1, 10, 1),
+])
+def test_float_columns_share_one_run_while_small(monkeypatch, floats, rows,
+                                                 runs):
+    calls = []
+
+    def counted(x):
+        calls.append(x.size)
+        return float_cells(x)
+
+    float_cells = csvtext._float_cells
+    monkeypatch.setattr(csvtext, "_float_cells", counted)
+    columns = [np.arange(rows) * 0.5 for _ in range(floats)]
+    columns.insert(1, np.arange(rows))
+    encoders = [counted if c.dtype == np.float64 else csvtext._int_cells
+                for c in columns]
+    assert _encode_chunk(columns, encoders) == _spelled(*columns)
+    assert calls == [rows * floats // runs] * runs
+
+
+@pytest.mark.parametrize("rows,columns,by_column", [
+    (CSV_COLUMNAR_CELLS // 4 - 1, 4, False),
+    (CSV_COLUMNAR_CELLS // 4, 4, True),
+    (CSV_COLUMNAR_CELLS - 1, 1, False),
+    (CSV_COLUMNAR_CELLS, 1, True),
+])
+def test_tables_of_enough_cells_go_column_wise(tmp_path, monkeypatch, rows,
+                                               columns, by_column):
+    chunks = []
+    encode_chunk = csvtext._encode_chunk
+
+    def counted(*args):
+        chunks.append(args)
+        return encode_chunk(*args)
+
+    monkeypatch.setattr(csvtext, "_encode_chunk", counted)
+    table = [np.linspace(0.0, 1.0, rows)] * columns
+    write_csv(str(tmp_path / "t.csv"), ("c",) * columns, table)
+    assert len(chunks) == by_column
+    assert (tmp_path / "t.csv").read_bytes() == \
+        b",".join([b"c"] * columns) + b"\n" + _spelled(*table)
 
 
 @pytest.mark.parametrize("column", [

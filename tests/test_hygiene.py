@@ -112,6 +112,40 @@ def test_no_hand_made_scalar_unwrapping(path):
     assert names & {"isscalar", "atleast_1d"} == set()
 
 
+def _file_opens():
+    """(module, function, call, mode) of each call in the package that
+    opens a file by name: open, os.open, os.fdopen, io.open and the
+    pathlib shortcuts. The mode is the second argument as written."""
+    calls = {"open", "fdopen", "read_bytes", "read_text", "write_bytes",
+             "write_text"}
+    found = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        parent = {child: node for node in ast.walk(tree)
+                  for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name not in calls:
+                continue
+            scope = node
+            while scope in parent and not isinstance(scope, ast.FunctionDef):
+                scope = parent[scope]
+            mode = (node.args[1].value if len(node.args) > 1
+                    and isinstance(node.args[1], ast.Constant) else None)
+            found.add((path.name, getattr(scope, "name", None), name, mode))
+    return found
+
+
+def test_one_place_opens_a_file_for_writing():
+    """Every artifact is written by csvtext.write_artifact, as a new
+    file; the one other file the package opens is the config that
+    sectext.read_config reads."""
+    assert _file_opens() == {("csvtext.py", "write_artifact", "open", "xb"),
+                             ("sectext.py", "read_config", "open", "rb")}
+
+
 README = ROOT / "README.md"
 
 

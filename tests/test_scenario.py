@@ -19,8 +19,8 @@ from fluxdsm.cli import main
 from fluxdsm.comparator import (REFERENCE_I_BIAS, REFERENCE_SIDE,
                                 make_comparator)
 from fluxdsm.constants import CODATA
-from fluxdsm.csvtext import (CSV_CHUNK_ROWS, CSV_COLUMNAR_ROWS, spell,
-                             write_csv)
+from fluxdsm.csvtext import (CSV_CHUNK_ROWS, CSV_COLUMNAR_CELLS,
+                             CSV_RUN_CELLS, spell, write_csv)
 from fluxdsm.electrodynamics import (SlabConfig, normal_slab_profile,
                                      square_loop_current_for_field,
                                      super_slab_profile)
@@ -760,16 +760,20 @@ def _numeric_columns(n):
     [[1, 2.5]],  # int-led float column
     [],
     [range(CSV_CHUNK_ROWS + 3), [k * 0.1 for k in range(CSV_CHUNK_ROWS + 3)]],
-    # numpy columns: row by row below CSV_COLUMNAR_ROWS, column-wise
-    # from it on, in chunks of CSV_CHUNK_ROWS
-    _numeric_columns(CSV_COLUMNAR_ROWS - 1),
-    _numeric_columns(CSV_COLUMNAR_ROWS),
+    # five numpy columns: row by row below CSV_COLUMNAR_CELLS cells,
+    # column-wise from it on, in chunks of CSV_CHUNK_ROWS; the two float
+    # columns of a chunk share one Ryu run up to CSV_RUN_CELLS cells
+    _numeric_columns(CSV_COLUMNAR_CELLS // 5),
+    _numeric_columns(CSV_COLUMNAR_CELLS // 5 + 1),
+    _numeric_columns(CSV_RUN_CELLS // 2),
+    _numeric_columns(CSV_RUN_CELLS // 2 + 1),
     _numeric_columns(CSV_CHUNK_ROWS + 3),
     # a telegraph series holds few distinct values, each many times
     [np.arange(4096), synth_flicker_series(NoiseModel(
         R0=1.0, tau1=2.0, tau2=2e4, kprime=1.0, seed=42), 4096, 1.0)],
 ], ids=["mixed", "bools", "int-led-float", "empty", "chunk-boundary",
-        "numeric-by-row", "numeric-by-column", "numeric-by-column-chunks",
+        "numeric-by-row", "numeric-by-column", "numeric-one-run",
+        "numeric-run-per-column", "numeric-by-column-chunks",
         "flicker-series"])
 def test_write_csv_matches_row_writer(tmp_path, columns):
     header = tuple(f"c{i}" for i in range(len(columns) or 2))
@@ -802,13 +806,18 @@ _SPELLED = st.one_of(
 @given(value=_SPELLED)
 def test_csv_cell_is_spelled_value(value):
     """A value's cell is spell(value) in a one-row table, a sequence
-    column of its own or beside a float, and a 512-row array column."""
+    column of its own or beside a float, a 512-row array column, and a
+    256-row array column beside a float column (one Ryu run for both
+    where the value is a float)."""
     cell = spell(value)
+    half = CSV_COLUMNAR_CELLS // 2
     tables = [
         ([[value]], f"{cell}\n"),
         ([(value,) * 3, (0.5,) * 3], f"{cell},0.5\n" * 3),
         ([(value, 0.5)], f"{cell}\n0.5\n"),
-        ([np.full(CSV_COLUMNAR_ROWS, value)], f"{cell}\n" * CSV_COLUMNAR_ROWS),
+        ([np.full(CSV_COLUMNAR_CELLS, value)],
+         f"{cell}\n" * CSV_COLUMNAR_CELLS),
+        ([np.full(half, value), np.full(half, 0.5)], f"{cell},0.5\n" * half),
     ]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "t.csv")
@@ -914,6 +923,39 @@ def test_cli_unwritable_artifact_exit_5(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert out.read_text() == ""
+
+
+def test_cli_rerun_writes_new_files(tmp_path, capsys):
+    """A rerun into a directory that holds longer, stale artifacts leaves
+    exactly the new bytes. An artifact hard-linked or symlinked elsewhere
+    is replaced by a new file, not written through, and an artifact path
+    that is a directory exits 5."""
+    config = str(pathlib.Path(__file__).resolve().parent.parent
+                 / "scenarios" / "comparator_curve.cfg")
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    assert main(["--config", config, "--out", str(fresh)]) == 0
+    names = sorted(p.name for p in fresh.iterdir())
+    assert names == ["curve.csv", "report.txt"]
+    stale = b"stale,9.999999999999999e-300\n" * 2000
+    assert all(len(stale) > (fresh / name).stat().st_size for name in names)
+    out.mkdir()
+    (out / "curve.csv").write_bytes(stale)
+    os.link(out / "curve.csv", tmp_path / "linked.csv")
+    (tmp_path / "target.txt").write_bytes(stale)
+    (out / "report.txt").symlink_to(tmp_path / "target.txt")
+    assert main(["--config", config, "--out", str(out)]) == 0
+    for name in names:
+        assert not (out / name).is_symlink()
+        assert (out / name).read_bytes() == (fresh / name).read_bytes()
+    assert (tmp_path / "linked.csv").read_bytes() == stale
+    assert (tmp_path / "target.txt").read_bytes() == stale
+    capsys.readouterr()
+    (out / "report.txt").unlink()
+    (out / "report.txt").mkdir()
+    assert main(["--config", config, "--out", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert (out / "report.txt").is_dir()
 
 
 def test_cli_device_loop_without_rings_exit_4(tmp_path, capsys):

@@ -352,39 +352,7 @@ def load_schedule(path):
     return parse_schedule(read_config(path), path=str(path))
 
 
-# --- coupled coils and settling -------------------------------------
-
-@dataclass(frozen=True)
-class CoupledCoilResult:
-    """Flux swing of the pickup coil across one amplification cycle,
-    split into the input-signal part and the bias part that a
-    calibration cycle can remove."""
-
-    total: float
-    signal: float
-    calibratable: float
-
-
-def coupled_coil_delta_lambda(n_loops: int, lambda0: float, L: float,
-                              i: float, epsilon: float) -> CoupledCoilResult:
-    """Pickup flux change when N coupled loops hand their flux to the
-    amplifier coil:
-
-        delta_lambda = N (1 - eps) lambda0 + (N - 1)(1 - eps) L i
-
-    The first term scales the per-loop input flux lambda0 (the signal),
-    the second is the bias-current contribution, removable by running a
-    reference cycle. eps is the residual flux fraction left behind.
-    """
-    if not isinstance(n_loops, int) or n_loops < 1:
-        raise DomainError("n_loops must be a positive integer")
-    if not 0.0 <= epsilon <= 1.0:
-        raise DomainError("epsilon must lie in [0, 1]")
-    signal = n_loops * (1.0 - epsilon) * lambda0
-    calibratable = (n_loops - 1) * (1.0 - epsilon) * L * i
-    return CoupledCoilResult(total=signal + calibratable,
-                             signal=signal, calibratable=calibratable)
-
+# --- settling -------------------------------------------------------
 
 def settle_time_classical(n_bits: int, tau: float) -> float:
     """RC settling to half-LSB accuracy of an N-bit converter:

@@ -17,11 +17,6 @@ from .constants import CODATA
 from .errors import DomainError, QuadratureError
 from .materials import Material
 
-ELECTRON = "electron"
-HOLE = "hole"
-NORMAL_SIDE = "normal"
-SUPER_SIDE = "superconductor"
-
 
 @dataclass(frozen=True)
 class JunctionConfig:
@@ -102,33 +97,6 @@ def coherence_factors(eps, delta):
     return u[()], v[()]
 
 
-def dirty_spectrum(xi, delta):
-    """Quasiparticle spectrum and weights for a dirty superconductor.
-
-    For normal-state energy xi (from the Fermi level) and gap delta:
-
-        eps = sqrt(xi^2 + delta^2)
-        |U|^2 = (1 + xi/eps) / 2,   |V|^2 = (1 - xi/eps) / 2
-
-    Notably free of any impurity parameter: a dirty material keeps the
-    clean spectrum, which is the content of the impurity-insensitivity
-    theorem this form embodies. At xi = delta = 0 the weights are the
-    symmetric 1/2, 1/2.
-
-    Returns (eps, u2, v2), each of the shape of xi.
-    """
-    xi = np.asarray(xi, dtype=float)
-    # written as `not x >= 0` so that nan fails the check too
-    if not delta >= 0:
-        raise DomainError("gap must be non-negative")
-    eps = np.hypot(xi, delta)
-    with np.errstate(invalid="ignore"):
-        ratio = np.where(eps > 0, xi / np.where(eps > 0, eps, 1.0), 0.0)
-    u2 = 0.5 * (1.0 + ratio)
-    v2 = 0.5 * (1.0 - ratio)
-    return eps[()], u2[()], v2[()]
-
-
 def btk_probabilities(eps, delta, Z):
     """Delta-barrier scattering probabilities (A, B, C, D).
 
@@ -170,69 +138,6 @@ def btk_probabilities(eps, delta, Z):
         c[sup] = u2 * eta * (1 + Z**2) / gamma**2
         dd[sup] = v2 * eta * Z**2 / gamma**2
     return a[()], b[()], c[()], dd[()]
-
-
-@dataclass(frozen=True)
-class Channel:
-    """One scattering outcome branch."""
-    kind: str        # "reflected" or "transmitted"
-    species: str     # what comes out
-    label: str       # andreev / specular / transmitted / branch-crossed
-    probability: float
-
-
-@dataclass(frozen=True)
-class ScatterOutcome:
-    regime: str      # "sub-gap" or "above-gap"
-    channels: tuple
-
-
-def andreev_outcome(incident_species: str, incident_side: str, eps: float,
-                    delta: float, Z: float = 0.0) -> ScatterOutcome:
-    """Classify what happens to a carrier hitting the interface.
-
-    From the normal side, sub-gap carriers retro-reflect as their
-    conjugate species (Andreev, probability A) while the partner charge
-    crosses as part of a Cooper pair; Z > 0 adds a specular branch.
-    Above the gap the two transmission branches open. From the
-    superconductor side only above-gap quasiparticles propagate, so
-    sub-gap incidence there is a domain error.
-    """
-    if incident_species not in (ELECTRON, HOLE):
-        raise DomainError(f"unknown species '{incident_species}'")
-    if incident_side not in (NORMAL_SIDE, SUPER_SIDE):
-        raise DomainError(f"unknown side '{incident_side}'")
-    if eps <= 0:
-        raise DomainError("energy must be positive")
-    sub_gap = eps < delta
-    if incident_side == SUPER_SIDE and sub_gap:
-        raise DomainError(
-            "no propagating quasiparticles below the gap on the "
-            "superconducting side")
-    a, b, c, d = btk_probabilities(eps, delta, Z)
-    other = HOLE if incident_species == ELECTRON else ELECTRON
-    # outgoing species of the andreev, specular, transmitted and
-    # branch-crossed channels; quasiparticles in the superconductor
-    # are electron-like or hole-like
-    if incident_side == NORMAL_SIDE:
-        species = (other, incident_species, incident_species + "-like",
-                   other + "-like")
-    else:
-        species = (other + "-like", incident_species + "-like",
-                   incident_species, other)
-    channels = [Channel("reflected", species[0], "andreev", a),
-                Channel("reflected", species[1], "specular", b)]
-    if sub_gap:
-        # The Andreev event moves a pair into the condensate; same
-        # event as branch A, listed with zero extra probability
-        # budget so the channel sum stays 1.
-        channels.append(Channel("transmitted", "cooper-pair",
-                                "pair-transfer", 0.0))
-    else:
-        channels += [Channel("transmitted", species[2], "transmitted", c),
-                     Channel("transmitted", species[3], "branch-crossed", d)]
-    return ScatterOutcome(regime="sub-gap" if sub_gap else "above-gap",
-                          channels=tuple(channels))
 
 
 def n_coherence_length(v_fermi: float, T: float) -> float:

@@ -18,7 +18,6 @@ from fluxdsm.fluxtrap import (
     FieldStep,
     FluxTrapState,
     Ring,
-    coupled_coil_delta_lambda,
     default_amplification_schedule,
     doubling_amplification_schedule,
     iterate_sequence,
@@ -376,38 +375,6 @@ def test_load_schedule(tmp_path):
     p = tmp_path / "walk.sched"
     p.write_text(DOUBLING_TEXT)
     assert load_schedule(p) == doubling_amplification_schedule()
-
-
-def test_coupled_coil_worked_example():
-    res = coupled_coil_delta_lambda(4, 1.0, 1.0, 0.25, 0.0)
-    assert res.signal == pytest.approx(4.0, rel=1e-15)
-    assert res.calibratable == pytest.approx(0.75, rel=1e-15)
-    assert res.total == pytest.approx(4.75, rel=1e-15)
-
-
-def test_coupled_coil_full_residual_kills_swing():
-    res = coupled_coil_delta_lambda(4, 1.0, 1.0, 0.25, 1.0)
-    assert res.total == 0.0 and res.signal == 0.0 and res.calibratable == 0.0
-
-
-@given(n=st.integers(min_value=1, max_value=64),
-       lam=st.floats(min_value=-1.0, max_value=1.0),
-       li=st.floats(min_value=-1.0, max_value=1.0),
-       eps=st.floats(min_value=0.0, max_value=1.0))
-def test_coupled_coil_parts_sum(n, lam, li, eps):
-    res = coupled_coil_delta_lambda(n, lam, 1.0, li, eps)
-    assert res.total == pytest.approx(res.signal + res.calibratable,
-                                      rel=1e-12, abs=1e-15)
-    # signal is linear in the per-loop flux
-    res2 = coupled_coil_delta_lambda(n, 2 * lam, 1.0, li, eps)
-    assert res2.signal == pytest.approx(2 * res.signal, rel=1e-12, abs=1e-15)
-
-
-def test_coupled_coil_validation():
-    with pytest.raises(DomainError, match="positive integer"):
-        coupled_coil_delta_lambda(0, 1.0, 1.0, 1.0, 0.0)
-    with pytest.raises(DomainError, match="epsilon"):
-        coupled_coil_delta_lambda(2, 1.0, 1.0, 1.0, 1.5)
 
 
 def test_settle_time_classical_frozen():

@@ -14,10 +14,6 @@ from scipy.special import expit
 from fluxdsm.constants import CODATA
 from fluxdsm.errors import DomainError, QuadratureError
 from fluxdsm.junctions import (
-    ELECTRON,
-    HOLE,
-    NORMAL_SIDE,
-    SUPER_SIDE,
     BCS_GAP_RATIO,
     NIS_MAX_EV,
     NIS_RTOL,
@@ -27,10 +23,8 @@ from fluxdsm.junctions import (
     _fermi,
     _nis_integrand,
     _nis_integrand_small,
-    andreev_outcome,
     btk_probabilities,
     coherence_factors,
-    dirty_spectrum,
     n_coherence_length,
     nis_current,
     nis_current_lowT,
@@ -101,31 +95,6 @@ def test_coherence_array_and_validation():
         coherence_factors(1.0, math.nan)
 
 
-def test_dirty_spectrum_gap_edge():
-    eps, u2, v2 = dirty_spectrum(0.0, 1.0)
-    assert eps == 1.0 and u2 == 0.5 and v2 == 0.5
-
-
-def test_dirty_spectrum_gapless_origin():
-    eps, u2, v2 = dirty_spectrum(0.0, 0.0)
-    assert eps == 0.0 and u2 == 0.5 and v2 == 0.5
-
-
-@pytest.mark.parametrize("delta", [-1.0, math.nan])
-def test_dirty_spectrum_rejects_bad_gap(delta):
-    with pytest.raises(DomainError, match="gap"):
-        dirty_spectrum(0.5, delta)
-
-
-@given(xi=st.floats(min_value=-10.0, max_value=10.0),
-       delta=st.floats(min_value=0.0, max_value=5.0))
-def test_dirty_spectrum_properties(xi, delta):
-    eps, u2, v2 = dirty_spectrum(xi, delta)
-    assert eps == pytest.approx(math.hypot(xi, delta), rel=1e-12)
-    assert u2 + v2 == pytest.approx(1.0, rel=1e-12)
-    assert -1e-15 <= u2 <= 1 + 1e-15
-
-
 @given(eps=st.floats(min_value=0.0, max_value=10.0),
        z=st.floats(min_value=0.0, max_value=20.0))
 def test_btk_unitarity(eps, z):
@@ -181,49 +150,6 @@ def test_btk_validation():
         btk_probabilities(math.nan, 1.0, 0.0)
     with pytest.raises(DomainError, match="barrier"):
         btk_probabilities(1.5, 1.0, math.nan)
-
-
-def test_andreev_normal_side_sub_gap():
-    out = andreev_outcome(ELECTRON, NORMAL_SIDE, 0.5, 1.0, Z=1.0)
-    assert out.regime == "sub-gap"
-    labels = [ch.label for ch in out.channels]
-    assert labels == ["andreev", "specular", "pair-transfer"]
-    probability = [ch.probability for ch in out.channels]
-    assert probability[0] == pytest.approx(1.0 / 7.0, rel=1e-12)
-    assert probability[2] == 0.0
-    assert sum(probability) == pytest.approx(1.0, abs=1e-12)
-    # retro-reflection flips the species
-    assert out.channels[0].species == HOLE
-
-
-def test_andreev_normal_side_above_gap():
-    out = andreev_outcome(HOLE, NORMAL_SIDE, 2.0, 1.0, Z=0.5)
-    assert out.regime == "above-gap"
-    assert len(out.channels) == 4
-    assert sum(ch.probability for ch in out.channels) == pytest.approx(
-        1.0, abs=1e-12)
-    assert out.channels[0].species == ELECTRON
-
-
-def test_andreev_super_side_sub_gap_forbidden():
-    with pytest.raises(DomainError, match="below the gap"):
-        andreev_outcome(ELECTRON, SUPER_SIDE, 0.5, 1.0)
-
-
-def test_andreev_super_side_above_gap():
-    out = andreev_outcome(ELECTRON, SUPER_SIDE, 2.0, 1.0, Z=0.5)
-    assert len(out.channels) == 4
-    assert sum(ch.probability for ch in out.channels) == pytest.approx(
-        1.0, abs=1e-12)
-
-
-def test_andreev_validation():
-    with pytest.raises(DomainError, match="species"):
-        andreev_outcome("muon", NORMAL_SIDE, 0.5, 1.0)
-    with pytest.raises(DomainError, match="side"):
-        andreev_outcome(ELECTRON, "vacuum", 0.5, 1.0)
-    with pytest.raises(DomainError, match="energy"):
-        andreev_outcome(ELECTRON, NORMAL_SIDE, 0.0, 1.0)
 
 
 def test_n_coherence_length_frozen():

@@ -25,12 +25,14 @@ from fluxdsm.electrodynamics import (SlabConfig, normal_slab_profile,
                                      square_loop_current_for_field,
                                      super_slab_profile)
 from fluxdsm.errors import (ConfigError, DomainError, FluxLossError,
-                            UnknownKeyError)
+                            PhaseViolationError, UnknownKeyError)
 from fluxdsm.fluxtrap import CylinderGeometry
 from fluxdsm.junctions import (BCS_GAP_RATIO, JunctionConfig, check_nis,
                                nis_current)
-from fluxdsm.materials import get_material
-from fluxdsm.modulator import ModulatorConfig, run_modulator
+from fluxdsm.materials import (check_superconducting, critical_flux_density,
+                               get_material)
+from fluxdsm.modulator import (ModulatorConfig, run_modulator,
+                               test_tone as make_tone)
 from fluxdsm.noise import (NoiseModel, check_synthesis_limits,
                            synth_flicker_series)
 from fluxdsm.scenario import (
@@ -1312,6 +1314,24 @@ def test_cli_seed_override(tmp_path, capsys):
     assert a != (tmp_path / "s2" / "series.csv").read_bytes()
 
 
+def test_cli_seed_zero_is_taken(tmp_path, capsys):
+    """--seed 0, the smallest seed, runs the config at seed 0; -1 is
+    refused with argparse's exit 2."""
+    for seed, sub in ((0, "config0"), (5, "flag0")):
+        cfg_path = _write(tmp_path, f"{sub}.cfg",
+                          _scenario("noise-psd", NOISE_BODY, seed=seed))
+        flag = ["--seed", "0"] if seed else []
+        assert main(["--config", cfg_path, "--out", str(tmp_path / sub)]
+                    + flag) == 0
+    assert ((tmp_path / "flag0" / "series.csv").read_bytes()
+            == (tmp_path / "config0" / "series.csv").read_bytes())
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", cfg_path, "--seed", "-1",
+              "--out", str(tmp_path / "refused")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "refused").exists()
+
+
 @pytest.mark.parametrize("seed,flag,code,where", [
     (0, ["--seed", "-1"], 2, "--seed must be a non-negative integer"),
     (-1, [], 4, "bad.cfg:1: seed must be a non-negative integer"),
@@ -1607,10 +1627,10 @@ def test_load_limit_ends(tmp_path, limit):
     assert not out.exists()
 
 
-def _nis_sweep(key, value):
-    """NIS_BODY with one sweep key set to value."""
-    return "junction-iv", re.sub(rf"^{key} = .*$", f"{key} = {value!r}",
-                                 NIS_BODY, flags=re.M)
+def _keyed(kind, body, key):
+    """A function of one value: (kind, body with key set to it)."""
+    return lambda value: (kind, re.sub(rf"^{key} = .*$", f"{key} = {value!r}",
+                                       body, flags=re.M))
 
 
 def _run_body(kind, body):
@@ -1622,10 +1642,13 @@ def _run_body(kind, body):
         run_scenario(load_scenario(cfg_path), os.path.join(tmp, "out"))
 
 
-NORMAL_SLAB = SlabConfig(d=2e-4, material=get_material("lead"), B0=1e-6,
-                         omega=1e5)
-SUPER_SLAB = SlabConfig(d=2e-7, material=get_material("lead"), B0=1e-3,
-                        omega=0.0, T=4.2)
+LEAD = get_material("lead")
+LEAD_BC = critical_flux_density(LEAD, 4.2)
+NORMAL_SLAB = SlabConfig(d=2e-4, material=LEAD, B0=1e-6, omega=1e5)
+SUPER_SLAB = SlabConfig(d=2e-7, material=LEAD, B0=1e-3, omega=0.0, T=4.2)
+# a first-order loop holds a full-scale DC input, where order 2 leaves
+# its stability bound
+MOD_ORDER1_DC_BODY = MOD_DC_BODY + "a = 1\nc = 1\n"
 
 # Ends of checks that no other test reaches: the library call (for
 # None, a load and run of the config) passes at each inside value and
@@ -1634,10 +1657,43 @@ SUPER_SLAB = SlabConfig(d=2e-7, material=get_material("lead"), B0=1e-3,
 CHECK_ENDS = {
     "nis-sweep-order": (
         None, [math.nextafter(4e-3, 0.0)], [4e-3, 5e-3], ConfigError,
-        "v_start must be below v_stop", lambda v: _nis_sweep("v_start", v)),
+        "v_start must be below v_stop",
+        _keyed("junction-iv", NIS_BODY, "v_start")),
     "nis-points": (
         None, [2], [1, 0], ConfigError, "points must be at least 2",
-        lambda n: _nis_sweep("points", n)),
+        _keyed("junction-iv", NIS_BODY, "points")),
+    "sns-phi-points": (
+        None, [2], [1, 0], ConfigError, "phi_points must be at least 2",
+        _keyed("junction-iv", SNS_BODY, "phi_points")),
+    "slab-npoints": (
+        None, [3], [2, 1], ConfigError, "npoints must be at least 3 and odd",
+        _keyed("slab-profile", SLAB_BODY, "npoints")),
+    "comparator-points": (
+        None, [2], [1, 0], ConfigError, "points must be at least 2",
+        _keyed("comparator-curve", COMP_BODY, "points")),
+    "modulator-dc": (
+        None, [1.0, -1.0], [math.nextafter(1.0, 2.0),
+                            -math.nextafter(1.0, 2.0)],
+        ConfigError, "dc level must lie in [-1, 1]",
+        _keyed("modulator-run", MOD_ORDER1_DC_BODY, "dc")),
+    # lead's critical flux density at 4.2 K is the first past value
+    "critical-field": (
+        lambda b: check_superconducting(LEAD, 4.2, b, "b0"),
+        [math.nextafter(LEAD_BC, 0.0), -math.nextafter(LEAD_BC, 0.0)],
+        [LEAD_BC, -LEAD_BC, math.nan], PhaseViolationError,
+        "is not below the critical flux density",
+        _keyed("slab-profile", SUPER_SLAB_BODY, "b0")),
+    # tau2 / tau1 = 10 exactly, so the band is log10(10) = 1.0 decade
+    "flicker-decade": (
+        lambda tau2: check_synthesis_limits(
+            NoiseModel(R0=1.0, tau1=2.0, tau2=tau2, kprime=1.0), 8192, 1.0),
+        [20.0], [math.nextafter(20.0, 0.0)], DomainError,
+        "flicker band must span at least one decade",
+        _keyed("noise-psd", NOISE_BODY, "tau2")),
+    # no config reaches it: a modulator run has at least 16 samples
+    "tone-samples": (
+        lambda n: make_tone(n, 1, 0.5), [2], [1, 0], DomainError,
+        "need at least two samples", None),
     # a negative side passes the later 0 < side**2 < inf
     "comparator-side": (
         lambda side: make_comparator(side, REFERENCE_I_BIAS),

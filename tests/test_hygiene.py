@@ -3,13 +3,16 @@ physics reads the fixed constants instead of taking them as arguments,
 numpy alone decides what a scalar input returns, every dataclass
 field is read somewhere, every public function and class is read by
 the package, a script, the benchmark or an acceptance check (a pinned
-few excepted), every public method is read by the package or named in
+few excepted, each read by a unit test and listed in README), every
+name README's Library API list gives exists, every public method is
+read by the package or named in
 README, so is every config key a builder reads, README's
 command lines parse and its Python blocks run, scipy loads only where
 the CN oracle runs, no module warns: a failure leaves as a typed
 FluxDsmError, and the generated modulator loop calls no round()."""
 
 import ast
+import importlib
 import os
 import pathlib
 import re
@@ -209,6 +212,45 @@ def test_public_names_are_read():
               for name in _public_definitions(path)
               if name not in referenced}
     assert unread == set(TEST_ONLY)
+
+
+def _library_api():
+    """README's Library API list: each module's bullet and the
+    identifiers that open its backticked spans."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    api = {}
+    for module, body in re.findall(r"^- `fluxdsm\.(\w+)`:(.*?)(?=^- |\Z)",
+                                   section, flags=re.M | re.S):
+        api[module] = [match.group(1)
+                       for span in re.findall(r"`([^`]+)`", body)
+                       if (match := re.fullmatch(r"([A-Za-z_]\w*)(\(.*\))?",
+                                                 span, flags=re.S))]
+    return api
+
+
+def test_readme_library_api_names_exist():
+    """Every name README's Library API list gives under a module is an
+    attribute of that module, so a deleted function leaves no mention."""
+    api = _library_api()
+    assert "fluxtrap" in api and "junctions" in api
+    missing = [f"{module}.{name}" for module, names in api.items()
+               for name in names
+               if not hasattr(importlib.import_module(f"fluxdsm.{module}"),
+                              name)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("qualname", sorted(TEST_ONLY))
+def test_test_only_names_are_tested_and_listed(qualname):
+    """A pinned test-only function keeps its place only while a unit
+    test reads it and README's Library API list names it under its
+    module."""
+    module, name = qualname.split(".")
+    tests = [path for path in sorted((ROOT / "tests").glob("test_*.py"))
+             if path.name != "test_hygiene.py"]
+    assert name in _referenced_names(tests)
+    assert name in _library_api()[module]
 
 
 def _readme_commands():

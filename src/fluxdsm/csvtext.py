@@ -4,20 +4,16 @@ function that writes an artifact file.
 A float, Python or numpy, is spelled as repr spells it (the shortest
 digits that read back as the same float64, so equal values are equal
 bytes), an integer as its decimal digits, a bool as 1 or 0, and
-anything else as str gives it; spell() spells report.txt values and
-each cell of a CSV sequence column. An array column of integers or
-bools is spelled as digits, any other as str gives each value (repr
-for a float). Cells are joined by ',' and each row ends in '\\n'.
+anything else as str gives it. spell() spells each report.txt value
+and each CSV cell; cells are joined by ',' and each row ends in '\\n'.
 
-write_csv classifies each column once (_classify), which picks both its
-format in the row template and its column-wise encoder, if it has one.
-A table of at least CSV_COLUMNAR_CELLS cells (rows x columns) whose
-columns all have one is encoded column-wise with numpy, any other row
-by row through one template, which is faster on small tables. Both
-write CSV_CHUNK_ROWS rows at a time, with the same bytes. A Ryu run
-costs as much as about 600 cells before its first cell, so where the
-float columns of a chunk hold at most CSV_RUN_CELLS cells together, one
-run encodes them all.
+write_csv routes a table by the kind of its columns alone: where each
+column is a 1-d float64, int64 or bool numpy array, numpy encodes the
+table column-wise, in the bytes spell gives; any other table is
+written cell by cell through spell. Both write CSV_CHUNK_ROWS rows at
+a time. A Ryu run costs as much as about 600 cells before its first
+cell, so where the float columns of a chunk hold at most CSV_RUN_CELLS
+cells together, one run encodes them all.
 
 Every artifact, CSV or report.txt, is written by write_artifact, as a
 new file.
@@ -42,7 +38,7 @@ one operation: numpy < 2 promotes that mix to float64.
 
 import functools
 import os
-from itertools import islice, starmap
+from itertools import islice
 
 import numpy as np
 
@@ -393,14 +389,11 @@ _ENCODERS = {np.dtype(np.float64): _float_cells,
              np.dtype(np.int64): _int_cells, np.dtype(np.bool_): _int_cells}
 
 
-def _classify(column):
-    """The format of column in the row template, '{:d}' for an array of
-    integers or bools and '{}' for anything else, and its column-wise
-    encoder, or None where it has none."""
-    if not isinstance(column, np.ndarray):
-        return "{}", None
-    encode = _ENCODERS.get(column.dtype) if column.ndim == 1 else None
-    return ("{:d}" if column.dtype.kind in "biu" else "{}"), encode
+def _encoder(column):
+    """column's column-wise encoder, or None where it has none."""
+    if isinstance(column, np.ndarray) and column.ndim == 1:
+        return _ENCODERS.get(column.dtype)
+    return None
 
 
 # rows per write: bounds the text held in memory on long tables
@@ -409,9 +402,6 @@ CSV_CHUNK_ROWS = 1 << 14
 # run's fixed cost outweighs its cost per cell on small columns, but a
 # larger run costs more per cell than one run per column
 CSV_RUN_CELLS = 1 << 12
-# the fewest cells (rows x columns) that the column-wise encoders write
-# faster
-CSV_COLUMNAR_CELLS = 512
 
 
 def write_artifact(path: str, chunks) -> None:
@@ -443,18 +433,15 @@ def write_csv(path: str, header, columns) -> None:
 def _csv_lines(header, columns, n):
     """The bytes of write_csv's file, chunk by chunk."""
     yield (",".join(header) + "\n").encode()
-    kinds = [_classify(c) for c in columns]
-    encoders = [encode for _, encode in kinds]
-    if n * len(columns) >= CSV_COLUMNAR_CELLS and all(encoders):
+    encoders = [_encoder(c) for c in columns]
+    if all(encoders):
         for start in range(0, n, CSV_CHUNK_ROWS):
             yield _encode_chunk([c[start:start + CSV_CHUNK_ROWS]
                                  for c in columns], encoders)
         return
-    # one template per table: formatting per value is slower
-    fmt = (",".join(template for template, _ in kinds) + "\n").format
-    rows = zip(*(c.tolist() if isinstance(c, np.ndarray)
-                 else map(spell, c) for c in columns))
-    while chunk := "".join(starmap(fmt, islice(rows, CSV_CHUNK_ROWS))):
+    rows = zip(*(map(spell, c) for c in columns))
+    while chunk := "".join(",".join(row) + "\n"
+                           for row in islice(rows, CSV_CHUNK_ROWS)):
         yield chunk.encode()
 
 

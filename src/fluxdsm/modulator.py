@@ -161,9 +161,11 @@ class ModulatorConfig:
         return self.comparator.half_range * self.comparator.b_lsb
 
     @property
-    def quanta_per_unit(self) -> float:
+    def quanta_per_unit(self) -> Optional[float]:
         """Flux quanta that one full-scale unit traps over the bore of
-        the flux-device geometry."""
+        the flux-device geometry. None on the ideal backend."""
+        if self.geometry is None:
+            return None
         return self.full_scale_field * self.geometry.area / CODATA.phi0
 
     @property
@@ -271,14 +273,13 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
         u_n = u + synth_flicker_series(cfg.input_noise, n, cfg.fs)
 
     device_gain = cfg.device_gain
-    quanta_per_unit = 0.0 if device_gain is None else cfg.quanta_per_unit
     codes = np.empty(n)
     loop = _compiled_loop(len(cfg.a), device_gain is not None)
     saturations, state_peak = loop(
         memoryview(u_n), memoryview(codes), cfg.c, cfg.a,
         cfg.stability_bound, float(cfg.comparator.half_range),
         cfg.comparator.b_lsb / cfg.full_scale_field, device_gain,
-        quanta_per_unit)
+        cfg.quanta_per_unit)
     return TraceSet(config=cfg, codes=codes.astype(np.int64),
                     saturation_count=saturations,
                     device_gain=device_gain, state_peak=state_peak)

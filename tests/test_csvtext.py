@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 
 from fluxdsm import csvtext
-from fluxdsm.csvtext import (CSV_CHUNK_ROWS as CHUNK, CSV_COLUMNAR_CELLS,
-                             CSV_RUN_CELLS, _classify, _encode_chunk,
-                             write_csv)
+from fluxdsm.csvtext import (CSV_CHUNK_ROWS as CHUNK, CSV_RUN_CELLS,
+                             _encode_chunk, _encoder, spell, write_csv)
 
 
 def _encoded(*columns):
     """The per-chunk encoder's lines of numpy columns, in chunks as
     write_csv hands them over."""
-    encoders = [_classify(c)[1] for c in columns]
+    encoders = [_encoder(c) for c in columns]
     return b"".join(_encode_chunk([c[start:start + CHUNK] for c in columns],
                                   encoders)
                     for start in range(0, columns[0].size, CHUNK))
@@ -101,13 +100,12 @@ def test_repeated_floats_encode_as_repr():
 
 def test_strided_column_matches_row_writer(tmp_path):
     rng = np.random.default_rng(3)
-    z = (rng.standard_normal(CSV_COLUMNAR_CELLS + 7)
-         + 1j * rng.standard_normal(CSV_COLUMNAR_CELLS + 7))
+    z = rng.standard_normal(519) + 1j * rng.standard_normal(519)
     z.real[::3] = -0.0
     column = z.real
     assert not column.flags.c_contiguous
     write_csv(str(tmp_path / "by_column.csv"), ("x",), [column])
-    # a list goes through the row writer
+    # a list is written cell by cell
     write_csv(str(tmp_path / "by_row.csv"), ("x",), [column.tolist()])
     assert (tmp_path / "by_column.csv").read_bytes() == \
         (tmp_path / "by_row.csv").read_bytes()
@@ -181,14 +179,21 @@ def test_float_columns_share_one_run_while_small(monkeypatch, floats, rows,
     assert calls == [rows * floats // runs] * runs
 
 
-@pytest.mark.parametrize("rows,columns,by_column", [
-    (CSV_COLUMNAR_CELLS // 4 - 1, 4, False),
-    (CSV_COLUMNAR_CELLS // 4, 4, True),
-    (CSV_COLUMNAR_CELLS - 1, 1, False),
-    (CSV_COLUMNAR_CELLS, 1, True),
-])
-def test_tables_of_enough_cells_go_column_wise(tmp_path, monkeypatch, rows,
-                                               columns, by_column):
+def _encodable(rows):
+    """A float, int64, bool, float table of the given rows: its two
+    float columns share one Ryu run up to CSV_RUN_CELLS // 2 rows."""
+    x = np.linspace(0.0, 1.0, rows)
+    return [x, np.arange(rows) - 1, x > 0.5, -x]
+
+
+@pytest.mark.parametrize("table", [
+    _encodable(0), _encodable(1), _encodable(2),
+    _encodable(CSV_RUN_CELLS // 2), _encodable(CSV_RUN_CELLS // 2 + 1),
+    [np.array([0.5])],
+], ids=["0-rows", "1-row", "2-rows", "one-run", "run-per-column",
+        "1-cell"])
+def test_every_table_of_encodable_columns_goes_column_wise(
+        tmp_path, monkeypatch, table):
     chunks = []
     encode_chunk = csvtext._encode_chunk
 
@@ -197,17 +202,27 @@ def test_tables_of_enough_cells_go_column_wise(tmp_path, monkeypatch, rows,
         return encode_chunk(*args)
 
     monkeypatch.setattr(csvtext, "_encode_chunk", counted)
-    table = [np.linspace(0.0, 1.0, rows)] * columns
-    write_csv(str(tmp_path / "t.csv"), ("c",) * columns, table)
-    assert len(chunks) == by_column
+    write_csv(str(tmp_path / "t.csv"), ("c",) * len(table), table)
+    assert len(chunks) == (table[0].size > 0)
     assert (tmp_path / "t.csv").read_bytes() == \
-        b",".join([b"c"] * columns) + b"\n" + _spelled(*table)
+        b",".join([b"c"] * len(table)) + b"\n" + _spelled(*table)
+
+
+def test_mixed_table_is_spelled_cell_by_cell(tmp_path, monkeypatch):
+    """A float64 array beside a tuple column: no column-wise encoding,
+    and every cell is spell's."""
+    monkeypatch.setattr(csvtext, "_encode_chunk", None)
+    x = _pool()[:5]
+    labels = ("a", 1, True, 2.5, np.int64(-3))
+    write_csv(str(tmp_path / "t.csv"), ("x", "label"), [x, labels])
+    assert (tmp_path / "t.csv").read_text() == "x,label\n" + "".join(
+        f"{spell(a)},{spell(b)}\n" for a, b in zip(x, labels))
 
 
 @pytest.mark.parametrize("column", [
     np.array(["a", "b"]),
     np.array([1, 2], dtype=np.uint64),
-    # no runner writes these: the row writer spells them
+    # no runner writes these: they are written cell by cell
     np.array([1, 2], dtype=np.int32),
     np.array([0.1, 2.0], dtype=np.float32),
     np.zeros((2, 2)),
@@ -215,4 +230,4 @@ def test_tables_of_enough_cells_go_column_wise(tmp_path, monkeypatch, rows,
 ] + ([np.array([1.0, 2.0], dtype=np.longdouble)]
      if np.dtype(np.longdouble).itemsize > 8 else []))
 def test_no_encoder_for_what_it_cannot_spell(column):
-    assert _classify(column)[1] is None
+    assert _encoder(column) is None

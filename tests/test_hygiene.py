@@ -8,7 +8,8 @@ name README's Library API list gives exists, every public method is
 read by the package or named in
 README, so is every config key a builder reads, README's
 command lines parse and its Python blocks run, scipy loads only where
-the CN oracle runs, no module warns: a failure leaves as a typed
+the CN oracle runs, the runtime dependencies are the packages imported
+at module level, no module warns: a failure leaves as a typed
 FluxDsmError, and the generated modulator loop calls no round()."""
 
 import ast
@@ -400,6 +401,38 @@ def _scipy_imports(tree, allowed=None):
 def test_scipy_imported_only_inside_functions(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _scipy_imports(tree, SCIPY_ALLOWED.get(path.name)) == []
+
+
+def _module_level_imports(tree):
+    """Top-level names of the absolute imports outside every function."""
+    names, todo = set(), list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_runtime_dependencies_are_the_module_level_imports():
+    """pyproject's dependencies name exactly the third-party packages
+    that the package imports at module level; scipy, imported inside
+    the CN oracle alone, is a test extra."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    project = tomllib.loads(
+        (ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[\w.-]+", dep).group() for dep in
+                project["dependencies"]}
+    imported = set().union(*(
+        _module_level_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for path in MODULES)) - set(sys.stdlib_module_names) - {"fluxdsm"}
+    assert declared == imported
+    assert any(dep.startswith("scipy")
+               for dep in project["optional-dependencies"]["test"])
 
 
 COLD_CONFIGS = sorted(str(p) for p in (ROOT / "scenarios").glob("*.cfg"))

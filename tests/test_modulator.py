@@ -160,6 +160,13 @@ def test_settle_margin_is_half_a_period_over_the_settle_time():
         assert 1.0 <= margin < math.inf
 
 
+def test_quanta_per_unit_is_the_bore_flux_of_full_scale():
+    assert ModulatorConfig().quanta_per_unit is None
+    cfg = ModulatorConfig(geometry=GEOM8)
+    assert cfg.quanta_per_unit == \
+        cfg.full_scale_field * GEOM8.area / CODATA.phi0
+
+
 def test_device_gain_is_found_once_per_config(monkeypatch):
     from fluxdsm import modulator
     calls = []

@@ -19,8 +19,7 @@ from fluxdsm.cli import main
 from fluxdsm.comparator import (REFERENCE_I_BIAS, REFERENCE_SIDE,
                                 make_comparator)
 from fluxdsm.constants import CODATA
-from fluxdsm.csvtext import (CSV_CHUNK_ROWS, CSV_COLUMNAR_CELLS,
-                             CSV_RUN_CELLS, spell, write_csv)
+from fluxdsm.csvtext import CSV_CHUNK_ROWS, CSV_RUN_CELLS, spell, write_csv
 from fluxdsm.electrodynamics import (SlabConfig, normal_slab_profile,
                                      square_loop_current_for_field,
                                      super_slab_profile)
@@ -762,11 +761,11 @@ def _numeric_columns(n):
     [[1, 2.5]],  # int-led float column
     [],
     [range(CSV_CHUNK_ROWS + 3), [k * 0.1 for k in range(CSV_CHUNK_ROWS + 3)]],
-    # five numpy columns: row by row below CSV_COLUMNAR_CELLS cells,
-    # column-wise from it on, in chunks of CSV_CHUNK_ROWS; the two float
-    # columns of a chunk share one Ryu run up to CSV_RUN_CELLS cells
-    _numeric_columns(CSV_COLUMNAR_CELLS // 5),
-    _numeric_columns(CSV_COLUMNAR_CELLS // 5 + 1),
+    # five numpy columns, column-wise at any size, in chunks of
+    # CSV_CHUNK_ROWS; the two float columns of a chunk share one Ryu run
+    # up to CSV_RUN_CELLS cells
+    _numeric_columns(len(_ODD_FLOATS)),
+    _numeric_columns(103),
     _numeric_columns(CSV_RUN_CELLS // 2),
     _numeric_columns(CSV_RUN_CELLS // 2 + 1),
     _numeric_columns(CSV_CHUNK_ROWS + 3),
@@ -774,7 +773,7 @@ def _numeric_columns(n):
     [np.arange(4096), synth_flicker_series(NoiseModel(
         R0=1.0, tau1=2.0, tau2=2e4, kprime=1.0, seed=42), 4096, 1.0)],
 ], ids=["mixed", "bools", "int-led-float", "empty", "chunk-boundary",
-        "numeric-by-row", "numeric-by-column", "numeric-one-run",
+        "numeric-few-rows", "numeric-by-column", "numeric-one-run",
         "numeric-run-per-column", "numeric-by-column-chunks",
         "flicker-series"])
 def test_write_csv_matches_row_writer(tmp_path, columns):
@@ -808,18 +807,17 @@ _SPELLED = st.one_of(
 @given(value=_SPELLED)
 def test_csv_cell_is_spelled_value(value):
     """A value's cell is spell(value) in a one-row table, a sequence
-    column of its own or beside a float, a 512-row array column, and a
-    256-row array column beside a float column (one Ryu run for both
-    where the value is a float)."""
+    column of its own or beside a float, a one-row and a 512-row array
+    column, and a 256-row array column beside a float column (one Ryu
+    run for both where the value is a float)."""
     cell = spell(value)
-    half = CSV_COLUMNAR_CELLS // 2
     tables = [
         ([[value]], f"{cell}\n"),
         ([(value,) * 3, (0.5,) * 3], f"{cell},0.5\n" * 3),
         ([(value, 0.5)], f"{cell}\n0.5\n"),
-        ([np.full(CSV_COLUMNAR_CELLS, value)],
-         f"{cell}\n" * CSV_COLUMNAR_CELLS),
-        ([np.full(half, value), np.full(half, 0.5)], f"{cell},0.5\n" * half),
+        ([np.full(1, value)], f"{cell}\n"),
+        ([np.full(512, value)], f"{cell}\n" * 512),
+        ([np.full(256, value), np.full(256, 0.5)], f"{cell},0.5\n" * 256),
     ]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "t.csv")

@@ -98,6 +98,34 @@ def test_repeated_floats_encode_as_repr():
     assert _encoded(column) == expected
 
 
+@pytest.mark.parametrize("distinct,encoded", [(301, 400), (300, 300),
+                                               (299, 299)],
+                         ids=["under-cut-off", "at-cut-off", "over-cut-off"])
+def test_run_dedupes_where_a_quarter_repeats(monkeypatch, distinct, encoded):
+    """A run of 400 values: where at least 100 of them repeat a bit
+    pattern, _shortest gets each distinct pattern once, else all 400.
+    Both zeros, both infinities and three nan payloads stay apart."""
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001,
+                     0xFFF0000000000123], dtype=np.uint64).view(np.float64)
+    pool = np.concatenate([[0.0, -0.0, math.inf, -math.inf], nans,
+                           np.arange(1, distinct - 6) / 7.0])
+    assert len(set(pool.view(np.uint64).tolist())) == distinct
+    rng = np.random.default_rng(distinct)
+    column = np.concatenate([pool, rng.choice(pool, 400 - distinct)])
+    rng.shuffle(column)
+    sizes = []
+    shortest = csvtext._shortest
+
+    def counted(bits):
+        sizes.append(bits.size)
+        return shortest(bits)
+
+    monkeypatch.setattr(csvtext, "_shortest", counted)
+    expected = "".join(repr(v) + "\n" for v in column.tolist()).encode()
+    assert _encoded(column) == expected
+    assert sizes == [encoded]
+
+
 def test_strided_column_matches_row_writer(tmp_path):
     rng = np.random.default_rng(3)
     z = rng.standard_normal(519) + 1j * rng.standard_normal(519)
@@ -116,6 +144,9 @@ def test_int64_encode_as_str():
     values = np.concatenate([
         np.array([0, 1, -1, 9, 10, -10, 99999999, 100000000,
                   10**18, -10**18, 2**63 - 1, -2**63], dtype=np.int64),
+        # each side of every digit count
+        np.array([s * (10**k - d) for k in range(1, 19) for d in (1, 0)
+                  for s in (1, -1)], dtype=np.int64),
         rng.integers(-2**63, 2**63 - 1, 100_000, dtype=np.int64),
         rng.integers(-1000, 1000, 1000, dtype=np.int64),
     ])

@@ -145,7 +145,11 @@ def _qk21(f):
 # at a point and at an end, oscillation, a repeated point, and runs that
 # stop on the interval limit or on roundoff. Together they reach the
 # branches of qagpe that a boundary flip in its flag and ordering
-# checks changes, which the NIS cases leave alone.
+# checks changes, which the NIS cases leave alone. The last five: no
+# break point (dqpsrt's start), a limit below the number of intervals,
+# a pole that narrows an interval to roundoff (ier = 4), a series the
+# epsilon table cannot accelerate (its 50-entry shift), and an odd
+# integrand whose extrapolation is exactly 0.
 GENERIC = [
     (lambda x: math.sqrt(abs(x - 0.3)), 0.0, 1.0, [0.3], 1e-10, 400),
     (lambda x: math.log(abs(x - 0.5)), 0.0, 1.0, [0.5], 1e-10, 400),
@@ -157,6 +161,11 @@ GENERIC = [
     (lambda x: x * math.sin(50.0 / x), 0.0, 1.0, [0.5, 0.25], 1e-6, 400),
     (lambda x: x * math.sin(50.0 / x), 0.0, 1.0, [0.25, 0.5], 2e-14, 400),
     (lambda x: math.sin(1.0 / x), 0.0, 1.0, [0.5, 0.5], 1e-12, 60),
+    (lambda x: math.sqrt(abs(x - 0.3)), 0.0, 1.0, [], 1e-10, 400),
+    (lambda x: math.sqrt(abs(x - 0.3)), 0.0, 1.0, [0.3], 1e-10, 2),
+    (lambda x: 1.0 / abs(x - 0.3), 0.0, 1.0, [0.5], 1e-10, 100),
+    (lambda x: 1.0 / (x * math.log(x) ** 2), 0.0, 0.5, [0.25], 1e-10, 60),
+    (lambda x: math.copysign(abs(x) ** -0.5, x), -1.0, 1.0, [0.0], 1e-10, 20),
 ]
 
 

@@ -209,12 +209,14 @@ def test_tone(n: int, cycles: int, amplitude: float) -> np.ndarray:
     """Coherent sine of an integer number of cycles over n samples, in
     normalized units (1.0 = full scale). Integer cycle counts keep the
     tone on a bin center so window leakage stays out of the noise
-    estimate."""
+    estimate. The tone must lie below the Nyquist bin: at cycles = n / 2
+    every sample falls on a zero of the sine, and the trace is rounding
+    residue, not a tone."""
     if n < 2:
         raise DomainError("need at least two samples")
     if not isinstance(cycles, (int, np.integer)) or cycles < 1:
         raise DomainError("cycles must be a positive integer")
-    if cycles * 2 > n:
+    if cycles * 2 >= n:
         raise DomainError("tone above the Nyquist bin")
     k = np.arange(n)
     return amplitude * np.sin(2.0 * math.pi * cycles * k / n)
@@ -237,9 +239,10 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
     sample makes no numpy scalar, no list access and no test of the
     backend. Every float operation keeps its operands and their order
     (x1 + c1 err, acc (c1 / gain) / quanta, xi + ci x_{i-1}, then y
-    summed from stage 1 up), so the codes and the state peaks are
-    bit-identical to the difference equations above evaluated in that
-    order.
+    summed from stage 1 up and divided by the LSB in the same
+    expression, without a store to a local), so the codes and the
+    state peaks are bit-identical to the difference equations above
+    evaluated in that order.
 
     The loop rounds without round() and without a Python int: the
     quantizer takes (y / lsb_n + _ROUND) - _ROUND, the device
@@ -257,7 +260,12 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
     fails every comparison, sets p_i = |x_i| and then meets the bound
     check. So the check raises at the same sample and stage as a check
     of every state would, and a nan state raises there before round()
-    could see it.
+    could see it. That range test, like the quantizer's saturation
+    test, is two comparisons joined by `and` (-p_i <= x_i and
+    x_i <= p_i), not a chained a <= b <= c: CPython 3.11 compiles a
+    chain with a SWAP and a COPY, which the loop would pay per stage
+    per sample. The split test has the chain's outcome for every
+    value, and a nan still fails its first comparison.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size == 0:
@@ -323,20 +331,22 @@ _LATER_STAGE = """\
 """
 # the bound check folded into the peak update; run_modulator's
 # docstring says why it raises where a check of every state would, nan
-# included
+# included. The range test is two comparisons joined by `and`, not a
+# chain, which would cost a SWAP and a COPY per sample.
 _PEAK_AND_BOUND = """\
-        if not m{i} <= x{i} <= p{i}:
+        if not (m{i} <= x{i} and x{i} <= p{i}):
             p{i} = abs(x{i})
             m{i} = -p{i}
             if not p{i} <= bound:
                 raise _left_bound({stage}, bound, k)
 """
 # comparator.quantize at the normalized LSB, inlined, rounding half
-# to even by adding and subtracting _ROUND
+# to even by adding and subtracting _ROUND; the loop sum goes into the
+# division without a store to a local, and the saturation test is
+# split like the range test above
 _LOOP_TAIL = """\
-        y = {y_sum}
-        raw = (y / lsb_n + {round}) - {round}
-        if not neg_hr <= raw <= hr:
+        raw = (({y_sum}) / lsb_n + {round}) - {round}
+        if not (neg_hr <= raw and raw <= hr):
             raw = hr if raw > 0 else neg_hr
             saturations += 1
         codes[k] = raw

@@ -10,9 +10,11 @@ README, so is every config key a builder reads, README's
 command lines parse and its Python blocks run, scipy loads only where
 the CN oracle runs, the runtime dependencies are the packages imported
 at module level, no module warns: a failure leaves as a typed
-FluxDsmError, and the generated modulator loop calls no round()."""
+FluxDsmError, and the generated modulator loop calls no round() and
+compiles no chained comparison."""
 
 import ast
+import dis
 import importlib
 import os
 import pathlib
@@ -82,6 +84,21 @@ def test_modulator_loop_calls_no_round(order, device):
     in the generated source would show there."""
     names = _compiled_loop(order, device).__code__.co_names
     assert "round" not in names
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="SWAP is a CPython 3.11 opcode")
+@pytest.mark.parametrize("device", [False, True],
+                         ids=["ideal", "flux-device"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_modulator_loop_chains_no_comparison(order, device):
+    """A chained a <= b <= c compiles to a SWAP and a COPY that the
+    loop would pay per stage per sample; its range and saturation
+    tests are two comparisons joined by `and`, and nothing else in
+    the generated source needs a SWAP."""
+    ops = [ins.opname for ins in dis.get_instructions(
+        _compiled_loop(order, device))]
+    assert "SWAP" not in ops
 
 
 def _constant_overrides(tree):

@@ -215,6 +215,9 @@ def test_tone_validation():
         make_tone(64, 2.5, 0.5)
     with pytest.raises(DomainError, match="Nyquist"):
         make_tone(64, 33, 0.5)
+    # at the Nyquist bin the sine is sampled at its zeros
+    with pytest.raises(DomainError, match="Nyquist"):
+        make_tone(64, 32, 0.5)
 
 
 def test_run_modulator_input_validation():

@@ -1690,7 +1690,7 @@ CHECK_ENDS = {
         _keyed("noise-psd", NOISE_BODY, "tau2")),
     # no config reaches it: a modulator run has at least 16 samples
     "tone-samples": (
-        lambda n: make_tone(n, 1, 0.5), [2], [1, 0], DomainError,
+        lambda n: make_tone(n, 1, 0.5), [3], [1, 0], DomainError,
         "need at least two samples", None),
     # a negative side passes the later 0 < side**2 < inf
     "comparator-side": (

@@ -47,6 +47,12 @@ SIGNAL_GUARD_BINS = 3
 _ROUND = 1.5 * 2.0**52
 _LOOP_SUM_LIMIT = 2.0**50
 _ACCUMULATOR_LIMIT = 2.0**48
+# the least power-of-two LSB that run_modulator folds into the gains
+# a_i, where its docstring's bound on subnormal terms holds, and the
+# least c[0] / device gain that it folds into the quanta scale, the
+# least normal float
+_FOLD_LSB_MIN = 2.0**-512
+_FOLD_GAIN_MIN = 2.0**-1022
 
 
 def _default_comparator() -> ComparatorConfig:
@@ -232,17 +238,41 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
     configured bound; the offending sample index rides on the error.
     The flux device's gain and clock were checked when cfg was built.
 
-    The loop is plain Python written out for the config's order and
-    backend (_compiled_loop), compiled on the first run of that pair
-    and kept: each stage's state, gains and peak are locals, and the
-    input is read and the codes are written through memoryviews, so a
-    sample makes no numpy scalar, no list access and no test of the
-    backend. Every float operation keeps its operands and their order
-    (x1 + c1 err, acc (c1 / gain) / quanta, xi + ci x_{i-1}, then y
-    summed from stage 1 up and divided by the LSB in the same
-    expression, without a store to a local), so the codes and the
-    state peaks are bit-identical to the difference equations above
-    evaluated in that order.
+    The loop is plain Python written out for the config's order,
+    backend and folds (_compiled_loop, and the folds below), compiled
+    on the first run of that variant and kept: each stage's state,
+    gains and peak are locals, and the input is read and the codes are
+    written through memoryviews, so a sample makes no numpy scalar, no
+    list access and no test of the backend. Every float operation
+    keeps its operands and their order (x1 + c1 err,
+    acc (c1 / gain) / quanta, xi + ci x_{i-1}, then y summed from stage
+    1 up and divided by the LSB in the same expression, without a
+    store to a local), so the codes and the state peaks are
+    bit-identical to the difference equations above evaluated in that
+    order.
+
+    Where a power of two makes it exact, the loop folds a scale into
+    constants formed once, which takes a division or a product off
+    every sample; any other config runs the expressions above. Scaling
+    by a power of two is exact, and commutes with rounding, wherever
+    the values stay normal floats:
+
+    - Quantizer. Where lsb_n = 2**-m with 0 <= m <= 512 and every
+      a_i / lsb_n is finite, the loop takes the gains a_i / lsb_n,
+      exact since they scale up, and rounds their sum without
+      / lsb_n. Each product and partial sum is then 2**m times its
+      unfolded value, unless a product falls under 2**-1022, the
+      subnormal range, where the folded form may round it more
+      finely. A partial sum of 2**-960 or more absorbs such a term
+      the same way on both forms; any other stays in sums under
+      2**-780 (unfolded), below half an LSB (2**-513 at least), and
+      the code rounds to 0 on both.
+    - Device. Where c0_gain = c1 / gain is a power of two in
+      [2**-1022, 1] and q_scale = quanta / c0_gain is finite, and so
+      exact, the loop takes x1 = acc / q_scale. acc is 0, inf, nan
+      or a whole number of magnitude at least 1, so acc c0_gain is
+      exact too, and both forms round one real quotient,
+      acc c0_gain / quanta.
 
     The loop rounds without round() and without a Python int: the
     quantizer takes (y / lsb_n + _ROUND) - _ROUND, the device
@@ -281,16 +311,30 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
         u_n = u + synth_flicker_series(cfg.input_noise, n, cfg.fs)
 
     device_gain = cfg.device_gain
+    lsb_n = cfg.comparator.b_lsb / cfg.full_scale_field
+    # every a_i / lsb_n is finite where the largest is
+    fold_lsb = (_power_of_two(lsb_n, _FOLD_LSB_MIN)
+                and math.isfinite(max(cfg.a) / lsb_n))
+    fold_gain = False
+    if device_gain is not None:
+        c0_gain = cfg.c[0] / device_gain
+        fold_gain = (_power_of_two(c0_gain, _FOLD_GAIN_MIN) and
+                     math.isfinite(cfg.quanta_per_unit / c0_gain))
     codes = np.empty(n)
-    loop = _compiled_loop(len(cfg.a), device_gain is not None)
+    loop = _compiled_loop(len(cfg.a), device_gain is not None, fold_lsb,
+                          fold_gain)
     saturations, state_peak = loop(
         memoryview(u_n), memoryview(codes), cfg.c, cfg.a,
-        cfg.stability_bound, float(cfg.comparator.half_range),
-        cfg.comparator.b_lsb / cfg.full_scale_field, device_gain,
-        cfg.quanta_per_unit)
+        cfg.stability_bound, float(cfg.comparator.half_range), lsb_n,
+        device_gain, cfg.quanta_per_unit)
     return TraceSet(config=cfg, codes=codes.astype(np.int64),
                     saturation_count=saturations,
                     device_gain=device_gain, state_peak=state_peak)
+
+
+def _power_of_two(v: float, least: float) -> bool:
+    """Whether v is a power of two in [least, 1]; False for nan."""
+    return least <= v <= 1.0 and math.frexp(v)[0] == 0.5
 
 
 def _left_bound(stage: int, bound: float, k: int) -> InstabilityError:
@@ -300,16 +344,20 @@ def _left_bound(stage: int, bound: float, k: int) -> InstabilityError:
 
 
 # The loop of run_modulator in pieces, which _compiled_loop joins for
-# one order and backend; {i} is a stage's index from 0.
+# one order, backend and pair of folds; {i} is a stage's index from 0.
 _LOOP_HEAD = """\
 def loop(u, codes, c, a, bound, hr, lsb_n, gain, quanta):
     {c_names}, = c
     {a_names}, = a
-    {zeros} = 0.0
+{a_fold}    {zeros} = 0.0
     neg_hr = -hr
     err = 0.0
     saturations = 0
 """
+# {a_fold} is empty, or where run_modulator folds the power-of-two LSB
+# into the gains, _FOLDED_GAIN for each stage: formed once per run,
+# and exact (run_modulator's docstring)
+_FOLDED_GAIN = "    a{i} = a{i} / lsb_n\n"
 _IDEAL_INTEGRATOR = """\
     for k, uk in enumerate(u):
         x0 = x0 + c0 * err
@@ -317,15 +365,21 @@ _IDEAL_INTEGRATOR = """\
 # the loop error rounded half to even to whole quanta, as fluxtrap
 # traps them, by adding and subtracting _ROUND; the float accumulator
 # holds integers, exactly while ModulatorConfig's accumulator check
-# holds
+# holds. {q_scale} and {x0} are _DEVICE_X0 or, where run_modulator
+# folds the power-of-two c0_gain, _DEVICE_X0_FOLDED
 _DEVICE_INTEGRATOR = """\
     gain = float(gain)
     c0_gain = c0 / gain
-    acc = 0.0
+{q_scale}    acc = 0.0
     for k, uk in enumerate(u):
         acc += gain * ((err * quanta + {round}) - {round})
-        x0 = acc * c0_gain / quanta
+        x0 = {x0}
 """
+_DEVICE_X0 = {"q_scale": "", "x0": "acc * c0_gain / quanta"}
+# acc / q_scale rounds the real quotient acc * c0_gain / quanta, since
+# both scalings by c0_gain are exact (run_modulator's docstring)
+_DEVICE_X0_FOLDED = {"q_scale": "    q_scale = quanta / c0_gain\n",
+                     "x0": "acc / q_scale"}
 _LATER_STAGE = """\
         x{i} = x{i} + c{i} * x{prev}
 """
@@ -341,11 +395,13 @@ _PEAK_AND_BOUND = """\
                 raise _left_bound({stage}, bound, k)
 """
 # comparator.quantize at the normalized LSB, inlined, rounding half
-# to even by adding and subtracting _ROUND; the loop sum goes into the
-# division without a store to a local, and the saturation test is
-# split like the range test above
+# to even by adding and subtracting _ROUND; the loop sum is rounded
+# without a store to a local, and the saturation test is split like
+# the range test above. {per_lsb} is " / lsb_n", or empty where
+# run_modulator folds the power-of-two LSB into the gains a_i, which
+# scales the sum exactly as the division would
 _LOOP_TAIL = """\
-        raw = (({y_sum}) / lsb_n + {round}) - {round}
+        raw = (({y_sum}){per_lsb} + {round}) - {round}
         if not (neg_hr <= raw and raw <= hr):
             raw = hr if raw > 0 else neg_hr
             saturations += 1
@@ -355,28 +411,39 @@ _LOOP_TAIL = """\
 """
 
 
-@functools.lru_cache(maxsize=8)
-def _compiled_loop(order: int, device: bool):
+@functools.cache
+def _compiled_loop(order: int, device: bool, fold_lsb: bool,
+                   fold_gain: bool):
     """The loop written out stage by stage for one order and backend,
-    compiled on first use. Each stage's state x_i, gains c_i, a_i and
-    peak p_i = -m_i are plain locals: a sample does no list access, no
-    loop over the stages and no test of the backend."""
+    with the LSB folded into the gains a_i where fold_lsb holds, and,
+    on the device backend, c0_gain folded into q_scale where fold_gain
+    holds; compiled on first use and kept. Each stage's state x_i,
+    gains c_i, a_i and peak p_i = -m_i are plain locals: a sample does
+    no list access, no loop over the stages and no test of the backend
+    or of a fold."""
     def each(template, sep=", "):
         return sep.join(template.format(i=i) for i in range(order))
 
     src = _LOOP_HEAD.format(c_names=each("c{i}"), a_names=each("a{i}"),
+                            a_fold=each(_FOLDED_GAIN, "") if fold_lsb else "",
                             zeros=each("x{i} = p{i} = m{i}", " = "))
-    src += (_DEVICE_INTEGRATOR.format(round=repr(_ROUND)) if device
-            else _IDEAL_INTEGRATOR)
+    if device:
+        src += _DEVICE_INTEGRATOR.format(
+            round=repr(_ROUND),
+            **(_DEVICE_X0_FOLDED if fold_gain else _DEVICE_X0))
+    else:
+        src += _IDEAL_INTEGRATOR
     for i in range(order):
         if i:
             src += _LATER_STAGE.format(i=i, prev=i - 1)
         src += _PEAK_AND_BOUND.format(i=i, stage=i + 1)
     src += _LOOP_TAIL.format(y_sum=each("a{i} * x{i}", " + "),
+                             per_lsb="" if fold_lsb else " / lsb_n",
                              round=repr(_ROUND), peaks=each("p{i}"))
     backend = "flux-device" if device else "ideal"
     namespace = {"_left_bound": _left_bound}
-    exec(compile(src, f"<modulator loop, order {order}, {backend}>", "exec"),
+    exec(compile(src, f"<modulator loop, order {order}, {backend}, "
+                      f"fold_lsb={fold_lsb}, fold_gain={fold_gain}>", "exec"),
          namespace)
     return namespace["loop"]
 

@@ -10,8 +10,9 @@ README, so is every config key a builder reads, README's
 command lines parse and its Python blocks run, scipy loads only where
 the CN oracle runs, the runtime dependencies are the packages imported
 at module level, no module warns: a failure leaves as a typed
-FluxDsmError, and the generated modulator loop calls no round() and
-compiles no chained comparison."""
+FluxDsmError, and each generated modulator loop calls no round(),
+compiles no chained comparison and divides a sample only by what no
+power-of-two fold removes."""
 
 import ast
 import dis
@@ -25,9 +26,13 @@ import sys
 
 import pytest
 
+import numpy as np
+
 import fluxdsm
+from fluxdsm import modulator
 from fluxdsm.cli import _build_parser
-from fluxdsm.modulator import _compiled_loop
+from fluxdsm.fluxtrap import CylinderGeometry
+from fluxdsm.modulator import ModulatorConfig, _compiled_loop, run_modulator
 
 MODULES = sorted(pathlib.Path(fluxdsm.__file__).parent.glob("*.py"))
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -74,31 +79,124 @@ def test_no_warnings_channel(path):
     assert _warnings_imports(tree) == []
 
 
-@pytest.mark.parametrize("device", [False, True],
-                         ids=["ideal", "flux-device"])
-@pytest.mark.parametrize("order", [1, 2, 3, 4])
-def test_modulator_loop_calls_no_round(order, device):
+# every loop _compiled_loop builds, as (order, device, fold_lsb,
+# fold_gain): the gain fold is the device backend's alone
+LOOP_VARIANTS = [(order, device, fold_lsb, fold_gain)
+                 for order in (1, 2, 3, 4) for device in (False, True)
+                 for fold_lsb in (False, True)
+                 for fold_gain in ((False, True) if device else (False,))]
+
+
+def _variant_id(variant):
+    order, device, fold_lsb, fold_gain = variant
+    folds = "-".join(name for name, on in (("lsb", fold_lsb),
+                                           ("gain", fold_gain)) if on)
+    return (f"order{order}-{'flux-device' if device else 'ideal'}"
+            f"-{folds or 'unfolded'}")
+
+
+@pytest.mark.parametrize("variant", LOOP_VARIANTS, ids=_variant_id)
+def test_modulator_loop_calls_no_round(variant):
     """The loop rounds by adding and subtracting a float constant;
     round() would cost a builtin call and an int per sample. Every
     name the compiled loop loads is in co_names, so a call to round()
     in the generated source would show there."""
-    names = _compiled_loop(order, device).__code__.co_names
+    names = _compiled_loop(*variant).__code__.co_names
     assert "round" not in names
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11),
                     reason="SWAP is a CPython 3.11 opcode")
-@pytest.mark.parametrize("device", [False, True],
-                         ids=["ideal", "flux-device"])
-@pytest.mark.parametrize("order", [1, 2, 3, 4])
-def test_modulator_loop_chains_no_comparison(order, device):
+@pytest.mark.parametrize("variant", LOOP_VARIANTS, ids=_variant_id)
+def test_modulator_loop_chains_no_comparison(variant):
     """A chained a <= b <= c compiles to a SWAP and a COPY that the
     loop would pay per stage per sample; its range and saturation
     tests are two comparisons joined by `and`, and nothing else in
     the generated source needs a SWAP."""
     ops = [ins.opname for ins in dis.get_instructions(
-        _compiled_loop(order, device))]
+        _compiled_loop(*variant))]
     assert "SWAP" not in ops
+
+
+def _sample_divisors(loop):
+    """The divisor of each true division in the loop's per-sample body,
+    the code from its FOR_ITER on, as the name loaded just before it."""
+    ins = list(dis.get_instructions(loop))
+    start = next(i for i, x in enumerate(ins) if x.opname == "FOR_ITER")
+    divisors = []
+    for prev, x in zip(ins[start:], ins[start + 1:]):
+        if x.opname == "BINARY_OP" and x.argrepr == "/":
+            name = prev.argval
+            divisors.append(name[-1] if isinstance(name, tuple) else name)
+    return sorted(divisors)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="BINARY_OP is a CPython 3.11 opcode")
+@pytest.mark.parametrize("variant", LOOP_VARIANTS, ids=_variant_id)
+def test_modulator_loop_divides_only_where_unfolded(variant):
+    """A folded LSB takes the quantizer's division by lsb_n off every
+    sample, and a folded c0_gain turns the device's acc * c0_gain /
+    quanta into acc / q_scale."""
+    _, device, fold_lsb, fold_gain = variant
+    expected = [] if fold_lsb else ["lsb_n"]
+    if device:
+        expected.append("q_scale" if fold_gain else "quanta")
+    assert _sample_divisors(_compiled_loop(*variant)) == sorted(expected)
+
+
+_DEFAULT = ModulatorConfig()
+
+
+def _variant_run(monkeypatch, cfg):
+    """The (order, device, fold_lsb, fold_gain) loop that run_modulator
+    runs for cfg."""
+    built = []
+    monkeypatch.setattr(modulator, "_compiled_loop",
+                        lambda *v: built.append(v) or _compiled_loop(*v))
+    run_modulator(cfg, np.zeros(4))
+    return built[-1]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="BINARY_OP is a CPython 3.11 opcode")
+@pytest.mark.parametrize("device", [False, True],
+                         ids=["ideal", "flux-device"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_default_comparator_loop_divides_by_no_lsb(order, device,
+                                                   monkeypatch):
+    """At the default comparator's full scale lsb_n is 2**-8, so no
+    loop divides by it; a device loop divides once, by q_scale where
+    c[0] / gain is a power of two. A full scale 1.1 times as large
+    makes lsb_n no power of two, and the loop keeps / lsb_n."""
+    geometry = CylinderGeometry(radius=0.02, n_segments=8, n_eff=4)
+    for c0 in (0.5, 0.3):
+        for full_scale in (None, 1.1 * _DEFAULT.full_scale_field):
+            variant = _variant_run(monkeypatch, ModulatorConfig(
+                a=(1.0,) * order, c=(c0,) + (0.5,) * (order - 1),
+                full_scale=full_scale,
+                geometry=geometry if device else None))
+            power_of_two = device and c0 == 0.5
+            assert variant == (order, device, full_scale is None,
+                               power_of_two)
+            expected = [] if full_scale is None else ["lsb_n"]
+            if device:
+                expected.append("q_scale" if power_of_two else "quanta")
+            assert _sample_divisors(_compiled_loop(*variant)) == sorted(
+                expected)
+
+
+# lsb_n of 2**-600, under the least LSB the loop folds, and of 2; and a
+# gain a_0 = 2**1020, which the default lsb_n of 2**-8 would scale past
+# the float range (each bound keeps the loop sum under 2**50)
+@pytest.mark.parametrize("kwargs", [
+    dict(full_scale=_DEFAULT.comparator.b_lsb * 2.0**600,
+         stability_bound=2.0**-560),
+    dict(full_scale=_DEFAULT.comparator.b_lsb / 2),
+    dict(a=(2.0**1020,), c=(2.0**-1010,), stability_bound=2.0**-1000),
+], ids=["lsb-2**-600", "lsb-2", "a-over-lsb-overflows"])
+def test_loop_keeps_lsb_division_outside_the_fold(kwargs, monkeypatch):
+    assert _variant_run(monkeypatch, ModulatorConfig(**kwargs))[2] is False
 
 
 def _constant_overrides(tree):
@@ -454,13 +552,16 @@ def test_runtime_dependencies_are_the_module_level_imports():
 
 COLD_CONFIGS = sorted(str(p) for p in (ROOT / "scenarios").glob("*.cfg"))
 
-# importing the scenario layer compiles no quadrature, and no shipped
-# config loads scipy
+# importing the scenario layer compiles no quadrature and no modulator
+# loop, and no shipped config loads scipy
 COLD_RUN = """
 import sys
 import fluxdsm.scenario
 if "fluxdsm._quadpack" in sys.modules:
     sys.exit("import fluxdsm.scenario loaded fluxdsm._quadpack")
+from fluxdsm.modulator import _compiled_loop
+if _compiled_loop.cache_info().currsize:
+    sys.exit("import fluxdsm.scenario compiled a modulator loop")
 from fluxdsm import cli
 code = cli.main(sys.argv[1:])
 scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -470,8 +571,9 @@ sys.exit(f"exit code {code}, {len(scipy)} scipy modules: {scipy[:3]}"
 
 
 def test_cli_runs_without_loading_scipy(tmp_path):
-    """A fresh interpreter runs every shipped config and never imports
-    scipy."""
+    """A fresh interpreter imports the scenario layer without compiling
+    a quadrature or a modulator loop, runs every shipped config and
+    never imports scipy."""
     assert {pathlib.Path(p).stem.split("_")[0] for p in COLD_CONFIGS} == {
         "comparator", "device", "junction", "modulator", "noise", "slab"}
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -16,6 +16,7 @@ from fluxdsm.fluxtrap import (CylinderGeometry, FieldStep,
                               doubling_amplification_schedule)
 from fluxdsm.modulator import (
     _ROUND,
+    _compiled_loop,
     _hann_periodic,
     ModulatorConfig,
     band_sndr,
@@ -278,10 +279,12 @@ LOOP_COEFFS = {
 }
 
 
-def _loop_oracle(cfg, u, gain=None):
+def _loop_oracle(cfg, u, gain=None, stop_past=None):
     """The difference equations of the module docstring written out per
     stage, with the flux-device integrator when gain is given: returns
-    codes, states and the saturation count."""
+    codes, states and the saturation count. With stop_past, the states
+    end at the first sample with a state not inside [-stop_past,
+    stop_past], which is not quantized."""
     lsb_n = cfg.comparator.b_lsb / cfg.full_scale_field
     hr = cfg.comparator.half_range
     if cfg.input_noise is not None:
@@ -302,6 +305,10 @@ def _loop_oracle(cfg, u, gain=None):
             x[0] = acc * (c[0] / gain) / quanta
         for i in range(1, order):
             x[i] = x[i] + c[i] * x[i - 1]
+        if stop_past is not None and not all(abs(v) <= stop_past
+                                             for v in x):
+            states.append(list(x))
+            break
         y = 0.0
         for i in range(order):
             y += a[i] * x[i]
@@ -360,6 +367,106 @@ def test_loop_rounds_half_lsb_ties_like_round(dc):
     assert trace.saturation_count == saturations == 0
     assert (np.array(trace.state_peak).tobytes()
             == np.max(np.abs(states), axis=0).tobytes())
+
+
+def _assert_runs_as_oracle(cfg, u, gain=None):
+    """run_modulator gives the oracle's codes, saturations and state
+    peaks bit for bit, or raises InstabilityError at the oracle's first
+    sample and stage past the bound."""
+    bound = cfg.stability_bound
+    codes, states, saturations = _loop_oracle(cfg, u, gain,
+                                              stop_past=bound)
+    past = ~(np.abs(states) <= bound)
+    if past.any():
+        sample = int(np.argmax(past.any(axis=1)))
+        stage = int(np.argmax(past[sample])) + 1
+        with pytest.raises(InstabilityError) as err:
+            run_modulator(cfg, u)
+        assert str(err.value) == (f"integrator {stage} left [-{bound}, "
+                                  f"{bound}] at sample {sample}")
+        assert err.value.sample == sample
+        return
+    trace = run_modulator(cfg, u)
+    assert trace.codes.tobytes() == codes.tobytes()
+    assert trace.saturation_count == saturations
+    assert (np.array(trace.state_peak).tobytes()
+            == np.max(np.abs(states), axis=0).tobytes())
+
+
+def test_loop_rounds_a_tie_at_a_non_power_of_two_lsb_like_round():
+    # lsb_n = 0.1 is no power of two, so a_0 / lsb_n = fl(30.000...04)
+    # is inexact: the loop must divide the sum by the LSB, which puts
+    # sample 1 on the tie 2.5 and rounds it to 2, where the gain folded
+    # into the LSB would give 2.5000000000000004 and the code 3
+    b_lsb = ModulatorConfig().comparator.b_lsb
+    cfg = ModulatorConfig(a=(3.0,), c=(0.5,), full_scale=10 * b_lsb)
+    lsb_n = cfg.comparator.b_lsb / cfg.full_scale_field
+    assert lsb_n == 0.1
+    x = 0.08333333333333334
+    u = np.full(256, 2 * x)
+    codes, states, _ = _loop_oracle(cfg, u)
+    assert states[1, 0] == x and 3.0 * x / lsb_n == 2.5
+    assert codes[1] == 2 and round(3.0 / lsb_n * x) == 3
+    _assert_runs_as_oracle(cfg, u)
+
+
+def test_gain_past_the_float_range_over_the_lsb_runs_as_the_oracle():
+    # a_0 / lsb_n = 2**1020 / 2**-8 overflows, and inf * 0.0 would turn
+    # sample 0's zero loop sum to nan, which saturates to -half_range
+    cfg = ModulatorConfig(a=(2.0**1020,), c=(2.0**-1010,),
+                          stability_bound=2.0**-1000)
+    _assert_runs_as_oracle(cfg, np.full(16, 0.5))
+
+
+# c[0] = 2**-998 over a gain of 4 is the normal power of two 2**-1000;
+# a full scale of 1 mT is about 6e8 quanta, which 2**-1000 scales past
+# the float range, and the default's 8e6 quanta, which it scales to
+# 8.6e307; c[0] = 5e-324 over 4 rounds to 0. Each bound keeps the
+# device accumulator under 2**48.
+@pytest.mark.parametrize("c0,full_scale,bound", [
+    (5e-324, None, 1e-317),
+    (4 * 2.0**-1000, 1e-3, 1e-297),
+    (4 * 2.0**-1000, None, 1e-297),
+], ids=["c0-gain-underflows", "q-scale-overflows", "q-scale-finite"])
+def test_device_loop_at_extreme_c0_gain_runs_as_the_oracle(c0, full_scale,
+                                                           bound):
+    cfg = ModulatorConfig(a=(2.0, 4.0), c=(c0, 0.5), geometry=GEOM8,
+                          full_scale=full_scale, stability_bound=bound)
+    assert cfg.device_gain == 4
+    _assert_runs_as_oracle(cfg, np.full(64, 0.5), 4)
+
+
+@pytest.mark.parametrize("dc", [5e-324, -1e-310, -0.0])
+@pytest.mark.parametrize("geometry", [None, GEOM8], ids=BACKEND_IDS)
+@pytest.mark.parametrize("order", [2, 3])
+def test_subnormal_and_signed_zero_dc_runs_as_the_oracle(order, geometry,
+                                                         dc):
+    # order 3's gains are not dyadic, so its products round in the
+    # subnormal range, where a folded LSB rounds more finely
+    a, c = LOOP_COEFFS[order]
+    cfg = ModulatorConfig(a=a, c=c, geometry=geometry, stability_bound=50.0)
+    _assert_runs_as_oracle(cfg, np.full(2048, dc),
+                           None if geometry is None else 4)
+
+
+def test_sweep_compiles_each_loop_variant_once():
+    # 4 orders x (ideal: LSB folded or not; device: LSB and c0_gain
+    # each folded or not) = 24 loops: a full scale 1.1 times the
+    # default's makes lsb_n no power of two, and c[0] = 0.3 over the
+    # gain of 4 makes c0_gain none; a second sweep compiles nothing
+    full_scale = 1.1 * ModulatorConfig().full_scale_field
+    configs = [
+        ModulatorConfig(a=a, c=(c0,) + c[1:], geometry=geometry,
+                        full_scale=fs)
+        for a, c in LOOP_COEFFS.values() for geometry in (None, GEOM8)
+        for fs in (None, full_scale)
+        for c0 in ((c[0],) if geometry is None else (0.5, 0.3))]
+    _compiled_loop.cache_clear()
+    for _ in range(2):
+        for cfg in configs:
+            run_modulator(cfg, np.zeros(16))
+    info = _compiled_loop.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (24, 24, 24)
 
 
 @settings(max_examples=300, deadline=None)

@@ -47,12 +47,12 @@ SIGNAL_GUARD_BINS = 3
 _ROUND = 1.5 * 2.0**52
 _LOOP_SUM_LIMIT = 2.0**50
 _ACCUMULATOR_LIMIT = 2.0**48
-# the least power-of-two LSB that run_modulator folds into the gains
-# a_i, where its docstring's bound on subnormal terms holds, and the
-# least c[0] / device gain that it folds into the quanta scale, the
-# least normal float
-_FOLD_LSB_MIN = 2.0**-512
-_FOLD_GAIN_MIN = 2.0**-1022
+# run_modulator scales the loop only where every value it forms, in
+# either frame, is at most _SCALED_LIMIT and a whole multiple of a
+# power of two no less than _LEAST_QUANTUM (its docstring proves why)
+_SCALED_LIMIT = 2.0**1022
+_LEAST_QUANTUM = 2.0**-1074
+_LEAST_NORMAL = 2.0**-1022
 
 
 def _default_comparator() -> ComparatorConfig:
@@ -79,7 +79,9 @@ class ModulatorConfig:
       stability_bound, which the quantizer rounds in comparator LSBs,
       full_scale_field / b_lsb per unit. That count must be under
       _LOOP_SUM_LIMIT = 2**50; the factor of 2 below 2**51 covers the
-      few roundings in y and y / lsb_n.
+      few roundings of the quantizer's input, the sum y / lsb_n,
+      whether formed as y then y / lsb_n or, in run_modulator's
+      scaled loop, as the sum of its terms a_i x_i / lsb_n.
     - Device accumulator. A first state inside the bound leaves at most
       A = stability_bound * quanta_per_unit * device_gain / c[0] quanta
       in the accumulator. quanta_per_unit must be above 0, and A under
@@ -238,41 +240,84 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
     configured bound; the offending sample index rides on the error.
     The flux device's gain and clock were checked when cfg was built.
 
-    The loop is plain Python written out for the config's order,
-    backend and folds (_compiled_loop, and the folds below), compiled
-    on the first run of that variant and kept: each stage's state,
-    gains and peak are locals, and the input is read and the codes are
-    written through memoryviews, so a sample makes no numpy scalar, no
-    list access and no test of the backend. Every float operation
-    keeps its operands and their order (x1 + c1 err,
-    acc (c1 / gain) / quanta, xi + ci x_{i-1}, then y summed from stage
-    1 up and divided by the LSB in the same expression, without a
-    store to a local), so the codes and the state peaks are
-    bit-identical to the difference equations above evaluated in that
-    order.
+    The loop is plain Python written out for the config's order and
+    backend and for which of its constants are exactly 1.0
+    (_compiled_loop), compiled on the first run of that variant and
+    kept: each stage's state, gains and peak are locals, and the input
+    is read and the codes are written through memoryviews, so a sample
+    makes no numpy scalar, no list access and no test of the backend.
+    A multiply or divide by a constant of exactly 1.0, which is exact,
+    is left out of the source. Every other float operation keeps its
+    operands and their order (x1 + c1 err, acc (c1 / gain) / quanta,
+    xi + ci x_{i-1}, then y summed from stage 1 up and divided by the
+    LSB in the same expression, without a store to a local), so the
+    codes and the state peaks are bit-identical to the difference
+    equations above evaluated in that order.
 
-    Where a power of two makes it exact, the loop folds a scale into
-    constants formed once, which takes a division or a product off
-    every sample; any other config runs the expressions above. Scaling
-    by a power of two is exact, and commutes with rounding, wherever
-    the values stay normal floats:
+    Scaled loop. Stages are indexed from 0 here, as in the generated
+    source. Where the condition below holds, the loop carries each
+    value times a power of two fixed once per run: E = S_E err
+    and U = S_E u_n (one numpy product) for S_E = 1 / lsb_n, each
+    state X_i = S_i x_i for S_i = S_{i-1} / c_i (S_{-1} = S_E), and
+    the device accumulator ACC = S_A acc for S_A = 1 / gain. Where
+    lsb_n, c_i or the gain is no power of two, its scale is the one
+    before it (1 for S_E and S_A). The constants take the scales in,
+    once per run: c_i S_i / S_{i-1}, a_i S_E / S_i, the quantizer's
+    lsb_n S_E, and on the device gain S_A, quanta / S_E, and the
+    factor c0_gain / S_A and divisor quanta / S_0 of x0 = ACC factor /
+    divisor, where a power-of-two factor moves into the divisor. A
+    scale that cancels a power of two leaves a constant of 1, so at
+    the default gains an ideal sample is X0 = X0 + E; X1 = X1 + X0;
+    raw = ((X0 + X1) + R) - R; E = U - raw, with no multiply and no
+    divide. The bound tests compare X_i with S_i bound, state_peak
+    holds each peak over S_i, and an InstabilityError names the
+    unscaled bound. Where the condition fails, every scale is 1 and
+    the loop runs the difference equations as written.
 
-    - Quantizer. Where lsb_n = 2**-m with 0 <= m <= 512 and every
-      a_i / lsb_n is finite, the loop takes the gains a_i / lsb_n,
-      exact since they scale up, and rounds their sum without
-      / lsb_n. Each product and partial sum is then 2**m times its
-      unfolded value, unless a product falls under 2**-1022, the
-      subnormal range, where the folded form may round it more
-      finely. A partial sum of 2**-960 or more absorbs such a term
-      the same way on both forms; any other stays in sums under
-      2**-780 (unfolded), below half an LSB (2**-513 at least), and
-      the code rounds to 0 on both.
-    - Device. Where c0_gain = c1 / gain is a power of two in
-      [2**-1022, 1] and q_scale = quanta / c0_gain is finite, and so
-      exact, the loop takes x1 = acc / q_scale. acc is 0, inf, nan
-      or a whole number of magnitude at least 1, so acc c0_gain is
-      exact too, and both forms round one real quotient,
-      acc c0_gain / quanta.
+    Why the scaled loop is exact. Write fl(r) for the float nearest
+    the real r, q(v) for the largest power of two that divides the
+    float v (v itself for a power of two), and let S be a power of two.
+    (L) If r is a whole multiple of a power of two Q, with Q and S Q at
+    least 2**-1074 and |r| and |S r| at most 2**1023, then fl(r) is a
+    multiple of Q and fl(S r) = S fl(r): below 2**53 Q both are exact
+    floats, and above it both lie in the normal range, where rounding
+    commutes with S. (N) If |r| and |S r| lie in [2**-1022, 2**1023],
+    then fl(S r) = S fl(r). So each operation of the scaled loop gives
+    its scale times the unscaled result, and a zero its sign, where
+    its real result falls under (L) or (N) in both frames. It does
+    where three things hold:
+
+    - No value exceeds 2**1023. With the states inside the bound at a
+      sample's start, every value up to its first failing bound check
+      is at most V = 2**52 T K M (1 + bound + W + D): T is the largest
+      scale, K the largest a_i and c_i, both at least 1,
+      W = max |u_n| + half_range lsb_n, and on the device
+      M = max(1, gain) max(1, quanta) and D = c0 / quanta (on the
+      ideal loop 1 and 0). V <= 2**1022 sets a ceiling on max |u_n|,
+      with room for the roundings of the check itself.
+    - Every value is a multiple of a quantum of at least 2**-1074 in
+      both frames. A nonzero |u_n| >= F is a multiple of F 2**-52 and
+      raw lsb_n one of q(lsb_n), so err is a multiple of the lesser,
+      Q_e. The ideal x0 and c0 err are multiples of Q_0 = q(c0) Q_e,
+      x_i and c_i x_{i-1} of Q_i = q(c_i) Q_{i-1}, and a_i x_i of
+      q(a_i) Q_i; in the scaled frame each is a multiple of its scale
+      times that (S_E for the quantizer's terms). The least of these
+      over Q_e, P (min(1, S_E) on the device, whose x0 is not formed
+      from err), sets the floor F = 2**-1022 / P.
+    - On the device, the products E (quanta / S_E) and
+      ACC (c0_gain / S_A) are the reals err quanta and acc c0_gain
+      themselves, and ACC = S_A acc holds after every rounding. A nonzero acc is a whole number, so
+      x0 is 0 or the rounded quotient r >= c0_gain / quanta >= rho / 2,
+      for rho the largest power of two at most fl(c0_gain / quanta).
+      Where rho times the least ratio of the later quanta to Q_0 (both
+      frames, S_0 included) is at least 2**-1021, r falls under (N)
+      and x0 is a multiple of Q_0 = rho 2**-52.
+
+    The constants, each a float times a power of two, must be normal
+    floats, and so are exact. The config fixes every part of the
+    condition but the input's, which run_modulator checks beside
+    |u| <= 1: every nonzero |u_n| at least F, and max |u_n| at most
+    the ceiling.
 
     The loop rounds without round() and without a Python int: the
     quantizer takes (y / lsb_n + _ROUND) - _ROUND, the device
@@ -300,7 +345,9 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size == 0:
         raise DomainError("input trace must be a nonempty 1-d array")
-    if not np.all(np.abs(u) <= 1.0):
+    mag = np.abs(u)
+    peak = mag.max()
+    if not peak <= 1.0:
         # written so that nan fails it too
         raise DomainError("input must stay within [-1, 1] of full scale")
     n = u.size
@@ -309,32 +356,116 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
         # injected ahead of the quantizer, in normalized units; the
         # flicker amplitude calibration is the caller's k'
         u_n = u + synth_flicker_series(cfg.input_noise, n, cfg.fs)
+        mag = np.abs(u_n)
+        peak = mag.max()
 
     device_gain = cfg.device_gain
     lsb_n = cfg.comparator.b_lsb / cfg.full_scale_field
-    # every a_i / lsb_n is finite where the largest is
-    fold_lsb = (_power_of_two(lsb_n, _FOLD_LSB_MIN)
-                and math.isfinite(max(cfg.a) / lsb_n))
-    fold_gain = False
-    if device_gain is not None:
-        c0_gain = cfg.c[0] / device_gain
-        fold_gain = (_power_of_two(c0_gain, _FOLD_GAIN_MIN) and
-                     math.isfinite(cfg.quanta_per_unit / c0_gain))
+    plan = _loop_constants(cfg, lsb_n, device_gain, True)
+    limits = plan and _input_limits(cfg, lsb_n, device_gain, *plan)
+    if limits is None or not (peak <= limits[1]
+                              and not mag[mag < limits[0]].any()):
+        plan = _loop_constants(cfg, lsb_n, device_gain, False)
+    s_err, scales, consts = plan
+    if s_err != 1.0:
+        u_n = u_n * s_err
+    bound = cfg.stability_bound
     codes = np.empty(n)
-    loop = _compiled_loop(len(cfg.a), device_gain is not None, fold_lsb,
-                          fold_gain)
-    saturations, state_peak = loop(
-        memoryview(u_n), memoryview(codes), cfg.c, cfg.a,
-        cfg.stability_bound, float(cfg.comparator.half_range), lsb_n,
-        device_gain, cfg.quanta_per_unit)
+    loop = _compiled_loop(len(cfg.a), device_gain is not None,
+                          tuple(k for k, v in consts.items() if v == 1.0))
+    saturations, peaks = loop(
+        memoryview(u_n), memoryview(codes),
+        tuple(bound * s for s in scales), bound,
+        float(cfg.comparator.half_range), **consts)
     return TraceSet(config=cfg, codes=codes.astype(np.int64),
-                    saturation_count=saturations,
-                    device_gain=device_gain, state_peak=state_peak)
+                    saturation_count=saturations, device_gain=device_gain,
+                    state_peak=tuple(p / s for p, s in zip(peaks, scales)))
 
 
-def _power_of_two(v: float, least: float) -> bool:
-    """Whether v is a power of two in [least, 1]; False for nan."""
-    return least <= v <= 1.0 and math.frexp(v)[0] == 0.5
+def _power_of_two(v: float) -> bool:
+    """Whether v is a positive, finite power of two."""
+    return math.frexp(v)[0] == 0.5
+
+
+def _quantum(v: float) -> float:
+    """The largest power of two that the finite nonzero float v is a
+    whole multiple of, q(v) in run_modulator's docstring."""
+    m, e = math.frexp(abs(v))
+    whole = int(m * 2.0**53)
+    return math.ldexp(whole & -whole, e - 53)
+
+
+def _loop_constants(cfg: ModulatorConfig, lsb_n: float,
+                    gain: Optional[int], scaled: bool):
+    """The loop error's scale S_E, each state's scale S_i and the
+    loop's constants by name, as run_modulator's docstring forms them;
+    every scale is 1 where scaled is False, and None where a scale
+    would leave the normal floats. The device loop takes no c0, which
+    only its x0 factor c0_gain holds."""
+    takes = _power_of_two if scaled else lambda v: False
+    s_err = 1.0 / lsb_n if takes(lsb_n) else 1.0
+    scales, s = [], s_err
+    for ci in cfg.c:
+        if takes(ci):
+            s = s / ci
+        scales.append(s)
+    if not all(_LEAST_NORMAL <= s <= _SCALED_LIMIT
+               for s in (s_err, *scales)):
+        return None
+    consts, prev = {}, s_err
+    for i, (ci, ai, s) in enumerate(zip(cfg.c, cfg.a, scales)):
+        if i or gain is None:
+            consts[f"c{i}"] = ci * (s / prev)
+        consts[f"a{i}"] = ai * (s_err / s)
+        prev = s
+    consts["lsb_n"] = lsb_n * s_err
+    if gain is not None:
+        s_acc = 1.0 / gain if takes(gain) else 1.0
+        factor = cfg.c[0] / gain / s_acc
+        into_divisor = factor if takes(factor) else 1.0
+        quanta = cfg.quanta_per_unit
+        consts.update(gain=gain * s_acc, quanta=quanta / s_err,
+                      c0_gain=factor / into_divisor,
+                      q_scale=quanta / (scales[0] * into_divisor))
+    return s_err, tuple(scales), consts
+
+
+def _input_limits(cfg: ModulatorConfig, lsb_n: float, gain: Optional[int],
+                  s_err: float, scales: tuple, consts: dict):
+    """The floor F on each nonzero |u_n| and the ceiling on max |u_n|
+    of the scaled loop's condition (run_modulator's docstring), for
+    the scales and constants that _loop_constants forms; None where
+    the config fails its own part of the condition."""
+    bound = cfg.stability_bound
+    if not all(_LEAST_NORMAL <= v <= _SCALED_LIMIT for v in (
+            *consts.values(), *(bound * s for s in scales))):
+        return None
+    # the least ratio of a state's or quantizer term's quantum to Q_0,
+    # in either frame
+    least, ratio = 1.0, 1.0
+    for i, (ci, ai, s) in enumerate(zip(cfg.c, cfg.a, scales)):
+        if i:
+            ratio *= _quantum(ci)
+        qa = _quantum(ai)
+        least = min(least, ratio * min(1.0, s, qa, s_err * qa))
+    if gain is None:
+        p = min(1.0, s_err, _quantum(cfg.c[0]) * least)
+        d, m = 0.0, 1.0
+    else:
+        quanta = cfg.quanta_per_unit
+        x0_least = cfg.c[0] / gain / quanta
+        if not (_LEAST_NORMAL <= x0_least <= _SCALED_LIMIT
+                and math.ldexp(0.5, math.frexp(x0_least)[1]) * least
+                >= 2 * _LEAST_NORMAL):
+            return None
+        p = min(1.0, s_err)
+        d, m = cfg.c[0] / quanta, max(1.0, gain) * max(1.0, quanta)
+    if not _quantum(lsb_n) * p >= _LEAST_QUANTUM:
+        return None
+    most = max(1.0, s_err, *scales) * max(1.0, *cfg.a, *cfg.c) * m
+    return (_LEAST_NORMAL / p,
+            2.0**-52 * _SCALED_LIMIT / most
+            - (1.0 + bound + cfg.comparator.half_range * lsb_n + d))
 
 
 def _left_bound(stage: int, bound: float, k: int) -> InstabilityError:
@@ -344,44 +475,34 @@ def _left_bound(stage: int, bound: float, k: int) -> InstabilityError:
 
 
 # The loop of run_modulator in pieces, which _compiled_loop joins for
-# one order, backend and pair of folds; {i} is a stage's index from 0.
+# one order, backend and set of unit constants; {i} is a stage's index
+# from 0, and a {name} slot of a constant holds its multiply or divide,
+# or nothing where the constant is exactly 1.0. b_i is stage i's bound
+# in its scale; bound, unscaled, is the one an error names.
 _LOOP_HEAD = """\
-def loop(u, codes, c, a, bound, hr, lsb_n, gain, quanta):
-    {c_names}, = c
-    {a_names}, = a
-{a_fold}    {zeros} = 0.0
+def loop(u, codes, b, bound, hr, {params}):
+    {b_names}, = b
+    {zeros} = 0.0
     neg_hr = -hr
     err = 0.0
     saturations = 0
 """
-# {a_fold} is empty, or where run_modulator folds the power-of-two LSB
-# into the gains, _FOLDED_GAIN for each stage: formed once per run,
-# and exact (run_modulator's docstring)
-_FOLDED_GAIN = "    a{i} = a{i} / lsb_n\n"
 _IDEAL_INTEGRATOR = """\
     for k, uk in enumerate(u):
-        x0 = x0 + c0 * err
+        x0 = x0 + {c0}err
 """
 # the loop error rounded half to even to whole quanta, as fluxtrap
 # traps them, by adding and subtracting _ROUND; the float accumulator
 # holds integers, exactly while ModulatorConfig's accumulator check
-# holds. {q_scale} and {x0} are _DEVICE_X0 or, where run_modulator
-# folds the power-of-two c0_gain, _DEVICE_X0_FOLDED
+# holds
 _DEVICE_INTEGRATOR = """\
-    gain = float(gain)
-    c0_gain = c0 / gain
-{q_scale}    acc = 0.0
+    acc = 0.0
     for k, uk in enumerate(u):
-        acc += gain * ((err * quanta + {round}) - {round})
-        x0 = {x0}
+        acc += {gain}((err{quanta} + {round}) - {round})
+        x0 = acc{c0_gain}{q_scale}
 """
-_DEVICE_X0 = {"q_scale": "", "x0": "acc * c0_gain / quanta"}
-# acc / q_scale rounds the real quotient acc * c0_gain / quanta, since
-# both scalings by c0_gain are exact (run_modulator's docstring)
-_DEVICE_X0_FOLDED = {"q_scale": "    q_scale = quanta / c0_gain\n",
-                     "x0": "acc / q_scale"}
 _LATER_STAGE = """\
-        x{i} = x{i} + c{i} * x{prev}
+        x{i} = x{i} + {c}x{prev}
 """
 # the bound check folded into the peak update; run_modulator's
 # docstring says why it raises where a check of every state would, nan
@@ -391,59 +512,66 @@ _PEAK_AND_BOUND = """\
         if not (m{i} <= x{i} and x{i} <= p{i}):
             p{i} = abs(x{i})
             m{i} = -p{i}
-            if not p{i} <= bound:
+            if not p{i} <= b{i}:
                 raise _left_bound({stage}, bound, k)
 """
 # comparator.quantize at the normalized LSB, inlined, rounding half
 # to even by adding and subtracting _ROUND; the loop sum is rounded
 # without a store to a local, and the saturation test is split like
-# the range test above. {per_lsb} is " / lsb_n", or empty where
-# run_modulator folds the power-of-two LSB into the gains a_i, which
-# scales the sum exactly as the division would
+# the range test above
 _LOOP_TAIL = """\
-        raw = (({y_sum}){per_lsb} + {round}) - {round}
+        raw = (({y_sum}){lsb_per} + {round}) - {round}
         if not (neg_hr <= raw and raw <= hr):
             raw = hr if raw > 0 else neg_hr
             saturations += 1
         codes[k] = raw
-        err = uk - raw * lsb_n
+        err = uk - raw{lsb_times}
     return saturations, ({peaks},)
 """
 
 
 @functools.cache
-def _compiled_loop(order: int, device: bool, fold_lsb: bool,
-                   fold_gain: bool):
+def _compiled_loop(order: int, device: bool, units: tuple):
     """The loop written out stage by stage for one order and backend,
-    with the LSB folded into the gains a_i where fold_lsb holds, and,
-    on the device backend, c0_gain folded into q_scale where fold_gain
-    holds; compiled on first use and kept. Each stage's state x_i,
-    gains c_i, a_i and peak p_i = -m_i are plain locals: a sample does
-    no list access, no loop over the stages and no test of the backend
-    or of a fold."""
+    with no multiply or divide by a constant that units names, which
+    run_modulator found to be exactly 1.0; compiled on first use and
+    kept. Each stage's state x_i, gains c_i, a_i, bound b_i and peak
+    p_i = -m_i are plain locals: a sample does no list access, no loop
+    over the stages and no test of the backend or of a constant."""
     def each(template, sep=", "):
         return sep.join(template.format(i=i) for i in range(order))
 
-    src = _LOOP_HEAD.format(c_names=each("c{i}"), a_names=each("a{i}"),
-                            a_fold=each(_FOLDED_GAIN, "") if fold_lsb else "",
+    def times(name):
+        return "" if name in units else f"{name} * "
+
+    def by(op, name):
+        return "" if name in units else f" {op} {name}"
+
+    names = [f"c{i}" for i in range(1 if device else 0, order)]
+    names += [f"a{i}" for i in range(order)] + ["lsb_n"]
+    if device:
+        names += ["gain", "quanta", "c0_gain", "q_scale"]
+    src = _LOOP_HEAD.format(params=", ".join(names), b_names=each("b{i}"),
                             zeros=each("x{i} = p{i} = m{i}", " = "))
     if device:
         src += _DEVICE_INTEGRATOR.format(
-            round=repr(_ROUND),
-            **(_DEVICE_X0_FOLDED if fold_gain else _DEVICE_X0))
+            round=repr(_ROUND), gain=times("gain"),
+            quanta=by("*", "quanta"), c0_gain=by("*", "c0_gain"),
+            q_scale=by("/", "q_scale"))
     else:
-        src += _IDEAL_INTEGRATOR
+        src += _IDEAL_INTEGRATOR.format(c0=times("c0"))
     for i in range(order):
         if i:
-            src += _LATER_STAGE.format(i=i, prev=i - 1)
+            src += _LATER_STAGE.format(i=i, prev=i - 1, c=times(f"c{i}"))
         src += _PEAK_AND_BOUND.format(i=i, stage=i + 1)
-    src += _LOOP_TAIL.format(y_sum=each("a{i} * x{i}", " + "),
-                             per_lsb="" if fold_lsb else " / lsb_n",
-                             round=repr(_ROUND), peaks=each("p{i}"))
+    src += _LOOP_TAIL.format(
+        y_sum=" + ".join(f"{times(f'a{i}')}x{i}" for i in range(order)),
+        lsb_per=by("/", "lsb_n"), lsb_times=by("*", "lsb_n"),
+        round=repr(_ROUND), peaks=each("p{i}"))
     backend = "flux-device" if device else "ideal"
     namespace = {"_left_bound": _left_bound}
     exec(compile(src, f"<modulator loop, order {order}, {backend}, "
-                      f"fold_lsb={fold_lsb}, fold_gain={fold_gain}>", "exec"),
+                      f"unit {' '.join(units) or 'none'}>", "exec"),
          namespace)
     return namespace["loop"]
 

@@ -11,8 +11,9 @@ command lines parse and its Python blocks run, scipy loads only where
 the CN oracle runs, the runtime dependencies are the packages imported
 at module level, no module warns: a failure leaves as a typed
 FluxDsmError, and each generated modulator loop calls no round(),
-compiles no chained comparison and divides a sample only by what no
-power-of-two fold removes."""
+compiles no chained comparison and divides a sample only by a
+constant other than 1.0, which leaves the default ideal loop no
+multiply and no divide."""
 
 import ast
 import dis
@@ -79,20 +80,38 @@ def test_no_warnings_channel(path):
     assert _warnings_imports(tree) == []
 
 
-# every loop _compiled_loop builds, as (order, device, fold_lsb,
-# fold_gain): the gain fold is the device backend's alone
-LOOP_VARIANTS = [(order, device, fold_lsb, fold_gain)
+def _constant_names(order, device):
+    """The constants that the (order, device) loop takes, each of which
+    it leaves out where it is exactly 1.0: its parameters after u,
+    codes, b, bound and hr."""
+    code = _compiled_loop(order, device, ()).__code__
+    return code.co_varnames[5:code.co_argcount]
+
+
+def _unit_sets(order, device):
+    """Sets of constants to leave out: none and all, so that each
+    constant's multiply or divide is in one loop and left out of the
+    other, and at order 2, the default's, all but each one in turn."""
+    names = _constant_names(order, device)
+    sets = [(), names]
+    if order == 2:
+        sets += [tuple(n for n in names if n != kept) for kept in names]
+    return sets
+
+
+# loops that _compiled_loop builds, as (order, device, units), units
+# the constants it leaves out
+LOOP_VARIANTS = [(order, device, units)
                  for order in (1, 2, 3, 4) for device in (False, True)
-                 for fold_lsb in (False, True)
-                 for fold_gain in ((False, True) if device else (False,))]
+                 for units in _unit_sets(order, device)]
 
 
 def _variant_id(variant):
-    order, device, fold_lsb, fold_gain = variant
-    folds = "-".join(name for name, on in (("lsb", fold_lsb),
-                                           ("gain", fold_gain)) if on)
-    return (f"order{order}-{'flux-device' if device else 'ideal'}"
-            f"-{folds or 'unfolded'}")
+    order, device, units = variant
+    kept = [n for n in _constant_names(order, device) if n not in units]
+    unit = ("no-unit" if not units else "all-unit" if not kept
+            else f"all-unit-but-{kept[0]}")
+    return f"order{order}-{'flux-device' if device else 'ideal'}-{unit}"
 
 
 @pytest.mark.parametrize("variant", LOOP_VARIANTS, ids=_variant_id)
@@ -118,43 +137,48 @@ def test_modulator_loop_chains_no_comparison(variant):
     assert "SWAP" not in ops
 
 
-def _sample_divisors(loop):
-    """The divisor of each true division in the loop's per-sample body,
-    the code from its FOR_ITER on, as the name loaded just before it."""
+def _sample_operands(loop, op):
+    """The right operand of each binary op `op` in the loop's
+    per-sample body, the code from its FOR_ITER on, as the name loaded
+    just before it (None where the operand is not a name)."""
     ins = list(dis.get_instructions(loop))
     start = next(i for i, x in enumerate(ins) if x.opname == "FOR_ITER")
-    divisors = []
+    operands = []
     for prev, x in zip(ins[start:], ins[start + 1:]):
-        if x.opname == "BINARY_OP" and x.argrepr == "/":
-            name = prev.argval
-            divisors.append(name[-1] if isinstance(name, tuple) else name)
-    return sorted(divisors)
+        if x.opname == "BINARY_OP" and x.argrepr == op:
+            name = prev.argval if prev.opname.startswith("LOAD") else None
+            operands.append(name[-1] if isinstance(name, tuple) else name)
+    return operands
+
+
+def _sample_divisors(loop):
+    return sorted(_sample_operands(loop, "/"))
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11),
                     reason="BINARY_OP is a CPython 3.11 opcode")
 @pytest.mark.parametrize("variant", LOOP_VARIANTS, ids=_variant_id)
 def test_modulator_loop_divides_only_where_unfolded(variant):
-    """A folded LSB takes the quantizer's division by lsb_n off every
-    sample, and a folded c0_gain turns the device's acc * c0_gain /
-    quanta into acc / q_scale."""
-    _, device, fold_lsb, fold_gain = variant
-    expected = [] if fold_lsb else ["lsb_n"]
-    if device:
-        expected.append("q_scale" if fold_gain else "quanta")
-    assert _sample_divisors(_compiled_loop(*variant)) == sorted(expected)
+    """A sample divides by lsb_n, and the device's x0 by q_scale, only
+    where run_modulator found that constant other than 1.0; the scaled
+    loop's lsb_n S_E is 1."""
+    _, device, units = variant
+    expected = [name for name in ("lsb_n", "q_scale")
+                if name not in units and (device or name == "lsb_n")]
+    assert _sample_divisors(_compiled_loop(*variant)) == expected
 
 
 _DEFAULT = ModulatorConfig()
+_GEOM8 = CylinderGeometry(radius=0.02, n_segments=8, n_eff=4)
 
 
-def _variant_run(monkeypatch, cfg):
-    """The (order, device, fold_lsb, fold_gain) loop that run_modulator
-    runs for cfg."""
+def _variant_run(monkeypatch, cfg, u=np.zeros(4)):
+    """The (order, device, units) loop that run_modulator runs for cfg
+    and u."""
     built = []
     monkeypatch.setattr(modulator, "_compiled_loop",
                         lambda *v: built.append(v) or _compiled_loop(*v))
-    run_modulator(cfg, np.zeros(4))
+    run_modulator(cfg, u)
     return built[-1]
 
 
@@ -165,38 +189,68 @@ def _variant_run(monkeypatch, cfg):
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_default_comparator_loop_divides_by_no_lsb(order, device,
                                                    monkeypatch):
-    """At the default comparator's full scale lsb_n is 2**-8, so no
-    loop divides by it; a device loop divides once, by q_scale where
-    c[0] / gain is a power of two. A full scale 1.1 times as large
-    makes lsb_n no power of two, and the loop keeps / lsb_n."""
-    geometry = CylinderGeometry(radius=0.02, n_segments=8, n_eff=4)
+    """At the default comparator's full scale lsb_n is 2**-8, which the
+    scaled loop takes into its error's scale, so no loop divides by
+    it; a device loop divides once, by q_scale, and takes a power-of-two
+    c0_gain into it. A full scale 1.1 times as large makes lsb_n no
+    power of two, and the loop keeps / lsb_n."""
     for c0 in (0.5, 0.3):
         for full_scale in (None, 1.1 * _DEFAULT.full_scale_field):
-            variant = _variant_run(monkeypatch, ModulatorConfig(
+            _, _, units = _variant_run(monkeypatch, ModulatorConfig(
                 a=(1.0,) * order, c=(c0,) + (0.5,) * (order - 1),
                 full_scale=full_scale,
-                geometry=geometry if device else None))
-            power_of_two = device and c0 == 0.5
-            assert variant == (order, device, full_scale is None,
-                               power_of_two)
+                geometry=_GEOM8 if device else None))
+            assert ("lsb_n" in units) == (full_scale is None)
+            if device:
+                assert ("c0_gain" in units) == (c0 == 0.5)
             expected = [] if full_scale is None else ["lsb_n"]
             if device:
-                expected.append("q_scale" if power_of_two else "quanta")
-            assert _sample_divisors(_compiled_loop(*variant)) == sorted(
-                expected)
+                expected.append("q_scale")
+            assert _sample_divisors(_compiled_loop(
+                order, device, units)) == sorted(expected)
 
 
-# lsb_n of 2**-600, under the least LSB the loop folds, and of 2; and a
-# gain a_0 = 2**1020, which the default lsb_n of 2**-8 would scale past
-# the float range (each bound keeps the loop sum under 2**50)
-@pytest.mark.parametrize("kwargs", [
-    dict(full_scale=_DEFAULT.comparator.b_lsb * 2.0**600,
-         stability_bound=2.0**-560),
-    dict(full_scale=_DEFAULT.comparator.b_lsb / 2),
-    dict(a=(2.0**1020,), c=(2.0**-1010,), stability_bound=2.0**-1000),
-], ids=["lsb-2**-600", "lsb-2", "a-over-lsb-overflows"])
-def test_loop_keeps_lsb_division_outside_the_fold(kwargs, monkeypatch):
-    assert _variant_run(monkeypatch, ModulatorConfig(**kwargs))[2] is False
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="BINARY_OP is a CPython 3.11 opcode")
+def test_default_loops_multiply_only_to_round_the_device_quanta(
+        monkeypatch):
+    """At the default gains the order-2 ideal loop's sample has no
+    multiply and no divide. The device loop keeps the multiply that
+    rounds err to quanta and the divide by q_scale; its gain, a power
+    of two at 8 segments, goes into the accumulator's scale, and
+    c0_gain into q_scale. A gain of 3, at 6 segments, keeps both
+    multiplies."""
+    ideal = _compiled_loop(*_variant_run(monkeypatch, _DEFAULT))
+    assert _sample_operands(ideal, "*") == []
+    assert _sample_operands(ideal, "/") == []
+    device = _compiled_loop(*_variant_run(
+        monkeypatch, ModulatorConfig(geometry=_GEOM8)))
+    assert _sample_operands(device, "*") == ["quanta"]
+    assert _sample_operands(device, "/") == ["q_scale"]
+    gain3 = _compiled_loop(*_variant_run(monkeypatch, ModulatorConfig(
+        geometry=CylinderGeometry(radius=0.02, n_segments=6, n_eff=4))))
+    # gain * ((err * quanta + R) - R), whose gain multiplies no name,
+    # then acc * c0_gain / q_scale, as c[0] / 3 is no power of two
+    assert _sample_operands(gain3, "*") == ["quanta", None, "c0_gain"]
+
+
+# the scaled loop takes any power-of-two lsb_n whose scaled constants
+# stay normal floats, 2**-600 and 2 among them, and leaves out
+# / lsb_n; a gain a_0 = 2**1020 scales x_1 past the condition's
+# ceiling, and a DC input of 1e-310 lies under its floor, so both keep
+# / lsb_n (each bound keeps the loop sum under 2**50)
+@pytest.mark.parametrize("kwargs,u,scaled", [
+    (dict(full_scale=_DEFAULT.comparator.b_lsb * 2.0**600,
+          stability_bound=2.0**-560), np.zeros(4), True),
+    (dict(full_scale=_DEFAULT.comparator.b_lsb / 2), np.zeros(4), True),
+    (dict(a=(2.0**1020,), c=(2.0**-1010,), stability_bound=2.0**-1000),
+     np.zeros(4), False),
+    (dict(), np.full(4, 1e-310), False),
+], ids=["lsb-2**-600", "lsb-2", "a-over-lsb-overflows", "dc-under-floor"])
+def test_loop_keeps_lsb_division_outside_the_fold(kwargs, u, scaled,
+                                                  monkeypatch):
+    _, _, units = _variant_run(monkeypatch, ModulatorConfig(**kwargs), u)
+    assert ("lsb_n" in units) == scaled
 
 
 def _constant_overrides(tree):

@@ -14,10 +14,13 @@ from fluxdsm.errors import ConfigError, DomainError, InstabilityError
 from fluxdsm.fluxtrap import (CylinderGeometry, FieldStep,
                               default_amplification_schedule,
                               doubling_amplification_schedule)
+from fluxdsm import modulator
 from fluxdsm.modulator import (
     _ROUND,
     _compiled_loop,
     _hann_periodic,
+    _input_limits,
+    _loop_constants,
     ModulatorConfig,
     band_sndr,
     dc_tracking_mean,
@@ -441,19 +444,118 @@ def test_device_loop_at_extreme_c0_gain_runs_as_the_oracle(c0, full_scale,
 @pytest.mark.parametrize("order", [2, 3])
 def test_subnormal_and_signed_zero_dc_runs_as_the_oracle(order, geometry,
                                                          dc):
-    # order 3's gains are not dyadic, so its products round in the
-    # subnormal range, where a folded LSB rounds more finely
+    # under the scaled loop's floor, so the loop runs unscaled; order
+    # 3's gains are not dyadic, so its products round in the subnormal
+    # range, where a scaled loop would round more finely
     a, c = LOOP_COEFFS[order]
     cfg = ModulatorConfig(a=a, c=c, geometry=geometry, stability_bound=50.0)
     _assert_runs_as_oracle(cfg, np.full(2048, dc),
                            None if geometry is None else 4)
 
 
+def _scaled_run_as_oracle(monkeypatch, cfg, u, gain=None):
+    """_assert_runs_as_oracle, then whether the run took the scaled
+    loop: at the default full scale lsb_n = 2**-8 only the scaled loop
+    leaves out its multiply and divide by lsb_n."""
+    units = []
+    monkeypatch.setattr(modulator, "_compiled_loop",
+                        lambda *v: units.append(v[2]) or _compiled_loop(*v))
+    _assert_runs_as_oracle(cfg, u, gain)
+    return "lsb_n" in units[-1]
+
+
+def _scaling_limits(cfg):
+    """The floor and the ceiling on |u_n| of cfg's scaled loop."""
+    lsb_n = cfg.comparator.b_lsb / cfg.full_scale_field
+    return _input_limits(cfg, lsb_n, cfg.device_gain, *_loop_constants(
+        cfg, lsb_n, cfg.device_gain, True))
+
+
+# the default loop's floor on a nonzero |u_n| is 2**-1022 / P: P is
+# 1/4 on the ideal loop, whose least quantum is that of x_2, c1 c2 err,
+# and 1 on the device, whose first state is not formed from err
+@pytest.mark.parametrize("inside", [True, False],
+                         ids=["at-floor", "under-floor"])
+@pytest.mark.parametrize("geometry,floor", [(None, 2.0**-1020),
+                                            (GEOM8, 2.0**-1022)],
+                         ids=BACKEND_IDS)
+def test_input_at_the_scaling_floor_runs_as_the_oracle(geometry, floor,
+                                                       inside, monkeypatch):
+    cfg = ModulatorConfig(geometry=geometry)
+    assert _scaling_limits(cfg)[0] == floor
+    level = floor if inside else np.nextafter(floor, 0.0)
+    # a tone, whose sample 0 is 0.0, with tiny samples of both signs
+    u = make_tone(512, 5, 0.5)
+    u[3::4] = level
+    u[5::8] = -level
+    assert _scaled_run_as_oracle(monkeypatch, cfg, u,
+                                 None if geometry is None else 4) == inside
+
+
+@pytest.mark.parametrize("inside", [True, False],
+                         ids=["at-ceiling", "over-ceiling"])
+def test_input_at_the_scaling_ceiling_runs_as_the_oracle(inside,
+                                                         monkeypatch):
+    # c[0] = 2**-960 scales x_1 by 2**968, which leaves max |u_n| a
+    # ceiling of 2**970 / 2**968 - (1 + bound + half_range lsb_n) = 0.5
+    cfg = ModulatorConfig(a=(1.0,), c=(2.0**-960,), stability_bound=1.5)
+    assert _scaling_limits(cfg)[1] == 0.5
+    u = make_tone(512, 5, 0.4)
+    u[7] = 0.5 if inside else np.nextafter(0.5, 1.0)
+    assert _scaled_run_as_oracle(monkeypatch, cfg, u) == inside
+
+
+@pytest.mark.parametrize("geometry", [None, GEOM8], ids=BACKEND_IDS)
+def test_scaled_loop_leaving_the_bound_raises_as_the_oracle(geometry,
+                                                            monkeypatch):
+    # the scaled loop checks x_i against the bound scaled alike, and
+    # its error names the unscaled bound
+    cfg = ModulatorConfig(geometry=geometry, stability_bound=0.3)
+    u = np.full(64, 0.9)
+    with pytest.raises(InstabilityError, match=r"left \[-0\.3, 0\.3\]"):
+        run_modulator(cfg, u)
+    assert _scaled_run_as_oracle(monkeypatch, cfg, u,
+                                 None if geometry is None else 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=st.integers(min_value=1, max_value=3),
+       a_exp=st.lists(st.integers(min_value=-2, max_value=3), min_size=3,
+                      max_size=3),
+       c_exp=st.lists(st.integers(min_value=-3, max_value=1), min_size=3,
+                      max_size=3),
+       scale_exp=st.integers(min_value=-4, max_value=4),
+       device=st.booleans(), tone=st.booleans(),
+       level=st.one_of(st.floats(min_value=0.0, max_value=0.95),
+                       st.floats(min_value=0.0, max_value=2.0**-1000),
+                       st.sampled_from([2.0**-1020, 2.0**-1022, 5e-324,
+                                        np.nextafter(2.0**-1020, 0.0)])))
+@example(order=2, a_exp=[1, 2, 0], c_exp=[-1, -1, 0], scale_exp=0,
+         device=False, tone=False, level=2.0**-1020)
+@example(order=2, a_exp=[1, 2, 0], c_exp=[-1, -1, 0], scale_exp=0,
+         device=True, tone=True, level=0.5)
+def test_power_of_two_loops_run_as_the_oracle(order, a_exp, c_exp, scale_exp,
+                                              device, tone, level):
+    # power-of-two gains and full scales, at tiny and ordinary levels,
+    # scaled or not: codes, saturations and state peaks bit for bit,
+    # or the oracle's InstabilityError
+    cfg = ModulatorConfig(
+        a=tuple(2.0**e for e in a_exp[:order]),
+        c=tuple(2.0**e for e in c_exp[:order]),
+        full_scale=ModulatorConfig().full_scale_field * 2.0**scale_exp,
+        geometry=GEOM8 if device else None, stability_bound=50.0)
+    u = make_tone(256, 3, level) if tone else np.full(256, level)
+    u[1::5] = -level
+    _assert_runs_as_oracle(cfg, u, 4 if device else None)
+
+
 def test_sweep_compiles_each_loop_variant_once():
-    # 4 orders x (ideal: LSB folded or not; device: LSB and c0_gain
-    # each folded or not) = 24 loops: a full scale 1.1 times the
-    # default's makes lsb_n no power of two, and c[0] = 0.3 over the
-    # gain of 4 makes c0_gain none; a second sweep compiles nothing
+    # each of these 24 configs leaves a different set of constants at
+    # 1.0, and so takes its own loop: per order, the ideal loop at two
+    # full scales, one 1.1 times the default's, which makes lsb_n no
+    # power of two, and the device loop at those two and at c[0] of
+    # 0.5 and 0.3, whose c0_gain is no power of two; a second sweep
+    # compiles nothing
     full_scale = 1.1 * ModulatorConfig().full_scale_field
     configs = [
         ModulatorConfig(a=a, c=(c0,) + c[1:], geometry=geometry,

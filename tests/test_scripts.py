@@ -35,3 +35,26 @@ def test_gain_sweep_gain_is_half_the_segments(capsys):
     assert [int(row[1]) for row in rows] == [max(n // 2, 1)
                                              for n in range(1, 13)]
 
+
+
+def test_artifact_digests_lists_each_artifact_at_both_seeds(tmp_path,
+                                                             monkeypatch,
+                                                             capsys):
+    # one shipped config, copied into a stand-in checkout
+    digests = _load("artifact_digests")
+    (tmp_path / "scenarios").mkdir()
+    (tmp_path / "scenarios" / "comparator_curve.cfg").write_bytes(
+        (SCRIPTS.parent / "scenarios" / "comparator_curve.cfg").read_bytes())
+    monkeypatch.setattr(digests, "ROOT", tmp_path)
+    monkeypatch.setattr(digests, "CONFIG_DIRS", ("scenarios", "missing"))
+    digests.main()
+    first = capsys.readouterr().out
+    rows = [line.split("  ") for line in first.splitlines()]
+    assert [path for _, path in rows] == [
+        f"seed-{seed}/scenarios/comparator_curve/{name}"
+        for seed in (7, "config") for name in ("curve.csv", "report.txt")]
+    assert all(re.fullmatch(r"[0-9a-f]{64}", digest) for digest, _ in rows)
+    # the report names the seed; the curve does not depend on it
+    assert rows[0][0] == rows[2][0] and rows[1][0] != rows[3][0]
+    digests.main()
+    assert capsys.readouterr().out == first

@@ -22,6 +22,7 @@ recovers the ideal integrator up to single-quantum granularity.
 
 import functools
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -53,6 +54,10 @@ _ACCUMULATOR_LIMIT = 2.0**48
 _SCALED_LIMIT = 2.0**1022
 _LEAST_QUANTUM = 2.0**-1074
 _LEAST_NORMAL = 2.0**-1022
+# run_modulator's loop runs _BLOCK samples per iteration and stores
+# their codes with one call of _pack_block
+_BLOCK = 16
+_pack_block = struct.Struct(f"{_BLOCK}d").pack_into
 
 
 def _default_comparator() -> ComparatorConfig:
@@ -63,10 +68,12 @@ def _default_comparator() -> ComparatorConfig:
 class ModulatorConfig:
     """The loop order is len(a), one feedforward gain a_i and one
     integrator gain c_i per integrator. A cylinder geometry makes the
-    first integrator the flux device, whose schedule the config runs
-    once, for device_gain; DomainError if that leaves no ring or if
-    settle_margin lies outside [1, inf). backend is derived from the
-    geometry, "flux-device" or "ideal"; one that is given must agree.
+    first integrator the flux device, whose schedule runs once per
+    geometry, b_lsb and schedule, for device_gain (_schedule_gain), so
+    a config that dataclasses.replace rebuilds runs none; DomainError
+    if that leaves no ring or if settle_margin lies outside [1, inf).
+    backend is derived from the geometry, "flux-device" or "ideal"; one
+    that is given must agree.
 
     The loop rounds in float arithmetic. For |t| <= 2**51, t + _ROUND
     (1.5 * 2**52) lies in [2**52, 2**53], where the floats are the
@@ -195,8 +202,18 @@ class ModulatorConfig:
         schedule = self.schedule
         if schedule is None:
             schedule = default_amplification_schedule(self.geometry.n_segments)
-        return run_amplification_sequence(
-            self.geometry, self.comparator.b_lsb, schedule)[1]
+        return _schedule_gain(self.geometry, self.comparator.b_lsb,
+                              tuple(schedule))
+
+
+@functools.lru_cache(maxsize=64)
+def _schedule_gain(geometry: CylinderGeometry, b_lsb: float,
+                   schedule: tuple) -> int:
+    """The rings that schedule leaves on geometry at the input b_lsb,
+    kept per argument set, so that a config that dataclasses.replace
+    rebuilds, as the scenario runner does to seed the input noise, runs
+    no schedule."""
+    return run_amplification_sequence(geometry, b_lsb, schedule)[1]
 
 
 @dataclass(frozen=True)
@@ -243,11 +260,16 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
     The loop is plain Python written out for the config's order and
     backend and for which of its constants are exactly 1.0
     (_compiled_loop), compiled on the first run of that variant and
-    kept: each stage's state, gains and peak are locals, and the input
-    is read and the codes are written through memoryviews, so a sample
+    kept: each stage's state, gains and peak are locals, so a sample
     makes no numpy scalar, no list access and no test of the backend.
-    A multiply or divide by a constant of exactly 1.0, which is exact,
-    is left out of the source. Every other float operation keeps its
+    It runs in blocks of _BLOCK = 16 samples: one iterator over the
+    input, zipped with itself 16 times, hands a block its 16 inputs,
+    the block body holds 16 copies of the sample, each with its own
+    input and code, and one struct pack_into writes the block's 16
+    codes into the float buffer. A tail loop runs the n % 16 samples
+    left, one at a time, with the same sample. A multiply or divide by
+    a constant of exactly 1.0, which is exact, is left out of the
+    source. Every other float operation keeps its
     operands and their order (x1 + c1 err, acc (c1 / gain) / quanta,
     xi + ci x_{i-1}, then y summed from stage 1 up and divided by the
     LSB in the same expression, without a store to a local), so the
@@ -329,6 +351,25 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
     peaks and InstabilityErrors are those of round() and an integer
     accumulator.
 
+    The saturation test runs only once the peaks can reach it. Where a
+    stage's peak grows, the loop sets risky, whether the quantizer's
+    own expression evaluated at the peaks, reach = ((sum_i a_i p_i)
+    [/ lsb_n] + _ROUND) - _ROUND, with each constant left out as the
+    sample leaves it out, is not <= half_range; the quantizer tests its
+    code against +-half_range only while risky holds. That skips no
+    saturation. fl is monotone and odd, and each a_i, lsb_n and p_i is
+    at least 0, so while every |x_i| <= p_i each operation of the
+    sample's loop sum is at most, in magnitude, the same operation on
+    the peaks: |fl(a_i x_i)| = fl(a_i |x_i|) <= fl(a_i p_i), and
+    |fl(s + t)| = fl(|s + t|) <= fl(|s| + |t|) <= fl(S + T) for |s| <= S
+    and |t| <= T. (t + _ROUND) - _ROUND is monotone in t, and odd for
+    |t| <= 2**51, which the loop-sum check keeps every quantized t in,
+    so |raw| <= reach: where reach <= half_range, no code can pass
+    half_range. A peak only grows, and grows at the sample where a
+    state passes it, so the flag is set again before that sample's
+    quantizer runs. A nan or an infinite reach is not <= half_range,
+    and so tests every code.
+
     Each stage's bound check rides on its peak update. A state inside
     [-p_i, p_i] of its running peak is inside the bound, because p_i
     never exceeds it; only a state outside that range, or a nan, which
@@ -373,7 +414,7 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
     codes = np.empty(n)
     loop = _compiled_loop(len(cfg.a), device_gain is not None,
                           tuple(k for k, v in consts.items() if v == 1.0))
-    saturations, peaks = loop(
+    saturations, peaks, _ = loop(
         memoryview(u_n), memoryview(codes),
         tuple(bound * s for s in scales), bound,
         float(cfg.comparator.half_range), **consts)
@@ -478,7 +519,11 @@ def _left_bound(stage: int, bound: float, k: int) -> InstabilityError:
 # one order, backend and set of unit constants; {i} is a stage's index
 # from 0, and a {name} slot of a constant holds its multiply or divide,
 # or nothing where the constant is exactly 1.0. b_i is stage i's bound
-# in its scale; bound, unscaled, is the one an error names.
+# in its scale; bound, unscaled, is the one an error names. reach is
+# the quantizer's own expression at the peaks, and risky whether it
+# passes half_range (run_modulator's docstring says why that test is
+# exact); its defaults bind the constants it reads, so the loop keeps
+# them as plain locals.
 _LOOP_HEAD = """\
 def loop(u, codes, b, bound, hr, {params}):
     {b_names}, = b
@@ -486,9 +531,24 @@ def loop(u, codes, b, bound, hr, {params}):
     neg_hr = -hr
     err = 0.0
     saturations = 0
+    def reach({peaks}, {binds}hr=hr):
+        return not ((({reach_sum}){lsb_per} + {round}) - {round} <= hr)
+    risky = reach({peaks})
+"""
+# the block loop: _BLOCK samples per iteration, read by zipping one
+# iterator _BLOCK times and written with one packed store; the tail
+# loop runs the samples left after the last whole block, one at a time
+_BLOCK_HEAD = """\
+    it = iter(u)
+    at = 0
+    for {u_names} in zip({its}):
+"""
+_BLOCK_TAIL = """\
+        _pack_block(codes, 8 * at, {r_names})
+        at += {block}
+    for k, uk in enumerate(u[at:], at):
 """
 _IDEAL_INTEGRATOR = """\
-    for k, uk in enumerate(u):
         x0 = x0 + {c0}err
 """
 # the loop error rounded half to even to whole quanta, as fluxtrap
@@ -496,8 +556,6 @@ _IDEAL_INTEGRATOR = """\
 # holds integers, exactly while ModulatorConfig's accumulator check
 # holds
 _DEVICE_INTEGRATOR = """\
-    acc = 0.0
-    for k, uk in enumerate(u):
         acc += {gain}((err{quanta} + {round}) - {round})
         x0 = acc{c0_gain}{q_scale}
 """
@@ -507,26 +565,32 @@ _LATER_STAGE = """\
 # the bound check folded into the peak update; run_modulator's
 # docstring says why it raises where a check of every state would, nan
 # included. The range test is two comparisons joined by `and`, not a
-# chain, which would cost a SWAP and a COPY per sample.
+# chain, which would cost a SWAP and a COPY per sample. {k} is the
+# sample's index.
 _PEAK_AND_BOUND = """\
         if not (m{i} <= x{i} and x{i} <= p{i}):
             p{i} = abs(x{i})
             m{i} = -p{i}
             if not p{i} <= b{i}:
-                raise _left_bound({stage}, bound, k)
+                raise _left_bound({stage}, bound, {{k}})
+            risky = reach({peaks})
 """
 # comparator.quantize at the normalized LSB, inlined, rounding half
 # to even by adding and subtracting _ROUND; the loop sum is rounded
-# without a store to a local, and the saturation test is split like
-# the range test above
-_LOOP_TAIL = """\
-        raw = (({y_sum}){lsb_per} + {round}) - {round}
-        if not (neg_hr <= raw and raw <= hr):
-            raw = hr if raw > 0 else neg_hr
-            saturations += 1
+# without a store to a local, and the saturation test, split like the
+# range test above, runs only once the peaks can reach half_range.
+# {uk} is the sample's input and {raw} its code.
+_QUANTIZER = """\
+        {{raw}} = (({y_sum}){lsb_per} + {round}) - {round}
+        if risky:
+            if not (neg_hr <= {{raw}} and {{raw}} <= hr):
+                {{raw}} = hr if {{raw}} > 0 else neg_hr
+                saturations += 1
+        err = {{uk}} - {{raw}}{lsb_times}
+"""
+_LOOP_END = """\
         codes[k] = raw
-        err = uk - raw{lsb_times}
-    return saturations, ({peaks},)
+    return saturations, ({peaks},), risky
 """
 
 
@@ -537,9 +601,14 @@ def _compiled_loop(order: int, device: bool, units: tuple):
     run_modulator found to be exactly 1.0; compiled on first use and
     kept. Each stage's state x_i, gains c_i, a_i, bound b_i and peak
     p_i = -m_i are plain locals: a sample does no list access, no loop
-    over the stages and no test of the backend or of a constant."""
-    def each(template, sep=", "):
-        return sep.join(template.format(i=i) for i in range(order))
+    over the stages and no test of the backend or of a constant. The
+    block loop holds _BLOCK copies of the sample and the tail loop one;
+    each copy reads its own input u_j and writes its own code r_j.
+
+    The loop returns the saturation count, the peaks in their scales
+    and risky, whether the run's peaks could reach saturation."""
+    def each(template, sep=", ", count=order):
+        return sep.join(template.format(i=i) for i in range(count))
 
     def times(name):
         return "" if name in units else f"{name} * "
@@ -547,29 +616,47 @@ def _compiled_loop(order: int, device: bool, units: tuple):
     def by(op, name):
         return "" if name in units else f" {op} {name}"
 
+    def sum_of(v):
+        return " + ".join(f"{times(f'a{i}')}{v}{i}" for i in range(order))
+
     names = [f"c{i}" for i in range(1 if device else 0, order)]
     names += [f"a{i}" for i in range(order)] + ["lsb_n"]
     if device:
         names += ["gain", "quanta", "c0_gain", "q_scale"]
-    src = _LOOP_HEAD.format(params=", ".join(names), b_names=each("b{i}"),
-                            zeros=each("x{i} = p{i} = m{i}", " = "))
+    peaks = each("p{i}")
+    binds = "".join(f"{name}={name}, " for name in
+                    [f"a{i}" for i in range(order)] + ["lsb_n"]
+                    if name not in units)
+    src = _LOOP_HEAD.format(
+        params=", ".join(names), b_names=each("b{i}"),
+        zeros=each("x{i} = p{i} = m{i}", " = "), peaks=peaks, binds=binds,
+        reach_sum=sum_of("p"), lsb_per=by("/", "lsb_n"),
+        round=repr(_ROUND))
     if device:
-        src += _DEVICE_INTEGRATOR.format(
+        src += "    acc = 0.0\n"
+        sample = _DEVICE_INTEGRATOR.format(
             round=repr(_ROUND), gain=times("gain"),
             quanta=by("*", "quanta"), c0_gain=by("*", "c0_gain"),
             q_scale=by("/", "q_scale"))
     else:
-        src += _IDEAL_INTEGRATOR.format(c0=times("c0"))
+        sample = _IDEAL_INTEGRATOR.format(c0=times("c0"))
     for i in range(order):
         if i:
-            src += _LATER_STAGE.format(i=i, prev=i - 1, c=times(f"c{i}"))
-        src += _PEAK_AND_BOUND.format(i=i, stage=i + 1)
-    src += _LOOP_TAIL.format(
-        y_sum=" + ".join(f"{times(f'a{i}')}x{i}" for i in range(order)),
-        lsb_per=by("/", "lsb_n"), lsb_times=by("*", "lsb_n"),
-        round=repr(_ROUND), peaks=each("p{i}"))
+            sample += _LATER_STAGE.format(i=i, prev=i - 1, c=times(f"c{i}"))
+        sample += _PEAK_AND_BOUND.format(i=i, stage=i + 1, peaks=peaks)
+    sample += _QUANTIZER.format(
+        y_sum=sum_of("x"), lsb_per=by("/", "lsb_n"),
+        lsb_times=by("*", "lsb_n"), round=repr(_ROUND))
+    src += _BLOCK_HEAD.format(u_names=each("u{i}", count=_BLOCK),
+                              its=", ".join(["it"] * _BLOCK))
+    src += "".join(sample.format(k=f"at + {j}", uk=f"u{j}", raw=f"r{j}")
+                   for j in range(_BLOCK))
+    src += _BLOCK_TAIL.format(r_names=each("r{i}", count=_BLOCK),
+                              block=_BLOCK)
+    src += sample.format(k="k", uk="uk", raw="raw")
+    src += _LOOP_END.format(peaks=peaks)
     backend = "flux-device" if device else "ideal"
-    namespace = {"_left_bound": _left_bound}
+    namespace = {"_left_bound": _left_bound, "_pack_block": _pack_block}
     exec(compile(src, f"<modulator loop, order {order}, {backend}, "
                       f"unit {' '.join(units) or 'none'}>", "exec"),
          namespace)

@@ -11,9 +11,10 @@ command lines parse and its Python blocks run, scipy loads only where
 the CN oracle runs, the runtime dependencies are the packages imported
 at module level, no module warns: a failure leaves as a typed
 FluxDsmError, and each generated modulator loop calls no round(),
-compiles no chained comparison and divides a sample only by a
-constant other than 1.0, which leaves the default ideal loop no
-multiply and no divide."""
+compiles no chained comparison, divides a sample only by a constant
+other than 1.0, which leaves the default ideal loop no multiply and
+no divide, and stores a block's codes with one packed store, and
+README tables every report key of every kind."""
 
 import ast
 import dis
@@ -114,14 +115,23 @@ def _variant_id(variant):
     return f"order{order}-{'flux-device' if device else 'ideal'}-{unit}"
 
 
+def _code_objects(code):
+    """code and every code object nested in it, such as the loop's
+    reach."""
+    yield code
+    for const in code.co_consts:
+        if hasattr(const, "co_consts"):
+            yield from _code_objects(const)
+
+
 @pytest.mark.parametrize("variant", LOOP_VARIANTS, ids=_variant_id)
 def test_modulator_loop_calls_no_round(variant):
     """The loop rounds by adding and subtracting a float constant;
     round() would cost a builtin call and an int per sample. Every
-    name the compiled loop loads is in co_names, so a call to round()
-    in the generated source would show there."""
-    names = _compiled_loop(*variant).__code__.co_names
-    assert "round" not in names
+    name the compiled loop or its reach loads is in its co_names, so a
+    call to round() in the generated source would show there."""
+    for code in _code_objects(_compiled_loop(*variant).__code__):
+        assert "round" not in code.co_names
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11),
@@ -132,23 +142,102 @@ def test_modulator_loop_chains_no_comparison(variant):
     loop would pay per stage per sample; its range and saturation
     tests are two comparisons joined by `and`, and nothing else in
     the generated source needs a SWAP."""
-    ops = [ins.opname for ins in dis.get_instructions(
-        _compiled_loop(*variant))]
+    ops = [ins.opname
+           for code in _code_objects(_compiled_loop(*variant).__code__)
+           for ins in dis.get_instructions(code)]
     assert "SWAP" not in ops
 
 
-def _sample_operands(loop, op):
-    """The right operand of each binary op `op` in the loop's
-    per-sample body, the code from its FOR_ITER on, as the name loaded
-    just before it (None where the operand is not a name)."""
+def _loop_body(ins, for_iter):
+    """The instructions of the loop that for_iter starts, after the
+    stores of its target."""
+    body = [x for x in ins if for_iter.offset < x.offset < for_iter.argval]
+    assert body[0].opname == "UNPACK_SEQUENCE"
+    return body[1 + body[0].arg:]
+
+
+def _samples(body):
+    """body cut after each store of err, the end of a sample."""
+    cuts = [i + 1 for i, x in enumerate(body)
+            if x.opname == "STORE_FAST" and x.argval == "err"]
+    return [body[i:j] for i, j in zip([0] + cuts, cuts)], body[cuts[-1]:]
+
+
+_JUMPS = set(dis.hasjrel) | set(dis.hasjabs)
+
+
+def _normalized(sample, j):
+    """A sample's instructions as (opname, argument), with the names of
+    its own input u_j and code r_j and its own index at + j made alike,
+    and without the offsets its jumps name."""
+    out = []
+    for prev, x in zip([sample[0]] + sample, sample):
+        arg = None if x.opcode in _JUMPS else x.argval
+        if arg in (f"u{j}", f"r{j}"):
+            arg = arg[0]
+        if (x.opname == "LOAD_CONST" and prev.opname == "LOAD_FAST"
+                and prev.argval == "at"):
+            arg = ("at +", x.argval - j)
+        out.append((x.opname, arg))
+    return out
+
+
+def _block_and_tail(loop):
+    """The block body's samples, its packed store, the tail loop's
+    sample and its store, each as instructions. The block body must
+    hold _BLOCK copies of one sample, each reading its own input u_j,
+    writing its own code r_j and naming its own index at + j, and the
+    tail loop one more sample."""
     ins = list(dis.get_instructions(loop))
-    start = next(i for i, x in enumerate(ins) if x.opname == "FOR_ITER")
-    operands = []
-    for prev, x in zip(ins[start:], ins[start + 1:]):
-        if x.opname == "BINARY_OP" and x.argrepr == op:
-            name = prev.argval if prev.opname.startswith("LOAD") else None
-            operands.append(name[-1] if isinstance(name, tuple) else name)
-    return operands
+    block_for, tail_for = [x for x in ins if x.opname == "FOR_ITER"]
+    block, store = _samples(_loop_body(ins, block_for))
+    (tail,), tail_store = _samples(_loop_body(ins, tail_for))
+    assert len(block) == modulator._BLOCK
+    assert all(_normalized(sample, j) == _normalized(block[0], 0)
+               for j, sample in enumerate(block))
+    return block, store, tail, tail_store
+
+
+def _sample_operands(loop, op):
+    """The right operand of each binary op `op` in one sample of the
+    loop, as the name loaded just before it (None where the operand is
+    not a name), with the code r_j and input u_j named raw and uk as the
+    tail loop names them; the block body's sample and the tail loop's
+    must have the same."""
+    def operands(sample):
+        names = {"r0": "raw", "u0": "uk"}
+        found = []
+        for prev, x in zip(sample, sample[1:]):
+            if x.opname == "BINARY_OP" and x.argrepr == op:
+                name = (prev.argval if prev.opname.startswith("LOAD")
+                        else None)
+                name = name[-1] if isinstance(name, tuple) else name
+                found.append(names.get(name, name))
+        return found
+
+    block, _, tail, _ = _block_and_tail(loop)
+    assert operands(block[0]) == operands(tail)
+    return operands(tail)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="the loop's jumps are read as CPython 3.11 "
+                           "compiles them")
+@pytest.mark.parametrize("variant", LOOP_VARIANTS, ids=_variant_id)
+def test_modulator_block_stores_its_codes_with_one_pack(variant):
+    """The block body writes its _BLOCK codes with one call of the
+    packer after its last sample, and none by index; the tail loop
+    stores its one code by index."""
+    loop = _compiled_loop(*variant)
+    block, store, _, tail_store = _block_and_tail(loop)
+    assert "STORE_SUBSCR" not in [x.opname for sample in block
+                                  for x in sample + store]
+    assert [x.argval for x in dis.get_instructions(loop)].count(
+        "_pack_block") == 1
+    assert [x.argval for x in store if x.opname == "LOAD_GLOBAL"] == [
+        "_pack_block"]
+    assert [x.opname for x in store].count("CALL") == 1
+    assert [x.opname for x in tail_store].count("STORE_SUBSCR") == 1
 
 
 def _sample_divisors(loop):
@@ -539,6 +628,56 @@ def test_readme_names_every_config_key():
     keys = _config_keys()
     assert {"kind", "full_scale", "r_sheet", "a"} <= keys
     assert sorted(keys - _readme_names()) == []
+
+
+def _readme_report_keys():
+    """README's report-key table of each kind, under its `#### `kind``
+    heading, as {kind: set of keys}."""
+    tables, kind = {}, None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        heading = re.fullmatch(r"#### `([\w-]+)`", line)
+        if heading:
+            kind = heading.group(1)
+            tables[kind] = set()
+        elif kind and line.startswith("| `"):
+            tables[kind].add(line.split("|")[1].strip().strip("`"))
+        elif kind and not line.startswith("|") and line.strip():
+            kind = None
+    return tables
+
+
+def _report_keys(report):
+    """The keys of a report.txt past its config echo, with each
+    state_peak_<i> written as that pattern."""
+    keys = set()
+    for line in report.splitlines():
+        key = line.split(" = ")[0]
+        if key in ("kind", "seed") or "." in key:
+            continue
+        keys.add(re.sub(r"^state_peak_\d+$", "state_peak_<i>", key))
+    return keys
+
+
+def test_readme_tables_every_report_key(tmp_path):
+    """Each shipped kind's report keys, past the config echo, are its
+    README table's, in both directions: the shipped configs, and the
+    modulator DC config with a [device] section, which adds the keys
+    only a flux-device loop writes."""
+    from fluxdsm.scenario import SCENARIO_KINDS, load_scenario, run_scenario
+    device = tmp_path / "modulator_device.cfg"
+    device.write_text((ROOT / "scenarios" / "modulator_dc.cfg").read_text(
+        encoding="utf-8") + "\n[device]\nradius = 0.02\nn_segments = 8\n",
+        encoding="utf-8")
+    written = {}
+    for i, path in enumerate([*sorted((ROOT / "scenarios").glob("*.cfg")),
+                              device]):
+        cfg = load_scenario(str(path))
+        out = tmp_path / str(i)
+        run_scenario(cfg, str(out))
+        written.setdefault(cfg.kind, set()).update(_report_keys(
+            (out / "report.txt").read_text(encoding="utf-8")))
+    assert sorted(written) == sorted(SCENARIO_KINDS)
+    assert _readme_report_keys() == written
 
 
 # the one function that may import scipy, per module: the CN oracle,

@@ -16,6 +16,7 @@ from fluxdsm.fluxtrap import (CylinderGeometry, FieldStep,
                               doubling_amplification_schedule)
 from fluxdsm import modulator
 from fluxdsm.modulator import (
+    _BLOCK,
     _ROUND,
     _compiled_loop,
     _hann_periodic,
@@ -171,8 +172,10 @@ def test_quanta_per_unit_is_the_bore_flux_of_full_scale():
         cfg.full_scale_field * GEOM8.area / CODATA.phi0
 
 
-def test_device_gain_is_found_once_per_config(monkeypatch):
-    from fluxdsm import modulator
+def test_device_gain_is_found_once_per_schedule(monkeypatch):
+    # once per geometry, b_lsb and schedule: a rebuilt config, or
+    # another config of the same three, runs no schedule, and a new
+    # schedule runs its own
     calls = []
     real = modulator.run_amplification_sequence
 
@@ -181,11 +184,18 @@ def test_device_gain_is_found_once_per_config(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(modulator, "run_amplification_sequence", counted)
+    modulator._schedule_gain.cache_clear()
     cfg = ModulatorConfig(geometry=GEOM8)
     assert cfg.device_gain == 4
     for _ in range(2):
         assert run_modulator(cfg, np.zeros(64)).device_gain == 4
+    assert dataclasses.replace(cfg, osr=64).device_gain == 4
+    assert ModulatorConfig(geometry=GEOM8, schedule=list(
+        default_amplification_schedule(8))).device_gain == 4
     assert len(calls) == 1
+    doubling = ModulatorConfig(geometry=GEOM8,
+                               schedule=doubling_amplification_schedule())
+    assert doubling.device_gain == 2 and len(calls) == 2
     assert ModulatorConfig().device_gain is None
 
 
@@ -569,6 +579,104 @@ def test_sweep_compiles_each_loop_variant_once():
             run_modulator(cfg, np.zeros(16))
     info = _compiled_loop.cache_info()
     assert (info.misses, info.hits, info.currsize) == (24, 24, 24)
+
+
+# the loop runs _BLOCK samples per iteration and the n % _BLOCK left
+# one at a time: runs of no whole block, of one block and a sample
+# either way, and of 256 blocks and one sample
+BLOCK_EDGE_LENGTHS = [1, 15, 16, 17, 31, 33, 4097]
+
+
+@pytest.mark.parametrize("geometry", [None, GEOM8], ids=BACKEND_IDS)
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_block_edges_run_as_the_oracle(order, geometry):
+    # the DC step saturates orders 2-4 from sample 1 on, in the tail
+    # loop of the runs shorter than a block
+    a, c = LOOP_COEFFS[order]
+    cfg = ModulatorConfig(a=a, c=c, geometry=geometry, stability_bound=50.0)
+    u = make_tone(BLOCK_EDGE_LENGTHS[-1], 5, 0.5)
+    u[:8] = 0.9
+    for n in BLOCK_EDGE_LENGTHS:
+        _assert_runs_as_oracle(cfg, u[:n], None if geometry is None else 4)
+    assert (run_modulator(cfg, u[:15]).saturation_count > 0) == (order > 1)
+
+
+# a step at sample at - 1 after zeros takes a state past the bound 0.5
+# at sample at: x_1 = 0.9 in the order-1 loop, and x_2 = 2 x_1 = 0.9 in
+# a loop with c = (0.5, 2.0); the 53 samples hold three blocks, and
+# sample 50 lies in the tail
+@pytest.mark.parametrize("at", [2 * _BLOCK + j for j in range(_BLOCK)]
+                         + [3 * _BLOCK + 2],
+                         ids=[f"block-{j}" for j in range(_BLOCK)] + ["tail"])
+@pytest.mark.parametrize("geometry", [None, GEOM8], ids=BACKEND_IDS)
+def test_instability_at_each_block_position_runs_as_the_oracle(geometry, at):
+    u = np.zeros(3 * _BLOCK + 5)
+    u[at - 1:] = 0.9
+    for stage, gains in ((1, ORDER1), (2, dict(c=(0.5, 2.0)))):
+        cfg = ModulatorConfig(geometry=geometry, stability_bound=0.5,
+                              **gains)
+        with pytest.raises(InstabilityError, match=(
+                rf"integrator {stage} left \[-0.5, 0.5\] at sample {at}$")):
+            run_modulator(cfg, u)
+        _assert_runs_as_oracle(cfg, u, None if geometry is None else 4)
+
+
+def _run_with_flag(monkeypatch, cfg, u):
+    """run_modulator's trace of cfg and u, and risky as its loop
+    returned it: whether the run's peaks could reach saturation."""
+    flags = []
+
+    def compiled(*variant):
+        loop = _compiled_loop(*variant)
+
+        def run(*args, **consts):
+            result = loop(*args, **consts)
+            flags.append(result[2])
+            return result
+        return run
+
+    monkeypatch.setattr(modulator, "_compiled_loop", compiled)
+    return run_modulator(cfg, u), flags[-1]
+
+
+def test_saturation_flag_turns_on_mid_block_as_the_oracle(monkeypatch):
+    # a quiet tone leaves the flag off; a step at sample 1003 saturates
+    # the default loop from sample 1004 on, 12 samples into its block
+    cfg = ModulatorConfig()
+    u = make_tone(2048, 5, 0.01)
+    u[1003:] = 0.9
+    _, states, saturations = _loop_oracle(cfg, u)
+    lsb_n = cfg.comparator.b_lsb / cfg.full_scale_field
+    y = (cfg.a[0] * states[:, 0] + cfg.a[1] * states[:, 1]) / lsb_n
+    first = np.flatnonzero(np.abs(np.round(y))
+                           > cfg.comparator.half_range)[0]
+    assert first == 1004 and first % _BLOCK == 12 and saturations == 16
+    quiet, risky = _run_with_flag(monkeypatch, cfg, u[:1003])
+    assert quiet.saturation_count == 0 and not risky
+    trace, risky = _run_with_flag(monkeypatch, cfg, u)
+    assert risky and trace.saturation_count == saturations
+    _assert_runs_as_oracle(cfg, u)
+
+
+@pytest.mark.parametrize("over", [False, True],
+                         ids=["reach-at-half-range", "reach-a-hair-over"])
+def test_saturation_flag_at_a_reach_of_half_range(over, monkeypatch):
+    # the order-1 loop at lsb_n = 2**-9: u_0 of half an LSB leaves x_1
+    # on a tie that rounds to code 0, so u_1 = 0.5 puts x_1 at 256.5
+    # LSBs, which rounds half to even to half_range, 256: the flag
+    # stays off and nothing saturates; u_1 one ulp over 0.5 rounds to
+    # 257, which turns the flag on and saturates once
+    cfg = ModulatorConfig(full_scale=2 * ModulatorConfig().full_scale_field,
+                          **ORDER1)
+    assert cfg.comparator.b_lsb / cfg.full_scale_field == 2.0**-9
+    assert cfg.comparator.half_range == 256
+    u = make_tone(512, 5, 0.1)
+    u[0] = 2.0**-10
+    u[1] = np.nextafter(0.5, 1.0) if over else 0.5
+    trace, risky = _run_with_flag(monkeypatch, cfg, u)
+    assert trace.state_peak[0] * 2**9 == 256.5 + (2.0**-44 if over else 0.0)
+    assert risky == over and trace.saturation_count == int(over)
+    _assert_runs_as_oracle(cfg, u)
 
 
 @settings(max_examples=300, deadline=None)

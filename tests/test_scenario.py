@@ -628,6 +628,23 @@ def test_modulator_backend_label_follows_the_device_section(body, backend):
     assert mc.backend == backend
 
 
+def test_noisy_device_loop_runs_its_schedule_once(tmp_path, monkeypatch):
+    # the runner rebuilds the config to seed [input-noise]; the rebuilt
+    # config finds its gain without running the schedule again
+    from fluxdsm import modulator
+    calls = []
+    real = modulator.run_amplification_sequence
+    monkeypatch.setattr(modulator, "run_amplification_sequence",
+                        lambda *args: calls.append(args) or real(*args))
+    modulator._schedule_gain.cache_clear()
+    body = MOD_DEVICE_DC_BODY.replace("n = 1024", "n = 4096")
+    cfg = parse_scenario(_scenario("modulator-run", body + INPUT_NOISE_BODY,
+                                   seed=5))
+    run_scenario(cfg, str(tmp_path))
+    assert "device_gain = 2" in (tmp_path / "report.txt").read_text()
+    assert len(calls) == 1
+
+
 def test_run_modulator_device_backend(tmp_path):
     body = (MOD_DC_BODY + "\n[device]\n"
             "radius = 0.02\nn_segments = 4\nn_eff = 4\nschedule = doubling\n")

@@ -54,9 +54,10 @@ _ACCUMULATOR_LIMIT = 2.0**48
 _SCALED_LIMIT = 2.0**1022
 _LEAST_QUANTUM = 2.0**-1074
 _LEAST_NORMAL = 2.0**-1022
-# run_modulator's loop runs _BLOCK samples per iteration and stores
-# their codes with one call of _pack_block
+# run_modulator's loop runs _BLOCK samples per iteration, storing their
+# codes with one call of _pack_block, and _CHUNK samples per call
 _BLOCK = 16
+_CHUNK = 1024
 _pack_block = struct.Struct(f"{_BLOCK}d").pack_into
 
 
@@ -259,22 +260,29 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
 
     The loop is plain Python written out for the config's order and
     backend and for which of its constants are exactly 1.0
-    (_compiled_loop), compiled on the first run of that variant and
-    kept: each stage's state, gains and peak are locals, so a sample
-    makes no numpy scalar, no list access and no test of the backend.
-    It runs in blocks of _BLOCK = 16 samples: one iterator over the
-    input, zipped with itself 16 times, hands a block its 16 inputs,
-    the block body holds 16 copies of the sample, each with its own
-    input and code, and one struct pack_into writes the block's 16
-    codes into the float buffer. A tail loop runs the n % 16 samples
-    left, one at a time, with the same sample. A multiply or divide by
-    a constant of exactly 1.0, which is exact, is left out of the
-    source. Every other float operation keeps its
-    operands and their order (x1 + c1 err, acc (c1 / gain) / quanta,
-    xi + ci x_{i-1}, then y summed from stage 1 up and divided by the
-    LSB in the same expression, without a store to a local), so the
-    codes and the state peaks are bit-identical to the difference
-    equations above evaluated in that order.
+    (_compiled_loop), compiled on first use and kept. A sample is the
+    difference equations alone, states and gains plain locals, with no
+    comparison but the clipping loop's clamp; 16 samples (_BLOCK) take
+    their inputs from one iterator zipped with itself and store their
+    codes with one struct pack_into, and a tail loop runs the rest. A
+    multiply or divide by a constant of 1.0 is left out; every other
+    float operation keeps its operands and order (x1 + c1 err,
+    acc (c1 / gain) / quanta, xi + ci x_{i-1}, then y summed from stage
+    1 up and divided by the LSB in one expression), so the codes are
+    those of the difference equations above, bit for bit. The loop
+    runs _CHUNK samples a call without the clamp: a chunk whose codes
+    lie within +-half_range holds the clamped loop's. From
+    a chunk's first code past that, the clipping loop, compiled when
+    first needed, runs 4 _BLOCK samples from the states rebuilt there,
+    then, while it clamps, spans twice as long, up to _CHUNK. _Rebuild
+    forms the states in numpy after each span and at the end, with the
+    loop's operations in its order: err = U - codes lsb_n, and each x_i
+    and the device's acc by np.add.accumulate from the value before the
+    span. numpy's elementwise + - * / round as Python's do on every
+    SIMD level, and np.add.accumulate adds left to right, so each state
+    is the loop's bit for bit up to the first past the bound, which
+    rests only on the codes before it; the rebuild raises there, and
+    ignores the overflow or nan that may follow.
 
     Scaled loop. Stages are indexed from 0 here, as in the generated
     source. Where the condition below holds, the loop carries each
@@ -291,10 +299,9 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
     scale that cancels a power of two leaves a constant of 1, so at
     the default gains an ideal sample is X0 = X0 + E; X1 = X1 + X0;
     raw = ((X0 + X1) + R) - R; E = U - raw, with no multiply and no
-    divide. The bound tests compare X_i with S_i bound, state_peak
-    holds each peak over S_i, and an InstabilityError names the
-    unscaled bound. Where the condition fails, every scale is 1 and
-    the loop runs the difference equations as written.
+    divide. The rebuild compares X_i with S_i bound, state_peak holds
+    each peak over S_i, and an InstabilityError names the unscaled
+    bound. Where the condition fails, every scale is 1.
 
     Why the scaled loop is exact. Write fl(r) for the float nearest
     the real r, q(v) for the largest power of two that divides the
@@ -310,7 +317,7 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
     where three things hold:
 
     - No value exceeds 2**1023. With the states inside the bound at a
-      sample's start, every value up to its first failing bound check
+      sample's start, every value up to the first state past the bound
       is at most V = 2**52 T K M (1 + bound + W + D): T is the largest
       scale, K the largest a_i and c_i, both at least 1,
       W = max |u_n| + half_range lsb_n, and on the device
@@ -342,46 +349,11 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
     the ceiling.
 
     The loop rounds without round() and without a Python int: the
-    quantizer takes (y / lsb_n + _ROUND) - _ROUND, the device
-    integrator adds gain ((err quanta + _ROUND) - _ROUND) to a float
-    accumulator, and the codes go to a float buffer that is converted
-    to int64 once. ModulatorConfig's loop-sum and device-accumulator
-    checks keep every rounded value, and the accumulator, where these
-    floats equal round()'s ints, so the codes, saturations, state
-    peaks and InstabilityErrors are those of round() and an integer
-    accumulator.
-
-    The saturation test runs only once the peaks can reach it. Where a
-    stage's peak grows, the loop sets risky, whether the quantizer's
-    own expression evaluated at the peaks, reach = ((sum_i a_i p_i)
-    [/ lsb_n] + _ROUND) - _ROUND, with each constant left out as the
-    sample leaves it out, is not <= half_range; the quantizer tests its
-    code against +-half_range only while risky holds. That skips no
-    saturation. fl is monotone and odd, and each a_i, lsb_n and p_i is
-    at least 0, so while every |x_i| <= p_i each operation of the
-    sample's loop sum is at most, in magnitude, the same operation on
-    the peaks: |fl(a_i x_i)| = fl(a_i |x_i|) <= fl(a_i p_i), and
-    |fl(s + t)| = fl(|s + t|) <= fl(|s| + |t|) <= fl(S + T) for |s| <= S
-    and |t| <= T. (t + _ROUND) - _ROUND is monotone in t, and odd for
-    |t| <= 2**51, which the loop-sum check keeps every quantized t in,
-    so |raw| <= reach: where reach <= half_range, no code can pass
-    half_range. A peak only grows, and grows at the sample where a
-    state passes it, so the flag is set again before that sample's
-    quantizer runs. A nan or an infinite reach is not <= half_range,
-    and so tests every code.
-
-    Each stage's bound check rides on its peak update. A state inside
-    [-p_i, p_i] of its running peak is inside the bound, because p_i
-    never exceeds it; only a state outside that range, or a nan, which
-    fails every comparison, sets p_i = |x_i| and then meets the bound
-    check. So the check raises at the same sample and stage as a check
-    of every state would, and a nan state raises there before round()
-    could see it. That range test, like the quantizer's saturation
-    test, is two comparisons joined by `and` (-p_i <= x_i and
-    x_i <= p_i), not a chained a <= b <= c: CPython 3.11 compiles a
-    chain with a SWAP and a COPY, which the loop would pay per stage
-    per sample. The split test has the chain's outcome for every
-    value, and a nan still fails its first comparison.
+    quantizer takes (y / lsb_n + _ROUND) - _ROUND, the device adds
+    gain ((err quanta + _ROUND) - _ROUND) to a float accumulator, and
+    the float codes become int64 once. ModulatorConfig's loop-sum and
+    device-accumulator checks keep every rounded value, and the
+    accumulator, where these floats equal round()'s ints.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size == 0:
@@ -410,17 +382,36 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
     s_err, scales, consts = plan
     if s_err != 1.0:
         u_n = u_n * s_err
-    bound = cfg.stability_bound
+    hr = float(cfg.comparator.half_range)
+    variant = (len(cfg.a), device_gain is not None,
+               tuple(k for k, v in consts.items() if v == 1.0))
+    loop, args = _compiled_loop(*variant, False), tuple(consts.values())
     codes = np.empty(n)
-    loop = _compiled_loop(len(cfg.a), device_gain is not None,
-                          tuple(k for k, v in consts.items() if v == 1.0))
-    saturations, peaks, _ = loop(
-        memoryview(u_n), memoryview(codes),
-        tuple(bound * s for s in scales), bound,
-        float(cfg.comparator.half_range), **consts)
+    states = _Rebuild(cfg, scales, consts, u_n, codes)
+    u_mv, codes_mv = memoryview(u_n), memoryview(codes)
+    state, at, saturations, span = states.state, 0, 0, 0
+    while at < n:
+        if not span:
+            stop = min(at + _CHUNK, n)
+            end = loop(u_mv[at:stop], codes_mv[at:stop], state, *args)
+            chunk = codes[at:stop]
+            # written so that a nan code fails it too
+            if np.maximum.reduce(np.abs(chunk)) <= hr:
+                at, state = stop, end
+                continue
+            at += int(np.argmin(np.abs(chunk) <= hr))
+            state, span = states.upto(at), 4 * _BLOCK
+        stop = min(at + span, n)
+        clamped = _compiled_loop(*variant, True)(
+            u_mv[at:stop], codes_mv[at:stop], state, *args, hr)[1]
+        saturations += clamped
+        span = clamped and min(2 * span, _CHUNK)
+        at, state = stop, states.upto(stop)
+    states.upto(n)
     return TraceSet(config=cfg, codes=codes.astype(np.int64),
                     saturation_count=saturations, device_gain=device_gain,
-                    state_peak=tuple(p / s for p, s in zip(peaks, scales)))
+                    state_peak=tuple(p / s for p, s in
+                                     zip(states.peaks, scales)))
 
 
 def _power_of_two(v: float) -> bool:
@@ -509,52 +500,93 @@ def _input_limits(cfg: ModulatorConfig, lsb_n: float, gain: Optional[int],
             - (1.0 + bound + cfg.comparator.half_range * lsb_n + d))
 
 
-def _left_bound(stage: int, bound: float, k: int) -> InstabilityError:
-    return InstabilityError(
-        f"integrator {stage} left [-{bound}, {bound}] at sample {k}",
-        sample=k)
+class _Rebuild:
+    """The loop's states rebuilt in numpy from its input and codes, span
+    by span: state, the loop's state after them (the device's acc, the
+    x_i, err), each stage's peak |x_i| so far, and an InstabilityError
+    at the first sample, then stage, past the bound."""
+
+    def __init__(self, cfg: ModulatorConfig, scales: tuple, consts: dict,
+                 u: np.ndarray, codes: np.ndarray):
+        self.bound, self.c, self.u, self.codes = (cfg.stability_bound,
+                                                  consts, u, codes)
+        self.bounds = np.multiply(scales, cfg.stability_bound)
+        self.state = (0.0,) * (len(scales) + ("gain" in consts) + 1)
+        self.peaks, self.done = [0.0] * len(scales), 0
+
+    def upto(self, stop: int) -> tuple:
+        """Rebuild samples done to stop - 1; the loop's state after them."""
+        a, c, state, device = self.done, self.c, self.state, "gain" in self.c
+        if stop == a:
+            return state
+        # rows of a value before the span and its increments: the device's
+        # acc, then each x_i; row 0 starts as the errors the span takes in
+        x = np.empty((len(state) - 1, stop - a + 1))
+        e = x[0, 1:]
+
+        def by(name, op=np.multiply):
+            if c[name] != 1.0:
+                op(e, c[name], out=e)
+        # a state past the bound may overflow, or turn nan, after it
+        with np.errstate(all="ignore"):
+            e[0] = state[-1]
+            codes = self.codes[a:stop - 1]
+            np.subtract(self.u[a:stop - 1], codes if c["lsb_n"] == 1.0
+                        else codes * c["lsb_n"], out=e[1:])
+            err = (float(self.u[stop - 1])
+                   - float(self.codes[stop - 1]) * c["lsb_n"])
+            if device:
+                by("quanta")
+                e += _ROUND
+                e -= _ROUND
+            by("gain" if device else "c0")
+            x[:, 0] = state[:-1]
+            np.add.accumulate(x[0], out=x[0])
+            if device:
+                np.multiply(e, c["c0_gain"], out=x[1, 1:])
+                x[1, 1:] /= c["q_scale"]
+            for i in range(1 + device, len(x)):
+                np.multiply(x[i - 1, 1:], c[f"c{i - device}"], out=x[i, 1:])
+                np.add.accumulate(x[i], out=x[i])
+            rows = x[device:, 1:]
+            peaks = np.maximum(np.maximum.reduce(rows, axis=1),
+                               -np.minimum.reduce(rows, axis=1))
+            past = [(int(np.argmin(np.abs(rows[i]) <= self.bounds[i])), i + 1)
+                    for i in np.flatnonzero(~(peaks <= self.bounds)).tolist()]
+        if past:
+            k, stage = min(past)
+            raise InstabilityError(f"integrator {stage} left [-{self.bound}, "
+                                   f"{self.bound}] at sample {a + k}",
+                                   sample=a + k)
+        self.peaks = list(map(max, self.peaks, peaks.tolist()))
+        self.done, self.state = stop, (*x[:, -1].tolist(), err)
+        return self.state
 
 
-# The loop of run_modulator in pieces, which _compiled_loop joins for
-# one order, backend and set of unit constants; {i} is a stage's index
-# from 0, and a {name} slot of a constant holds its multiply or divide,
-# or nothing where the constant is exactly 1.0. b_i is stage i's bound
-# in its scale; bound, unscaled, is the one an error names. reach is
-# the quantizer's own expression at the peaks, and risky whether it
-# passes half_range (run_modulator's docstring says why that test is
-# exact); its defaults bind the constants it reads, so the loop keeps
-# them as plain locals.
-_LOOP_HEAD = """\
-def loop(u, codes, b, bound, hr, {params}):
-    {b_names}, = b
-    {zeros} = 0.0
-    neg_hr = -hr
-    err = 0.0
-    saturations = 0
-    def reach({peaks}, {binds}hr=hr):
-        return not ((({reach_sum}){lsb_per} + {round}) - {round} <= hr)
-    risky = reach({peaks})
-"""
-# the block loop: _BLOCK samples per iteration, read by zipping one
-# iterator _BLOCK times and written with one packed store; the tail
-# loop runs the samples left after the last whole block, one at a time
-_BLOCK_HEAD = """\
-    it = iter(u)
+# The loop of run_modulator, which _compiled_loop writes out: from the
+# state the samples before u left, a block loop of _BLOCK samples per
+# iteration, with one packed store, and a tail loop for the rest.
+_LOOP = """\
+def loop(u, codes, state, {params}):
+    {state} = state
+{clip_head}    it = iter(u)
     at = 0
     for {u_names} in zip({its}):
-"""
-_BLOCK_TAIL = """\
-        _pack_block(codes, 8 * at, {r_names})
-        at += {block}
+{block}        _pack_block(codes, 8 * at, {r_names})
+        at += {size}
     for k, uk in enumerate(u[at:], at):
+{tail}        codes[k] = raw
+    return ({state}){count}
 """
+# A sample's pieces: {i} is a stage's index from 0, and a {name} slot of
+# a constant holds its multiply or divide, or nothing where the
+# constant is exactly 1.0; {uk} is the sample's input and {raw} its code.
 _IDEAL_INTEGRATOR = """\
         x0 = x0 + {c0}err
 """
 # the loop error rounded half to even to whole quanta, as fluxtrap
-# traps them, by adding and subtracting _ROUND; the float accumulator
-# holds integers, exactly while ModulatorConfig's accumulator check
-# holds
+# traps them; the float accumulator holds integers, exactly while
+# ModulatorConfig's accumulator check holds
 _DEVICE_INTEGRATOR = """\
         acc += {gain}((err{quanta} + {round}) - {round})
         x0 = acc{c0_gain}{q_scale}
@@ -562,53 +594,32 @@ _DEVICE_INTEGRATOR = """\
 _LATER_STAGE = """\
         x{i} = x{i} + {c}x{prev}
 """
-# the bound check folded into the peak update; run_modulator's
-# docstring says why it raises where a check of every state would, nan
-# included. The range test is two comparisons joined by `and`, not a
-# chain, which would cost a SWAP and a COPY per sample. {k} is the
-# sample's index.
-_PEAK_AND_BOUND = """\
-        if not (m{i} <= x{i} and x{i} <= p{i}):
-            p{i} = abs(x{i})
-            m{i} = -p{i}
-            if not p{i} <= b{i}:
-                raise _left_bound({stage}, bound, {{k}})
-            risky = reach({peaks})
-"""
-# comparator.quantize at the normalized LSB, inlined, rounding half
-# to even by adding and subtracting _ROUND; the loop sum is rounded
-# without a store to a local, and the saturation test, split like the
-# range test above, runs only once the peaks can reach half_range.
-# {uk} is the sample's input and {raw} its code.
+# comparator.quantize at the normalized LSB, inlined: the loop sum
+# rounded half to even, and in the clipping loop clamped to +-hr by
+# two comparisons, the second failed by a nan as well
 _QUANTIZER = """\
         {{raw}} = (({y_sum}){lsb_per} + {round}) - {round}
-        if risky:
-            if not (neg_hr <= {{raw}} and {{raw}} <= hr):
-                {{raw}} = hr if {{raw}} > 0 else neg_hr
-                saturations += 1
-        err = {{uk}} - {{raw}}{lsb_times}
+{clamp}        err = {{uk}} - {{raw}}{lsb_times}
 """
-_LOOP_END = """\
-        codes[k] = raw
-    return saturations, ({peaks},), risky
+_CLAMP = """\
+        if {raw} > hr:
+            {raw} = hr
+            saturations += 1
+        elif not {raw} >= neg_hr:
+            {raw} = neg_hr
+            saturations += 1
 """
 
 
 @functools.cache
-def _compiled_loop(order: int, device: bool, units: tuple):
-    """The loop written out stage by stage for one order and backend,
-    with no multiply or divide by a constant that units names, which
-    run_modulator found to be exactly 1.0; compiled on first use and
-    kept. Each stage's state x_i, gains c_i, a_i, bound b_i and peak
-    p_i = -m_i are plain locals: a sample does no list access, no loop
-    over the stages and no test of the backend or of a constant. The
-    block loop holds _BLOCK copies of the sample and the tail loop one;
-    each copy reads its own input u_j and writes its own code r_j.
-
-    The loop returns the saturation count, the peaks in their scales
-    and risky, whether the run's peaks could reach saturation."""
-    def each(template, sep=", ", count=order):
-        return sep.join(template.format(i=i) for i in range(count))
+def _compiled_loop(order: int, device: bool, units: tuple, clip: bool):
+    """The loop written out for one order and backend, with no multiply
+    or divide by a constant in units, which are exactly 1.0, and with
+    the clamp to +-hr where clip holds. It takes the constants in
+    _loop_constants' order and returns its last state, and, clipping,
+    the count of codes clamped."""
+    def each(template, count=order):
+        return ", ".join(template.format(i=i) for i in range(count))
 
     def times(name):
         return "" if name in units else f"{name} * "
@@ -616,49 +627,37 @@ def _compiled_loop(order: int, device: bool, units: tuple):
     def by(op, name):
         return "" if name in units else f" {op} {name}"
 
-    def sum_of(v):
-        return " + ".join(f"{times(f'a{i}')}{v}{i}" for i in range(order))
-
-    names = [f"c{i}" for i in range(1 if device else 0, order)]
-    names += [f"a{i}" for i in range(order)] + ["lsb_n"]
+    names = [name for i in range(order) for name in (f"c{i}", f"a{i}")
+             if name != "c0" or not device] + ["lsb_n"]
     if device:
         names += ["gain", "quanta", "c0_gain", "q_scale"]
-    peaks = each("p{i}")
-    binds = "".join(f"{name}={name}, " for name in
-                    [f"a{i}" for i in range(order)] + ["lsb_n"]
-                    if name not in units)
-    src = _LOOP_HEAD.format(
-        params=", ".join(names), b_names=each("b{i}"),
-        zeros=each("x{i} = p{i} = m{i}", " = "), peaks=peaks, binds=binds,
-        reach_sum=sum_of("p"), lsb_per=by("/", "lsb_n"),
-        round=repr(_ROUND))
-    if device:
-        src += "    acc = 0.0\n"
         sample = _DEVICE_INTEGRATOR.format(
             round=repr(_ROUND), gain=times("gain"),
             quanta=by("*", "quanta"), c0_gain=by("*", "c0_gain"),
             q_scale=by("/", "q_scale"))
     else:
         sample = _IDEAL_INTEGRATOR.format(c0=times("c0"))
-    for i in range(order):
-        if i:
-            sample += _LATER_STAGE.format(i=i, prev=i - 1, c=times(f"c{i}"))
-        sample += _PEAK_AND_BOUND.format(i=i, stage=i + 1, peaks=peaks)
+    for i in range(1, order):
+        sample += _LATER_STAGE.format(i=i, prev=i - 1, c=times(f"c{i}"))
     sample += _QUANTIZER.format(
-        y_sum=sum_of("x"), lsb_per=by("/", "lsb_n"),
-        lsb_times=by("*", "lsb_n"), round=repr(_ROUND))
-    src += _BLOCK_HEAD.format(u_names=each("u{i}", count=_BLOCK),
-                              its=", ".join(["it"] * _BLOCK))
-    src += "".join(sample.format(k=f"at + {j}", uk=f"u{j}", raw=f"r{j}")
-                   for j in range(_BLOCK))
-    src += _BLOCK_TAIL.format(r_names=each("r{i}", count=_BLOCK),
-                              block=_BLOCK)
-    src += sample.format(k="k", uk="uk", raw="raw")
-    src += _LOOP_END.format(peaks=peaks)
+        y_sum=" + ".join(f"{times(f'a{i}')}x{i}" for i in range(order)),
+        lsb_per=by("/", "lsb_n"), lsb_times=by("*", "lsb_n"),
+        round=repr(_ROUND), clamp=_CLAMP if clip else "")
+    src = _LOOP.format(
+        params=", ".join(names + ["hr"] * clip),
+        state=("acc, " if device else "") + each("x{i}") + ", err",
+        clip_head="    neg_hr = -hr\n    saturations = 0\n" * clip,
+        u_names=each("u{i}", _BLOCK), its=", ".join(["it"] * _BLOCK),
+        block="".join(sample.format(uk=f"u{j}", raw=f"r{j}")
+                      for j in range(_BLOCK)),
+        r_names=each("r{i}", _BLOCK), size=_BLOCK,
+        tail=sample.format(uk="uk", raw="raw"),
+        count=", saturations" * clip)
     backend = "flux-device" if device else "ideal"
-    namespace = {"_left_bound": _left_bound, "_pack_block": _pack_block}
+    namespace = {"_pack_block": _pack_block}
     exec(compile(src, f"<modulator loop, order {order}, {backend}, "
-                      f"unit {' '.join(units) or 'none'}>", "exec"),
+                      f"unit {' '.join(units) or 'none'}"
+                      f"{', clipping' * clip}>", "exec"),
          namespace)
     return namespace["loop"]
 

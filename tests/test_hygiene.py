@@ -11,10 +11,11 @@ command lines parse and its Python blocks run, scipy loads only where
 the CN oracle runs, the runtime dependencies are the packages imported
 at module level, no module warns: a failure leaves as a typed
 FluxDsmError, and each generated modulator loop calls no round(),
-compiles no chained comparison, divides a sample only by a constant
-other than 1.0, which leaves the default ideal loop no multiply and
-no divide, and stores a block's codes with one packed store, and
-README tables every report key of every kind."""
+compiles no chained comparison, compares nothing in a sample but the
+clipping loop's clamp, divides a sample only by a constant other than
+1.0, which leaves the default ideal loop no multiply and no divide,
+and stores a block's codes with one packed store, and README tables
+every report key of every kind."""
 
 import ast
 import dis
@@ -84,9 +85,9 @@ def test_no_warnings_channel(path):
 def _constant_names(order, device):
     """The constants that the (order, device) loop takes, each of which
     it leaves out where it is exactly 1.0: its parameters after u,
-    codes, b, bound and hr."""
-    code = _compiled_loop(order, device, ()).__code__
-    return code.co_varnames[5:code.co_argcount]
+    codes and state."""
+    code = _compiled_loop(order, device, (), False).__code__
+    return code.co_varnames[3:code.co_argcount]
 
 
 def _unit_sets(order, device):
@@ -100,24 +101,26 @@ def _unit_sets(order, device):
     return sets
 
 
-# loops that _compiled_loop builds, as (order, device, units), units
-# the constants it leaves out
-LOOP_VARIANTS = [(order, device, units)
+# loops that _compiled_loop builds, as (order, device, units, clip),
+# units the constants it leaves out and clip whether it clamps
+LOOP_VARIANTS = [(order, device, units, clip)
                  for order in (1, 2, 3, 4) for device in (False, True)
-                 for units in _unit_sets(order, device)]
+                 for units in _unit_sets(order, device)
+                 for clip in (False, True)]
 
 
 def _variant_id(variant):
-    order, device, units = variant
+    order, device, units, clip = variant
     kept = [n for n in _constant_names(order, device) if n not in units]
     unit = ("no-unit" if not units else "all-unit" if not kept
             else f"all-unit-but-{kept[0]}")
-    return f"order{order}-{'flux-device' if device else 'ideal'}-{unit}"
+    return (f"order{order}-{'flux-device' if device else 'ideal'}-{unit}"
+            f"{'-clipping' if clip else ''}")
 
 
 def _code_objects(code):
-    """code and every code object nested in it, such as the loop's
-    reach."""
+    """code and every code object nested in it; the loop defines no
+    function of its own, so this is the loop alone until one does."""
     yield code
     for const in code.co_consts:
         if hasattr(const, "co_consts"):
@@ -128,8 +131,8 @@ def _code_objects(code):
 def test_modulator_loop_calls_no_round(variant):
     """The loop rounds by adding and subtracting a float constant;
     round() would cost a builtin call and an int per sample. Every
-    name the compiled loop or its reach loads is in its co_names, so a
-    call to round() in the generated source would show there."""
+    name the compiled loop loads is in its co_names, so a call to
+    round() in the generated source would show there."""
     for code in _code_objects(_compiled_loop(*variant).__code__):
         assert "round" not in code.co_names
 
@@ -139,9 +142,9 @@ def test_modulator_loop_calls_no_round(variant):
 @pytest.mark.parametrize("variant", LOOP_VARIANTS, ids=_variant_id)
 def test_modulator_loop_chains_no_comparison(variant):
     """A chained a <= b <= c compiles to a SWAP and a COPY that the
-    loop would pay per stage per sample; its range and saturation
-    tests are two comparisons joined by `and`, and nothing else in
-    the generated source needs a SWAP."""
+    loop would pay per sample; the clipping loop's clamp is two
+    comparisons, not a chain, and nothing else in the generated source
+    needs a SWAP."""
     ops = [ins.opname
            for code in _code_objects(_compiled_loop(*variant).__code__)
            for ins in dis.get_instructions(code)]
@@ -168,16 +171,13 @@ _JUMPS = set(dis.hasjrel) | set(dis.hasjabs)
 
 def _normalized(sample, j):
     """A sample's instructions as (opname, argument), with the names of
-    its own input u_j and code r_j and its own index at + j made alike,
-    and without the offsets its jumps name."""
+    its own input u_j and code r_j made alike, and without the offsets
+    its jumps name."""
     out = []
-    for prev, x in zip([sample[0]] + sample, sample):
+    for x in sample:
         arg = None if x.opcode in _JUMPS else x.argval
         if arg in (f"u{j}", f"r{j}"):
             arg = arg[0]
-        if (x.opname == "LOAD_CONST" and prev.opname == "LOAD_FAST"
-                and prev.argval == "at"):
-            arg = ("at +", x.argval - j)
         out.append((x.opname, arg))
     return out
 
@@ -185,9 +185,8 @@ def _normalized(sample, j):
 def _block_and_tail(loop):
     """The block body's samples, its packed store, the tail loop's
     sample and its store, each as instructions. The block body must
-    hold _BLOCK copies of one sample, each reading its own input u_j,
-    writing its own code r_j and naming its own index at + j, and the
-    tail loop one more sample."""
+    hold _BLOCK copies of one sample, each reading its own input u_j
+    and writing its own code r_j, and the tail loop one more sample."""
     ins = list(dis.get_instructions(loop))
     block_for, tail_for = [x for x in ins if x.opname == "FOR_ITER"]
     block, store = _samples(_loop_body(ins, block_for))
@@ -245,13 +244,27 @@ def _sample_divisors(loop):
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="the loop's jumps are read as CPython 3.11 "
+                           "compiles them")
+@pytest.mark.parametrize("variant", LOOP_VARIANTS, ids=_variant_id)
+def test_modulator_loop_sample_compares_only_to_clamp(variant):
+    """A sample tests no state, no peak and no bound: the loop's sample
+    holds no comparison, and the clipping loop's only the quantizer's
+    two, of its code against +-hr."""
+    block, _, tail, _ = _block_and_tail(_compiled_loop(*variant))
+    for sample in (block[0], tail):
+        assert [x.argrepr for x in sample if x.opname == "COMPARE_OP"] == (
+            [">", ">="] if variant[3] else [])
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
                     reason="BINARY_OP is a CPython 3.11 opcode")
 @pytest.mark.parametrize("variant", LOOP_VARIANTS, ids=_variant_id)
 def test_modulator_loop_divides_only_where_unfolded(variant):
     """A sample divides by lsb_n, and the device's x0 by q_scale, only
     where run_modulator found that constant other than 1.0; the scaled
     loop's lsb_n S_E is 1."""
-    _, device, units = variant
+    _, device, units, _ = variant
     expected = [name for name in ("lsb_n", "q_scale")
                 if name not in units and (device or name == "lsb_n")]
     assert _sample_divisors(_compiled_loop(*variant)) == expected
@@ -262,8 +275,8 @@ _GEOM8 = CylinderGeometry(radius=0.02, n_segments=8, n_eff=4)
 
 
 def _variant_run(monkeypatch, cfg, u=np.zeros(4)):
-    """The (order, device, units) loop that run_modulator runs for cfg
-    and u."""
+    """The (order, device, units, clip) loop that run_modulator last
+    built for cfg and u."""
     built = []
     monkeypatch.setattr(modulator, "_compiled_loop",
                         lambda *v: built.append(v) or _compiled_loop(*v))
@@ -285,7 +298,7 @@ def test_default_comparator_loop_divides_by_no_lsb(order, device,
     power of two, and the loop keeps / lsb_n."""
     for c0 in (0.5, 0.3):
         for full_scale in (None, 1.1 * _DEFAULT.full_scale_field):
-            _, _, units = _variant_run(monkeypatch, ModulatorConfig(
+            _, _, units, _ = _variant_run(monkeypatch, ModulatorConfig(
                 a=(1.0,) * order, c=(c0,) + (0.5,) * (order - 1),
                 full_scale=full_scale,
                 geometry=_GEOM8 if device else None))
@@ -296,7 +309,7 @@ def test_default_comparator_loop_divides_by_no_lsb(order, device,
             if device:
                 expected.append("q_scale")
             assert _sample_divisors(_compiled_loop(
-                order, device, units)) == sorted(expected)
+                order, device, units, False)) == sorted(expected)
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11),
@@ -338,7 +351,7 @@ def test_default_loops_multiply_only_to_round_the_device_quanta(
 ], ids=["lsb-2**-600", "lsb-2", "a-over-lsb-overflows", "dc-under-floor"])
 def test_loop_keeps_lsb_division_outside_the_fold(kwargs, u, scaled,
                                                   monkeypatch):
-    _, _, units = _variant_run(monkeypatch, ModulatorConfig(**kwargs), u)
+    _, _, units, _ = _variant_run(monkeypatch, ModulatorConfig(**kwargs), u)
     assert ("lsb_n" in units) == scaled
 
 

@@ -17,6 +17,7 @@ from fluxdsm.fluxtrap import (CylinderGeometry, FieldStep,
 from fluxdsm import modulator
 from fluxdsm.modulator import (
     _BLOCK,
+    _CHUNK,
     _ROUND,
     _compiled_loop,
     _hann_periodic,
@@ -582,9 +583,11 @@ def test_sweep_compiles_each_loop_variant_once():
 
 
 # the loop runs _BLOCK samples per iteration and the n % _BLOCK left
-# one at a time: runs of no whole block, of one block and a sample
-# either way, and of 256 blocks and one sample
-BLOCK_EDGE_LENGTHS = [1, 15, 16, 17, 31, 33, 4097]
+# one at a time, _CHUNK samples a call: runs of no whole block, of one
+# block and a sample either way, of one chunk and a sample either way,
+# and of four chunks and one sample
+BLOCK_EDGE_LENGTHS = [1, 15, 16, 17, 31, 33, _CHUNK - 1, _CHUNK,
+                      _CHUNK + 1, 4 * _CHUNK + 1]
 
 
 @pytest.mark.parametrize("geometry", [None, GEOM8], ids=BACKEND_IDS)
@@ -621,51 +624,56 @@ def test_instability_at_each_block_position_runs_as_the_oracle(geometry, at):
         _assert_runs_as_oracle(cfg, u, None if geometry is None else 4)
 
 
-def _run_with_flag(monkeypatch, cfg, u):
-    """run_modulator's trace of cfg and u, and risky as its loop
-    returned it: whether the run's peaks could reach saturation."""
-    flags = []
-
-    def compiled(*variant):
-        loop = _compiled_loop(*variant)
-
-        def run(*args, **consts):
-            result = loop(*args, **consts)
-            flags.append(result[2])
-            return result
-        return run
-
-    monkeypatch.setattr(modulator, "_compiled_loop", compiled)
-    return run_modulator(cfg, u), flags[-1]
+def _run_clipping(monkeypatch, cfg, u):
+    """run_modulator's trace of cfg and u, and whether it ran the
+    clipping loop."""
+    clips = []
+    monkeypatch.setattr(modulator, "_compiled_loop",
+                        lambda *v: clips.append(v[3]) or _compiled_loop(*v))
+    return run_modulator(cfg, u), any(clips)
 
 
-def test_saturation_flag_turns_on_mid_block_as_the_oracle(monkeypatch):
-    # a quiet tone leaves the flag off; a step at sample 1003 saturates
-    # the default loop from sample 1004 on, 12 samples into its block
+# a quiet tone that steps to 0.9 at sample first - 1 saturates the
+# default loop from sample first on: mid-block in the first chunk, on
+# its last sample, on the next chunk's first sample, and in the tail
+# loop of the run's last call; a step to 1.0 leaves the bound 32
+# samples after its first saturation, in the chunk after it
+@pytest.mark.parametrize("first,level", [
+    (1004, 0.9), (_CHUNK - 1, 0.9), (_CHUNK, 0.9), (2 * _CHUNK + 17, 0.9),
+    (1004, 1.0)],
+    ids=["mid-block", "chunk-end", "chunk-start", "tail", "then-unstable"])
+def test_first_saturation_at_block_and_chunk_edges_runs_as_the_oracle(
+        first, level, monkeypatch):
     cfg = ModulatorConfig()
-    u = make_tone(2048, 5, 0.01)
-    u[1003:] = 0.9
+    u = make_tone(2 * _CHUNK + 20, 5, 0.01)
+    u[first - 1:] = level
     _, states, saturations = _loop_oracle(cfg, u)
     lsb_n = cfg.comparator.b_lsb / cfg.full_scale_field
     y = (cfg.a[0] * states[:, 0] + cfg.a[1] * states[:, 1]) / lsb_n
-    first = np.flatnonzero(np.abs(np.round(y))
-                           > cfg.comparator.half_range)[0]
-    assert first == 1004 and first % _BLOCK == 12 and saturations == 16
-    quiet, risky = _run_with_flag(monkeypatch, cfg, u[:1003])
-    assert quiet.saturation_count == 0 and not risky
-    trace, risky = _run_with_flag(monkeypatch, cfg, u)
-    assert risky and trace.saturation_count == saturations
+    assert np.flatnonzero(np.abs(np.round(y))
+                          > cfg.comparator.half_range)[0] == first
+    quiet, clipped = _run_clipping(monkeypatch, cfg, u[:first])
+    assert quiet.saturation_count == 0 and not clipped
+    if level < 1.0:
+        trace, clipped = _run_clipping(monkeypatch, cfg, u)
+        assert clipped and trace.saturation_count == saturations > 0
+    else:
+        past = np.flatnonzero(np.any(np.abs(states) > 8.0, axis=1))[0]
+        assert past // _CHUNK == first // _CHUNK + 1
     _assert_runs_as_oracle(cfg, u)
+    if first == 1004 and level < 1.0:
+        assert first % _BLOCK == 12 and saturations == 16
 
 
 @pytest.mark.parametrize("over", [False, True],
-                         ids=["reach-at-half-range", "reach-a-hair-over"])
-def test_saturation_flag_at_a_reach_of_half_range(over, monkeypatch):
+                         ids=["code-at-half-range", "code-a-hair-over"])
+def test_code_at_half_range_runs_without_the_clipping_loop(over,
+                                                           monkeypatch):
     # the order-1 loop at lsb_n = 2**-9: u_0 of half an LSB leaves x_1
     # on a tie that rounds to code 0, so u_1 = 0.5 puts x_1 at 256.5
-    # LSBs, which rounds half to even to half_range, 256: the flag
-    # stays off and nothing saturates; u_1 one ulp over 0.5 rounds to
-    # 257, which turns the flag on and saturates once
+    # LSBs, which rounds half to even to half_range, 256: the loop's
+    # codes stand and nothing saturates; u_1 one ulp over 0.5 rounds to
+    # 257, which the clipping loop re-runs and clamps once
     cfg = ModulatorConfig(full_scale=2 * ModulatorConfig().full_scale_field,
                           **ORDER1)
     assert cfg.comparator.b_lsb / cfg.full_scale_field == 2.0**-9
@@ -673,10 +681,46 @@ def test_saturation_flag_at_a_reach_of_half_range(over, monkeypatch):
     u = make_tone(512, 5, 0.1)
     u[0] = 2.0**-10
     u[1] = np.nextafter(0.5, 1.0) if over else 0.5
-    trace, risky = _run_with_flag(monkeypatch, cfg, u)
+    trace, clipped = _run_clipping(monkeypatch, cfg, u)
     assert trace.state_peak[0] * 2**9 == 256.5 + (2.0**-44 if over else 0.0)
-    assert risky == over and trace.saturation_count == int(over)
+    assert clipped == over and trace.saturation_count == int(over)
     _assert_runs_as_oracle(cfg, u)
+
+
+# a step to 0.9 at sample 9 after zeros takes x_1 of the order-1 loop,
+# and x_2 of a loop with c = (0.5, 2.0), to the run's largest state; a
+# bound equal to that peak holds it, one an ulp under it does not, and
+# the first state past a bound, not one on it, is the one named
+@pytest.mark.parametrize("geometry", [None, GEOM8], ids=BACKEND_IDS)
+@pytest.mark.parametrize("stage,gains", [(1, ORDER1), (2, dict(c=(0.5, 2.0)))],
+                         ids=["stage-1", "stage-2"])
+def test_state_on_the_bound_runs_and_an_ulp_past_it_raises(stage, gains,
+                                                           geometry):
+    gain = None if geometry is None else 4
+    u = np.zeros(96)
+    u[9:] = 0.9
+    cfg = ModulatorConfig(geometry=geometry, **gains)
+    _, states, _ = _loop_oracle(cfg, u, gain)
+    peak = np.max(np.abs(states))
+    at = int(np.argmax(np.abs(states[:, stage - 1]) == peak))
+    assert np.abs(states[at, stage - 1]) == peak and peak > 0.5
+    on = dataclasses.replace(cfg, stability_bound=float(peak))
+    assert run_modulator(on, u).state_peak[stage - 1] == peak
+    _assert_runs_as_oracle(on, u, gain)
+    past = dataclasses.replace(on, stability_bound=np.nextafter(peak, 0.0))
+    with pytest.raises(InstabilityError, match=(
+            rf"integrator {stage} left .* at sample {at}$")):
+        run_modulator(past, u)
+    _assert_runs_as_oracle(past, u, gain)
+    # a bound on the stage's first nonzero state raises at the first
+    # state past it, not at the one on it
+    col = np.abs(states[:, stage - 1])
+    first = int(np.flatnonzero(col)[0])
+    early = dataclasses.replace(cfg, stability_bound=float(col[first]))
+    with pytest.raises(InstabilityError) as err:
+        run_modulator(early, u)
+    assert err.value.sample > first
+    _assert_runs_as_oracle(early, u, gain)
 
 
 @settings(max_examples=300, deadline=None)
@@ -741,7 +785,7 @@ def test_device_step_past_exact_rounding_raises_as_the_integer_loop():
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_state_peak_of_negative_excursion(order, geometry):
     # a negative DC level drives every stage's peak |x_i| from below
-    # zero, the branch of the peak update that a tone may not reach
+    # zero, where the peak is the rebuilt states' least value
     a, c = LOOP_COEFFS[order]
     device = geometry is not None
     cfg = ModulatorConfig(a=a, c=c, geometry=geometry, stability_bound=50.0)
@@ -816,8 +860,8 @@ def test_instability_reports_first_stage_past_bound(order, geometry):
 @pytest.mark.parametrize("stage", [0, 1])
 def test_nan_state_raises_instability_at_its_stage(stage, geometry):
     # inf * 0.0 is nan: an infinite c_i turns stage i+1 nan at sample 0,
-    # which the bound check must catch before the quantizer rounds it;
-    # (nan + _ROUND) - _ROUND is nan, which would clamp to -half_range
+    # which the rebuilt states must name; (nan + _ROUND) - _ROUND is a
+    # nan code, which the clipping loop clamps to -half_range
     c = [0.5, 0.5]
     c[stage] = math.inf
     cfg = ModulatorConfig(c=tuple(c), geometry=geometry)

@@ -24,7 +24,8 @@ from fluxdsm.electrodynamics import (SlabConfig, normal_slab_profile,
                                      square_loop_current_for_field,
                                      super_slab_profile)
 from fluxdsm.errors import (ConfigError, DomainError, FluxLossError,
-                            PhaseViolationError, UnknownKeyError)
+                            InstabilityError, PhaseViolationError,
+                            UnknownKeyError)
 from fluxdsm.fluxtrap import CylinderGeometry
 from fluxdsm.junctions import (BCS_GAP_RATIO, JunctionConfig, check_nis,
                                nis_current)
@@ -681,6 +682,23 @@ def test_modulator_report_states_band_and_settle_margin(tmp_path, body, osr,
     keys = [line.split(" = ")[0] for line in lines]
     last = keys.index("settle_margin" if segments else "band_hz")
     assert keys[last + 1:] == ["state_peak_1", "state_peak_2"]
+
+
+# gains that leave the bound at sample 1 and overflow after it: the
+# run under run_scenario's errstate must still name the first integrator
+# and sample past the bound, not turn the overflow into a DomainError
+@pytest.mark.parametrize("gains,stage", [
+    ("c = 1e308,1e308\n", 1),
+    ("a = 1,1,1\nc = 0.5,0.5,1e308\n", 3),
+], ids=["order-2", "order-3"])
+def test_unstable_modulator_run_raises_instability(tmp_path, gains, stage):
+    cfg = parse_scenario(_scenario("modulator-run", MOD_DC_BODY + gains))
+    with pytest.raises(InstabilityError) as err:
+        run_scenario(cfg, str(tmp_path / "out"))
+    assert str(err.value) == (f"integrator {stage} left [-8.0, 8.0] at "
+                              "sample 1")
+    assert err.value.sample == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("extra", ["", INPUT_NOISE_BODY])

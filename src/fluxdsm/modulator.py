@@ -54,10 +54,11 @@ _ACCUMULATOR_LIMIT = 2.0**48
 _SCALED_LIMIT = 2.0**1022
 _LEAST_QUANTUM = 2.0**-1074
 _LEAST_NORMAL = 2.0**-1022
-# run_modulator's loop runs _BLOCK samples per iteration, storing their
-# codes with one call of _pack_block, and _CHUNK samples per call
+# run_modulator's loop runs _BLOCK samples per iteration, with one
+# _pack_block store, _CHUNK per call and at most _REBUILD per rebuild
 _BLOCK = 16
 _CHUNK = 1024
+_REBUILD = 16 * _CHUNK
 _pack_block = struct.Struct(f"{_BLOCK}d").pack_into
 
 
@@ -271,13 +272,14 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
     1 up and divided by the LSB in one expression), so the codes are
     those of the difference equations above, bit for bit. The loop
     runs _CHUNK samples a call without the clamp: a chunk whose codes
-    lie within +-half_range holds the clamped loop's. From
-    a chunk's first code past that, the clipping loop, compiled when
-    first needed, runs 4 _BLOCK samples from the states rebuilt there,
-    then, while it clamps, spans twice as long, up to _CHUNK. _Rebuild
-    forms the states in numpy after each span and at the end, with the
-    loop's operations in its order: err = U - codes lsb_n, and each x_i
-    and the device's acc by np.add.accumulate from the value before the
+    lie within +-half_range holds the clamped loop's. From a chunk's
+    first code past that, the clipping loop, compiled when first
+    needed, runs 4 _BLOCK samples from the states rebuilt there, then,
+    while it clamps, spans twice as long, up to _CHUNK. _Rebuild forms
+    the states in numpy after such a span, after a chunk that ends past
+    the bound, every _REBUILD samples and at the end, with the loop's
+    operations in its order: err = U - codes lsb_n, and each x_i and
+    the device's acc by np.add.accumulate from the value before the
     span. numpy's elementwise + - * / round as Python's do on every
     SIMD level, and np.add.accumulate adds left to right, so each state
     is the loop's bit for bit up to the first past the bound, which
@@ -385,7 +387,8 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
     hr = float(cfg.comparator.half_range)
     variant = (len(cfg.a), device_gain is not None,
                tuple(k for k, v in consts.items() if v == 1.0))
-    loop, args = _compiled_loop(*variant, False), tuple(consts.values())
+    loop = _compiled_loop(*variant, False)
+    args = [consts[k] for k in loop.__code__.co_varnames[3:3 + len(consts)]]
     codes = np.empty(n)
     states = _Rebuild(cfg, scales, consts, u_n, codes)
     u_mv, codes_mv = memoryview(u_n), memoryview(codes)
@@ -395,8 +398,11 @@ def run_modulator(cfg: ModulatorConfig, u: Sequence) -> TraceSet:
             stop = min(at + _CHUNK, n)
             end = loop(u_mv[at:stop], codes_mv[at:stop], state, *args)
             chunk = codes[at:stop]
-            # written so that a nan code fails it too
+            # written so that a nan code, or state, fails it too
             if np.maximum.reduce(np.abs(chunk)) <= hr:
+                if stop - states.done >= _REBUILD or not all(map(float.__le__,
+                        map(abs, end[variant[1]:-1]), states.bounds)):
+                    states.upto(stop)
                 at, state = stop, end
                 continue
             at += int(np.argmin(np.abs(chunk) <= hr))
@@ -510,7 +516,7 @@ class _Rebuild:
                  u: np.ndarray, codes: np.ndarray):
         self.bound, self.c, self.u, self.codes = (cfg.stability_bound,
                                                   consts, u, codes)
-        self.bounds = np.multiply(scales, cfg.stability_bound)
+        self.bounds = [s * cfg.stability_bound for s in scales]
         self.state = (0.0,) * (len(scales) + ("gain" in consts) + 1)
         self.peaks, self.done = [0.0] * len(scales), 0
 
@@ -533,8 +539,7 @@ class _Rebuild:
             codes = self.codes[a:stop - 1]
             np.subtract(self.u[a:stop - 1], codes if c["lsb_n"] == 1.0
                         else codes * c["lsb_n"], out=e[1:])
-            err = (float(self.u[stop - 1])
-                   - float(self.codes[stop - 1]) * c["lsb_n"])
+            err = float(self.u[stop - 1] - self.codes[stop - 1] * c["lsb_n"])
             if device:
                 by("quanta")
                 e += _ROUND
@@ -550,15 +555,15 @@ class _Rebuild:
                 np.add.accumulate(x[i], out=x[i])
             rows = x[device:, 1:]
             peaks = np.maximum(np.maximum.reduce(rows, axis=1),
-                               -np.minimum.reduce(rows, axis=1))
-            past = [(int(np.argmin(np.abs(rows[i]) <= self.bounds[i])), i + 1)
-                    for i in np.flatnonzero(~(peaks <= self.bounds)).tolist()]
+                               -np.minimum.reduce(rows, axis=1)).tolist()
+            past = [(int(np.argmin(np.abs(r) <= b)), i + 1) for i, (r, p, b)
+                    in enumerate(zip(rows, peaks, self.bounds)) if not p <= b]
         if past:
             k, stage = min(past)
             raise InstabilityError(f"integrator {stage} left [-{self.bound}, "
                                    f"{self.bound}] at sample {a + k}",
                                    sample=a + k)
-        self.peaks = list(map(max, self.peaks, peaks.tolist()))
+        self.peaks = list(map(max, self.peaks, peaks))
         self.done, self.state = stop, (*x[:, -1].tolist(), err)
         return self.state
 
@@ -616,7 +621,7 @@ def _compiled_loop(order: int, device: bool, units: tuple, clip: bool):
     """The loop written out for one order and backend, with no multiply
     or divide by a constant in units, which are exactly 1.0, and with
     the clamp to +-hr where clip holds. It takes the constants in
-    _loop_constants' order and returns its last state, and, clipping,
+    _loop_constants' names and returns its last state, and, clipping,
     the count of codes clamped."""
     def each(template, count=order):
         return ", ".join(template.format(i=i) for i in range(count))

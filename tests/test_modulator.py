@@ -18,6 +18,7 @@ from fluxdsm import modulator
 from fluxdsm.modulator import (
     _BLOCK,
     _CHUNK,
+    _REBUILD,
     _ROUND,
     _compiled_loop,
     _hann_periodic,
@@ -622,6 +623,40 @@ def test_instability_at_each_block_position_runs_as_the_oracle(geometry, at):
                 rf"integrator {stage} left \[-0.5, 0.5\] at sample {at}$")):
             run_modulator(cfg, u)
         _assert_runs_as_oracle(cfg, u, None if geometry is None else 4)
+
+
+def _samples_run(monkeypatch, cfg, u):
+    """The InstabilityError that run_modulator raises for cfg and u, and
+    how many samples its loop had run by then: the end of the span whose
+    rebuild raised."""
+    stops = []
+    upto = modulator._Rebuild.upto
+    monkeypatch.setattr(modulator._Rebuild, "upto",
+                        lambda self, stop: stops.append(stop)
+                        or upto(self, stop))
+    with pytest.raises(InstabilityError) as err:
+        run_modulator(cfg, u)
+    return err.value, stops[-1]
+
+
+# a quiet tone that steps at sample 1003 takes x_1 past the bound at
+# sample 1004 with no code saturated: to 0.9 in the order-1 loop with
+# bound 0.5, where it stays past the bound, and to 0.5 in the default
+# loop with bound 0.2, where it is back inside at every chunk's end
+@pytest.mark.parametrize("gains,bound,level,ran", [
+    (ORDER1, 0.5, 0.9, _CHUNK), ({}, 0.2, 0.5, _REBUILD)],
+    ids=["stays-past", "comes-back"])
+@pytest.mark.parametrize("geometry", [None, GEOM8], ids=BACKEND_IDS)
+def test_run_past_the_bound_stops_within_a_chunk_or_a_rebuild(
+        geometry, gains, bound, level, ran, monkeypatch):
+    cfg = ModulatorConfig(geometry=geometry, stability_bound=bound, **gains)
+    gain = None if geometry is None else 4
+    u = make_tone(4 * _REBUILD, 5, 0.01)
+    u[1003:] = level
+    assert _loop_oracle(cfg, u[:1005], gain)[2] == 0
+    err, stop = _samples_run(monkeypatch, cfg, u)
+    assert err.sample == 1004 and stop == ran
+    _assert_runs_as_oracle(cfg, u, gain)
 
 
 def _run_clipping(monkeypatch, cfg, u):

@@ -530,9 +530,9 @@ class _Rebuild:
         x = np.empty((len(state) - 1, stop - a + 1))
         e = x[0, 1:]
 
-        def by(name, op=np.multiply):
+        def by(name):
             if c[name] != 1.0:
-                op(e, c[name], out=e)
+                np.multiply(e, c[name], out=e)
         # a state past the bound may overflow, or turn nan, after it
         with np.errstate(all="ignore"):
             e[0] = state[-1]
